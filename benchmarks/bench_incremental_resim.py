@@ -56,9 +56,9 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 
 SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
-#: Single-knob refinements applied to the base config — one per artifact
-#: dependence class (kernel-params only, cache bank, predictor bank,
-#: kernel shape, FU latency).
+#: Single-knob refinements applied to the base config: scheduling knobs
+#: (ROB size, width, an FU latency) that build nothing, plus one edit
+#: each that rebuilds the cache bank and the predictor bank.
 KNOB_EDITS = [
     ("rob=32", BASE_CONFIG.renamed("rob-32", rob_size=32)),
     ("l1d/2", BASE_CONFIG.renamed(
@@ -83,11 +83,8 @@ def _result_fields(result):
 
 
 def _forget(trace):
-    for holder, attribute in ((trace, "_sweep_digest"),
-                              (trace.program, "_sweep_static"),
-                              (trace.program, "_sweep_kernels")):
-        if hasattr(holder, attribute):
-            delattr(holder, attribute)
+    if hasattr(trace, "_sweep_digest"):
+        del trace._sweep_digest
 
 
 def _grid_row(name, trace, store):

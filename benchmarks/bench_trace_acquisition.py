@@ -1,4 +1,4 @@
-"""Trace-acquisition throughput: native C engine vs turbo vs interpreter,
+"""Trace-acquisition throughput: native C engine vs the interpreter,
 plus streamed vs materialized digest construction.
 
 Every timed pair doubles as an equality assertion — the native trace
@@ -7,10 +7,10 @@ and the streamed digest must agree with the materialized one on the
 content digest — so the recorded speedups are guaranteed to be
 numerics-preserving.
 
-The floors asserted here are the acquisition engine's contract: the
-native tier must stay at least 10x over the interpreter and 3x over
-turbo in geomean (measured: ~87x / ~23x on the 23-kernel corpus), so a
-slow host cannot mask an engine regression.
+The floor asserted here is the acquisition engine's contract: the
+native tier must stay at least 10x over the interpreter in geomean
+(measured: ~70x on the 23-kernel corpus), so a slow host cannot mask
+an engine regression.
 
 Runs two ways:
 
@@ -41,10 +41,9 @@ FUNCTIONAL_CAP = 5_000_000
 
 SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
-#: In-bench geomean floors for the native engine (the acceptance
-#: criteria; the measured corpus geomeans are ~87x and ~23x).
+#: In-bench geomean floor for the native engine (the acceptance
+#: criterion; the measured corpus geomean is ~70x).
 MIN_VS_INTERP = 10.0
-MIN_VS_TURBO = 3.0
 
 
 def _geomean(values):
@@ -67,9 +66,9 @@ def _best_of(program, backend, repeats=2):
 
 
 def _acquisition_rows(names):
-    """Per-kernel interp/turbo/native MIPS, asserting bit-identity.
+    """Per-kernel interp/native MIPS, asserting bit-identity.
 
-    All backends are timed best-of-two on fresh simulator instances;
+    Both backends are timed best-of-two on fresh simulator instances;
     native's first run compiles its translation unit (the ``cold``
     column — the ``.so`` is content-addressed per machine, so every
     later process reuses it), the ``native MIPS`` / speedup columns are
@@ -81,7 +80,6 @@ def _acquisition_rows(names):
             program = build_workload(name)
             interp_sim, interp_trace, interp_s = _best_of(program,
                                                           "interp")
-            _, _, turbo_s = _best_of(program, "turbo")
 
             native_sim, native_trace, cold_s = _timed_run(program,
                                                           "native")
@@ -99,11 +97,9 @@ def _acquisition_rows(names):
             instructions = interp_sim.instructions_executed
             rows.append([name, instructions,
                          instructions / interp_s / 1e6,
-                         instructions / turbo_s / 1e6,
                          instructions / cold_s / 1e6,
                          instructions / native_s / 1e6,
-                         interp_s / native_s,
-                         turbo_s / native_s])
+                         interp_s / native_s])
         emit_event("progress", done=index + 1, total=len(names),
                    unit="kernels", label=name)
     return rows
@@ -115,11 +111,11 @@ def _digest_rows(names):
     for index, name in enumerate(names):
         with TRACER.span("bench.digest", kernel=name):
             program = build_workload(name)
-            _, trace, _ = _timed_run(program, "turbo")  # warm engines
+            _, trace, _ = _timed_run(program, "native")  # warm engine
 
             start = time.perf_counter()
             materialized_trace = FunctionalSimulator(
-                program, backend="turbo").run(
+                program, backend="native").run(
                     max_instructions=FUNCTIONAL_CAP, trace=True)
             materialized = trace_digest(materialized_trace, store=None)
             materialized_s = time.perf_counter() - start
@@ -149,9 +145,7 @@ def _measure(names):
         "acquisition_rows": acquisition_rows,
         "digest_rows": digest_rows,
         "geomean_vs_interp": _geomean(
-            [row[6] for row in acquisition_rows]),
-        "geomean_vs_turbo": _geomean(
-            [row[7] for row in acquisition_rows]),
+            [row[5] for row in acquisition_rows]),
         "digest_geomean": _geomean([row[4] for row in digest_rows]),
     }
 
@@ -160,12 +154,11 @@ def _render(data):
     from repro.evaluation import format_table
     text = "functional trace acquisition (trace capture on):\n"
     text += format_table(
-        ["kernel", "instructions", "interp MIPS", "turbo MIPS",
-         "cold MIPS", "native MIPS", "vs interp", "vs turbo"],
+        ["kernel", "instructions", "interp MIPS", "cold MIPS",
+         "native MIPS", "vs interp"],
         data["acquisition_rows"], float_format="{:.2f}")
     text += (f"\n  geomean speedup: "
-             f"{data['geomean_vs_interp']:.2f}x over interp, "
-             f"{data['geomean_vs_turbo']:.2f}x over turbo\n")
+             f"{data['geomean_vs_interp']:.2f}x over interp\n")
     text += "\nsweep digest construction (materialized vs streamed):\n"
     text += format_table(
         ["kernel", "instructions", "materialized ms", "streamed ms",
@@ -176,11 +169,9 @@ def _render(data):
 
 
 def _check_floors(data):
-    """The acceptance floors, asserted on every run (bench and CI)."""
+    """The acceptance floor, asserted on every run (bench and CI)."""
     assert data["geomean_vs_interp"] >= MIN_VS_INTERP, \
         data["geomean_vs_interp"]
-    assert data["geomean_vs_turbo"] >= MIN_VS_TURBO, \
-        data["geomean_vs_turbo"]
 
 
 def test_trace_acquisition_speedups(benchmark):

@@ -8,12 +8,12 @@ are guaranteed to be numerics-preserving.
 
 Three sweep columns per kernel:
 
-* ``cold``  — nothing cached anywhere: digest + banks built, kernels
-  compiled, everything persisted to a fresh artifact store.  What the
-  first grid study over a new trace pays.
-* ``store`` — in-memory state dropped, artifact store warm: digests,
-  banks, and compiled kernels all load from disk.  What a re-run (or a
-  parallel worker in another process) pays.
+* ``cold``  — nothing cached anywhere: digest + banks built and
+  persisted to a fresh artifact store.  What the first grid study over
+  a new trace pays.
+* ``store`` — in-memory state dropped, artifact store warm: digests and
+  banks load from disk.  What a re-run (or a parallel worker in another
+  process) pays.
 * ``warm``  — same-process re-sweep with memoization intact.  What the
   second study in one ``repro exec`` invocation pays.
 
@@ -72,11 +72,8 @@ def _result_fields(result):
 
 def _forget(trace):
     """Drop in-memory sweep state so only the artifact store is warm."""
-    for holder, attribute in ((trace, "_sweep_digest"),
-                              (trace.program, "_sweep_static"),
-                              (trace.program, "_sweep_kernels")):
-        if hasattr(holder, attribute):
-            delattr(holder, attribute)
+    if hasattr(trace, "_sweep_digest"):
+        del trace._sweep_digest
 
 
 def _sweep_rows(names, store):

@@ -39,12 +39,8 @@ SPECS = {
     "uarch_sweep": [
         ("rows", {4: "cold", 5: "store", 6: "warm"}),
     ],
-    "sim_turbo": [
-        ("functional_rows", {5: "cold", 6: "warm"}),
-        ("pipeline_rows", {4: "pipeline"}),
-    ],
     "trace_acquisition": [
-        ("acquisition_rows", {6: "vs_interp", 7: "vs_turbo"}),
+        ("acquisition_rows", {5: "vs_interp"}),
         ("digest_rows", {4: "streamed"}),
     ],
     "incremental_resim": [

@@ -43,7 +43,7 @@ cache (``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=off``): a warm
 cache skips the functional simulations entirely and the run manifest
 records the cache hits/misses that produced the result.
 
-``--sim-backend {auto,turbo,interp}`` (or ``REPRO_SIM_BACKEND``) picks
+``--sim-backend {auto,native,interp}`` (or ``REPRO_SIM_BACKEND``) picks
 the functional-simulator engine; the resolved backend is part of every
 artifact cache key and appears in manifests and ``repro report``.
 
@@ -251,10 +251,10 @@ def _chunks(items, n):
 def _compare_sim_worker(state, which):
     real_trace, clone_trace, config = state
     trace = real_trace if which == "real" else clone_trace
-    # A one-config grid: digests, outcome banks, and compiled kernels
-    # persist through the artifact store, so repeat compares skip
-    # straight to scheduling — and the run manifest picks up the
-    # sweep-reuse accounting.
+    # A one-config grid: digests and outcome banks persist through
+    # the artifact store, so repeat compares skip straight to
+    # scheduling — and the run manifest picks up the sweep-reuse
+    # accounting.
     [result] = simulate_pipeline_sweep(trace, [config])
     return which, result
 

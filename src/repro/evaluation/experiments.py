@@ -16,10 +16,9 @@ bit-identical.  Cache sweeps replay each address stream against all
 configurations in one batched pass (:func:`simulate_cache_sweep`)
 instead of re-converting and re-walking the stream per configuration,
 and pipeline grids go through :func:`simulate_pipeline_sweep`, which
-digests each trace once and shares cache/predictor outcome banks and
-compiled scheduling kernels across the whole configuration grid (bit-
-identical to per-config ``PipelineModel.run`` by construction and by
-differential test).
+digests each trace once and shares cache/predictor outcome banks
+across the whole configuration grid (bit-identical to per-config
+``PipelineModel.run`` by construction and by differential test).
 """
 
 from repro.core.baseline import MicroarchDependentSynthesizer

@@ -22,9 +22,8 @@ from repro.exec.store import artifact_key, default_store
 from repro.isa.assembler import assemble
 from repro.obs.logging import get_logger
 from repro.obs.timing import span
-from repro.sim.functional import run_program
+from repro.sim.functional import resolve_backend, run_program
 from repro.sim.trace import DynamicTrace
-from repro.sim.turbo import resolve_backend
 
 _LOG = get_logger("repro.exec.artifacts")
 
@@ -45,7 +44,7 @@ class Artifacts:
     clone_trace: object
     #: Resolved functional-simulator backend that produced (or, on a
     #: cache hit, originally produced) the traces:
-    #: ``native``/``turbo``/``interp``.
+    #: ``native``/``interp``.
     sim_backend: str = "interp"
 
 

@@ -85,7 +85,7 @@ def artifact_key(name, source, parameters, max_instructions,
     """Content hash identifying one pipeline run's artifacts.
 
     ``sim_backend`` is the *resolved* functional-simulator backend
-    (``turbo``/``interp``, never ``auto``) that produced the traces.
+    (``native``/``interp``, never ``auto``) that produced the traces.
     The backends are bit-identical by contract, but keying on the
     backend means a cached trace always says exactly which engine made
     it and a backend bug can never alias into the other backend's

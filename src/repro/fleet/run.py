@@ -113,7 +113,7 @@ def _pending_artifact_keys(recipe, cells, queue):
     sessions go live.
     """
     from repro.core.synthesizer import SynthesisParameters
-    from repro.sim.turbo import resolve_backend
+    from repro.sim.functional import resolve_backend
     from repro.isa.assembler import assemble
     from repro.workloads import get_workload
 

@@ -2,20 +2,19 @@
 
 The sweep engine's artifacts are keyed by trace and by config subsets
 (:mod:`repro.uarch.incremental` documents the table): the trace digest
-is per-trace, cache banks per hierarchy, predictor banks per predictor,
-compiled kernels per code shape.  A scheduler that scatters a kernel's
-cells across workers makes every worker acquire the trace and re-derive
-(or at best re-load) each bank; one that keeps a trace's cells on a
-single worker back-to-back turns all of that into in-process cache hits
-and single-knob :class:`~repro.uarch.incremental.IncrementalSession`
-steps.
+is per-trace, cache banks per hierarchy, predictor banks per predictor.
+A scheduler that scatters a kernel's cells across workers makes every
+worker acquire the trace and re-derive (or at best re-load) each bank;
+one that keeps a trace's cells on a single worker back-to-back turns
+all of that into in-process cache hits and single-knob
+:class:`~repro.uarch.incremental.IncrementalSession` steps.
 
 So the fleet orders and shards on exactly those keys:
 
 * cells are grouped by trace (kernel, subject, seed) — a group never
   splits across shards;
-* inside a group, cells sort by (hierarchy key, predictor key, kernel
-  shape) so neighbors differ in as few artifact keys as possible;
+* inside a group, cells sort by (hierarchy key, predictor key) so
+  neighbors differ in as few artifact keys as possible;
 * groups are packed onto shards largest-first onto the currently
   lightest shard (LPT), so shard loads balance without breaking
   affinity;
@@ -28,25 +27,18 @@ Everything here is deterministic: same cells + same shard count =>
 same shards, same order.
 """
 
-from repro.uarch.sweep import _hierarchy_key, _kernel_knobs, _predictor_key
-
-
-def _shape_key(config):
-    """Compiled-kernel shape key (the sweep's own knob tuple)."""
-    shift = config.l1i.line.bit_length() - 1
-    return _kernel_knobs(config, shift)
+from repro.uarch.sweep import _hierarchy_key, _predictor_key
 
 
 def affinity_key(cell):
-    """Sort key placing bank/kernel-sharing cells back-to-back.
+    """Sort key placing bank-sharing cells back-to-back.
 
     Hierarchy first (cache banks are the most expensive artifact to
-    rebuild), then predictor, then code shape, then expansion index as
-    the deterministic tiebreak.
+    rebuild), then predictor, then expansion index as the deterministic
+    tiebreak.
     """
     return (repr(_hierarchy_key(cell.config)),
             repr(_predictor_key(cell.config)),
-            repr(_shape_key(cell.config)),
             cell.index)
 
 

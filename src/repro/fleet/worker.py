@@ -48,7 +48,7 @@ from repro.isa.assembler import assemble
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
 from repro.obs.timing import TRACER
-from repro.sim.turbo import resolve_backend
+from repro.sim.functional import resolve_backend
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
 from repro.uarch.sweep import acquire_trace_digest, bank_store_keys

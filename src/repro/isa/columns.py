@@ -2,10 +2,9 @@
 
 Every downstream consumer of a program's static facts — the functional
 simulator's decode tables, the profiler's per-instruction lookups, the
-conformance lint's body walks, ``PipelineModel.run``'s per-pc decode
-tuples, and the sweep engine's static tables — used to rebuild its own
-per-instruction arrays by dereferencing :class:`Instruction` objects,
-once per *call*.  :class:`ProgramColumns` centralizes that work: one
+conformance lint's body walks, and the sweep engine's scheduling
+loops — used to rebuild its own per-instruction arrays by
+dereferencing :class:`Instruction` objects, once per *call*.  :class:`ProgramColumns` centralizes that work: one
 pass over the instruction objects per program per process, producing
 numpy columns (and the plain-list mirrors the pure-Python hot loops
 index fastest), cached on the program object.
@@ -17,10 +16,10 @@ regression test: after the columns exist, no hot path touches
 once per program per process.
 
 Consumers that derive further per-program tables from the columns (the
-functional simulator's opcode-id decode, the sweep's scheduling
-tables) park them in :attr:`ProgramColumns.derived` so they share the
-same build-once lifetime without this module importing simulator
-internals.
+functional simulator's opcode-id decode, the native timing loop's
+int32 decode copies) park them in :attr:`ProgramColumns.derived` so
+they share the same build-once lifetime without this module importing
+simulator internals.
 """
 
 import hashlib
@@ -30,7 +29,7 @@ import numpy as np
 from repro.isa.instructions import IClass
 
 #: Functional-unit pools in scheduling-state order, mirrored by the
-#: pipeline model and the sweep kernels.
+#: pipeline model and the sweep's scheduling loops.
 POOL_NAMES = ("ialu", "imul", "falu", "fmul", "mem")
 
 #: Instruction class -> functional-unit pool index.
@@ -61,7 +60,7 @@ class ProgramColumns:
         "iclass_list", "dest_list", "srcs_list", "pool_list",
         "opcode_list", "imm_list", "target_list",
         "block_of", "is_block_start", "block_bounds", "block_size",
-        "structure_ok", "derived", "_fingerprint",
+        "derived", "_fingerprint",
     )
 
     def __init__(self, program):
@@ -111,31 +110,14 @@ class ProgramColumns:
             dtype=np.int64)
         self.is_block_start = np.zeros(n, dtype=bool)
         self.block_of = np.zeros(n, dtype=np.int64)
-        ok = bool(n)
-        covered = 0
         for bid, (start, end) in enumerate(self.block_bounds):
-            if blocks[bid].bid != bid or end <= start:
-                ok = False
-                break
             self.is_block_start[start] = True
             self.block_of[start:end] = bid
-            covered += end - start
-        if ok and covered == n:
-            # Control transfers (cond branches, BRANCH, JUMP) may only
-            # sit in a block's last slot; the sweep kernels assume it.
-            is_ctrl = (is_cond | (iclass == int(IClass.BRANCH))
-                       | (iclass == int(IClass.JUMP)))
-            is_last = np.zeros(n, dtype=bool)
-            for _, end in self.block_bounds:
-                is_last[end - 1] = True
-            self.structure_ok = not bool(np.any(is_ctrl & ~is_last))
-        else:
-            self.structure_ok = False
         self.derived = {}
         self._fingerprint = None
 
     def fingerprint(self):
-        """Content hash over everything timing kernels/banks depend on."""
+        """Content hash over everything timing banks depend on."""
         cached = self._fingerprint
         if cached is None:
             hasher = hashlib.sha256()

@@ -5,7 +5,7 @@ A daemon thread periodically samples the main thread's stack through
 executing ``file:function`` **together with the enclosing span path**
 from :data:`repro.obs.timing.TRACER`.  That pairing is the point: a
 flat profile says "``_step`` is hot"; this one says "``_step`` is hot
-*inside* ``uarch.sweep/uarch.pipeline``", which makes turbo/sweep
+*inside* ``uarch.sweep/uarch.pipeline``", which makes sweep
 regressions attributable to a pipeline phase.
 
 Sampling is opt-in (the CLI's ``--profile``) and entirely absent

@@ -8,8 +8,13 @@ which is everything the profiler and the timing models downstream consume.
 
 from repro.sim.memory import Memory, MemoryError_
 from repro.sim.trace import DynamicTrace
-from repro.sim.functional import FunctionalSimulator, SimulationError, run_program
-from repro.sim.turbo import BACKENDS, resolve_backend
+from repro.sim.functional import (
+    BACKENDS,
+    FunctionalSimulator,
+    SimulationError,
+    resolve_backend,
+    run_program,
+)
 
 __all__ = [
     "BACKENDS",

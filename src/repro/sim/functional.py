@@ -7,6 +7,7 @@ two's-complement for the integer file and IEEE double for the FP file.
 """
 
 import math
+import os
 import struct
 import time
 
@@ -26,6 +27,17 @@ _LOG = get_logger("repro.sim")
 
 #: Heartbeat-progress period, in retired instructions.
 HEARTBEAT_INTERVAL = 5_000_000
+
+#: ``auto`` stays on the interpreter below this static size: compiling
+#: a native engine only pays off once a program does real work, and
+#: everything smaller is a test scaffold or a throwaway snippet.
+AUTO_MIN_STATIC = 16
+
+#: Environment variable selecting the default backend.
+ENV_BACKEND = "REPRO_SIM_BACKEND"
+
+#: Recognized backend selectors.
+BACKENDS = ("auto", "native", "interp")
 
 
 class SimulationError(Exception):
@@ -73,18 +85,43 @@ _OP_IDS = {name: i for i, name in enumerate([
 ])}
 
 
+def resolve_backend(backend, program=None, environ=None):
+    """Resolve a backend selector to a concrete backend name.
+
+    ``backend`` may be ``None`` (consult the ``REPRO_SIM_BACKEND``
+    environment variable, default ``auto``), ``auto``, ``native``, or
+    ``interp``.  ``auto`` picks ``native`` when the C engine can take
+    the program (``REPRO_NATIVE`` on, compiler present, translatable,
+    at least :data:`AUTO_MIN_STATIC` instructions) and the interpreter
+    otherwise.  An explicit ``native`` request on a host without the
+    toolchain still resolves to ``native``; the run itself falls back
+    to the interpreter, keeping semantics identical.
+    """
+    environ = os.environ if environ is None else environ
+    if backend is None:
+        backend = environ.get(ENV_BACKEND, "").strip().lower() or "auto"
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown simulator backend {backend!r}; expected one of "
+            f"{', '.join(BACKENDS)} (see {ENV_BACKEND})")
+    if backend != "auto":
+        return backend
+    if program is not None and len(program.instructions) >= AUTO_MIN_STATIC:
+        from repro.sim import native
+        if native.usable(program):
+            return "native"
+    return "interp"
+
+
 class FunctionalSimulator:
     """Executes one program instance over a private memory image.
 
     ``backend`` selects the execution engine: ``interp`` is this
-    module's per-instruction reference loop, ``turbo`` the
-    block-compiling Python backend in :mod:`repro.sim.turbo`,
-    ``native`` the C-compiled engine in :mod:`repro.sim.native`, and
-    ``auto`` (the default, also settable via ``REPRO_SIM_BACKEND``)
-    picks the fastest engine that can take the program — native when
-    the toolchain is available, else turbo, else (below the codegen
-    amortization threshold) the interpreter.  All backends are
-    bit-identical; the choice only affects wall time.
+    module's per-instruction reference loop, ``native`` the C-compiled
+    engine in :mod:`repro.sim.native`, and ``auto`` (the default, also
+    settable via ``REPRO_SIM_BACKEND``) resolves through
+    :func:`resolve_backend`.  Both engines are bit-identical; the
+    choice only affects wall time.
     """
 
     def __init__(self, program, memory_size=None, backend=None):
@@ -126,16 +163,14 @@ class FunctionalSimulator:
         program — almost always an assembly bug).  ``backend`` overrides
         the instance/environment backend selection for this run.
         """
-        from repro.sim import turbo
-        resolved = turbo.resolve_backend(
+        resolved = resolve_backend(
             backend if backend is not None else self.backend, self.program)
         if resolved == "native":
             from repro.sim import native
+            # No toolchain, an untranslatable program or a failed
+            # compile leaves no engine: fall back to the interpreter.
             if native.engine_for(self.program) is not None:
                 return native.run_native(self, max_instructions, trace)
-            resolved = "turbo"  # no toolchain / untranslatable: fall back
-        if resolved == "turbo":
-            return turbo.run_turbo(self, max_instructions, trace)
         return self._run_interp(max_instructions, trace)
 
     def _run_interp(self, max_instructions, trace):
@@ -473,7 +508,7 @@ def run_program(program, max_instructions=50_000_000, trace=True,
 
     With ``trace=False`` returns the finished simulator instead (useful to
     inspect final memory/registers in tests).  ``backend`` selects the
-    execution engine (``auto``/``turbo``/``interp``); see
+    execution engine (``auto``/``native``/``interp``); see
     :class:`FunctionalSimulator`.
     """
     from repro.obs.timing import span

@@ -12,8 +12,8 @@ The engine writes the columnar trace event arrays *directly* into
 fixed-size chunks: no per-instruction Python dispatch, no Python-object
 trace, bounded memory on long caps.
 
-Bit-identity with the interpreter is the same hard contract turbo
-honors (``tests/test_sim_turbo.py`` / ``tests/test_sim_native.py``):
+Bit-identity with the interpreter is a hard contract, enforced by the
+differential suite in ``tests/test_sim_native.py``:
 identical trace arrays, final registers and memory, retired-instruction
 counts, cap/heartbeat accounting, and ``SimulationError`` context.  The
 re-entry protocol keeps the interpreter's counting exact: the C loop
@@ -25,8 +25,8 @@ pre-increment count restored.
 Everything degrades gracefully: no C compiler, ``REPRO_NATIVE=off``, or
 a program the translator does not cover (operands outside the register
 file its opcode format implies, oversized statics) simply means the
-engine is unavailable and callers fall back to turbo.  Semantics are
-identical either way; only the wall time differs.
+engine is unavailable and callers fall back to the interpreter.
+Semantics are identical either way; only the wall time differs.
 """
 
 import ctypes
@@ -188,7 +188,8 @@ def translatable(program):
 def usable(program):
     """Cheap resolution gate: gated on, toolchain probed, program
     translatable.  No program compile is attempted here — that happens
-    lazily on first run (and a failed compile falls back to turbo)."""
+    lazily on first run (and a failed compile falls back to the
+    interpreter)."""
     return available() and translatable(program)
 
 

@@ -1,937 +1,12 @@
-"""Block-compiling simulator backend (``repro.sim.turbo``).
+"""Old import path for :func:`repro.sim.functional.resolve_backend`.
 
-The interpreter in :mod:`repro.sim.functional` pays a ~60-way dispatch
-chain, a decode-tuple unpack, and three trace appends for every dynamic
-instruction.  This backend removes all of it: for each *entry pc* it
-generates specialized straight-line Python source — opcodes, register
-indices, immediates, branch targets, link addresses, and memory-bounds
-constants folded in as literals — ``compile()``s it once into a
-closure, and thereafter runs translation-unit-to-unit instead of
-instruction-to-instruction.  The technique is the classic template-JIT
-/ threaded-code interpreter optimization (SimpleScalar's pre-decoded
-dispatch taken one step further).
-
-Translation units start at an entry pc (the program entry, a
-branch/jump target, a fall-through after a conditional branch, or any
-pc an indirect jump lands on) and extend across *unconditional*
-control flow — fall-through at block boundaries, ``j``, and ``jal`` —
-up to :data:`UNIT_LIMIT` instructions, so every instruction in a unit
-executes exactly once per invocation and a loop body costs one dict
-lookup and one call per iteration.  Conditional branches, indirect
-jumps (``jr``/``jalr``), and ``halt`` always terminate a unit.  Units
-are compiled lazily on first dispatch, so codegen cost is proportional
-to the *executed* static footprint, and cached on the program object
-(keyed by memory size, which is folded into the generated bounds
-checks).
-
-Bit-identity with the interpreter is a hard contract, enforced by the
-differential suite (``tests/test_sim_turbo.py``):
-
-* identical :class:`~repro.sim.trace.DynamicTrace` arrays, final
-  registers, memory image, and retired-instruction counts;
-* identical :class:`~repro.sim.functional.SimulationError` semantics —
-  instruction-cap accounting mid-unit, heartbeat telemetry, memory
-  range errors, and pc-out-of-range context.
-
-The cap/heartbeat contract is kept cheap with a two-variant scheme:
-the *fast* variant of a unit carries no per-instruction accounting (the
-runner bumps ``executed`` by the unit's instruction count and batches
-one trace-extend sequence per unit), while a *checked* variant with the
-interpreter's per-instruction ``executed > check_limit`` test is
-compiled on demand and swapped in only for invocations that could cross
-the cap or the next heartbeat boundary.
+Backend resolution lives in :mod:`repro.sim.functional`.  This module
+stays only because the end-to-end benchmark harness
+(``perfbench/workloads.py``) imports ``resolve_backend`` from here, and
+the benchmark's own files are kept fixed so that runs before and after
+a change measure the same harness.
 """
 
-import os
-import time
+from repro.sim.functional import resolve_backend
 
-import numpy as np
-
-from repro.isa.assembler import TEXT_BASE
-from repro.isa.columns import columns_for
-from repro.obs.journal import active_journal, emit_event
-from repro.obs.logging import INFO, get_logger
-from repro.obs.metrics import REGISTRY
-from repro.sim import functional as _functional
-from repro.sim.trace import DynamicTrace
-
-_LOG = get_logger("repro.sim")
-
-#: Maximum instructions folded into one translation unit.
-UNIT_LIMIT = 64
-
-#: Maximum units folded into one region (loop-nest) state machine; the
-#: in-region dispatch is a linear ``elif`` chain, so this bounds its
-#: depth while still covering every loop nest in the corpus.
-REGION_LIMIT = 32
-
-#: ``auto`` falls back to the interpreter below this static size: the
-#: per-unit codegen cost only amortizes once a program does real work,
-#: and everything smaller is a test scaffold or a throwaway snippet.
-AUTO_MIN_STATIC = 16
-
-#: Environment variable overriding :data:`AUTO_MIN_STATIC` (static
-#: instruction count below which ``auto`` stays on the interpreter).
-ENV_AUTO_THRESHOLD = "REPRO_SIM_AUTO_THRESHOLD"
-
-#: Environment variable selecting the default backend.
-ENV_BACKEND = "REPRO_SIM_BACKEND"
-
-#: Recognized backend selectors, fastest resolved tier first.
-BACKENDS = ("auto", "native", "turbo", "interp")
-
-_M32 = 0xFFFFFFFF
-
-
-def _auto_min_static(environ):
-    """The effective ``auto`` interpreter threshold (env-tunable)."""
-    raw = environ.get(ENV_AUTO_THRESHOLD, "").strip()
-    if not raw:
-        return AUTO_MIN_STATIC
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {ENV_AUTO_THRESHOLD}={raw!r}; expected an integer "
-            "static-instruction threshold") from None
-
-
-def resolve_backend(backend, program=None, environ=None):
-    """Resolve a backend selector to a concrete backend name.
-
-    ``backend`` may be ``None`` (consult the ``REPRO_SIM_BACKEND``
-    environment variable, default ``auto``), ``auto``, ``native``,
-    ``turbo``, or ``interp``.  ``auto`` resolves fastest-first: programs
-    smaller than the threshold (:data:`AUTO_MIN_STATIC`, tunable via
-    ``REPRO_SIM_AUTO_THRESHOLD``) stay on the interpreter where codegen
-    warm-up would dominate; otherwise ``native`` when the C engine can
-    take the program (``REPRO_NATIVE`` on, compiler present,
-    translatable), else ``turbo``.  An explicit ``native`` request on a
-    host without the toolchain still resolves to ``native`` — the run
-    itself falls back to turbo, keeping semantics identical.
-    """
-    environ = os.environ if environ is None else environ
-    if backend is None:
-        backend = environ.get(ENV_BACKEND, "").strip().lower() or "auto"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"unknown simulator backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)} (see REPRO_SIM_BACKEND)")
-    if backend != "auto":
-        return backend
-    if (program is not None
-            and len(program.instructions) < _auto_min_static(environ)):
-        return "interp"
-    if program is not None:
-        from repro.sim import native
-        if native.usable(program):
-            return "native"
-    return "turbo"
-
-
-# ----------------------------------------------------------------------
-# Per-instruction code generation
-# ----------------------------------------------------------------------
-#: Conditional-branch condition expressions; ``True`` marks the signed
-#: comparisons that need the two's-complement conversion prologue.
-_BRANCH_CONDS = {
-    4: ("r[{s1}] == r[{s2}]", False),   # beq
-    5: ("r[{s1}] != r[{s2}]", False),   # bne
-    6: ("x < y", True),                 # blt
-    7: ("x >= y", True),                # bge
-    38: ("r[{s1}] < r[{s2}]", False),   # bltu
-    39: ("r[{s1}] >= r[{s2}]", False),  # bgeu
-}
-
-#: Simple integer register-register ops: op_id -> expression template.
-_R3_TEMPLATES = {
-    1: "(r[{s1}] + r[{s2}]) & 4294967295",    # add
-    8: "(r[{s1}] - r[{s2}]) & 4294967295",    # sub
-    9: "r[{s1}] & r[{s2}]",                   # and
-    10: "r[{s1}] | r[{s2}]",                  # or
-    11: "r[{s1}] ^ r[{s2}]",                  # xor
-    12: "(r[{s1}] << (r[{s2}] & 31)) & 4294967295",  # sll
-    13: "r[{s1}] >> (r[{s2}] & 31)",          # srl
-    16: "1 if r[{s1}] < r[{s2}] else 0",      # sltu
-    26: "(~(r[{s1}] | r[{s2}])) & 4294967295",  # nor
-}
-
-#: FP ops with an unguarded destination write (fp register file).
-_FP_TEMPLATES = {
-    44: "r[{s1}] + r[{s2}]",        # fadd
-    45: "r[{s1}] - r[{s2}]",        # fsub
-    46: "r[{s1}] * r[{s2}]",        # fmul
-    49: "-r[{s1}]",                 # fneg
-    50: "abs(r[{s1}])",             # fabs
-    51: "r[{s1}]",                  # fmv
-    52: "min(r[{s1}], r[{s2}])",    # fmin
-    53: "max(r[{s1}], r[{s2}])",    # fmax
-    58: "float(sg(r[{s1}]))",       # fcvtsw
-}
-
-#: FP compares (guarded: they write the integer file).
-_FCMP_TEMPLATES = {
-    54: "1 if r[{s1}] == r[{s2}] else 0",  # feq
-    55: "1 if r[{s1}] < r[{s2}] else 0",   # flt
-    56: "1 if r[{s1}] <= r[{s2}] else 0",  # fle
-}
-
-_SIGN_X = ("x = r[{s1}]",
-           "x = x - 4294967296 if x & 2147483648 else x")
-_SIGN_Y = ("y = r[{s2}]",
-           "y = y - 4294967296 if y & 2147483648 else y")
-
-
-def _fmt(template, **kw):
-    return template.format(**kw)
-
-
-def _emit_instruction(dec, pc, aname, mem_size):
-    """Source lines for one decoded instruction.
-
-    Returns ``(lines, addr_expr, terminal)`` where ``addr_expr`` is the
-    trace effective-address expression (``"-1"`` for non-memory ops)
-    and ``terminal`` is ``None`` for straight-line instructions or one
-    of ``("cond", target)``, ``("jump", target)``, ``("ijump", expr)``,
-    ``("halt",)``.  Generated semantics mirror the interpreter's
-    dispatch arms expression for expression — bit-identity depends on
-    it — with everything static folded to literals.
-    """
-    op, rd, rs1, rs2, imm, target = dec
-    lines = []
-    addr = "-1"
-    terminal = None
-
-    if op == 0:  # addi
-        if rd:
-            lines.append(f"r[{rd}] = (r[{rs1}] + {imm!r}) & 4294967295")
-    elif op in _R3_TEMPLATES:
-        if rd:
-            lines.append(f"r[{rd}] = " + _fmt(_R3_TEMPLATES[op],
-                                              s1=rs1, s2=rs2))
-    elif op == 2:  # lw
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} + 4 > {mem_size}:")
-        lines.append(f'    raise SE(f"lw out of range: {{{aname}:#x}}")')
-        if rd:
-            lines.append(f"r[{rd}] = up('<I', m, {aname})[0]")
-        addr = aname
-    elif op == 3:  # sw
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} + 4 > {mem_size}:")
-        lines.append(f'    raise SE(f"sw out of range: {{{aname}:#x}}")')
-        lines.append(f"pk('<I', m, {aname}, r[{rs2}])")
-        addr = aname
-    elif op in _BRANCH_CONDS:
-        cond, is_signed = _BRANCH_CONDS[op]
-        if is_signed:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines += [_fmt(t, s2=rs2) for t in _SIGN_Y]
-        lines.append(f"t = 1 if {_fmt(cond, s1=rs1, s2=rs2)} else 0")
-        terminal = ("cond", target)
-    elif op == 14:  # sra
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines.append(f"r[{rd}] = (x >> (r[{rs2}] & 31)) & 4294967295")
-    elif op == 15:  # slt
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines += [_fmt(t, s2=rs2) for t in _SIGN_Y]
-            lines.append(f"r[{rd}] = 1 if x < y else 0")
-    elif op == 17:  # andi
-        if rd:
-            lines.append(f"r[{rd}] = r[{rs1}] & {imm & _M32}")
-    elif op == 18:  # ori
-        if rd:
-            lines.append(f"r[{rd}] = r[{rs1}] | {imm & _M32}")
-    elif op == 19:  # xori
-        if rd:
-            lines.append(f"r[{rd}] = r[{rs1}] ^ {imm & _M32}")
-    elif op == 20:  # slli
-        if rd:
-            lines.append(
-                f"r[{rd}] = (r[{rs1}] << {imm & 31}) & 4294967295")
-    elif op == 21:  # srli
-        if rd:
-            lines.append(f"r[{rd}] = r[{rs1}] >> {imm & 31}")
-    elif op == 22:  # srai
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines.append(f"r[{rd}] = (x >> {imm & 31}) & 4294967295")
-    elif op == 23:  # slti
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines.append(f"r[{rd}] = 1 if x < {imm!r} else 0")
-    elif op == 24:  # sltiu
-        if rd:
-            lines.append(f"r[{rd}] = 1 if r[{rs1}] < {imm & _M32} else 0")
-    elif op == 25:  # lui
-        if rd:
-            lines.append(f"r[{rd}] = {(imm << 16) & _M32}")
-    elif op == 27:  # mul
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines += [_fmt(t, s2=rs2) for t in _SIGN_Y]
-            lines.append(f"r[{rd}] = (x * y) & 4294967295")
-    elif op == 28:  # mulh
-        if rd:
-            lines += [_fmt(t, s1=rs1) for t in _SIGN_X]
-            lines += [_fmt(t, s2=rs2) for t in _SIGN_Y]
-            lines.append(f"r[{rd}] = ((x * y) >> 32) & 4294967295")
-    elif op == 29:  # div
-        if rd:
-            lines.append(
-                f"r[{rd}] = dv(sg(r[{rs1}]), sg(r[{rs2}])) & 4294967295")
-    elif op == 30:  # divu
-        if rd:
-            lines.append(f"y = r[{rs2}]")
-            lines.append(f"r[{rd}] = (r[{rs1}] // y) if y else 0")
-    elif op == 31:  # rem
-        if rd:
-            lines.append(
-                f"r[{rd}] = rm(sg(r[{rs1}]), sg(r[{rs2}])) & 4294967295")
-    elif op == 32:  # remu
-        if rd:
-            lines.append(f"y = r[{rs2}]")
-            lines.append(f"r[{rd}] = (r[{rs1}] % y) if y else 0")
-    elif op == 33:  # lb
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} >= {mem_size}:")
-        lines.append(f'    raise SE(f"lb out of range: {{{aname}:#x}}")')
-        if rd:
-            lines.append(f"v = m[{aname}]")
-            lines.append(
-                f"r[{rd}] = (v - 256 if v & 128 else v) & 4294967295")
-        addr = aname
-    elif op == 34:  # lbu
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} >= {mem_size}:")
-        lines.append(f'    raise SE(f"lbu out of range: {{{aname}:#x}}")')
-        if rd:
-            lines.append(f"r[{rd}] = m[{aname}]")
-        addr = aname
-    elif op == 35:  # sb
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} >= {mem_size}:")
-        lines.append(f'    raise SE(f"sb out of range: {{{aname}:#x}}")')
-        lines.append(f"m[{aname}] = r[{rs2}] & 255")
-        addr = aname
-    elif op == 36:  # flw
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} + 8 > {mem_size}:")
-        lines.append(f'    raise SE(f"flw out of range: {{{aname}:#x}}")')
-        lines.append(f"r[{rd}] = up('<d', m, {aname})[0]")
-        addr = aname
-    elif op == 37:  # fsw
-        lines.append(f"{aname} = (r[{rs1}] + {imm!r}) & 4294967295")
-        lines.append(f"if {aname} + 8 > {mem_size}:")
-        lines.append(f'    raise SE(f"fsw out of range: {{{aname}:#x}}")')
-        lines.append(f"pk('<d', m, {aname}, r[{rs2}])")
-        addr = aname
-    elif op == 40:  # j
-        terminal = ("jump", target)
-    elif op == 41:  # jal
-        if rd:
-            lines.append(f"r[{rd}] = {TEXT_BASE + 4 * (pc + 1)}")
-        terminal = ("jump", target)
-    elif op == 42:  # jr
-        terminal = ("ijump", f"(r[{rs1}] - {TEXT_BASE}) >> 2")
-    elif op == 43:  # jalr
-        # The return target is read before the link write so
-        # ``jalr rX, rX`` keeps the interpreter's read-before-write
-        # ordering.
-        lines.append(f"w = r[{rs1}]")
-        if rd:
-            lines.append(f"r[{rd}] = {TEXT_BASE + 4 * (pc + 1)}")
-        terminal = ("ijump", f"(w - {TEXT_BASE}) >> 2")
-    elif op == 47:  # fdiv
-        lines.append(f"y = r[{rs2}]")
-        lines.append(f"r[{rd}] = r[{rs1}] / y if y else 0.0")
-    elif op == 48:  # fsqrt
-        lines.append(f"v = r[{rs1}]")
-        lines.append(f"r[{rd}] = sq(v) if v > 0.0 else 0.0")
-    elif op in _FP_TEMPLATES:
-        lines.append(f"r[{rd}] = " + _fmt(_FP_TEMPLATES[op], s1=rs1, s2=rs2))
-    elif op in _FCMP_TEMPLATES:
-        if rd:
-            lines.append(
-                f"r[{rd}] = " + _fmt(_FCMP_TEMPLATES[op], s1=rs1, s2=rs2))
-    elif op == 57:  # fcvtws
-        if rd:
-            lines.append(f"r[{rd}] = int(r[{rs1}]) & 4294967295")
-    elif op == 59:  # fli
-        lines.append(f"r[{rd}] = {imm!r}")
-    elif op == 60:  # halt
-        terminal = ("halt",)
-    else:  # pragma: no cover - decode already rejected unknown opcodes
-        raise _functional.SimulationError(f"bad op id {op}")
-    return lines, addr, terminal
-
-
-# ----------------------------------------------------------------------
-# Translation units
-# ----------------------------------------------------------------------
-class _Unit:
-    """One translation unit: straight-line semantics plus a terminal."""
-
-    __slots__ = ("entry", "pcs", "groups", "terminal")
-
-    def __init__(self, entry, pcs, groups, terminal):
-        self.entry = entry
-        self.pcs = pcs
-        self.groups = groups  # [(pc, lines, addr_expr)] per instruction
-        self.terminal = terminal
-
-    @property
-    def count(self):
-        return len(self.pcs)
-
-
-def _build_unit(decoded, n_instrs, entry, mem_size):
-    """Walk the static code from ``entry``, folding a straight-line run.
-
-    Chains across fall-through and direct jumps (``j``/``jal``) while
-    every chained instruction still executes exactly once per
-    invocation; stops at conditional branches, indirect jumps,
-    ``halt``, a revisited pc (a self-loop would otherwise unroll
-    forever), the :data:`UNIT_LIMIT`, or the end of the text section.
-    """
-    pcs = []
-    groups = []
-    visited = set()
-    pc = entry
-    terminal = None
-    while True:
-        if pc in visited or len(pcs) >= UNIT_LIMIT:
-            terminal = ("jump", pc)
-            break
-        visited.add(pc)
-        lines, addr, term = _emit_instruction(
-            decoded[pc], pc, f"a{len(pcs)}", mem_size)
-        pcs.append(pc)
-        groups.append((pc, lines, addr))
-        if term is None:
-            next_pc = pc + 1
-            if next_pc >= n_instrs:
-                # Fall-through off the end: dispatch raises the
-                # interpreter's pc-out-of-range error.
-                terminal = ("jump", next_pc)
-                break
-            pc = next_pc
-            continue
-        kind = term[0]
-        if kind == "jump":
-            target = term[1]
-            if 0 <= target < n_instrs and target not in visited \
-                    and len(pcs) < UNIT_LIMIT:
-                pc = target
-                continue
-            terminal = term
-            break
-        if kind == "cond":
-            terminal = ("cond", term[1], pc + 1)
-            break
-        terminal = term  # ijump / halt
-        break
-    return _Unit(entry, pcs, groups, terminal)
-
-
-def _scc_of(root, successors):
-    """The strongly connected component of ``root``.
-
-    ``successors`` is the full forward closure from ``root``, so the
-    component is exactly the subset that can reach ``root`` back: one
-    reverse-reachability sweep instead of a general SCC pass.
-    """
-    predecessors = {node: [] for node in successors}
-    for node, targets in successors.items():
-        for target in targets:
-            predecessors[target].append(node)
-    component = {root}
-    stack = [root]
-    while stack:
-        for pred in predecessors[stack.pop()]:
-            if pred not in component:
-                component.add(pred)
-                stack.append(pred)
-    return component
-
-
-def _unit_targets(unit, n_instrs):
-    """In-text static successors of a unit (dispatch-graph edges)."""
-    terminal = unit.terminal
-    kind = terminal[0]
-    if kind == "cond":
-        candidates = (terminal[1], terminal[2])
-    elif kind == "jump":
-        candidates = (terminal[1],)
-    else:  # ijump / halt: no static successor
-        candidates = ()
-    return [t for t in candidates if 0 <= t < n_instrs]
-
-
-def _tuple_literal(items):
-    items = list(items)
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def _terminal_expr(terminal):
-    kind = terminal[0]
-    if kind == "cond":
-        return f"{terminal[1]} if t else {terminal[2]}"
-    if kind in ("jump", "ijump"):
-        return f"{terminal[1]}"
-    return "None"  # halt
-
-
-def _trace_lines(unit, alloc):
-    """The per-invocation trace writes.
-
-    Tracing records only what the generated code cannot know statically:
-    one *path id* per unit invocation (``U`` — the unit plus, for
-    conditional branches, the outcome) and the dynamic effective
-    addresses of its memory ops (``AA`` append / ``AX`` extend).  The
-    full per-instruction ``pcs``/``addrs``/``taken`` arrays are
-    reconstructed vectorized from the path-id log after the run
-    (:func:`_reconstruct`), taking trace capture off the per-unit
-    critical path entirely.
-    """
-    lines = ([f"U({alloc(unit, 1)} if t else {alloc(unit, 0)})"]
-             if unit.terminal[0] == "cond"
-             else [f"U({alloc(unit, None)})"])
-    mem_exprs = [addr for _pc, _lines, addr in unit.groups if addr != "-1"]
-    if len(mem_exprs) == 1:
-        lines.append(f"AA({mem_exprs[0]})")
-    elif mem_exprs:
-        lines.append("AX(" + _tuple_literal(mem_exprs) + ")")
-    return lines
-
-
-def _render_fast(unit, trace, alloc):
-    """Source for the fast variant: batched accounting and trace writes.
-
-    The runner has already proven the invocation cannot cross the
-    cap/heartbeat boundary, so no per-instruction bookkeeping is
-    emitted; with ``trace`` the unit logs its path id and dynamic
-    addresses (see :func:`_trace_lines`).
-    """
-    body = []
-    for _pc, lines, _addr in unit.groups:
-        body += lines
-    if trace:
-        body += _trace_lines(unit, alloc)
-    body.append(f"return {_terminal_expr(unit.terminal)}")
-    return ("def _unit(r, m, U, AA, AX):\n    "
-            + "\n    ".join(body) + "\n")
-
-
-def _render_region(members, units, trace, alloc):
-    """Source for a region: a loop nest compiled as one state machine.
-
-    ``members`` is the (capped, DFS-ordered) strongly connected
-    component of the unit graph the region covers.  States are entry
-    pcs; each unit's body runs straight-line, then control transfers to
-    the next state without leaving the function, so an entire loop nest
-    iterates inside one closure and the per-unit dict dispatch and call
-    overhead is paid only on region *exit*.  Before entering the next
-    in-region unit the generated code proves its instruction count
-    still fits the ``budget`` (instructions left before the next
-    cap/heartbeat boundary) and otherwise returns ``(next pc,
-    consumed)`` so the runner can swap in a checked variant — identical
-    accounting to single-unit dispatch.
-    """
-    member_set = set(members)
-    counts = {pc: units[pc].count for pc in members}
-
-    def transfer(target, indent):
-        if target in member_set:
-            return [indent + f"if n + {counts[target]} > budget:",
-                    indent + f"    return {target}, n",
-                    indent + f"s = {target}"]
-        return [indent + f"return {target}, n"]
-
-    lines = ["def _unit(r, m, U, AA, AX, s, budget):",
-             "    n = 0",
-             "    while True:"]
-    keyword = "if"
-    for pc in members:
-        unit = units[pc]
-        lines.append(f"        {keyword} s == {pc}:")
-        keyword = "elif"
-        body = []
-        for _pc, group_lines, _addr in unit.groups:
-            body += group_lines
-        if trace:
-            body += _trace_lines(unit, alloc)
-        body.append(f"n += {unit.count}")
-        lines += ["            " + line for line in body]
-        terminal = unit.terminal
-        kind = terminal[0]
-        if kind == "cond":
-            lines.append("            if t:")
-            lines += transfer(terminal[1], "                ")
-            lines.append("            else:")
-            lines += transfer(terminal[2], "                ")
-            lines.append("            continue")
-        elif kind == "jump":
-            lines += transfer(terminal[1], "            ")
-            lines.append("            continue")
-        elif kind == "ijump":
-            lines.append(f"            return ({terminal[1]}), n")
-        else:  # halt
-            lines.append("            return None, n")
-    # A state outside the member set cannot be reached from inside (all
-    # such transfers return), but keep dispatch total anyway.
-    lines.append("        else:")
-    lines.append("            return s, n")
-    return "\n".join(lines) + "\n"
-
-
-def _render_checked(unit, trace, alloc):
-    """Source for the checked variant: the interpreter's per-instruction
-    cap/heartbeat test, for invocations near a boundary.
-
-    The trace log is still written once at unit end: a unit that raises
-    mid-way never returns its trace (the arrays are discarded with the
-    exception), so per-instruction capture would be unobservable.
-    """
-    body = []
-    for pc, lines, _addr in unit.groups:
-        body.append("executed += 1")
-        body.append("if executed > check_limit:")
-        body.append(f"    check_limit = hook({pc}, executed)")
-        body += lines
-    if trace:
-        body += _trace_lines(unit, alloc)
-    body.append(f"return ({_terminal_expr(unit.terminal)}), "
-                "executed, check_limit")
-    return ("def _unit(r, m, executed, check_limit, hook, U, AA, AX):\n    "
-            + "\n    ".join(body) + "\n")
-
-
-# ----------------------------------------------------------------------
-# Program-level compilation cache
-# ----------------------------------------------------------------------
-class TurboProgram:
-    """Lazily compiled translation units for one program image.
-
-    Instances are cached on the :class:`~repro.isa.program.Program`
-    (keyed by memory size — bounds checks are folded into the generated
-    source), so repeated simulations of the same program pay codegen
-    once.  ``codegen_seconds``/``units_compiled`` expose the warm-up
-    cost to benchmarks and telemetry.
-    """
-
-    def __init__(self, program, decoded, mem_size):
-        self.program = program
-        self.decoded = decoded
-        self.mem_size = mem_size
-        self.n_instrs = len(decoded)
-        #: trace-mode flag -> {entry pc -> (fn, instruction count)}
-        self.fast = {True: {}, False: {}}
-        self.checked = {True: {}, False: {}}
-        self._units = {}
-        #: entry pc -> ordered member tuple (region) or None (straight
-        #: line / DAG code); populated lazily by :meth:`_region_of`.
-        self._regions = {}
-        #: (entry pc, branch outcome) -> path id, with per-id static
-        #: templates backing the post-run trace reconstruction.
-        self._path_ids = {}
-        self._templates = []
-        self._flats = None
-        self.units_compiled = 0
-        self.codegen_seconds = 0.0
-        self._globals = {
-            "up": _functional.struct.unpack_from,
-            "pk": _functional.struct.pack_into,
-            "SE": _functional.SimulationError,
-            "sg": _functional._signed,
-            "dv": _functional._sdiv,
-            "rm": _functional._srem,
-            "sq": _functional.math.sqrt,
-            "min": min, "max": max, "abs": abs,
-            "int": int, "float": float,
-        }
-
-    def _unit_for(self, pc):
-        unit = self._units.get(pc)
-        if unit is None:
-            unit = self._units[pc] = _build_unit(
-                self.decoded, self.n_instrs, pc, self.mem_size)
-        return unit
-
-    def _region_of(self, pc):
-        """Members of the region (loop nest) around ``pc``, or ``None``.
-
-        The region is the strongly connected component of the unit
-        dispatch graph containing ``pc`` — a trivial component with no
-        self edge means straight-line/DAG code and no region.  Members
-        are ordered by DFS preorder from ``pc`` (so the requested entry
-        sits first in the ``elif`` chain) and capped at
-        :data:`REGION_LIMIT`; edges to trimmed units simply exit the
-        region, which stays correct and lets the trimmed units form
-        their own regions on their own dispatch.
-        """
-        if pc in self._regions:
-            return self._regions[pc]
-        n_instrs = self.n_instrs
-        # Forward closure from pc: contains its full SCC by definition
-        # (everything on a cycle through pc is reachable from pc).
-        successors = {}
-        stack = [pc]
-        while stack:
-            node = stack.pop()
-            if node in successors:
-                continue
-            successors[node] = targets = _unit_targets(
-                self._unit_for(node), n_instrs)
-            stack.extend(targets)
-        component = _scc_of(pc, successors)
-        if len(component) == 1 and pc not in successors[pc]:
-            self._regions[pc] = None
-            return None
-        # DFS preorder from pc restricted to the component, capped.
-        members = []
-        seen = set()
-        stack = [pc]
-        while stack and len(members) < REGION_LIMIT:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            members.append(node)
-            stack.extend(t for t in reversed(successors[node])
-                         if t in component and t not in seen)
-        members = tuple(members)
-        for member in members:
-            self._regions[member] = members
-        return members
-
-    def _path_id(self, unit, outcome):
-        """Allocate (or reuse) the trace path id for one unit outcome.
-
-        ``outcome`` is ``1``/``0`` for a conditional terminal's
-        taken/not-taken paths and ``None`` otherwise.  The id indexes
-        the static templates (pc sequence, memory-slot mask, taken
-        pattern) that :func:`_reconstruct` expands after the run.
-        """
-        key = (unit.entry, outcome)
-        pid = self._path_ids.get(key)
-        if pid is None:
-            pid = len(self._templates)
-            self._path_ids[key] = pid
-            taken = [-1] * unit.count
-            if outcome is not None:
-                taken[-1] = outcome
-            is_mem = [addr != "-1" for _pc, _lines, addr in unit.groups]
-            self._templates.append((unit.pcs, is_mem, taken))
-            self._flats = None
-        return pid
-
-    def _flat_templates(self):
-        """Concatenated per-id templates as arrays, rebuilt on growth."""
-        flats = self._flats
-        if flats is None:
-            starts = []
-            counts = []
-            pcs = []
-            is_mem = []
-            taken = []
-            position = 0
-            for t_pcs, t_mem, t_taken in self._templates:
-                starts.append(position)
-                counts.append(len(t_pcs))
-                position += len(t_pcs)
-                pcs += t_pcs
-                is_mem += t_mem
-                taken += t_taken
-            flats = self._flats = (
-                np.asarray(starts, dtype=np.int64),
-                np.asarray(counts, dtype=np.int64),
-                np.asarray(pcs, dtype=np.int32),
-                np.asarray(is_mem, dtype=bool),
-                np.asarray(taken, dtype=np.int8))
-        return flats
-
-    def _compile(self, source, tag):
-        start = time.perf_counter()
-        namespace = {}
-        code = compile(source, f"<turbo:{self.program.name}:{tag}>", "exec")
-        exec(code, self._globals, namespace)
-        self.units_compiled += 1
-        self.codegen_seconds += time.perf_counter() - start
-        REGISTRY.counter("sim.turbo.units").inc()
-        return namespace["_unit"]
-
-    def compile_fast(self, pc, trace):
-        """Compile (and cache) the fast path for dispatching to ``pc``.
-
-        Returns ``(fn, count, region)``: for straight-line code
-        (``region`` false) ``fn`` runs one unit of ``count``
-        instructions and returns the next pc; for loop nests
-        (``region`` true) ``fn`` is a state machine entered at state
-        ``pc`` under an instruction budget, returning ``(next pc,
-        consumed)``.  A region registers every member pc at once, so
-        any entry into the nest lands in the same closure.
-        """
-        members = self._region_of(pc)
-        if members is None:
-            unit = self._unit_for(pc)
-            entry = (self._compile(
-                _render_fast(unit, trace, self._path_id), f"{pc}:fast"),
-                unit.count, False)
-            self.fast[trace][pc] = entry
-            return entry
-        units = {member: self._unit_for(member) for member in members}
-        fn = self._compile(_render_region(members, units, trace,
-                                          self._path_id),
-                           f"{members[0]}:region")
-        cache = self.fast[trace]
-        for member in members:
-            cache[member] = (fn, units[member].count, True)
-        return cache[pc]
-
-    def compile_checked(self, pc, trace):
-        """The checked (cap/heartbeat-accurate) variant for ``pc``."""
-        fn = self.checked[trace].get(pc)
-        if fn is None:
-            unit = self._unit_for(pc)
-            fn = self._compile(_render_checked(unit, trace, self._path_id),
-                               f"{pc}:checked")
-            self.checked[trace][pc] = fn
-        return fn
-
-
-def turbo_program(simulator):
-    """The (cached) :class:`TurboProgram` for a simulator's program.
-
-    Lives in the shared columnar tables' derived cache so the compiled
-    regions have the same build-once-per-program lifetime as every
-    other static table (and survive ``DynamicTrace``-level cache
-    drops).
-    """
-    program = simulator.program
-    derived = columns_for(program).derived
-    cache = derived.get("turbo_cache")
-    if cache is None:
-        cache = derived["turbo_cache"] = {}
-    mem_size = simulator.memory.size
-    compiled = cache.get(mem_size)
-    if compiled is None:
-        compiled = cache[mem_size] = TurboProgram(
-            program, simulator._decoded, mem_size)
-    return compiled
-
-
-# ----------------------------------------------------------------------
-# Runner
-# ----------------------------------------------------------------------
-def run_turbo(simulator, max_instructions, trace):
-    """Execute ``simulator``'s program unit-to-unit.
-
-    Drop-in replacement for the interpreter loop inside
-    :meth:`FunctionalSimulator.run` — same return values, same error
-    and telemetry semantics, same final architected state.
-    """
-    program = simulator.program
-    compiled = turbo_program(simulator)
-    regs = simulator.regs
-    mem = simulator.memory.data
-    n_instrs = compiled.n_instrs
-    name = program.name
-
-    unit_log = []
-    addr_log = []
-    if trace:
-        log_unit = unit_log.append
-        log_addr = addr_log.append
-        log_addrs = addr_log.extend
-    else:
-        log_unit = log_addr = log_addrs = None
-
-    # Identical heartbeat/cap scheduling to the interpreter: the next
-    # stop is the nearer of the cap and the next heartbeat, and the
-    # boundary test itself runs per *unit* on the fast path (per
-    # instruction only inside checked variants).
-    wall_start = time.perf_counter()
-    interval = _functional.HEARTBEAT_INTERVAL
-    if REGISTRY.enabled and (_LOG.is_enabled_for(INFO)
-                             or active_journal() is not None):
-        next_heartbeat = interval
-    else:
-        next_heartbeat = max_instructions + 1
-    check_limit = min(max_instructions, next_heartbeat - 1)
-    heartbeat = [next_heartbeat]
-
-    def limit_hook(at_pc, at_executed):
-        """Slow path of the per-instruction limit test (checked units)."""
-        if at_executed > max_instructions:
-            raise simulator._cap_error(at_pc, at_executed, max_instructions)
-        heartbeat[0] += interval
-        new_limit = min(max_instructions, heartbeat[0] - 1)
-        elapsed = time.perf_counter() - wall_start
-        mips = at_executed / elapsed / 1e6 if elapsed else 0.0
-        _LOG.info("sim.heartbeat", program=name,
-                  instructions=at_executed, pc=at_pc, mips=mips)
-        emit_event("progress", done=at_executed, total=max_instructions,
-                   unit="instructions", label=name, mips=round(mips, 2))
-        return new_limit
-
-    fast_get = compiled.fast[trace].get
-    compile_fast = compiled.compile_fast
-    compile_checked = compiled.compile_checked
-    pc = program.entry
-    executed = 0
-
-    while True:
-        entry = fast_get(pc)
-        if entry is None:
-            if pc < 0 or pc >= n_instrs:
-                raise _functional.SimulationError(
-                    f"pc out of range: {pc} in {name}",
-                    pc=pc, instructions=executed)
-            entry = compile_fast(pc, trace)
-        fn, count, region = entry
-        if executed + count > check_limit:
-            pc, executed, check_limit = compile_checked(pc, trace)(
-                regs, mem, executed, check_limit, limit_hook,
-                log_unit, log_addr, log_addrs)
-        elif region:
-            pc, consumed = fn(regs, mem, log_unit, log_addr, log_addrs,
-                              pc, check_limit - executed)
-            executed += consumed
-        else:
-            executed += count
-            pc = fn(regs, mem, log_unit, log_addr, log_addrs)
-        if pc is None:
-            break
-
-    simulator._finish_run(executed, wall_start, "turbo")
-    if trace:
-        return _reconstruct(compiled, program, unit_log, addr_log)
-    return executed
-
-
-def _reconstruct(compiled, program, unit_log, addr_log):
-    """Expand the per-unit path-id log into the full trace arrays.
-
-    Pure vectorized numpy over static per-id templates: the pc and
-    taken sequences of every path are known at compile time, and the
-    only dynamic payload is the ordered effective-address stream, which
-    scatters into the memory slots of the expanded template.
-    """
-    if not unit_log:
-        return DynamicTrace(program, [], [], [])
-    starts, counts, flat_pcs, flat_is_mem, flat_taken = \
-        compiled._flat_templates()
-    ids = np.asarray(unit_log, dtype=np.int64)
-    id_counts = counts[ids]
-    ends = np.cumsum(id_counts)
-    total = int(ends[-1])
-    # Grouped arange: for each invocation, its template's index range.
-    index = np.repeat(starts[ids] - (ends - id_counts), id_counts) \
-        + np.arange(total, dtype=np.int64)
-    addrs = np.full(total, -1, dtype=np.int64)
-    if addr_log:
-        addrs[flat_is_mem[index]] = np.asarray(addr_log, dtype=np.int64)
-    return DynamicTrace(program, flat_pcs[index], addrs, flat_taken[index])
+__all__ = ["resolve_backend"]

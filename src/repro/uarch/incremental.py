@@ -14,12 +14,11 @@ trace digest              trace content + program only (no config)
 cache outcome bank        ``_hierarchy_key`` — L1I/L1D/L2 geometry and
                           the three access latencies
 predictor outcome bank    ``_predictor_key`` — predictor kind + kwargs
-scheduling kernel         ``_kernel_knobs`` — code *shape* (width-1
-                          vs superscalar, in-order, I-line shift,
-                          ring power-of-two-ness, FU pool sizes)
-kernel parameters         ``_kernel_params`` — ring masks, penalties,
-                          per-class latencies (free to rebuild)
 ========================  =============================================
+
+Every other config field (width, ring sizes, FU counts, latencies,
+penalties) is read by the scheduling loop at run time and builds
+nothing.
 
 This module makes that reuse *inspectable and accountable*: the
 planners diff two configs (or two profiles) against those key
@@ -43,25 +42,23 @@ import dataclasses
 from repro.obs.journal import emit_event
 from repro.uarch.sweep import (
     _hierarchy_key,
-    _kernel_knobs,
-    _kernel_params,
     _note,
     _predictor_key,
     acquire_trace_digest,
     simulate_pipeline_sweep,
 )
 
-#: The four artifact kinds a plan accounts for, in build order.
-ARTIFACTS = ("digest", "cache_bank", "pred_bank", "kernel")
+#: The three artifact kinds a plan accounts for, in build order.
+ARTIFACTS = ("digest", "cache_bank", "pred_bank")
 
 #: Config field -> artifact kinds its value can invalidate.  ``name``
-#: is pure labeling; the scheduling-only knobs invalidate at most the
-#: compiled kernel (and only when they change the generated code's
-#: shape — the planner consults the actual key functions, this map is
-#: the documentation/reporting layer saying what *may* be affected).
+#: is pure labeling and the scheduling knobs (width, rings, FU counts,
+#: latencies, penalty) invalidate nothing.  The planner judges reuse by
+#: the engine's own key functions; this map documents what *may* be
+#: affected and marks the scheduling knobs behind ``params_changed``.
 CONFIG_FIELD_DEPS = {
     "name": (),
-    "l1i": ("cache_bank", "kernel"),  # line size sets the I-shift knob
+    "l1i": ("cache_bank",),
     "l1d": ("cache_bank",),
     "l2": ("cache_bank",),
     "l1_latency": ("cache_bank",),
@@ -69,17 +66,17 @@ CONFIG_FIELD_DEPS = {
     "memory_latency": ("cache_bank",),
     "predictor": ("pred_bank",),
     "predictor_kwargs": ("pred_bank",),
-    "width": ("kernel",),
-    "fetch_queue": ("kernel",),
-    "rob_size": ("kernel",),
-    "lsq_size": ("kernel",),
-    "n_int_alu": ("kernel",),
-    "n_int_mul": ("kernel",),
-    "n_fp_alu": ("kernel",),
-    "n_fp_mul": ("kernel",),
-    "n_mem_ports": ("kernel",),
-    "in_order": ("kernel",),
-    "mispredict_penalty": (),  # kernel parameter, free to rebuild
+    "width": (),
+    "fetch_queue": (),
+    "rob_size": (),
+    "lsq_size": (),
+    "n_int_alu": (),
+    "n_int_mul": (),
+    "n_fp_alu": (),
+    "n_fp_mul": (),
+    "n_mem_ports": (),
+    "in_order": (),
+    "mispredict_penalty": (),
     "latency_ialu": (),
     "latency_imul": (),
     "latency_idiv": (),
@@ -121,19 +118,14 @@ def _changed_fields(old, new):
                  if getattr(old, name) != getattr(new, name))
 
 
-def _shift(config):
-    return config.l1i.line.bit_length() - 1
-
-
 def plan_incremental(old_config, new_config):
     """The artifact reuse a sweep of ``new_config`` gets after
     ``old_config``, judged by the engine's own key functions.
 
     The digest is config-independent, so a config edit can never
-    invalidate it; the banks and kernel survive exactly when their keys
-    match.  Latency/penalty edits change only the kernel's runtime
-    parameter tuple — reported via ``params_changed``, not as a
-    rebuild, because deriving it is a dozen integer reads.
+    invalidate it; the banks survive exactly when their keys match.
+    Edits to the scheduling knobs build nothing — the loop reads them
+    at run time — and are reported via ``params_changed``.
     """
     reused = ["digest"]
     rebuilt = []
@@ -143,17 +135,13 @@ def plan_incremental(old_config, new_config):
     bank = (reused if _predictor_key(old_config) == _predictor_key(new_config)
             else rebuilt)
     bank.append("pred_bank")
-    bank = (reused
-            if _kernel_knobs(old_config, _shift(old_config))
-            == _kernel_knobs(new_config, _shift(new_config))
-            else rebuilt)
-    bank.append("kernel")
+    changed = _changed_fields(old_config, new_config)
     return IncrementalPlan(
-        changed_fields=_changed_fields(old_config, new_config),
+        changed_fields=changed,
         reused=tuple(reused),
         rebuilt=tuple(rebuilt),
-        params_changed=(_kernel_params(old_config)
-                        != _kernel_params(new_config)),
+        params_changed=any(name != "name" and not CONFIG_FIELD_DEPS.get(name)
+                           for name in changed),
     )
 
 
@@ -162,7 +150,7 @@ def plan_profile_delta(old_profile, new_profile):
 
     Profile content determines the synthesized clone's source, hence
     its trace, hence *every* trace-derived artifact: any material field
-    change is a full rebuild of all four kinds.  Only pure relabeling
+    change is a full rebuild of all three kinds.  Only pure relabeling
     (``name``) — or no change at all — preserves them.  Blunt, but
     honest: it is exactly what the content-addressed store keys enforce,
     and it is the part refinement loops must budget for (the config

@@ -14,14 +14,12 @@ machine through the shared :mod:`repro.native` toolchain into a
 content-addressed shared library under the repro cache dir, and
 exposes it through ctypes.  No third-party packages, no CPython API:
 plain arrays in, mutated state out, so the same packed state can flow
-between the Python kernels, the interpreted tail, and the native loop
-mid-trace.
+between the Python loop and the native loop mid-trace.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
 ``REPRO_NATIVE=off`` simply means :func:`available` is False and the
-sweep keeps using the compiled-Python kernels and steady-state
-fast-forward.  The semantics are identical either way; only the wall
-time differs.
+sweep times every config with ``sweep._interpreted_range``.  The
+semantics are identical either way; only the wall time differs.
 """
 
 import ctypes
@@ -293,8 +291,7 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
     execution of the same trace at any boundary.
     """
     run = _load()
-    iclass, dest, src1, src2, pool = _static_columns(
-        digest.static.columns)
+    iclass, dest, src1, src2, pool = _static_columns(digest.static)
     latencies = np.array(
         (config.latency_ialu, config.latency_imul, config.latency_idiv,
          config.latency_falu, config.latency_fmul, config.latency_fdiv,

@@ -20,13 +20,9 @@ evaluates — is.
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.timing import span
 from repro.uarch.branch_predictors import make_predictor
 from repro.uarch.cache import CacheHierarchy
 from repro.uarch.config import BASE_CONFIG
@@ -118,294 +114,13 @@ class PipelineModel:
 
     # ------------------------------------------------------------------
     def run(self, trace, max_instructions=None):
-        """Cycle-time the trace; the optimized production loop.
+        """Cycle-time the trace, one instruction at a time.
 
-        Behaviour is defined by :meth:`run_reference` (the original
-        straight-from-the-description loop, kept as the executable
-        spec); this version produces identical results and is what
-        every caller uses.  The differences are mechanical hot-loop
-        work: the per-pc ``static`` tuples are flattened into parallel
-        tuples indexed once each, `config.*` attributes and the
-        ``fu_pools[pool_of_class[iclass]]`` double dict lookup are
-        hoisted into locals / a per-pc pool table, both
-        :class:`_BandwidthPort` allocations are inlined as integer
-        locals, the single-unit functional-unit case skips the
-        min-scan, and the per-class instruction histogram comes from
-        one vectorized ``bincount`` instead of a per-instruction
-        increment.
+        This loop is the executable specification of the timing model:
+        :func:`repro.uarch.sweep.simulate_pipeline_sweep` (and through
+        it :func:`simulate_pipeline`) must reproduce its results field
+        for field, and the differential tests use it as their oracle.
         """
-        config = self.config
-        program = trace.program
-        hierarchy = CacheHierarchy(
-            config.l1i, config.l1d, config.l2,
-            l1_latency=config.l1_latency, l2_latency=config.l2_latency,
-            memory_latency=config.memory_latency)
-        predictor = make_predictor(config.predictor,
-                                   **config.predictor_kwargs)
-
-        latency_of_class = (
-            config.latency_ialu, config.latency_imul, config.latency_idiv,
-            config.latency_falu, config.latency_fmul, config.latency_fdiv,
-            0, 1, config.latency_ialu, config.latency_ialu,
-            config.latency_ialu)
-        line_shift = config.l1i.line.bit_length() - 1
-
-        fu_pools = {
-            "ialu": [0] * config.n_int_alu,
-            "imul": [0] * config.n_int_mul,
-            "falu": [0] * config.n_fp_alu,
-            "fmul": [0] * config.n_fp_mul,
-            "mem": [0] * config.n_mem_ports,
-        }
-        # Parallel per-pc decode tables.  Static fields come straight
-        # off the shared columnar program view (built once per program
-        # per process); only the genuinely config-dependent tables —
-        # per-class latencies, I-cache line ids, and the bindings to
-        # this run's mutable FU pool lists — are derived per call, from
-        # the columns, never from Instruction objects.
-        columns = columns_for(program)
-        st_iclass = columns.iclass_list
-        st_dest = columns.dest_list
-        st_srcs = columns.srcs_list
-        st_latency = [latency_of_class[klass] for klass in st_iclass]
-        st_line = (columns.pc_addresses >> line_shift).tolist()
-        pool_lists = (fu_pools["ialu"], fu_pools["imul"], fu_pools["falu"],
-                      fu_pools["fmul"], fu_pools["mem"])
-        st_pool = [pool_lists[pool] for pool in columns.pool_list]
-        st_multi = [len(pool) > 1 for pool in st_pool]
-        st_unpip = columns.derived.get("unpipelined")
-        if st_unpip is None:
-            st_unpip = columns.derived["unpipelined"] = [
-                klass in (int(IClass.IDIV), int(IClass.FDIV))
-                for klass in st_iclass]
-        st_is_load = columns.derived.get("is_load_list")
-        if st_is_load is None:
-            st_is_load = columns.derived["is_load_list"] = \
-                columns.is_load.tolist()
-        st_is_mem = columns.derived.get("is_mem_list")
-        if st_is_mem is None:
-            st_is_mem = columns.derived["is_mem_list"] = \
-                columns.is_mem.tolist()
-        st_is_jump = columns.derived.get("is_jump_list")
-        if st_is_jump is None:
-            st_is_jump = columns.derived["is_jump_list"] = \
-                columns.is_jump.tolist()
-
-        pcs = trace.pcs.tolist()
-        addrs = trace.addrs.tolist()
-        takens = trace.taken.tolist()
-        total = len(pcs)
-        if max_instructions is not None and total > max_instructions:
-            total = max_instructions
-
-        class_counts = [0] * IClass.COUNT
-        if total:
-            histogram = np.bincount(columns.iclass[trace.pcs[:total]],
-                                    minlength=IClass.COUNT)
-            class_counts = [int(count) for count in histogram]
-
-        reg_ready = [0] * 64
-        rob_ring = [0] * config.rob_size
-        lsq_ring = [0] * config.lsq_size
-        fetchq_ring = [0] * config.fetch_queue
-
-        # Hoisted configuration / hierarchy state.
-        width = config.width
-        in_order = config.in_order
-        rob_size = config.rob_size
-        lsq_size = config.lsq_size
-        fetch_queue = config.fetch_queue
-        l1_latency = config.l1_latency
-        mispredict_penalty = config.mispredict_penalty
-        access_instruction = hierarchy.access_instruction
-        access_data = hierarchy.access_data
-        predictor_update = predictor.update
-        predictor_predict = predictor.predict
-
-        fetch_cycle = 0
-        fetch_used = 0
-        fetch_break = False
-        fetch_stall_until = 0
-        last_line = -1
-        last_issue = 0
-        last_commit = 0
-        mem_index = 0
-        lsq_slot = 0
-        rob_stalls = 0
-        lsq_stalls = 0
-        fetch_queue_stalls = 0
-        redirect_cycles = 0
-        # Both bandwidth ports inlined as (cycle, used) integer locals;
-        # semantics identical to _BandwidthPort.allocate.
-        dispatch_cycle = -1
-        dispatch_used = 0
-        commit_cycle = -1
-        commit_used = 0
-        telemetry = REGISTRY.enabled
-        wall_start = time.perf_counter()
-
-        for i in range(total):
-            pc = pcs[i]
-
-            # ----- fetch ------------------------------------------------
-            if fetch_stall_until > fetch_cycle:
-                if telemetry:
-                    redirect_cycles += fetch_stall_until - fetch_cycle
-                fetch_cycle = fetch_stall_until
-                fetch_used = 0
-                fetch_break = False
-            line = st_line[pc]
-            if line != last_line:
-                icache_latency = access_instruction(line << line_shift)
-                last_line = line
-                if icache_latency > l1_latency:
-                    fetch_cycle += icache_latency - l1_latency
-                    fetch_used = 0
-                    fetch_break = False
-            if fetch_break or fetch_used >= width:
-                fetch_cycle += 1
-                fetch_used = 0
-                fetch_break = False
-            fetch_time = fetch_cycle
-            fetch_used += 1
-
-            queue_slot = i % fetch_queue
-            if fetch_time < fetchq_ring[queue_slot]:
-                fetch_time = fetchq_ring[queue_slot]
-                fetch_cycle = fetch_time
-                fetch_used = 1
-                if telemetry:
-                    fetch_queue_stalls += 1
-
-            # ----- dispatch (ROB / LSQ allocation) ----------------------
-            dispatch_earliest = fetch_time + DECODE_DEPTH
-            rob_slot = i % rob_size
-            if rob_ring[rob_slot] > dispatch_earliest:
-                dispatch_earliest = rob_ring[rob_slot]
-                if telemetry:
-                    rob_stalls += 1
-            is_mem = st_is_mem[pc]
-            if is_mem:
-                lsq_slot = mem_index % lsq_size
-                if lsq_ring[lsq_slot] > dispatch_earliest:
-                    dispatch_earliest = lsq_ring[lsq_slot]
-                    if telemetry:
-                        lsq_stalls += 1
-            if dispatch_earliest > dispatch_cycle:
-                dispatch_cycle = dispatch_earliest
-                dispatch_used = 1
-            elif dispatch_used < width:
-                dispatch_used += 1
-            else:
-                dispatch_cycle += 1
-                dispatch_used = 1
-            dispatch_time = dispatch_cycle
-            fetchq_ring[queue_slot] = dispatch_time
-
-            # ----- issue -------------------------------------------------
-            ready = dispatch_time + 1
-            for src in st_srcs[pc]:
-                src_ready = reg_ready[src]
-                if src_ready > ready:
-                    ready = src_ready
-            if in_order and ready < last_issue:
-                ready = last_issue
-            pool = st_pool[pc]
-            unit = 0
-            unit_free = pool[0]
-            if st_multi[pc]:
-                for index_unit in range(1, len(pool)):
-                    if pool[index_unit] < unit_free:
-                        unit_free = pool[index_unit]
-                        unit = index_unit
-            issue_time = ready if ready > unit_free else unit_free
-            if in_order:
-                last_issue = issue_time
-
-            # ----- execute ----------------------------------------------
-            if is_mem:
-                if st_is_load[pc]:
-                    complete = issue_time + access_data(addrs[i])
-                else:
-                    access_data(addrs[i])
-                    complete = issue_time + 1
-            else:
-                complete = issue_time + st_latency[pc]
-            pool[unit] = complete if st_unpip[pc] else issue_time + 1
-            dest = st_dest[pc]
-            if dest >= 0:
-                reg_ready[dest] = complete
-
-            # ----- control flow ------------------------------------------
-            taken = takens[i]
-            if taken >= 0:
-                was_taken = taken == 1
-                mispredicted = predictor_predict(pc) != was_taken
-                predictor_update(pc, was_taken)
-                if mispredicted:
-                    redirect = complete + mispredict_penalty
-                    if redirect > fetch_stall_until:
-                        fetch_stall_until = redirect
-                elif was_taken:
-                    fetch_break = True
-            elif st_is_jump[pc]:
-                fetch_break = True
-
-            # ----- commit -------------------------------------------------
-            commit_earliest = complete + 1
-            if commit_earliest < last_commit:
-                commit_earliest = last_commit
-            if commit_earliest > commit_cycle:
-                commit_cycle = commit_earliest
-                commit_used = 1
-            elif commit_used < width:
-                commit_used += 1
-            else:
-                commit_cycle += 1
-                commit_used = 1
-            commit_time = commit_cycle
-            last_commit = commit_time
-            rob_ring[rob_slot] = commit_time
-            if is_mem:
-                lsq_ring[lsq_slot] = commit_time
-                mem_index += 1
-
-        cycles = last_commit if total else 0
-        wall = time.perf_counter() - wall_start
-        result = PipelineResult(
-            config=config,
-            instructions=total,
-            cycles=max(1, cycles),
-            class_counts=class_counts,
-            icache_accesses=hierarchy.l1i.stats.accesses,
-            icache_misses=hierarchy.l1i.stats.misses,
-            dcache_accesses=hierarchy.l1d.stats.accesses,
-            dcache_misses=hierarchy.l1d.stats.misses,
-            l2_accesses=hierarchy.l2.stats.accesses if hierarchy.l2 else 0,
-            l2_misses=hierarchy.l2.stats.misses if hierarchy.l2 else 0,
-            branch_lookups=predictor.stats.lookups,
-            branch_mispredictions=predictor.stats.mispredictions,
-            rob_stalls=rob_stalls,
-            lsq_stalls=lsq_stalls,
-            fetch_queue_stalls=fetch_queue_stalls,
-            redirect_cycles=redirect_cycles,
-            wall_seconds=wall,
-        )
-        if REGISTRY.enabled:
-            REGISTRY.counter("pipeline.instructions").inc(total)
-            REGISTRY.counter("pipeline.runs").inc()
-            REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
-            _LOG.debug("pipeline.run", config=config.name,
-                       instructions=total, cycles=result.cycles,
-                       ipc=result.ipc, sim_mips=result.simulated_mips,
-                       rob_stalls=rob_stalls, lsq_stalls=lsq_stalls)
-        return result
-
-    # ------------------------------------------------------------------
-    def run_reference(self, trace, max_instructions=None):
-        """The original per-instruction loop, kept as the executable
-        specification of :meth:`run` for differential tests and
-        benchmark baselines."""
         config = self.config
         program = trace.program
         hierarchy = CacheHierarchy(
@@ -629,7 +344,14 @@ class PipelineModel:
 
 
 def simulate_pipeline(trace, config=BASE_CONFIG, max_instructions=None):
-    """Convenience wrapper: run one trace through one configuration."""
-    with span("uarch.pipeline"):
-        return PipelineModel(config).run(trace,
-                                         max_instructions=max_instructions)
+    """Run one trace through one configuration.
+
+    A one-config sweep: the result equals
+    ``PipelineModel(config).run(trace, max_instructions)`` field for
+    field, but it is timed by the sweep's scheduling loop (native when
+    a C compiler is available) and shares the sweep's cached digests
+    and outcome banks.
+    """
+    # Imported here: repro.uarch.sweep imports this module.
+    from repro.uarch.sweep import simulate_pipeline_sweep
+    return simulate_pipeline_sweep(trace, [config], max_instructions)[0]

@@ -99,13 +99,21 @@ class TestMain:
         assert check_regression.main(args + ["--threshold", "0.5"]) \
             == check_regression.EXIT_OK
 
-    def test_sim_turbo_spec_reads_both_tables(self, tmp_path):
-        data = {"functional_rows": [["crc32", 1, 1, 1, 1, 3.0, 4.0]],
-                "pipeline_rows": [["crc32", 1, 1, 1, 1.4]]}
-        payload = {"name": "sim_turbo", "data": data}
-        fresh = _write(tmp_path / "fresh.json", payload)
-        committed = _write(tmp_path / "committed.json", payload)
-        code = check_regression.main(["--bench", "sim_turbo",
-                                      "--fresh", fresh,
-                                      "--committed", committed])
-        assert code == check_regression.EXIT_OK
+    def test_trace_acquisition_spec_reads_both_tables(self, tmp_path):
+        def payload(slow_table=None):
+            data = {"acquisition_rows": [["crc32", 1, 2.0, 50.0, 100.0,
+                                          50.0]],
+                    "digest_rows": [["crc32", 1, 10.0, 5.0, 2.0]]}
+            if slow_table is not None:
+                data[slow_table][0][-1] /= 4  # its ratio column
+            return {"name": "trace_acquisition", "data": data}
+
+        args = ["--bench", "trace_acquisition", "--committed",
+                _write(tmp_path / "committed.json", payload())]
+        for slow_table, expected in (
+                (None, check_regression.EXIT_OK),
+                ("acquisition_rows", check_regression.EXIT_REGRESSION),
+                ("digest_rows", check_regression.EXIT_REGRESSION)):
+            fresh = _write(tmp_path / "fresh.json", payload(slow_table))
+            assert check_regression.main(args + ["--fresh", fresh]) \
+                == expected, slow_table

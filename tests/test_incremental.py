@@ -5,13 +5,13 @@ Two contracts:
 * the planner's reuse/rebuild verdicts match the sweep engine's actual
   artifact keying (unit tests per knob class);
 * an :class:`IncrementalSession` walking a *random* sequence of
-  single-knob config edits stays field-for-field identical to a cold
-  ``PipelineModel.run`` of every visited config — the property the
-  ≥20x re-sweep speedup is only allowed to exist under.
+  single-knob config edits stays field-for-field identical to
+  ``PipelineModel.run`` (the timing spec) of every visited config — the
+  property the ≥20x re-sweep speedup is only allowed to exist under.
 
 Plus the fig4-outlier profile-delta path: a crc32 clone re-synthesized
 from a perturbed profile is a planned full rebuild, and its incremental
-re-simulation still matches the cold reference exactly.
+re-simulation still matches the spec exactly.
 """
 
 import dataclasses
@@ -25,11 +25,12 @@ from repro.sim import FunctionalSimulator
 from repro.uarch import (
     BASE_CONFIG,
     IncrementalSession,
+    PipelineModel,
     plan_incremental,
     plan_profile_delta,
-    simulate_pipeline,
 )
 from repro.uarch.cache import CacheConfig
+from repro.uarch.sweep import sweep_stats_snapshot
 from repro.workloads import build_workload
 
 CAP = 20_000
@@ -70,7 +71,7 @@ class TestPlanClassification:
             BASE_CONFIG.l1d.line))
         plan = plan_incremental(BASE_CONFIG, edited)
         assert plan.rebuilt == ("cache_bank",)
-        assert set(plan.reused) == {"digest", "pred_bank", "kernel"}
+        assert set(plan.reused) == {"digest", "pred_bank"}
         assert "l1d" in plan.changed_fields
         assert not plan.full_rebuild
 
@@ -79,16 +80,26 @@ class TestPlanClassification:
             BASE_CONFIG, BASE_CONFIG.renamed("nt", predictor="nottaken"))
         assert plan.rebuilt == ("pred_bank",)
 
-    def test_shape_knob_rebuilds_kernel_only(self):
-        plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("w2", width=2))
-        assert plan.rebuilt == ("kernel",)
+    def test_width_change_rebuilds_nothing(self, crc32_trace):
+        # The scheduling loop reads the width at run time: the plan
+        # rebuilds nothing, and the engine builds no digest or bank.
+        widened = BASE_CONFIG.renamed("w2", width=2)
+        plan = plan_incremental(BASE_CONFIG, widened)
+        assert plan.rebuilt == ()
+        assert plan.params_changed
+        session = IncrementalSession(crc32_trace, max_instructions=CAP)
+        session.run(BASE_CONFIG)
+        before = sweep_stats_snapshot()
+        session.run(widened)
+        after = sweep_stats_snapshot()
+        assert session.last_plan.rebuilt == ()
+        for key in ("digests_built", "cache_banks_built",
+                    "pred_banks_built"):
+            assert after[key] == before[key], key
 
-    def test_ring_resize_within_pow2_reuses_kernel(self):
-        # 16 -> 32 entries keeps the ring power-of-two, so only the
-        # runtime parameter tuple changes; no artifact is rebuilt.
+    def test_ring_resize_rebuilds_nothing(self):
         plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("rob32", rob_size=32))
+            BASE_CONFIG, BASE_CONFIG.renamed("rob24", rob_size=24))
         assert plan.rebuilt == ()
         assert plan.params_changed
 
@@ -110,7 +121,7 @@ class TestPlanClassification:
             l1d=CacheConfig(4096, 1, 32), memory_latency=80)
         plan = plan_incremental(BASE_CONFIG, edited)
         assert "digest" in plan.reused
-        assert set(plan.rebuilt) == {"cache_bank", "pred_bank", "kernel"}
+        assert set(plan.rebuilt) == {"cache_bank", "pred_bank"}
 
 
 class TestRandomKnobWalk:
@@ -126,10 +137,10 @@ class TestRandomKnobWalk:
             incremental = session.run(config)
             plan = session.last_plan
             assert set(plan.reused) | set(plan.rebuilt) \
-                == {"digest", "cache_bank", "pred_bank", "kernel"}
-            cold = simulate_pipeline(crc32_trace, config,
-                                     max_instructions=CAP)
-            assert result_fields(incremental) == result_fields(cold), \
+                == {"digest", "cache_bank", "pred_bank"}
+            spec = PipelineModel(config).run(crc32_trace,
+                                             max_instructions=CAP)
+            assert result_fields(incremental) == result_fields(spec), \
                 f"diverged at step {step} ({knob})"
 
 
@@ -153,16 +164,15 @@ class TestProfileDelta:
             profile, total_instructions=profile.total_instructions + 1)
         plan = plan_profile_delta(profile, perturbed)
         assert plan.full_rebuild
-        assert set(plan.rebuilt) \
-            == {"digest", "cache_bank", "pred_bank", "kernel"}
+        assert set(plan.rebuilt) == {"digest", "cache_bank", "pred_bank"}
 
     def test_crc32_clone_refinement_equivalence(self, crc32_trace):
         """A perturbed-profile clone re-times bit-identically.
 
         The refinement loop's profile axis: perturb the profile,
         re-synthesize, re-simulate.  The planner calls it a full
-        rebuild, and the rebuilt path must still match the cold
-        reference field for field.
+        rebuild, and the rebuilt path must still match the spec field
+        for field.
         """
         profile = profile_trace(crc32_trace)
         perturbed = dataclasses.replace(
@@ -179,6 +189,6 @@ class TestProfileDelta:
         for config in (BASE_CONFIG,
                        BASE_CONFIG.renamed("rob32", rob_size=32)):
             incremental = session.run(config)
-            cold = simulate_pipeline(clone_trace, config,
-                                     max_instructions=CAP)
-            assert result_fields(incremental) == result_fields(cold)
+            spec = PipelineModel(config).run(clone_trace,
+                                             max_instructions=CAP)
+            assert result_fields(incremental) == result_fields(spec)

@@ -1,17 +1,21 @@
-"""Sweep-engine differential suite: one-pass grids vs the reference.
+"""Sweep-engine differential suite: one-pass grids vs the specification.
 
-``simulate_pipeline_sweep`` promises *field-for-field identity* with
-``PipelineModel.run`` for every config in a grid.  This suite enforces
-the whole contract:
+``simulate_pipeline_sweep`` (and ``simulate_pipeline``, a one-config
+sweep) promises *field-for-field identity* with ``PipelineModel.run``,
+the timing model's executable spec, for every config in a grid.  This
+suite enforces the whole contract under both scheduling engines (the
+native C loop and its Python twin):
 
 * identical ``PipelineResult`` fields on all 23 corpus kernels and a
   synthesized clone, across the base config, every paper design change,
   and a superscalar width sweep;
+* identical results on the traces ``simulate_pipeline`` times: statsim
+  synthetic traces, which have no block structure, and the Ablation C
+  real and clone traces at their 100k-instruction cap;
 * identical results with and without telemetry, under a cap that lands
-  mid basic-block, and with no cap at all;
-* the interpreted fallback for traces that violate block structure;
-* digest/bank/kernel persistence round-trips through the artifact
-  store, including corrupt-entry tolerance;
+  mid basic-block, with no cap at all, and on a trace entering mid-block;
+* digest/bank persistence round-trips through the artifact store,
+  including corrupt-entry tolerance;
 * serial vs ``--jobs`` grid studies produce identical JSON;
 * the vectorized predictor outcome banks match the scalar predictor
   specification kind by kind.
@@ -25,18 +29,20 @@ import os
 
 import pytest
 
-from repro.evaluation import design_change_study
+from repro.core import profile_trace
+from repro.evaluation import design_change_study, workload_artifacts
 from repro.exec.store import ArtifactStore
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
 from repro.sim import FunctionalSimulator
 from repro.sim.trace import DynamicTrace
+from repro.statsim import StatisticalSimulator
 from repro.uarch import (
     BASE_CONFIG,
     DESIGN_CHANGES,
+    PipelineModel,
     simulate_pipeline,
     simulate_pipeline_sweep,
-    trace_digest,
 )
 from repro.uarch.branch_predictors import (
     simulate_predictor,
@@ -58,6 +64,12 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 #: fetch-queue stalls, L2 traffic) while keeping the corpus run fast.
 CAP = 20_000
 
+#: Ablation C times these kernels' real and clone traces on the base
+#: config at this cap through ``simulate_pipeline``.
+ABLATION_C_KERNELS = ("qsort", "crc32", "sha", "adpcm", "fft", "rijndael",
+                      "dijkstra", "susan")
+ABLATION_C_CAP = 100_000
+
 
 @pytest.fixture(params=["native", "python"])
 def engine(request, monkeypatch):
@@ -76,7 +88,7 @@ def engine(request, monkeypatch):
 
 @pytest.fixture()
 def python_engine(monkeypatch):
-    """Force the compiled-Python kernels + interpreter (no C loop)."""
+    """Force the Python scheduling loop (no C loop)."""
     monkeypatch.setenv("REPRO_NATIVE", "off")
     native.reset()
     yield
@@ -91,17 +103,32 @@ def result_fields(result):
     return data
 
 
+#: (trace id, config, cap, telemetry) -> (trace, spec result fields).
+#: The spec is engine-independent, so both engine parameters share one
+#: run; holding the trace keeps its id from being reused.
+_REFERENCES = {}
+
+
+def reference_fields(trace, config, max_instructions):
+    """``PipelineModel.run`` — the spec — for one config, memoized."""
+    key = (id(trace), repr(config), max_instructions, REGISTRY.enabled)
+    if key not in _REFERENCES:
+        result = PipelineModel(config).run(
+            trace, max_instructions=max_instructions)
+        _REFERENCES[key] = (trace, result_fields(result))
+    return _REFERENCES[key][1]
+
+
 def assert_sweep_equivalent(trace, configs, max_instructions=CAP,
                             store=None):
-    """Sweep the grid and compare each config against the reference."""
+    """Sweep the grid and compare each config against the spec."""
     swept = simulate_pipeline_sweep(trace, configs,
                                     max_instructions=max_instructions,
                                     store=store)
     assert len(swept) == len(configs)
     for config, result in zip(configs, swept):
-        reference = simulate_pipeline(trace, config,
-                                      max_instructions=max_instructions)
-        assert result_fields(result) == result_fields(reference), \
+        assert result_fields(result) == reference_fields(
+            trace, config, max_instructions), \
             f"sweep diverges from run for config {config.name!r}"
 
 
@@ -114,6 +141,14 @@ def kernel_trace(name):
         _TRACES[name] = FunctionalSimulator(program).run(
             max_instructions=5_000_000, trace=True)
     return _TRACES[name]
+
+
+@pytest.fixture(scope="module")
+def statsim_trace():
+    """A statistical-simulation trace: blocks sampled from a flow graph,
+    so it follows no program's control flow."""
+    profile = profile_trace(kernel_trace("qsort"))
+    return StatisticalSimulator(profile).synthesize_trace(50_000)
 
 
 # ----------------------------------------------------------------------
@@ -132,11 +167,25 @@ class TestCorpusEquivalence:
                                 max_instructions=None)
 
     def test_cap_lands_mid_block(self, loop_nest_trace, engine):
-        # 12345 is deliberately not a multiple of any block length, so
-        # the kernel must hand the final partial visit back to the
-        # interpreted path.
+        # 12345 is deliberately not a multiple of any block length.
         assert_sweep_equivalent(loop_nest_trace, GRID,
                                 max_instructions=12_345)
+
+    def test_statsim_trace(self, statsim_trace, engine):
+        assert_sweep_equivalent(statsim_trace, GRID)
+        assert_sweep_equivalent(statsim_trace, [BASE_CONFIG],
+                                max_instructions=None)
+
+    @pytest.mark.parametrize("subject", ["real", "clone"])
+    @pytest.mark.parametrize("name", ABLATION_C_KERNELS)
+    def test_ablation_c_cap(self, name, subject, engine):
+        artifacts = workload_artifacts(name)
+        trace = (artifacts.trace if subject == "real"
+                 else artifacts.clone_trace)
+        result = simulate_pipeline(trace, BASE_CONFIG,
+                                   max_instructions=ABLATION_C_CAP)
+        assert result_fields(result) == reference_fields(
+            trace, BASE_CONFIG, ABLATION_C_CAP)
 
     def test_empty_grid(self, loop_nest_trace):
         assert simulate_pipeline_sweep(loop_nest_trace, []) == []
@@ -177,46 +226,39 @@ class TestTelemetryParity:
 
 
 # ----------------------------------------------------------------------
-# Interpreted fallback
+# Python fallback engine
 # ----------------------------------------------------------------------
 class TestFallback:
     @pytest.fixture()
     def shifted_trace(self, loop_nest_trace):
-        # Dropping the first instruction makes the trace start mid-block,
-        # which violates the digest's block-walk invariant.
+        # Dropping the first instruction makes the trace start mid-block.
         return DynamicTrace(loop_nest_trace.program,
                             loop_nest_trace.pcs[1:].copy(),
                             loop_nest_trace.addrs[1:].copy(),
                             loop_nest_trace.taken[1:].copy())
 
-    def test_structure_violation_detected(self, shifted_trace):
-        assert not trace_digest(shifted_trace).blocks_ok
-
     def test_fallback_is_still_exact(self, shifted_trace, python_engine):
         reset_sweep_stats()
         assert_sweep_equivalent(shifted_trace, GRID[:4])
-        stats = sweep_stats_snapshot()
-        assert stats["fallback_configs"] == 4
-        assert stats["kernels_compiled"] == 0
+        assert sweep_stats_snapshot()["fallback_configs"] == 4
 
     def test_corpus_runs_never_fall_back(self, loop_nest_trace):
+        # Only a host without the native loop times configs in Python.
         reset_sweep_stats()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
-        assert sweep_stats_snapshot()["fallback_configs"] == 0
+        expected = 0 if native.available() else len(GRID)
+        assert sweep_stats_snapshot()["fallback_configs"] == expected
 
 
 # ----------------------------------------------------------------------
-# Digest/bank/kernel persistence
+# Digest/bank persistence
 # ----------------------------------------------------------------------
 class TestPersistence:
     def _forget(self, trace):
         """Drop in-memory memoization so the store is the only cache."""
-        for holder, attr in ((trace, "_sweep_digest"),
-                             (trace.program, "_sweep_static"),
-                             (trace.program, "_sweep_kernels")):
-            if hasattr(holder, attr):
-                delattr(holder, attr)
+        if hasattr(trace, "_sweep_digest"):
+            del trace._sweep_digest
 
     def test_round_trip(self, loop_nest_trace, tmp_path, python_engine):
         store = ArtifactStore(root=str(tmp_path), enabled=True)
@@ -228,7 +270,6 @@ class TestPersistence:
         assert stats["digests_saved"] == 1
         assert stats["cache_banks_saved"] >= 1
         assert stats["pred_banks_saved"] >= 1
-        assert stats["kernels_saved"] >= 1
 
         self._forget(loop_nest_trace)
         reset_sweep_stats()
@@ -239,8 +280,7 @@ class TestPersistence:
         assert stats["digests_built"] == 0
         assert stats["cache_banks_loaded"] >= 1
         assert stats["pred_banks_loaded"] >= 1
-        assert stats["kernels_loaded"] >= 1
-        assert stats["kernels_compiled"] == 0
+        assert stats["cache_banks_built"] == stats["pred_banks_built"] == 0
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in warm]
 
@@ -271,7 +311,7 @@ class TestPersistence:
         for key, _, _ in store.entries():
             entry = store.entry_dir(key)
             for filename in os.listdir(entry):
-                if filename.endswith((".npz", ".marshal")):
+                if filename.endswith(".npz"):
                     with open(os.path.join(entry, filename), "wb") as fh:
                         fh.write(b"not a payload")
                     clobbered += 1
@@ -283,7 +323,7 @@ class TestPersistence:
             loop_nest_trace, GRID[:4], max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_built"] == 1
-        assert stats["kernels_compiled"] >= 1
+        assert stats["cache_banks_built"] >= 1
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in recovered]
 
@@ -294,7 +334,6 @@ class TestPersistence:
         assert_sweep_equivalent(loop_nest_trace, GRID[:2], store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_saved"] == 0
-        assert stats["kernels_saved"] == 0
         assert store.entries() == []
 
 
@@ -314,7 +353,7 @@ class TestSweepStats:
         assert stats["distinct_hierarchies"] < len(GRID)
         assert stats["distinct_predictors"] < len(GRID)
         reused = (stats["digests_reused"] + stats["cache_banks_reused"]
-                  + stats["pred_banks_reused"] + stats["kernels_reused"])
+                  + stats["pred_banks_reused"])
         assert reused > 0
 
     def test_manifest_carries_sweep_block(self, loop_nest_trace):
@@ -355,7 +394,6 @@ class TestNative:
                                 max_instructions=CAP)
         stats = sweep_stats_snapshot()
         assert stats["native_configs"] == len(GRID)
-        assert stats["kernels_compiled"] == 0
         assert stats["fallback_configs"] == 0
 
     @needs_native
