@@ -68,7 +68,10 @@ def _coerce_cache(field_name, value):
         ) from None
     if assoc != "full":
         assoc = int(assoc)
-    return CacheConfig(int(size), assoc, int(line))
+    try:
+        return CacheConfig(int(size), assoc, int(line))
+    except ValueError as exc:
+        raise RecipeError(f"{field_name}: {exc}") from None
 
 
 def _coerce_field(name, value):

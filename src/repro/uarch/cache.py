@@ -1,17 +1,22 @@
 """Set-associative LRU caches (the paper's Section 5.1 substrate).
 
 ``Cache`` is a functional hit/miss model with O(1) accesses (per-set
-insertion-ordered dicts give constant-time LRU).  ``simulate_cache``
-replays an address stream against one configuration and is the reference
-implementation; ``simulate_cache_sweep`` replays one stream against many
-configurations at once, converting the stream a single time and using
-vectorized fast paths where the geometry allows.  ``CacheHierarchy``
-composes L1I/L1D/L2 for the pipeline timing model.
+insertion-ordered dicts give constant-time LRU) and, with
+``simulate_cache``, the reference replay: the spec.  The batched
+replays — ``simulate_cache_sweep`` (one stream, many configurations)
+and ``per_access_hits`` (the sweep engine's per-access cache banks) —
+run every geometry through one exact-LRU C kernel
+(:func:`repro.uarch.native.lru_replay`) when a C compiler is present,
+and through the dict replays ``_replay_blocks``/``_replay_block_hits``
+otherwise.  ``CacheHierarchy`` composes L1I/L1D/L2 for the pipeline
+timing model.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.uarch import native
 
 
 @dataclass(frozen=True)
@@ -29,6 +34,8 @@ class CacheConfig:
     def __post_init__(self):
         if self.size <= 0 or self.line <= 0 or self.size % self.line:
             raise ValueError(f"bad cache geometry: {self}")
+        if self.line & (self.line - 1):
+            raise ValueError(f"line size must be a power of two: {self}")
         ways = self.ways
         if ways <= 0 or (self.size // self.line) % ways:
             raise ValueError(f"associativity does not divide lines: {self}")
@@ -36,6 +43,11 @@ class CacheConfig:
     @property
     def lines(self):
         return self.size // self.line
+
+    @property
+    def line_shift(self):
+        """log2 of the line size: ``address >> line_shift`` is the block."""
+        return self.line.bit_length() - 1
 
     @property
     def ways(self):
@@ -94,7 +106,7 @@ class Cache:
         self.config = config
         self.stats = CacheStats()
         self._sets = [dict() for _ in range(config.sets)]
-        self._line_shift = config.line.bit_length() - 1
+        self._line_shift = config.line_shift
         self._set_mask = config.sets - 1
         self._set_is_pow2 = config.sets & (config.sets - 1) == 0
         self._ways = config.ways
@@ -165,73 +177,12 @@ def simulate_cache(addresses, config):
 # ----------------------------------------------------------------------
 # Batched sweep: one stream, many configurations
 # ----------------------------------------------------------------------
-def _final_residency(blocks, set_mask, ways):
-    """Lines resident after an LRU replay (misses − evictions).
-
-    The set index is a pure function of the block index, so the distinct
-    (set, block) pairs are exactly the distinct blocks; a set that ever
-    saw ``k`` distinct blocks ends with ``min(k, ways)`` resident.
-    """
-    unique_blocks = np.unique(blocks)
-    per_set = np.bincount((unique_blocks & set_mask).astype(np.int64))
-    return int(np.minimum(per_set, ways).sum())
-
-
-def _direct_mapped_stats(blocks, sets):
-    """Vectorized direct-mapped replay (power-of-two ``sets``).
-
-    An access hits iff the previous access to the same set touched the
-    same block, so grouping accesses by set (stable sort) and comparing
-    neighbours yields the exact hit count with no Python loop.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    hits = int(np.count_nonzero(
-        (grouped_sets[1:] == grouped_sets[:-1])
-        & (grouped_blocks[1:] == grouped_blocks[:-1])))
-    misses = n - hits
-    evictions = misses - _final_residency(blocks, mask, 1)
-    return CacheStats(accesses=n, misses=misses, evictions=evictions)
-
-
-def _two_way_stats(blocks, sets):
-    """Vectorized 2-way LRU replay (power-of-two ``sets``).
-
-    Within one set, collapsing consecutive duplicate blocks (all hits)
-    leaves a stream whose two most recent *distinct* blocks are exactly
-    the previous two elements — so an element hits iff it equals the
-    element two back.  That only holds for two ways (a longer window can
-    contain duplicates), which is why wider associativity replays below.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    duplicate = np.zeros(n, dtype=bool)
-    duplicate[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                     & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    deduped_blocks = grouped_blocks[~duplicate]
-    deduped_sets = grouped_sets[~duplicate]
-    lag2_hits = int(np.count_nonzero(
-        (deduped_sets[2:] == deduped_sets[:-2])
-        & (deduped_blocks[2:] == deduped_blocks[:-2])))
-    misses = len(deduped_blocks) - lag2_hits
-    evictions = misses - _final_residency(blocks, mask, 2)
-    return CacheStats(accesses=n, misses=misses, evictions=evictions)
-
-
 def _replay_blocks(blocks, config):
     """Exact port of the :class:`Cache` LRU loop over block indices.
 
     ``blocks`` must be a list of plain ints (the caller converts the
-    numpy block array once and shares it across every config that needs
-    this path).
+    numpy block array once and shares it across every config with the
+    same line size).
     """
     n_sets = config.sets
     ways = config.ways
@@ -261,100 +212,41 @@ def simulate_cache_sweep(addresses, configs):
 
     Returns a list of :class:`CacheStats`, one per config, in config
     order — each bit-identical to ``simulate_cache(addresses, config)``.
-    The address stream is converted to block indices once per distinct
-    line size; direct-mapped and 2-way power-of-two geometries use fully
-    vectorized numpy paths, everything else shares a single
-    list-converted block stream through the reference LRU replay.
+    With a C compiler every config is one native LRU replay of the
+    int64 stream; otherwise the stream is converted to a block list
+    once per distinct line size and replayed by :func:`_replay_blocks`.
     """
     configs = list(configs)
     address_array = np.asarray(addresses, dtype=np.int64)
-    if len(address_array) == 0:
+    n = len(address_array)
+    if n == 0:
         return [CacheStats() for _ in configs]
-    blocks_by_shift = {}
+    if native.available():
+        return [CacheStats(n, *native.lru_replay(
+                    address_array, config.line_shift, config))
+                for config in configs]
     block_lists_by_shift = {}
     results = []
     for config in configs:
-        shift = config.line.bit_length() - 1
-        blocks = blocks_by_shift.get(shift)
-        if blocks is None:
-            blocks = blocks_by_shift[shift] = address_array >> shift
-        sets = config.sets
-        is_pow2 = (sets & (sets - 1)) == 0
-        if is_pow2 and config.ways == 1:
-            results.append(_direct_mapped_stats(blocks, sets))
-        elif is_pow2 and config.ways == 2:
-            results.append(_two_way_stats(blocks, sets))
-        else:
-            block_list = block_lists_by_shift.get(shift)
-            if block_list is None:
-                # A block equal to its predecessor is MRU in its set and
-                # hits under *any* geometry, so the replay only needs the
-                # consecutive-deduplicated stream (converted once).
-                keep = np.ones(len(blocks), dtype=bool)
-                keep[1:] = blocks[1:] != blocks[:-1]
-                block_list = block_lists_by_shift[shift] = \
-                    blocks[keep].tolist()
-            stats = _replay_blocks(block_list, config)
-            stats.accesses = len(address_array)
-            results.append(stats)
+        block_list = block_lists_by_shift.get(config.line_shift)
+        if block_list is None:
+            # A block equal to its predecessor is MRU in its set and
+            # hits under *any* geometry, so the replay only needs the
+            # consecutive-deduplicated stream (converted once).
+            blocks = address_array >> config.line_shift
+            keep = np.ones(n, dtype=bool)
+            keep[1:] = blocks[1:] != blocks[:-1]
+            block_list = block_lists_by_shift[config.line_shift] = \
+                blocks[keep].tolist()
+        stats = _replay_blocks(block_list, config)
+        stats.accesses = n
+        results.append(stats)
     return results
 
 
 # ----------------------------------------------------------------------
 # Per-access outcomes: the sweep engine's cache banks
 # ----------------------------------------------------------------------
-def _direct_mapped_hits(blocks, sets):
-    """Per-access hit flags for a direct-mapped power-of-two cache.
-
-    Same grouping argument as :func:`_direct_mapped_stats` — an access
-    hits iff the previous access to its set touched the same block —
-    but the per-set neighbour comparison is scattered back to stream
-    order instead of being reduced to a count.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    grouped_hits = np.zeros(n, dtype=bool)
-    grouped_hits[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                        & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    hits = np.empty(n, dtype=bool)
-    hits[order] = grouped_hits
-    return hits
-
-
-def _two_way_hits(blocks, sets):
-    """Per-access hit flags for a 2-way LRU power-of-two cache.
-
-    As in :func:`_two_way_stats`: consecutive duplicates within a set
-    are MRU hits, and on the deduplicated per-set stream an access hits
-    iff it equals the distinct block two back.  Both flag families are
-    scattered back through the stable sort order.
-    """
-    n = len(blocks)
-    mask = sets - 1
-    set_index = blocks & mask
-    order = np.argsort(set_index, kind="stable")
-    grouped_blocks = blocks[order]
-    grouped_sets = set_index[order]
-    duplicate = np.zeros(n, dtype=bool)
-    duplicate[1:] = ((grouped_sets[1:] == grouped_sets[:-1])
-                     & (grouped_blocks[1:] == grouped_blocks[:-1]))
-    keep = ~duplicate
-    deduped_blocks = grouped_blocks[keep]
-    deduped_sets = grouped_sets[keep]
-    lag2 = np.zeros(len(deduped_blocks), dtype=bool)
-    lag2[2:] = ((deduped_sets[2:] == deduped_sets[:-2])
-                & (deduped_blocks[2:] == deduped_blocks[:-2]))
-    grouped_hits = duplicate
-    grouped_hits[keep] = lag2
-    hits = np.empty(n, dtype=bool)
-    hits[order] = grouped_hits
-    return hits
-
-
 def _replay_block_hits(blocks, config):
     """Per-access hit flags through the reference dict-LRU replay."""
     n_sets = config.sets
@@ -385,19 +277,15 @@ def per_access_hits(blocks, config):
     configuration's line size, exactly what :class:`Cache` derives
     internally).  Returns a boolean array aligned with the stream whose
     ``False`` count equals ``simulate_cache``'s miss count; the sweep
-    engine turns these flags into per-access latency banks.  Geometry
-    fast paths match :func:`simulate_cache_sweep`.
+    engine turns these flags into per-access latency banks.  Uses the
+    native LRU replay when available, :func:`_replay_block_hits` else.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
-    if len(blocks) == 0:
-        return np.zeros(0, dtype=bool)
-    sets = config.sets
-    if sets & (sets - 1) == 0:
-        if config.ways == 1:
-            return _direct_mapped_hits(blocks, sets)
-        if config.ways == 2:
-            return _two_way_hits(blocks, sets)
-    return _replay_block_hits(blocks, config)
+    if not native.available():
+        return _replay_block_hits(blocks, config)
+    hits = np.empty(len(blocks), dtype=bool)
+    native.lru_replay(blocks, 0, config, hits)
+    return hits
 
 
 class CacheHierarchy:

@@ -1,25 +1,29 @@
-"""Native scheduling loop: the sweep's timing inner loop in C.
+"""Native sweep kernels: the timing inner loop and the LRU cache replay.
 
 The per-config cost of a grid study is dominated by executing run()'s
 integer scheduling recurrence ~60k times per config in Python.  Every
 input to that recurrence is already columnar — the digest's event
 streams, the banks' per-access latencies, the program's decode columns
 — so the loop ports directly to a ~100-line C function over int64
-arrays with *no* per-instruction Python anywhere.
+arrays with *no* per-instruction Python anywhere.  The cache layer's
+hot loop, exact true-LRU replay of an address stream over one
+geometry, ports the same way; it serves every configuration of
+``simulate_cache_sweep`` and every cache bank the sweep builds.
 
-This module embeds that C source (an exact port of
-``sweep._interpreted_range``, reviewed side by side and asserted
-equivalent by the corpus differential suite), compiles it once per
-machine through the shared :mod:`repro.native` toolchain into a
+This module embeds both C functions in one source (exact ports of
+``sweep._interpreted_range`` and ``cache.Cache``, asserted equivalent
+by the corpus differential suites), compiles it once per machine
+through the shared :mod:`repro.native` toolchain into a
 content-addressed shared library under the repro cache dir, and
 exposes it through ctypes.  No third-party packages, no CPython API:
 plain arrays in, mutated state out, so the same packed state can flow
 between the Python loop and the native loop mid-trace.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
-``REPRO_NATIVE=off`` simply means :func:`available` is False and the
-sweep times every config with ``sweep._interpreted_range``.  The
-semantics are identical either way; only the wall time differs.
+``REPRO_NATIVE=off`` simply means :func:`available` is False; the
+sweep then times every config with ``sweep._interpreted_range`` and
+the cache layer replays with its Python dict LRU.  The semantics are
+identical either way; only the wall time differs.
 """
 
 import ctypes
@@ -36,6 +40,7 @@ assert (int(IClass.IDIV), int(IClass.FDIV), int(IClass.LOAD),
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* Exact port of repro.uarch.sweep._interpreted_range: run()'s
  * scheduling recurrence over dynamic positions [low, high), consuming
@@ -213,28 +218,69 @@ int64_t repro_run_range(
     sc[16] = ii; sc[17] = di; sc[18] = bi;
     return 0;
 }
+
+/* Exact port of repro.uarch.cache.Cache: true-LRU replay of n
+ * addresses over sets x ways, each set an MRU-first way array.  The
+ * set index follows Python: & for power-of-two set counts, else a
+ * non-negative %.  Fills hits (when not NULL) with one flag per access
+ * and *evictions; returns the miss count, or -1 if allocation fails. */
+int64_t repro_lru_replay(
+    const int64_t *addresses, int64_t n, int64_t line_shift,
+    int64_t sets, int64_t ways, uint8_t *hits, int64_t *evictions)
+{
+    int64_t *tags = malloc(sizeof(int64_t) * sets * ways);
+    int64_t *fill = calloc(sets, sizeof(int64_t));
+    int64_t misses = 0, evicted = 0;
+    int pow2 = (sets & (sets - 1)) == 0;
+    if (!tags || !fill) {
+        free(tags);
+        free(fill);
+        return -1;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        int64_t block = addresses[i] >> line_shift;
+        int64_t index = pow2 ? block & (sets - 1) : block % sets;
+        if (index < 0) index += sets;
+        int64_t *way = tags + index * ways;
+        int64_t used = fill[index], hit = 0;
+        while (hit < used && way[hit] != block) hit++;
+        if (hit < used) {
+            if (hits) hits[i] = 1;
+        } else {
+            if (hits) hits[i] = 0;
+            misses++;
+            if (used < ways) fill[index] = used + 1;
+            else { hit = ways - 1; evicted++; }
+        }
+        for (; hit > 0; hit--) way[hit] = way[hit - 1];
+        way[0] = block;
+    }
+    free(tags);
+    free(fill);
+    *evictions = evicted;
+    return misses;
+}
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
-#: None = not yet probed, False = unavailable, else the ctypes function.
-_RUN_RANGE = None
+#: None = not yet probed, False = unavailable, else the ctypes library.
+_LIBRARY = None
 
 
 def _load():
-    """The ctypes entry point, probing/compiling on first use."""
-    global _RUN_RANGE
-    if _RUN_RANGE is not None:
-        return _RUN_RANGE or None
+    """The ctypes library, probing/compiling on first use."""
+    global _LIBRARY
+    if _LIBRARY is not None:
+        return _LIBRARY or None
     library = toolchain.load_library(_C_SOURCE, "sweeploop")
     if library is None:
-        _RUN_RANGE = False
+        _LIBRARY = False
         return None
-    run_range = library.repro_run_range
-    run_range.restype = ctypes.c_int64
-    run_range.argtypes = [
+    library.repro_run_range.restype = ctypes.c_int64
+    library.repro_run_range.argtypes = [
         ctypes.c_int64, ctypes.c_int64,                    # low, high
         _I64,                                              # pcs
         _I32, _I32, _I32, _I32, _I32,                      # static
@@ -248,8 +294,14 @@ def _load():
         _I64, _I64,                                        # pools
         _I64, _I64, _I64, _I64, _I64, _I64,                # state
     ]
-    _RUN_RANGE = run_range
-    return _RUN_RANGE
+    library.repro_lru_replay.restype = ctypes.c_int64
+    library.repro_lru_replay.argtypes = [
+        _I64, ctypes.c_int64, ctypes.c_int64,              # stream, shift
+        ctypes.c_int64, ctypes.c_int64,                    # sets, ways
+        _U8, _I64,                                         # hits, evictions
+    ]
+    _LIBRARY = library
+    return _LIBRARY
 
 
 def available():
@@ -259,8 +311,8 @@ def available():
 
 def reset():
     """Forget the probe result (tests toggling REPRO_NATIVE)."""
-    global _RUN_RANGE
-    _RUN_RANGE = None
+    global _LIBRARY
+    _LIBRARY = None
     toolchain.reset()
 
 
@@ -290,7 +342,7 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
     native loop, and unpacks — so callers can mix native and Python
     execution of the same trace at any boundary.
     """
-    run = _load()
+    run = _load().repro_run_range
     iclass, dest, src1, src2, pool = _static_columns(digest.static)
     latencies = np.array(
         (config.latency_ialu, config.latency_imul, config.latency_idiv,
@@ -331,6 +383,24 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
     state[3] = lsq_ring.tolist()
     state[4] = fetchq_ring.tolist()
     state[5] = tuple(fus.tolist())
+
+
+def lru_replay(addresses, line_shift, config, hits=None):
+    """Exact LRU replay of an int64 address stream over ``config``'s
+    geometry in C; returns ``(misses, evictions)``.
+
+    Blocks are ``address >> line_shift``; when ``hits`` (a bool array
+    as long as the stream) is given, it receives one flag per access.
+    """
+    addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+    evictions = ctypes.c_int64(0)
+    misses = _load().repro_lru_replay(
+        _ptr64(addresses), len(addresses), line_shift, config.sets,
+        config.ways, None if hits is None else hits.ctypes.data_as(_U8),
+        ctypes.byref(evictions))
+    if misses < 0:
+        raise MemoryError(f"cannot allocate LRU state for {config}")
+    return misses, evictions.value
 
 
 def _decode_depth():

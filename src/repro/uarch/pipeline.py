@@ -136,7 +136,7 @@ class PipelineModel:
             config.latency_falu, config.latency_fmul, config.latency_fdiv,
             0, 1, config.latency_ialu, config.latency_ialu,
             config.latency_ialu)
-        line_shift = config.l1i.line.bit_length() - 1
+        line_shift = config.l1i.line_shift
         static = []
         for index, instr in enumerate(program.instructions):
             static.append((

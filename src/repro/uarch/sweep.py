@@ -247,11 +247,11 @@ def _build_cache_bank(digest, config):
     permutation routes the replayed outcomes back to each L1 stream.
     """
     bank = _CacheBank()
-    shift = bank.shift = config.l1i.line.bit_length() - 1
+    shift = bank.shift = config.l1i.line_shift
     iacc_pos, iacc_lines = digest.iacc(shift)
     bank.i_hit = per_access_hits(iacc_lines, config.l1i)
-    data_shift = config.l1d.line.bit_length() - 1
-    bank.d_hit = per_access_hits(digest.m_addrs >> data_shift, config.l1d)
+    bank.d_hit = per_access_hits(digest.m_addrs >> config.l1d.line_shift,
+                                 config.l1d)
 
     i_miss = ~bank.i_hit
     d_miss = ~bank.d_hit
@@ -264,9 +264,8 @@ def _build_cache_bank(digest, config):
     n_l2 = len(order)
     bank.has_l2 = config.l2 is not None
     if bank.has_l2 and n_l2:
-        l2_shift = config.l2.line.bit_length() - 1
-        bank.l2_hit = per_access_hits(miss_addresses[order] >> l2_shift,
-                                      config.l2)
+        bank.l2_hit = per_access_hits(
+            miss_addresses[order] >> config.l2.line_shift, config.l2)
         miss_latency = np.where(bank.l2_hit, config.l2_latency,
                                 config.l2_latency + config.memory_latency)
     else:

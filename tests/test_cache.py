@@ -28,6 +28,17 @@ class TestCacheConfig:
         with pytest.raises(ValueError):
             CacheConfig(size, assoc, line)
 
+    @pytest.mark.parametrize("line", [3, 24, 48, 96])
+    def test_non_power_of_two_line_rejected(self, line):
+        # Every replay indexes blocks by ``address >> line_shift``, which
+        # is only the line number when the line size is a power of two.
+        with pytest.raises(ValueError, match="power of two"):
+            CacheConfig(line * 10, 1, line)
+
+    def test_line_shift(self):
+        assert CacheConfig(1024, 1, 32).line_shift == 5
+        assert CacheConfig(1024, 1, 1).line_shift == 0
+
 
 class TestCacheBehaviour:
     def test_first_access_misses_second_hits(self):

@@ -1,48 +1,108 @@
-"""Equivalence tests: ``simulate_cache_sweep`` vs per-config
-``simulate_cache`` on random and adversarial streams.
+"""Equivalence tests: the batched cache replays vs the ``Cache`` spec.
 
-The batched sweep must be *bit-identical* to the reference replay for
-every geometry class it dispatches to — vectorized direct-mapped,
-vectorized 2-way, and the shared-stream LRU replay — because every
-experiment's Pearson correlations and rankings are computed from its
-miss counts.
+``simulate_cache_sweep`` must be *bit-identical* to per-config
+``simulate_cache``, and ``per_access_hits`` (the sweep engine's cache
+banks) must agree flag for flag with ``Cache.access``, because every
+experiment's Pearson correlations and rankings are computed from these
+miss counts.  Every check runs under both engines: the native exact-LRU
+kernel and the Python dict replay that a host without a C compiler
+(or ``REPRO_NATIVE=0``) uses.  A corpus test pins the two engines to
+each other on all 23 real and 23 clone address streams.
 """
+
+import contextlib
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.evaluation import workload_artifacts
 from repro.uarch import (
     CACHE_SWEEP,
+    Cache,
     CacheConfig,
+    native,
     simulate_cache,
     simulate_cache_sweep,
 )
+from repro.uarch.cache import per_access_hits
+from repro.workloads import workload_names
 
 RNG = np.random.default_rng(0xC0FFEE)
+
+#: The native kernel quietly stands down where no C compiler is present
+#: (or ``REPRO_NATIVE=0`` is already set), so "native" only exercises C
+#: where the environment provides it.
+ENGINES = ("native", "python")
+
+
+@contextlib.contextmanager
+def engine(name):
+    """Run the block under the native kernel or the Python replay."""
+    saved = os.environ.get("REPRO_NATIVE")
+    if name == "python":
+        os.environ["REPRO_NATIVE"] = "0"
+    native.reset()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NATIVE", None)
+        else:
+            os.environ["REPRO_NATIVE"] = saved
+        native.reset()
 
 
 def stats_tuple(stats):
     return (stats.accesses, stats.misses, stats.evictions)
 
 
+def sweep(addresses, configs):
+    """``simulate_cache_sweep`` as stats tuples, per engine."""
+    rows = {}
+    for name in ENGINES:
+        with engine(name):
+            rows[name] = [stats_tuple(stats) for stats in
+                          simulate_cache_sweep(addresses, configs)]
+    return rows
+
+
 def assert_equivalent(addresses, configs):
-    batched = simulate_cache_sweep(addresses, configs)
-    assert len(batched) == len(configs)
-    for config, stats in zip(configs, batched):
-        reference = simulate_cache(addresses, config)
-        assert stats_tuple(stats) == stats_tuple(reference), config
+    reference = [stats_tuple(simulate_cache(addresses, config))
+                 for config in configs]
+    for name, row in sweep(addresses, configs).items():
+        assert row == reference, name
 
 
-# One config per dispatch path, plus awkward geometries.
+def spec_hits(addresses, config):
+    """Per-access outcomes of the ``Cache`` spec."""
+    cache = Cache(config)
+    return [cache.access(address) for address in np.asarray(
+        addresses, dtype=np.int64).tolist()]
+
+
+def assert_hits_equivalent(addresses, config):
+    blocks = np.asarray(addresses, dtype=np.int64) >> config.line_shift
+    reference = spec_hits(addresses, config)
+    for name in ENGINES:
+        with engine(name):
+            hits = per_access_hits(blocks, config)
+        assert hits.dtype == bool, name
+        assert hits.tolist() == reference, (name, config)
+
+
+# Every associativity class, plus awkward geometries.
 PATH_CONFIGS = [
-    CacheConfig(256, 1, 32),        # vectorized direct-mapped
-    CacheConfig(1024, 2, 32),       # vectorized 2-way
-    CacheConfig(2048, 4, 32),       # replay (4-way)
-    CacheConfig(512, "full", 32),   # replay (fully associative)
-    CacheConfig(96, 3, 32),         # replay (non-power-of-two ways)
+    CacheConfig(256, 1, 32),        # direct-mapped
+    CacheConfig(1024, 2, 32),       # 2-way
+    CacheConfig(2048, 4, 32),       # 4-way
+    CacheConfig(512, "full", 32),   # fully associative
+    CacheConfig(96, 3, 32),         # non-power-of-two ways
     CacheConfig(1024, 2, 64),       # second line size in one sweep
     CacheConfig(64, 2, 32),         # single set, 2-way
     CacheConfig(32, 1, 32),         # single line
+    CacheConfig(96, 1, 32),         # three sets (modulo indexing)
 ]
 
 
@@ -71,7 +131,7 @@ class TestEquivalence:
         assert_equivalent(addresses, PATH_CONFIGS)
 
     def test_consecutive_duplicates(self):
-        # Exercises the dedup fast path feeding the replay configs.
+        # Exercises the Python replay's consecutive-dedup shortcut.
         addresses = np.repeat(RNG.integers(0, 1 << 14, 1_000), 9)
         assert_equivalent(addresses, PATH_CONFIGS)
 
@@ -90,34 +150,32 @@ class TestEquivalence:
 
 class TestEdgeCases:
     def test_empty_stream(self):
-        batched = simulate_cache_sweep(np.array([], dtype=np.int64),
-                                       PATH_CONFIGS)
-        for stats in batched:
-            assert stats_tuple(stats) == (0, 0, 0)
+        for row in sweep(np.array([], dtype=np.int64),
+                         PATH_CONFIGS).values():
+            assert row == [(0, 0, 0)] * len(PATH_CONFIGS)
 
     def test_empty_configs(self):
-        assert simulate_cache_sweep(np.arange(10), []) == []
+        assert sweep(np.arange(10), []) == {name: [] for name in ENGINES}
 
     def test_list_input(self):
         addresses = [0, 32, 64, 0, 32, 96, 0]
         assert_equivalent(addresses, PATH_CONFIGS)
 
     def test_single_access(self):
-        for config, stats in zip(
-                PATH_CONFIGS, simulate_cache_sweep([1024], PATH_CONFIGS)):
-            assert stats_tuple(stats) == (1, 1, 0), config
+        for row in sweep([1024], PATH_CONFIGS).values():
+            assert row == [(1, 1, 0)] * len(PATH_CONFIGS)
 
     def test_results_in_config_order(self):
         addresses = RNG.integers(0, 1 << 16, 2_000)
-        forward = simulate_cache_sweep(addresses, PATH_CONFIGS)
-        backward = simulate_cache_sweep(addresses, PATH_CONFIGS[::-1])
-        assert ([stats_tuple(s) for s in forward]
-                == [stats_tuple(s) for s in backward[::-1]])
+        forward = sweep(addresses, PATH_CONFIGS)
+        backward = sweep(addresses, PATH_CONFIGS[::-1])
+        for name in ENGINES:
+            assert forward[name] == backward[name][::-1], name
 
     def test_input_array_not_mutated(self):
         addresses = RNG.integers(0, 1 << 16, 1_000)
         copy = addresses.copy()
-        simulate_cache_sweep(addresses, PATH_CONFIGS)
+        sweep(addresses, PATH_CONFIGS)
         simulate_cache(addresses, PATH_CONFIGS[0])
         assert np.array_equal(addresses, copy)
 
@@ -130,3 +188,61 @@ def test_every_sweep_associativity_on_real_trace_shape(assoc):
     configs = [CacheConfig(size, assoc, 32)
                for size in (256, 1024, 4096, 16384)]
     assert_equivalent(addresses, configs)
+
+
+class TestPerAccessHits:
+    @pytest.mark.parametrize("config", PATH_CONFIGS, ids=CacheConfig.label)
+    def test_flags_match_cache_access(self, config):
+        addresses = np.concatenate([
+            RNG.integers(0, 1 << 14, 3_000),
+            np.tile(np.arange(40) * 32, 20),
+            np.repeat(RNG.integers(0, 1 << 12, 200), 3),
+        ])
+        assert_hits_equivalent(addresses, config)
+
+    def test_empty_stream(self):
+        assert_hits_equivalent([], PATH_CONFIGS[0])
+
+
+#: Geometries the random-stream property draws from: non-power-of-two
+#: set counts (Python's non-negative ``%`` on negative blocks, where C's
+#: ``%`` would go negative), 3-way sets, a 512-way fully associative
+#: cache, single-set caches and a non-32-byte line.
+PROPERTY_CONFIGS = [
+    CacheConfig(96, 1, 32),             # 3 sets, direct-mapped
+    CacheConfig(320, 2, 32),            # 5 sets, 2-way
+    CacheConfig(288, 3, 32),            # 3 sets, 3-way
+    CacheConfig(96, 3, 32),             # 1 set, 3-way
+    CacheConfig(16384, "full", 32),     # 512-way
+    CacheConfig(64, 2, 32),             # 1 set, 2-way
+    CacheConfig(32, 1, 32),             # single line
+    CacheConfig(256, 1, 32),
+    CacheConfig(1024, 4, 16),
+]
+
+address_values = st.one_of(st.integers(-512, 512),
+                           st.integers(-(1 << 20), 1 << 20))
+
+
+@settings(max_examples=60, deadline=None)
+@given(addresses=st.lists(address_values, min_size=0, max_size=400),
+       configs=st.lists(st.sampled_from(PROPERTY_CONFIGS), min_size=1,
+                        max_size=4))
+def test_random_streams_match_spec(addresses, configs):
+    assert_equivalent(addresses, configs)
+    for config in configs:
+        assert_hits_equivalent(addresses, config)
+
+
+def test_corpus_sweep_matches_python_replay():
+    """The paper's 28-config sweep over all 46 corpus streams (23 real,
+    23 clone): native kernel vs Python replay, field for field."""
+    with engine("native"):
+        if not native.available():
+            pytest.skip("no native kernel to compare")
+    for name in workload_names():
+        artifacts = workload_artifacts(name)
+        for subject, trace in (("real", artifacts.trace),
+                               ("clone", artifacts.clone_trace)):
+            rows = sweep(trace.memory_addresses(), CACHE_SWEEP)
+            assert rows["native"] == rows["python"], (name, subject)

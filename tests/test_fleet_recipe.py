@@ -162,6 +162,13 @@ class TestValidation:
         with pytest.raises(RecipeError, match="size, assoc, line"):
             recipe.expand_configs()
 
+    def test_l1d_line_must_be_power_of_two(self):
+        recipe = recipe_from_dict({"name": "x", "kernels": ["crc32"],
+                                   "axes": {"l1d": [[480, 1, 48]]}})
+        with pytest.raises(RecipeError,
+                           match="l1d: line size must be a power of two"):
+            recipe.expand_configs()
+
     def test_l1d_cannot_be_null(self):
         recipe = Recipe(name="x", kernels=["crc32"], axes={"l1d": [None]})
         with pytest.raises(RecipeError, match="cannot be null"):
