@@ -9,7 +9,7 @@ numerics-preserving.
 
 The floor asserted here is the acquisition engine's contract: the
 native tier must stay at least 10x over the interpreter in geomean
-(measured: ~70x on the 23-kernel corpus), so a slow host cannot mask
+(measured: ~70-80x on the 23-kernel corpus), so a slow host cannot mask
 an engine regression.
 
 Runs two ways:
@@ -18,7 +18,7 @@ Runs two ways:
   ``results/trace_acquisition.{txt,json}`` for EXPERIMENTS.md);
 * as a script: ``python benchmarks/bench_trace_acquisition.py --smoke``
   runs a four-kernel slice with the same assertions and *no* result
-  files — the cheap CI gate against translator regressions.
+  files — the cheap CI gate against engine regressions.
 """
 
 import json
@@ -69,10 +69,11 @@ def _acquisition_rows(names):
     """Per-kernel interp/native MIPS, asserting bit-identity.
 
     Both backends are timed best-of-two on fresh simulator instances;
-    native's first run compiles its translation unit (the ``cold``
-    column — the ``.so`` is content-addressed per machine, so every
-    later process reuses it), the ``native MIPS`` / speedup columns are
-    the warm steady state that profiling and fleet acquisition pay.
+    native's first run of a program encodes its table (the ``cold``
+    column; the first kernel's also loads, and on an empty compile cache
+    builds, the one engine library every program shares), the ``native
+    MIPS`` / speedup columns are the warm steady state that profiling
+    and fleet acquisition pay.
     """
     rows = []
     for index, name in enumerate(names):

@@ -1,12 +1,15 @@
 """Shared native toolchain: cc probe, compile-once cache, loading.
 
-Both native engines — the sweep's scheduling loop
-(:mod:`repro.uarch.native`) and the functional-execution engine
-(:mod:`repro.sim.native`) — need the same machinery: a ``REPRO_NATIVE``
-gate, a C-compiler probe, and a content-addressed compile cache under
-the repro cache dir.  This module is that machinery, factored out so
-there is a single gate, one compile cache, and one probe event per
-process no matter how many engines are in play.
+Both native engines — the sweep kernels (:mod:`repro.uarch.native`,
+the ``sweeploop`` library) and the functional-execution engine
+(:mod:`repro.sim.native`, the ``simfunc`` library) — need the same
+machinery: a ``REPRO_NATIVE`` gate, a C-compiler probe, and a
+content-addressed compile cache under the repro cache dir.  This module
+is that machinery, factored out so there is a single gate, one compile
+cache, and one probe event per process no matter how many engines are
+in play.  Each engine is one fixed C source that takes programs and
+traces as data, so a machine compiles three small libraries (probe,
+``sweeploop``, ``simfunc``) once, whatever it later simulates.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
 ``REPRO_NATIVE=off`` means :func:`load_library` returns ``None`` and

@@ -13,7 +13,7 @@ import time
 
 from repro.isa.assembler import TEXT_BASE
 from repro.isa.columns import columns_for
-from repro.isa.registers import NUM_REGS, REG_SP
+from repro.isa.registers import NUM_FP_REGS, NUM_INT_REGS, REG_SP
 from repro.obs.journal import active_journal, emit_event
 from repro.obs.logging import INFO, get_logger
 from repro.obs.metrics import REGISTRY
@@ -27,11 +27,6 @@ _LOG = get_logger("repro.sim")
 
 #: Heartbeat-progress period, in retired instructions.
 HEARTBEAT_INTERVAL = 5_000_000
-
-#: ``auto`` stays on the interpreter below this static size: compiling
-#: a native engine only pays off once a program does real work, and
-#: everything smaller is a test scaffold or a throwaway snippet.
-AUTO_MIN_STATIC = 16
 
 #: Environment variable selecting the default backend.
 ENV_BACKEND = "REPRO_SIM_BACKEND"
@@ -91,11 +86,11 @@ def resolve_backend(backend, program=None, environ=None):
     ``backend`` may be ``None`` (consult the ``REPRO_SIM_BACKEND``
     environment variable, default ``auto``), ``auto``, ``native``, or
     ``interp``.  ``auto`` picks ``native`` when the C engine can take
-    the program (``REPRO_NATIVE`` on, compiler present, translatable,
-    at least :data:`AUTO_MIN_STATIC` instructions) and the interpreter
-    otherwise.  An explicit ``native`` request on a host without the
-    toolchain still resolves to ``native``; the run itself falls back
-    to the interpreter, keeping semantics identical.
+    the program (``REPRO_NATIVE`` on, compiler present, translatable),
+    whatever its size, and the interpreter otherwise.  An explicit
+    ``native`` request on a host without the toolchain still resolves
+    to ``native``; the run itself falls back to the interpreter,
+    keeping semantics identical.
     """
     environ = os.environ if environ is None else environ
     if backend is None:
@@ -106,7 +101,7 @@ def resolve_backend(backend, program=None, environ=None):
             f"{', '.join(BACKENDS)} (see {ENV_BACKEND})")
     if backend != "auto":
         return backend
-    if program is not None and len(program.instructions) >= AUTO_MIN_STATIC:
+    if program is not None:
         from repro.sim import native
         if native.usable(program):
             return "native"
@@ -117,7 +112,7 @@ class FunctionalSimulator:
     """Executes one program instance over a private memory image.
 
     ``backend`` selects the execution engine: ``interp`` is this
-    module's per-instruction reference loop, ``native`` the C-compiled
+    module's per-instruction reference loop, ``native`` the fixed C
     engine in :mod:`repro.sim.native`, and ``auto`` (the default, also
     settable via ``REPRO_SIM_BACKEND``) resolves through
     :func:`resolve_backend`.  Both engines are bit-identical; the
@@ -132,7 +127,9 @@ class FunctionalSimulator:
         if memory_size is not None:
             kwargs["size"] = memory_size
         self.memory = Memory(**kwargs)
-        self.regs = [0] * NUM_REGS
+        # The FP file holds IEEE doubles from the start (an int 0 would
+        # stay an int under fneg, where a double becomes -0.0).
+        self.regs = [0] * NUM_INT_REGS + [0.0] * NUM_FP_REGS
         self.regs[REG_SP] = program.stack_top
         self.instructions_executed = 0
         self.halted = False
@@ -443,9 +440,11 @@ class FunctionalSimulator:
             elif op_id == 56:  # fle
                 if rd:
                     regs[rd] = 1 if regs[rs1] <= regs[rs2] else 0
-            elif op_id == 57:  # fcvtws
+            elif op_id == 57:  # fcvtws: NaN/inf -> 0, else truncate, wrap
                 if rd:
-                    regs[rd] = int(regs[rs1]) & _M32
+                    value = regs[rs1]
+                    regs[rd] = (int(value) & _M32
+                                if math.isfinite(value) else 0)
             elif op_id == 58:  # fcvtsw
                 regs[rd] = float(_signed(regs[rs1]))
             elif op_id == 59:  # fli

@@ -1,36 +1,39 @@
 """Native functional-execution backend (``repro.sim.native``).
 
-Translates one :class:`~repro.isa.program.Program` into C — every
-static instruction becomes a labelled straight-line statement with its
-register indices, immediates, branch targets, link addresses, and
-memory-bounds constants folded in as literals; direct control flow
-becomes ``goto``; indirect jumps re-enter a ``switch`` dispatch —
-compiles it once per machine through the shared :mod:`repro.native`
-toolchain (content-addressed by generated source, so identical
-programs share one ``.so`` across processes), and drives it via ctypes.
+One fixed C interpreter, compiled once per machine through the shared
+:mod:`repro.native` toolchain (the ``simfunc`` library), runs every
+program.  A program reaches it as data: :func:`_encode` turns the
+interpreter's decode rows into an ``int32`` table of ``(op, rd, rs1,
+rs2, u, target)`` rows plus a ``float64`` column of ``fli`` immediates,
+built in one pass and cached on the program's shared columns.  The
+Python side does all operand shaping — FP register indices rebased,
+integer writes to ``r0``/``None`` sent to a scratch slot nobody reads,
+immediates, shift amounts, ``lui`` values and link addresses
+pre-masked — so each C handler is one statement.  Dispatch is
+direct-threaded (``goto *handler[op]`` at the end of every handler).
 The engine writes the columnar trace event arrays *directly* into
 fixed-size chunks: no per-instruction Python dispatch, no Python-object
 trace, bounded memory on long caps.
 
 Bit-identity with the interpreter is a hard contract, enforced by the
-differential suite in ``tests/test_sim_native.py``:
-identical trace arrays, final registers and memory, retired-instruction
-counts, cap/heartbeat accounting, and ``SimulationError`` context.  The
-re-entry protocol keeps the interpreter's counting exact: the C loop
-returns to Python whenever ``executed`` crosses ``check_limit`` (cap or
-heartbeat boundary), the wrapper emits the interpreter's heartbeat (or
-raises its cap error), then resumes the same instruction with the
-pre-increment count restored.
+differential suites in ``tests/test_sim_native.py``: identical trace
+arrays, final registers and memory, retired-instruction counts,
+cap/heartbeat accounting, and ``SimulationError`` context.  The re-entry
+protocol keeps the interpreter's counting exact: the C loop returns to
+Python whenever ``executed`` crosses ``check_limit`` (cap or heartbeat
+boundary), the wrapper emits the interpreter's heartbeat (or raises its
+cap error), then resumes the same instruction with the pre-increment
+count restored.
 
-Everything degrades gracefully: no C compiler, ``REPRO_NATIVE=off``, or
-a program the translator does not cover (operands outside the register
-file its opcode format implies, oversized statics) simply means the
-engine is unavailable and callers fall back to the interpreter.
-Semantics are identical either way; only the wall time differs.
+Everything degrades gracefully: no C compiler (or one without GNU
+labels-as-values), ``REPRO_NATIVE=off``, or a program outside the
+engine's register-file split (operands outside the file its opcode
+format implies) simply means the engine is unavailable and callers fall
+back to the interpreter.  Semantics are identical either way; only the
+wall time differs.
 """
 
 import ctypes
-import math
 import time
 
 import numpy as np
@@ -43,7 +46,7 @@ from repro.obs.journal import active_journal, emit_event
 from repro.obs.logging import INFO, get_logger
 from repro.obs.metrics import REGISTRY
 from repro.sim import functional as _functional
-from repro.sim.functional import SimulationError, _OP_IDS
+from repro.sim.functional import _M32, _OP_IDS, SimulationError
 from repro.sim.trace import DynamicTrace
 
 _LOG = get_logger("repro.sim")
@@ -53,21 +56,211 @@ _LOG = get_logger("repro.sim")
 #: enough that a streaming consumer's working set stays in cache.
 CHUNK_EVENTS = 1 << 16
 
-#: Static-size ceiling for translation: beyond this the generated
-#: translation unit stops being cheap to compile and the program is not
-#: a corpus kernel or clone anyway.
-MAX_STATIC = 50_000
-
 #: ``ctl`` scratch-array slots shared with the C engine.
 _CTL_PC, _CTL_EXECUTED, _CTL_LIMIT, _CTL_COUNT, _CTL_ERR_OP, \
     _CTL_ERR_ADDR = range(6)
 
-#: Return reasons of the generated ``repro_sim_run``.
+#: Return reasons of ``repro_sim_run``.
 _R_HALT, _R_LIMIT, _R_CHUNK, _R_BADPC, _R_MEMERR = range(5)
 
 #: op id -> opcode name for memory-range error messages.
 _MEM_OP_NAMES = {2: "lw", 3: "sw", 33: "lb", 34: "lbu", 35: "sb",
                  36: "flw", 37: "fsw"}
+
+#: op id -> opcode name (the interpreter's dispatch numbering).
+_OP_NAMES = sorted(_OP_IDS, key=_OP_IDS.get)
+
+#: Integer-file slot that absorbs writes to ``r0`` / no destination.
+_SCRATCH = 32
+
+#: Per opcode format, the register file each of ``(rd, rs1, rs2)``
+#: must name: ``int``, ``fp``, ``dest`` (an integer destination, or
+#: ``None``; ``r0``/``None`` writes are no-ops) or ``None`` (unused).
+#: The engine keeps the files apart (uint32 vs double).
+_OPERANDS = {
+    "r3": ("dest", "int", "int"),
+    "r2i": ("dest", "int", None),
+    "ri": ("dest", None, None),
+    "f3": ("fp", "fp", "fp"),
+    "f2": ("fp", "fp", None),
+    "fcmp": ("dest", "fp", "fp"),
+    "fcvt_wf": ("dest", "fp", None),
+    "fcvt_fw": ("fp", "int", None),
+    "fli": ("fp", None, None),
+    "load": ("dest", "int", None),
+    "fload": ("fp", "int", None),
+    "store": (None, "int", "int"),
+    "fstore": (None, "int", "fp"),
+    "br": (None, "int", "int"),
+    "j": (None, None, None),
+    "jal": ("dest", None, None),
+    "jr": (None, "int", None),
+    "jalr": ("dest", "int", None),
+    "none": (None, None, None),
+}
+
+#: Formats with an integer immediate / a direct branch or jump target.
+_INT_IMM = frozenset({"r2i", "ri", "load", "fload", "store", "fstore"})
+_TARGETED = frozenset({"br", "j", "jal"})
+
+#: Opcodes that run another opcode's handler: a ``j``/``jr`` row is a
+#: ``jal``/``jalr`` whose link write lands in the scratch slot.
+_HANDLER_OF = {"j": "jal", "jr": "jalr"}
+
+_C_SOURCE = r"""
+/* Fixed functional-execution engine: exact port of
+ * repro.sim.functional._run_interp over the int32 program table built
+ * by repro.sim.native._encode (see that module). */
+#include <stdint.h>
+#include <string.h>
+#include <math.h>
+
+typedef struct { int32_t op, rd, rs1, rs2, u, target; } row_t;
+
+#define TEXT_BASE %(text_base)d
+#define R_HALT 0
+#define R_LIMIT 1
+#define R_CHUNK 2
+#define R_BADPC 3
+#define R_MEMERR 4
+
+/* Enter the instruction at pc and jump straight to its handler
+ * (repeated at the end of every handler).  One compare covers the
+ * chunk-full and cap/heartbeat checks: n and executed rise together, so
+ * a full chunk is executed passing executed0 + cap.  Falling off the end
+ * lands on the sentinel row at n_instrs; jr/jalr check their own pc. */
+#define NEXT \
+    r = code + pc; \
+    if (++executed > stop) goto stopped; \
+    goto *handler[r->op];
+
+#define TR(A, T) \
+    t_pcs[n] = (int32_t)pc; t_addrs[n] = (A); t_taken[n] = (T); n++;
+#define PLAIN TR(-1, -1) pc++; NEXT
+#define BRANCH(COND) \
+    { int8_t t = (COND); TR(-1, t) pc = t ? r->target : pc + 1; } NEXT
+#define ADDR(SIZE) \
+    uint32_t a = ir[r->rs1] + U; \
+    if ((int64_t)a + (SIZE) > mem_size) { \
+        ctl[4] = r->op; ctl[5] = a; reason = R_MEMERR; goto out; }
+#define MEMDONE TR((int64_t)a, -1) pc++; NEXT
+
+#define U ((uint32_t)r->u)
+#define RD ir[r->rd]
+#define R1 ir[r->rs1]
+#define R2 ir[r->rs2]
+#define S1 ((int64_t)(int32_t)ir[r->rs1])
+#define S2 ((int64_t)(int32_t)ir[r->rs2])
+#define FD fr[r->rd]
+#define F1 fr[r->rs1]
+#define F2 fr[r->rs2]
+
+/* fcvtws: NaN and +-inf give 0; finite values truncate toward zero and
+ * wrap mod 2^32.  No out-of-range cast: fmod keeps t in (-2^32, 2^32). */
+static uint32_t cvt_w(double v)
+{
+    if (!isfinite(v))
+        return 0u;
+    double t = fmod(trunc(v), 4294967296.0);
+    return (uint32_t)(t < 0.0 ? t + 4294967296.0 : t);
+}
+
+int64_t repro_sim_run(const row_t *code, const double *fimm,
+                      int64_t n_instrs, uint32_t *ir, double *fr,
+                      uint8_t *mem, int64_t mem_size, int64_t *ctl,
+                      int32_t *t_pcs, int64_t *t_addrs, int8_t *t_taken,
+                      int64_t cap)
+{
+    static void *const handler[] = { %(handlers)s };
+    int64_t pc = ctl[0], executed = ctl[1], check_limit = ctl[2];
+    int64_t stop = executed + cap < check_limit ? executed + cap
+                                                : check_limit;
+    int64_t n = 0, reason;
+    const row_t *r;
+
+    if ((uint64_t)pc >= (uint64_t)n_instrs) { reason = R_BADPC; goto out; }
+    NEXT
+op_addi: RD = R1 + U; PLAIN
+op_add: RD = R1 + R2; PLAIN
+op_sub: RD = R1 - R2; PLAIN
+op_and: RD = R1 & R2; PLAIN
+op_or: RD = R1 | R2; PLAIN
+op_xor: RD = R1 ^ R2; PLAIN
+op_nor: RD = ~(R1 | R2); PLAIN
+op_sll: RD = R1 << (R2 & 31); PLAIN
+op_srl: RD = R1 >> (R2 & 31); PLAIN
+op_sra: RD = (uint32_t)(S1 >> (R2 & 31)); PLAIN
+op_slt: RD = S1 < S2; PLAIN
+op_sltu: RD = R1 < R2; PLAIN
+op_andi: RD = R1 & U; PLAIN
+op_ori: RD = R1 | U; PLAIN
+op_xori: RD = R1 ^ U; PLAIN
+op_slli: RD = R1 << U; PLAIN
+op_srli: RD = R1 >> U; PLAIN
+op_srai: RD = (uint32_t)(S1 >> U); PLAIN
+op_slti: RD = S1 < r->u; PLAIN
+op_sltiu: RD = R1 < U; PLAIN
+op_lui: RD = U; PLAIN
+op_mul: RD = (uint32_t)(S1 * S2); PLAIN
+op_mulh: RD = (uint32_t)((S1 * S2) >> 32); PLAIN
+op_div: RD = (uint32_t)(S2 ? S1 / S2 : 0); PLAIN
+op_rem: RD = (uint32_t)(S2 ? S1 %% S2 : 0); PLAIN
+op_divu: RD = R2 ? R1 / R2 : 0u; PLAIN
+op_remu: RD = R2 ? R1 %% R2 : 0u; PLAIN
+op_beq: BRANCH(R1 == R2)
+op_bne: BRANCH(R1 != R2)
+op_blt: BRANCH(S1 < S2)
+op_bge: BRANCH(S1 >= S2)
+op_bltu: BRANCH(R1 < R2)
+op_bgeu: BRANCH(R1 >= R2)
+op_lw: { ADDR(4) uint32_t v; memcpy(&v, mem + a, 4); RD = v; MEMDONE }
+op_lb: { ADDR(1) RD = (uint32_t)(int32_t)(int8_t)mem[a]; MEMDONE }
+op_lbu: { ADDR(1) RD = mem[a]; MEMDONE }
+op_sw: { ADDR(4) uint32_t v = R2; memcpy(mem + a, &v, 4); MEMDONE }
+op_sb: { ADDR(1) mem[a] = (uint8_t)R2; MEMDONE }
+op_flw: { ADDR(8) memcpy(&FD, mem + a, 8); MEMDONE }
+op_fsw: { ADDR(8) memcpy(mem + a, &F2, 8); MEMDONE }
+op_jal: RD = U; TR(-1, -1) pc = r->target; NEXT
+op_jalr: { int64_t ret = R1; RD = U; TR(-1, -1)
+           pc = (ret - TEXT_BASE) >> 2; }
+    if ((uint64_t)pc >= (uint64_t)n_instrs) { reason = R_BADPC; goto out; }
+    NEXT
+op_fadd: FD = F1 + F2; PLAIN
+op_fsub: FD = F1 - F2; PLAIN
+op_fmul: FD = F1 * F2; PLAIN
+op_fdiv: FD = (F2 != 0.0) ? F1 / F2 : 0.0; PLAIN
+op_fsqrt: FD = (F1 > 0.0) ? sqrt(F1) : 0.0; PLAIN
+op_fneg: FD = -F1; PLAIN
+op_fabs: FD = fabs(F1); PLAIN
+op_fmv: FD = F1; PLAIN
+op_fmin: { double a = F1, b = F2; FD = (b < a) ? b : a; } PLAIN
+op_fmax: { double a = F1, b = F2; FD = (b > a) ? b : a; } PLAIN
+op_feq: RD = F1 == F2; PLAIN
+op_flt: RD = F1 < F2; PLAIN
+op_fle: RD = F1 <= F2; PLAIN
+op_fcvtws: RD = cvt_w(F1); PLAIN
+op_fcvtsw: FD = (double)S1; PLAIN
+op_fli: FD = fimm[pc]; PLAIN
+op_halt: TR(-1, -1) reason = R_HALT; goto out;
+/* The interpreter checks pc before counting and a full chunk stops
+ * before counting: undo the increment for both. */
+stopped:
+    if (pc == n_instrs || n >= cap) {
+        executed--;
+        reason = pc == n_instrs ? R_BADPC : R_CHUNK;
+        goto out;
+    }
+    reason = R_LIMIT; goto out;
+op_end: executed--; reason = R_BADPC;
+out:
+    ctl[0] = pc; ctl[1] = executed; ctl[3] = n;
+    return reason;
+}
+""" % {
+    "text_base": TEXT_BASE,
+    "handlers": ", ".join(f"&&op_{_HANDLER_OF.get(name, name)}"
+                          for name in [*_OP_NAMES, "end"]),
+}
 
 _U32P = ctypes.POINTER(ctypes.c_uint32)
 _F64P = ctypes.POINTER(ctypes.c_double)
@@ -75,6 +268,9 @@ _U8P = ctypes.POINTER(ctypes.c_uint8)
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I8P = ctypes.POINTER(ctypes.c_int8)
+
+#: The loaded ``repro_sim_run`` (``False`` once loading failed).
+_ENGINE = None
 
 
 # ----------------------------------------------------------------------
@@ -86,89 +282,52 @@ def available():
 
 
 def reset():
-    """Forget the toolchain probe (tests toggling REPRO_NATIVE / cc)."""
+    """Forget the toolchain probe and the loaded engine (tests toggling
+    REPRO_NATIVE / cc)."""
+    global _ENGINE
+    _ENGINE = None
     toolchain.reset()
 
 
-def _is_int(reg):
-    return reg is not None and 0 <= reg < 32
-
-
-def _is_fp(reg):
-    return reg is not None and 32 <= reg < 64
-
-
-def _int_dest(reg):
-    """Guarded integer destination: ``None`` and ``r0`` are no-ops."""
-    return reg is None or 0 <= reg < 32
+def _operand_ok(kind, reg):
+    if kind is None:
+        return True
+    if kind == "dest" and reg is None:
+        return True
+    low = 32 if kind == "fp" else 0
+    return reg is not None and low <= reg < low + 32
 
 
 def _translatable(program):
-    """Whether the translator covers every instruction of ``program``.
+    """Whether the engine covers every instruction of ``program``.
 
     The interpreter dispatches on the opcode and trusts operand fields
-    to be in the register file the format implies; the C engine bakes
-    the file split (uint32 vs double) into the generated code, so a
-    hand-built program that mixes files is simply not translated.
+    to be in the register file the format implies; a hand-built program
+    that mixes files (or carries a non-integer immediate, or a target
+    outside the program) is simply not run natively.
     """
     instructions = program.instructions
     n = len(instructions)
-    if n == 0 or n > MAX_STATIC:
+    if n == 0:
         return False
     for instr in instructions:
-        op_id = _OP_IDS.get(instr.opcode)
-        if op_id is None:
+        if instr.opcode not in _OP_IDS:
             return False
         fmt = OPCODES[instr.opcode].fmt
-        rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
+        kinds = _OPERANDS.get(fmt)
+        if kinds is None or not all(
+                _operand_ok(kind, reg) for kind, reg
+                in zip(kinds, (instr.rd, instr.rs1, instr.rs2))):
+            return False
         imm, target = instr.imm, instr.target
-        in_range = target is not None and 0 <= target < n
-        if fmt == "r3":
-            ok = _int_dest(rd) and _is_int(rs1) and _is_int(rs2)
-        elif fmt == "r2i":
-            ok = (_int_dest(rd) and _is_int(rs1)
-                  and isinstance(imm, int))
-            if ok and instr.opcode == "slti":
-                # slti compares the raw (unmasked) immediate.
-                ok = -(1 << 31) <= imm < (1 << 31)
-        elif fmt == "ri":
-            ok = _int_dest(rd) and isinstance(imm, int)
-        elif fmt == "f3":
-            ok = _is_fp(rd) and _is_fp(rs1) and _is_fp(rs2)
-        elif fmt == "f2":
-            ok = _is_fp(rd) and _is_fp(rs1)
-        elif fmt == "fcmp":
-            ok = _int_dest(rd) and _is_fp(rs1) and _is_fp(rs2)
-        elif fmt == "fcvt_wf":
-            ok = _int_dest(rd) and _is_fp(rs1)
-        elif fmt == "fcvt_fw":
-            ok = _is_fp(rd) and _is_int(rs1)
-        elif fmt == "fli":
-            ok = _is_fp(rd) and isinstance(imm, (int, float))
-        elif fmt == "load":
-            ok = (_int_dest(rd) and _is_int(rs1)
-                  and isinstance(imm, int))
-        elif fmt == "fload":
-            ok = _is_fp(rd) and _is_int(rs1) and isinstance(imm, int)
-        elif fmt == "store":
-            ok = _is_int(rs1) and _is_int(rs2) and isinstance(imm, int)
-        elif fmt == "fstore":
-            ok = _is_int(rs1) and _is_fp(rs2) and isinstance(imm, int)
-        elif fmt == "br":
-            ok = _is_int(rs1) and _is_int(rs2) and in_range
-        elif fmt == "j":
-            ok = in_range
-        elif fmt == "jal":
-            ok = _int_dest(rd) and in_range
-        elif fmt == "jr":
-            ok = _is_int(rs1)
-        elif fmt == "jalr":
-            ok = _int_dest(rd) and _is_int(rs1)
-        elif fmt == "none":
-            ok = True
-        else:
-            ok = False
-        if not ok:
+        if fmt in _INT_IMM and not isinstance(imm, int):
+            return False
+        if fmt == "fli" and not isinstance(imm, (int, float)):
+            return False
+        # slti compares the raw (unmasked) immediate.
+        if instr.opcode == "slti" and not -(1 << 31) <= imm < (1 << 31):
+            return False
+        if fmt in _TARGETED and (target is None or not 0 <= target < n):
             return False
     return True
 
@@ -187,348 +346,85 @@ def translatable(program):
 
 def usable(program):
     """Cheap resolution gate: gated on, toolchain probed, program
-    translatable.  No program compile is attempted here — that happens
-    lazily on first run (and a failed compile falls back to the
-    interpreter)."""
+    translatable.  The engine library itself is built lazily on first
+    run (and a failed build falls back to the interpreter)."""
     return available() and translatable(program)
 
 
 # ----------------------------------------------------------------------
-# Code generation
+# Engine and program tables
 # ----------------------------------------------------------------------
-def _double_literal(value):
-    value = float(value)
-    if math.isnan(value):
-        return "NAN"
-    if math.isinf(value):
-        return "-INFINITY" if value < 0 else "INFINITY"
-    return value.hex()
-
-
-def _immu(imm):
-    return f"{imm & 0xFFFFFFFF}u"
-
-
-def _goto(next_pc, n_instrs):
-    if next_pc < n_instrs:
-        return f"goto I{next_pc};"
-    return f"{{ pc = {next_pc}; reason = 3; goto out; }}"
-
-
-#: Unsigned register-register expression templates (C mirrors of the
-#: interpreter arms; uint32 arithmetic wraps exactly like ``& _M32``).
-_R3_EXPRS = {
-    1: "ir[{a}] + ir[{b}]",                     # add
-    8: "ir[{a}] - ir[{b}]",                     # sub
-    9: "ir[{a}] & ir[{b}]",                     # and
-    10: "ir[{a}] | ir[{b}]",                    # or
-    11: "ir[{a}] ^ ir[{b}]",                    # xor
-    12: "ir[{a}] << (ir[{b}] & 31)",            # sll
-    13: "ir[{a}] >> (ir[{b}] & 31)",            # srl
-    14: "(uint32_t)((int64_t)(int32_t)ir[{a}] >> (ir[{b}] & 31))",  # sra
-    15: "((int32_t)ir[{a}] < (int32_t)ir[{b}])",  # slt
-    16: "(ir[{a}] < ir[{b}])",                  # sltu
-    26: "~(ir[{a}] | ir[{b}])",                 # nor
-    27: ("(uint32_t)((int64_t)(int32_t)ir[{a}]"
-         " * (int64_t)(int32_t)ir[{b}])"),      # mul
-    28: ("(uint32_t)(((int64_t)(int32_t)ir[{a}]"
-         " * (int64_t)(int32_t)ir[{b}]) >> 32)"),  # mulh
-}
-
-#: Register-immediate expression templates ({i} is the masked
-#: immediate, {s} the shift amount, {r} the raw int32 immediate).
-_R2I_EXPRS = {
-    0: "ir[{a}] + {i}",                         # addi
-    17: "ir[{a}] & {i}",                        # andi
-    18: "ir[{a}] | {i}",                        # ori
-    19: "ir[{a}] ^ {i}",                        # xori
-    20: "ir[{a}] << {s}",                       # slli
-    21: "ir[{a}] >> {s}",                       # srli
-    22: "(uint32_t)((int64_t)(int32_t)ir[{a}] >> {s})",  # srai
-    23: "((int32_t)ir[{a}] < (int32_t){i})",    # slti
-    24: "(ir[{a}] < {i})",                      # sltiu
-}
-
-#: Conditional-branch condition expressions.
-_BRANCH_EXPRS = {
-    4: "(ir[{a}] == ir[{b}])",                  # beq
-    5: "(ir[{a}] != ir[{b}])",                  # bne
-    6: "((int32_t)ir[{a}] < (int32_t)ir[{b}])",    # blt
-    7: "((int32_t)ir[{a}] >= (int32_t)ir[{b}])",   # bge
-    38: "(ir[{a}] < ir[{b}])",                  # bltu
-    39: "(ir[{a}] >= ir[{b}])",                 # bgeu
-}
-
-#: FP expression templates over ``fr`` (indices already rebased).
-_FP_EXPRS = {
-    44: "fr[{a}] + fr[{b}]",                    # fadd
-    45: "fr[{a}] - fr[{b}]",                    # fsub
-    46: "fr[{a}] * fr[{b}]",                    # fmul
-    49: "-fr[{a}]",                             # fneg
-    50: "fabs(fr[{a}])",                        # fabs
-    51: "fr[{a}]",                              # fmv
-}
-
-#: FP comparisons writing a guarded integer destination.
-_FCMP_EXPRS = {
-    54: "(fr[{a}] == fr[{b}])",                 # feq
-    55: "(fr[{a}] < fr[{b}])",                  # flt
-    56: "(fr[{a}] <= fr[{b}])",                 # fle
-}
-
-
-def _emit_instruction(pc, decoded, n_instrs, lines):
-    """Emit the labelled C statement(s) for one static instruction."""
-    op_id, rd, rs1, rs2, imm, target = decoded
-    wr = rd is not None and rd != 0  # guarded integer destination live?
-    emit = lines.append
-    emit(f"I{pc}:")
-    emit(f"    STEP({pc})")
-    plain = f"    TR({pc}, -1, -1)"
-    fall = f"    {_goto(pc + 1, n_instrs)}"
-
-    if op_id in _R3_EXPRS:
-        if wr:
-            expr = _R3_EXPRS[op_id].format(a=rs1, b=rs2)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id in _R2I_EXPRS:
-        if wr:
-            expr = _R2I_EXPRS[op_id].format(
-                a=rs1, i=_immu(imm), s=imm & 31)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 25:  # lui
-        if wr:
-            emit(f"    ir[{rd}] = {_immu(imm << 16)};")
-        emit(plain)
-        emit(fall)
-    elif op_id in (29, 31):  # div / rem (int64 avoids INT_MIN/-1 UB)
-        if wr:
-            c_op = "/" if op_id == 29 else "%"
-            emit(f"    {{ int64_t a = (int32_t)ir[{rs1}], "
-                 f"b = (int32_t)ir[{rs2}];")
-            emit(f"      ir[{rd}] = (uint32_t)(b ? a {c_op} b : 0); }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in (30, 32):  # divu / remu
-        if wr:
-            c_op = "/" if op_id == 30 else "%"
-            emit(f"    {{ uint32_t b = ir[{rs2}];")
-            emit(f"      ir[{rd}] = b ? ir[{rs1}] {c_op} b : 0u; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in _BRANCH_EXPRS:
-        cond = _BRANCH_EXPRS[op_id].format(a=rs1, b=rs2)
-        emit(f"    {{ int8_t t = {cond};")
-        emit(f"      TR({pc}, -1, t)")
-        emit(f"      if (t) goto I{target}; }}")
-        emit(fall)
-    elif op_id in (2, 33, 34):  # lw / lb / lbu
-        bound = ("(int64_t)a + 4 > mem_size" if op_id == 2
-                 else "(int64_t)a >= mem_size")
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ({bound}) MEMERR({pc}, {op_id}, a)")
-        if wr:
-            if op_id == 2:
-                emit("      { uint32_t v; memcpy(&v, mem + a, 4); "
-                     f"ir[{rd}] = v; }}")
-            elif op_id == 33:
-                emit(f"      ir[{rd}] = "
-                     "(uint32_t)(int32_t)(int8_t)mem[a];")
-            else:
-                emit(f"      ir[{rd}] = mem[a];")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id in (3, 35):  # sw / sb
-        bound = ("(int64_t)a + 4 > mem_size" if op_id == 3
-                 else "(int64_t)a >= mem_size")
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ({bound}) MEMERR({pc}, {op_id}, a)")
-        if op_id == 3:
-            emit(f"      {{ uint32_t v = ir[{rs2}]; "
-                 "memcpy(mem + a, &v, 4); }")
-        else:
-            emit(f"      mem[a] = (uint8_t)ir[{rs2}];")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 36:  # flw
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ((int64_t)a + 8 > mem_size) MEMERR({pc}, 36, a)")
-        emit("      { double v; memcpy(&v, mem + a, 8); "
-             f"fr[{rd - 32}] = v; }}")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 37:  # fsw
-        emit(f"    {{ uint32_t a = ir[{rs1}] + {_immu(imm)};")
-        emit(f"      if ((int64_t)a + 8 > mem_size) MEMERR({pc}, 37, a)")
-        emit(f"      {{ double v = fr[{rs2 - 32}]; "
-             "memcpy(mem + a, &v, 8); }")
-        emit(f"      TR({pc}, (int64_t)a, -1) }}")
-        emit(fall)
-    elif op_id == 40:  # j
-        emit(plain)
-        emit(f"    goto I{target};")
-    elif op_id == 41:  # jal
-        if wr:
-            emit(f"    ir[{rd}] = {_immu(TEXT_BASE + 4 * (pc + 1))};")
-        emit(plain)
-        emit(f"    goto I{target};")
-    elif op_id in (42, 43):  # jr / jalr (rs1 read precedes link write)
-        emit(f"    {{ int64_t ret = (int64_t)ir[{rs1}];")
-        if op_id == 43 and wr:
-            emit(f"      ir[{rd}] = {_immu(TEXT_BASE + 4 * (pc + 1))};")
-        emit(f"      TR({pc}, -1, -1)")
-        emit(f"      pc = (ret - {TEXT_BASE}) >> 2; goto dispatch; }}")
-    elif op_id in _FP_EXPRS:
-        expr = _FP_EXPRS[op_id].format(
-            a=rs1 - 32, b=(rs2 - 32) if rs2 is not None else None)
-        emit(f"    fr[{rd - 32}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 47:  # fdiv
-        emit(f"    {{ double b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b != 0.0) "
-             f"? fr[{rs1 - 32}] / b : 0.0; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 48:  # fsqrt
-        emit(f"    {{ double v = fr[{rs1 - 32}];")
-        emit(f"      fr[{rd - 32}] = (v > 0.0) ? sqrt(v) : 0.0; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 52:  # fmin (Python min: b if b < a else a)
-        emit(f"    {{ double a = fr[{rs1 - 32}], b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b < a) ? b : a; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id == 53:  # fmax
-        emit(f"    {{ double a = fr[{rs1 - 32}], b = fr[{rs2 - 32}];")
-        emit(f"      fr[{rd - 32}] = (b > a) ? b : a; }}")
-        emit(plain)
-        emit(fall)
-    elif op_id in _FCMP_EXPRS:
-        if wr:
-            expr = _FCMP_EXPRS[op_id].format(a=rs1 - 32, b=rs2 - 32)
-            emit(f"    ir[{rd}] = {expr};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 57:  # fcvtws (truncate toward zero, like int())
-        if wr:
-            emit(f"    ir[{rd}] = (uint32_t)(int64_t)fr[{rs1 - 32}];")
-        emit(plain)
-        emit(fall)
-    elif op_id == 58:  # fcvtsw
-        emit(f"    fr[{rd - 32}] = (double)(int32_t)ir[{rs1}];")
-        emit(plain)
-        emit(fall)
-    elif op_id == 59:  # fli
-        emit(f"    fr[{rd - 32}] = {_double_literal(imm)};")
-        emit(plain)
-        emit(fall)
-    elif op_id == 60:  # halt
-        emit(plain)
-        emit(f"    pc = {pc}; reason = 0; goto out;")
-    else:  # unreachable behind _translatable
-        raise SimulationError(f"bad op id {op_id}")
-
-
-def generate_source(program):
-    """The full C translation unit for ``program``."""
-    columns = columns_for(program)
-    decoded = columns.derived.get("functional_decode")
-    if decoded is None:
-        from repro.sim.functional import FunctionalSimulator
-        FunctionalSimulator(program)  # populates the decode cache
-        decoded = columns.derived["functional_decode"]
-    n_instrs = len(decoded)
-    lines = [
-        "/* Generated functional-execution engine: exact port of",
-        " * repro.sim.functional._run_interp for one program's decoded",
-        " * instructions (see repro/sim/native.py). */",
-        "#include <stdint.h>",
-        "#include <string.h>",
-        "#include <math.h>",
-        "",
-        "#define STEP(PC) \\",
-        "    if (n >= cap) { pc = PC; reason = 2; goto out; } \\",
-        "    executed++; \\",
-        "    if (executed > check_limit) "
-        "{ pc = PC; reason = 1; goto out; }",
-        "",
-        "#define TR(PC, A, T) \\",
-        "    t_pcs[n] = PC; t_addrs[n] = (A); t_taken[n] = (T); n++;",
-        "",
-        "#define MEMERR(PC, OP, A) \\",
-        "    { pc = PC; ctl[4] = OP; ctl[5] = (int64_t)(A); \\",
-        "      reason = 4; goto out; }",
-        "",
-        "int64_t repro_sim_run(uint32_t *ir, double *fr, uint8_t *mem,",
-        "                      int64_t mem_size, int64_t *ctl,",
-        "                      int32_t *t_pcs, int64_t *t_addrs,",
-        "                      int8_t *t_taken, int64_t cap)",
-        "{",
-        "    int64_t pc = ctl[0];",
-        "    int64_t executed = ctl[1];",
-        "    int64_t check_limit = ctl[2];",
-        "    int64_t n = 0;",
-        "    int64_t reason;",
-        "",
-        "dispatch:",
-        "    switch (pc) {",
-    ]
-    for pc in range(n_instrs):
-        lines.append(f"    case {pc}: goto I{pc};")
-    lines.append("    default: reason = 3; goto out;")
-    lines.append("    }")
-    lines.append("")
-    for pc, entry in enumerate(decoded):
-        _emit_instruction(pc, entry, n_instrs, lines)
-    lines.extend([
-        "",
-        "out:",
-        "    ctl[0] = pc; ctl[1] = executed; ctl[3] = n;",
-        "    return reason;",
-        "}",
-    ])
-    return "\n".join(lines) + "\n"
-
-
-def engine_for(program):
-    """The compiled ctypes entry point for ``program``, or ``None``.
-
-    Compiles lazily on first use; the loaded library and prepared
-    function are cached on the program's shared columns, the ``.so``
-    itself in the content-addressed toolchain cache (so one compile per
-    program content per machine, ever).
-    """
-    if not usable(program):
-        return None
-    columns = columns_for(program)
-    cached = columns.derived.get("native_sim")
-    if cached is None:
-        cached = False
-        library = toolchain.load_library(generate_source(program),
-                                         "simfunc")
+def _load():
+    """The ctypes ``repro_sim_run``, compiling the library on first use."""
+    global _ENGINE
+    if _ENGINE is None:
+        _ENGINE = False
+        library = toolchain.load_library(_C_SOURCE, "simfunc")
         if library is not None:
             run = library.repro_sim_run
             run.restype = ctypes.c_int64
             run.argtypes = [
-                _U32P, _F64P, _U8P, ctypes.c_int64, _I64P,
-                _I32P, _I64P, _I8P, ctypes.c_int64,
+                _I32P, _F64P, ctypes.c_int64, _U32P, _F64P, _U8P,
+                ctypes.c_int64, _I64P, _I32P, _I64P, _I8P, ctypes.c_int64,
             ]
-            cached = (library, run)
-        columns.derived["native_sim"] = cached
-    return cached[1] if cached else None
+            run.library = library  # keep the dlopen handle alive
+            _ENGINE = run
+    return _ENGINE or None
+
+
+def engine_for(program):
+    """The engine entry point when it can run ``program``, else ``None``."""
+    if not usable(program):
+        return None
+    return _load()
+
+
+def _encode(decoded):
+    """The engine's ``(code, fimm)`` table from the interpreter's decode
+    rows ``(op_id, rd, rs1, rs2, imm, target)``, in one pass, plus the
+    sentinel row that falling off the end lands on."""
+    rows = []
+    fimm = np.zeros(len(decoded), dtype=np.float64)
+    for pc, (op_id, rd, rs1, rs2, imm, target) in enumerate(decoded):
+        name = _OP_NAMES[op_id]
+        fmt = OPCODES[name].fmt
+        kinds = _OPERANDS[fmt]
+        rd = rd - 32 if kinds[0] == "fp" else (rd or _SCRATCH)
+        rs1 = rs1 - 32 if kinds[1] == "fp" else (rs1 or 0)
+        rs2 = rs2 - 32 if kinds[2] == "fp" else (rs2 or 0)
+        if name in ("slli", "srli", "srai"):
+            u = imm & 31
+        elif name == "lui":
+            u = imm << 16
+        elif fmt in _INT_IMM:
+            u = imm
+        elif fmt in ("j", "jal", "jr", "jalr"):
+            u = TEXT_BASE + 4 * (pc + 1)  # the link address
+        else:
+            u = 0
+        if fmt == "fli":
+            fimm[pc] = imm
+        rows.append((op_id, rd, rs1, rs2, u & _M32, target or 0))
+    rows.append((len(_OP_NAMES), 0, 0, 0, 0, 0))
+    code = np.array(rows, dtype=np.int64).astype(np.uint32).view(np.int32)
+    return code, fimm
+
+
+def _table(simulator):
+    """``simulator``'s program table, cached on the shared columns."""
+    columns = columns_for(simulator.program)
+    table = columns.derived.get("native_sim_table")
+    if table is None:
+        table = _encode(simulator._decoded)
+        columns.derived["native_sim_table"] = table
+    return table
 
 
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 def _drive(simulator, max_instructions, sink, chunk_events=CHUNK_EVENTS):
-    """Run the compiled engine to completion, streaming trace chunks.
+    """Run the engine to completion, streaming trace chunks.
 
     ``sink`` (if given) receives ``(pcs, addrs, taken)`` numpy views
     per chunk, valid only until the next resume.  Replicates the
@@ -540,16 +436,18 @@ def _drive(simulator, max_instructions, sink, chunk_events=CHUNK_EVENTS):
     if run is None:
         raise SimulationError(
             f"native backend unavailable for {program.name}")
+    code, fimm = _table(simulator)
     regs = simulator.regs
     memory = simulator.memory
-    ir = np.array(regs[:32], dtype=np.uint32)
+    ir = np.array(regs[:32] + [0], dtype=np.uint32)  # + the scratch slot
     fr = np.array([float(value) for value in regs[32:]], dtype=np.float64)
     mem_view = np.frombuffer(memory.data, dtype=np.uint8)
     t_pcs = np.empty(chunk_events, dtype=np.int32)
     t_addrs = np.empty(chunk_events, dtype=np.int64)
     t_taken = np.empty(chunk_events, dtype=np.int8)
     ctl = np.zeros(6, dtype=np.int64)
-    args = (ir.ctypes.data_as(_U32P), fr.ctypes.data_as(_F64P),
+    args = (code.ctypes.data_as(_I32P), fimm.ctypes.data_as(_F64P),
+            len(fimm), ir.ctypes.data_as(_U32P), fr.ctypes.data_as(_F64P),
             mem_view.ctypes.data_as(_U8P), memory.size,
             ctl.ctypes.data_as(_I64P), t_pcs.ctypes.data_as(_I32P),
             t_addrs.ctypes.data_as(_I64P), t_taken.ctypes.data_as(_I8P),
@@ -568,8 +466,8 @@ def _drive(simulator, max_instructions, sink, chunk_events=CHUNK_EVENTS):
     ctl[_CTL_LIMIT] = min(max_instructions, next_heartbeat - 1)
 
     def sync_regs():
-        regs[:32] = [int(value) for value in ir]
-        regs[32:] = [float(value) for value in fr]
+        regs[:32] = ir[:32].tolist()
+        regs[32:] = fr.tolist()
 
     while True:
         reason = run(*args)
