@@ -1,11 +1,8 @@
-"""Trace-acquisition throughput: native C engine vs the interpreter,
-plus streamed vs materialized digest construction.
+"""Trace-acquisition throughput: native C engine vs the interpreter.
 
 Every timed pair doubles as an equality assertion — the native trace
-must be bit-identical to the interpreter's (arrays, registers, memory),
-and the streamed digest must agree with the materialized one on the
-content digest — so the recorded speedups are guaranteed to be
-numerics-preserving.
+must be bit-identical to the interpreter's (arrays, registers, memory)
+— so the recorded speedups are guaranteed to be numerics-preserving.
 
 The floor asserted here is the acquisition engine's contract: the
 native tier must stay at least 10x over the interpreter in geomean
@@ -31,7 +28,6 @@ from repro.obs.journal import emit_event
 from repro.obs.timing import TRACER
 from repro.sim import FunctionalSimulator
 from repro.sim import native
-from repro.uarch.sweep import StreamingDigestBuilder, trace_digest
 from repro.workloads import build_workload, workload_names
 
 from _shared import emit, maybe_journal, run_once
@@ -106,48 +102,12 @@ def _acquisition_rows(names):
     return rows
 
 
-def _digest_rows(names):
-    """Streamed digest (native chunks, no trace) vs materialized."""
-    rows = []
-    for index, name in enumerate(names):
-        with TRACER.span("bench.digest", kernel=name):
-            program = build_workload(name)
-            _, trace, _ = _timed_run(program, "native")  # warm engine
-
-            start = time.perf_counter()
-            materialized_trace = FunctionalSimulator(
-                program, backend="native").run(
-                    max_instructions=FUNCTIONAL_CAP, trace=True)
-            materialized = trace_digest(materialized_trace, store=None)
-            materialized_s = time.perf_counter() - start
-
-            start = time.perf_counter()
-            builder = StreamingDigestBuilder(program)
-            native.stream_trace(
-                FunctionalSimulator(program, backend="native"),
-                FUNCTIONAL_CAP, builder.feed)
-            streamed = builder.finish()
-            streamed_s = time.perf_counter() - start
-
-            assert streamed.trace.content_digest() \
-                == materialized.trace.content_digest()
-            rows.append([name, len(trace),
-                         materialized_s * 1e3, streamed_s * 1e3,
-                         materialized_s / streamed_s])
-        emit_event("progress", done=index + 1, total=len(names),
-                   unit="digest kernels", label=name)
-    return rows
-
-
 def _measure(names):
     acquisition_rows = _acquisition_rows(names)
-    digest_rows = _digest_rows(names)
     return {
         "acquisition_rows": acquisition_rows,
-        "digest_rows": digest_rows,
         "geomean_vs_interp": _geomean(
             [row[5] for row in acquisition_rows]),
-        "digest_geomean": _geomean([row[4] for row in digest_rows]),
     }
 
 
@@ -159,13 +119,7 @@ def _render(data):
          "native MIPS", "vs interp"],
         data["acquisition_rows"], float_format="{:.2f}")
     text += (f"\n  geomean speedup: "
-             f"{data['geomean_vs_interp']:.2f}x over interp\n")
-    text += "\nsweep digest construction (materialized vs streamed):\n"
-    text += format_table(
-        ["kernel", "instructions", "materialized ms", "streamed ms",
-         "speedup"],
-        data["digest_rows"], float_format="{:.2f}")
-    text += f"\n  geomean speedup: {data['digest_geomean']:.2f}x"
+             f"{data['geomean_vs_interp']:.2f}x over interp")
     return text
 
 

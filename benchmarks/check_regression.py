@@ -41,7 +41,6 @@ SPECS = {
     ],
     "trace_acquisition": [
         ("acquisition_rows", {5: "vs_interp"}),
-        ("digest_rows", {4: "streamed"}),
     ],
     "incremental_resim": [
         ("grid_rows", {4: "cold"}),

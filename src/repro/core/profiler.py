@@ -642,14 +642,16 @@ def profile_trace(trace, **kwargs):
 def profile_program(program, max_instructions=50_000_000, **kwargs):
     """Execute ``program`` functionally, then profile its trace.
 
-    When the native engine can take the program, execution streams
-    columnar chunks straight into a :class:`ChunkedWorkloadProfiler`
-    and the full trace is never materialized; the resulting profile is
-    bit-identical either way.
+    When the backend resolves to ``native`` (see
+    :func:`repro.sim.functional.resolve_backend`) and the engine can
+    take the program, execution streams columnar chunks straight into a
+    :class:`ChunkedWorkloadProfiler` and the full trace is never
+    materialized; the resulting profile is bit-identical either way.
     """
     from repro.sim import native
-    from repro.sim.functional import FunctionalSimulator
-    if native.engine_for(program) is not None:
+    from repro.sim.functional import FunctionalSimulator, resolve_backend
+    if (resolve_backend(None, program) == "native"
+            and native.engine_for(program) is not None):
         with span("sim.run", program=program.name, backend="native"):
             profiler = ChunkedWorkloadProfiler(program, **kwargs)
             simulator = FunctionalSimulator(program, backend="native")

@@ -44,14 +44,12 @@ from repro.exec.store import default_store
 from repro.fleet.queue import FleetQueue, _pid_alive
 from repro.fleet.recipe import recipe_from_dict
 from repro.fleet.scheduler import build_shards, steal_candidates
-from repro.isa.assembler import assemble
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
 from repro.obs.timing import TRACER
-from repro.sim.functional import resolve_backend
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
-from repro.uarch.sweep import acquire_trace_digest, bank_store_keys
+from repro.uarch.sweep import bank_store_keys
 from repro.workloads import get_workload
 
 _LOG = get_logger("repro.fleet.worker")
@@ -146,15 +144,6 @@ class FleetWorker:
             parameters = SynthesisParameters(seed=cell.seed)
             return pipeline_artifacts(cell.kernel, source, parameters,
                                       max_instructions=cap).clone_trace
-        program = assemble(source, name=cell.kernel)
-        if resolve_backend(None, program) == "native":
-            # Default acquisition path: the native engine streams
-            # columnar chunks straight into the sweep digest, so the
-            # full trace is never materialized (and re-simulation is
-            # cheaper than an .npz round-trip).  The returned TraceRef
-            # carries the finished digest for the session's sweeps.
-            return acquire_trace_digest(program,
-                                        max_instructions=cap).trace
         return trace_artifacts(cell.kernel, source,
                                max_instructions=cap).trace
 

@@ -43,46 +43,6 @@ def _column_bytes(array):
     return array.tobytes()
 
 
-def combine_column_digests(pcs_hex, addrs_hex, taken_hex):
-    """Fold three per-column sha256 hexdigests into one trace digest.
-
-    The per-column structure is what lets a streaming producer hash
-    fixed-size chunks as they appear (one running hasher per column)
-    and still agree exactly with :meth:`DynamicTrace.content_digest`
-    on the materialized arrays.
-    """
-    return hashlib.sha256(
-        (pcs_hex + addrs_hex + taken_hex).encode()).hexdigest()
-
-
-class TraceRef:
-    """A trace's identity without its full columns.
-
-    Stands in for a :class:`DynamicTrace` wherever only the program,
-    the length, the ``pcs`` column, and the content digest are needed —
-    which is everything the sweep's digest/bank store keys and the
-    :class:`~repro.uarch.sweep.TraceDigest` machinery consume.  Built
-    by the streaming acquisition path, which compresses the ``addrs``
-    and ``taken`` columns into their digest subsets as chunks arrive
-    and never holds the full trace.
-    """
-
-    def __init__(self, program, pcs, content_digest):
-        self.program = program
-        self.pcs = np.asarray(pcs, dtype=np.int64)
-        self._content_digest = content_digest
-
-    def __len__(self):
-        return len(self.pcs)
-
-    @property
-    def length(self):
-        return len(self.pcs)
-
-    def content_digest(self):
-        return self._content_digest
-
-
 class DynamicTrace:
     """Immutable dynamic instruction trace bound to its static program."""
 
@@ -131,17 +91,16 @@ class DynamicTrace:
 
         Identifies the trace *content* independently of how it was
         produced; the sweep engine keys persisted digests and outcome
-        banks on it (together with a program fingerprint).  Hashed per
-        column and folded through :func:`combine_column_digests`, so a
-        streaming producer hashing chunk-by-chunk arrives at the same
-        digest without materializing the arrays.
+        banks on it (together with a program fingerprint).  Each column
+        is hashed on its own and the three hexdigests are hashed again.
         """
         digest = self._content_digest
         if digest is None:
-            digest = self._content_digest = combine_column_digests(
-                hashlib.sha256(_column_bytes(self.pcs)).hexdigest(),
-                hashlib.sha256(_column_bytes(self.addrs)).hexdigest(),
-                hashlib.sha256(_column_bytes(self.taken)).hexdigest())
+            columns = "".join(
+                hashlib.sha256(_column_bytes(column)).hexdigest()
+                for column in (self.pcs, self.addrs, self.taken))
+            digest = self._content_digest = hashlib.sha256(
+                columns.encode()).hexdigest()
         return digest
 
     def data_footprint(self, granularity=4):

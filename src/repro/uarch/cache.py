@@ -3,13 +3,13 @@
 ``Cache`` is a functional hit/miss model with O(1) accesses (per-set
 insertion-ordered dicts give constant-time LRU) and, with
 ``simulate_cache``, the reference replay: the spec.  The batched
-replays — ``simulate_cache_sweep`` (one stream, many configurations)
-and ``per_access_hits`` (the sweep engine's per-access cache banks) —
-run every geometry through one exact-LRU C kernel
-(:func:`repro.uarch.native.lru_replay`) when a C compiler is present,
-and through the dict replays ``_replay_blocks``/``_replay_block_hits``
-otherwise.  ``CacheHierarchy`` composes L1I/L1D/L2 for the pipeline
-timing model.
+replays run every geometry through one exact-LRU C kernel
+(:func:`repro.uarch.native.lru_replay`) when a C compiler is present.
+``simulate_cache_sweep`` (one stream, many configurations) falls back to
+the dict replay ``_replay_blocks`` without one; ``per_access_hits``
+(the sweep engine's per-access cache banks) is native only, because the
+sweep builds banks only for its native timing loop.  ``CacheHierarchy``
+composes L1I/L1D/L2 for the pipeline timing model.
 """
 
 from dataclasses import dataclass
@@ -247,29 +247,6 @@ def simulate_cache_sweep(addresses, configs):
 # ----------------------------------------------------------------------
 # Per-access outcomes: the sweep engine's cache banks
 # ----------------------------------------------------------------------
-def _replay_block_hits(blocks, config):
-    """Per-access hit flags through the reference dict-LRU replay."""
-    n_sets = config.sets
-    ways = config.ways
-    line_sets = [dict() for _ in range(n_sets)]
-    is_pow2 = (n_sets & (n_sets - 1)) == 0
-    mask = n_sets - 1
-    hits = np.empty(len(blocks), dtype=bool)
-    for position, block in enumerate(blocks.tolist()):
-        line_set = (line_sets[block & mask] if is_pow2
-                    else line_sets[block % n_sets])
-        if block in line_set:
-            del line_set[block]  # refresh recency
-            line_set[block] = None
-            hits[position] = True
-            continue
-        hits[position] = False
-        if len(line_set) >= ways:
-            del line_set[next(iter(line_set))]
-        line_set[block] = None
-    return hits
-
-
 def per_access_hits(blocks, config):
     """Hit/miss outcome of every access of a block-index stream.
 
@@ -277,12 +254,10 @@ def per_access_hits(blocks, config):
     configuration's line size, exactly what :class:`Cache` derives
     internally).  Returns a boolean array aligned with the stream whose
     ``False`` count equals ``simulate_cache``'s miss count; the sweep
-    engine turns these flags into per-access latency banks.  Uses the
-    native LRU replay when available, :func:`_replay_block_hits` else.
+    engine turns these flags into per-access latency banks.  Runs the
+    native LRU replay, so it needs :func:`repro.uarch.native.available`.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
-    if not native.available():
-        return _replay_block_hits(blocks, config)
     hits = np.empty(len(blocks), dtype=bool)
     native.lru_replay(blocks, 0, config, hits)
     return hits

@@ -44,7 +44,6 @@ from repro.uarch.sweep import (
     _hierarchy_key,
     _note,
     _predictor_key,
-    acquire_trace_digest,
     simulate_pipeline_sweep,
 )
 
@@ -194,22 +193,6 @@ class IncrementalSession:
         self.store = store
         self.last_config = None
         self.last_plan = None
-
-    @classmethod
-    def from_program(cls, program, max_instructions=None,
-                     functional_cap=50_000_000, store=None, backend=None):
-        """Open a session straight from a program, acquiring its trace
-        through the streaming path when the native engine is available:
-        the simulator feeds columnar chunks into the sweep digest and
-        the session holds a :class:`~repro.sim.trace.TraceRef` instead
-        of a materialized trace.  ``functional_cap`` bounds the
-        functional simulation; ``max_instructions`` (as in the
-        constructor) bounds each timed sweep."""
-        digest = acquire_trace_digest(program,
-                                      max_instructions=functional_cap,
-                                      store=store, backend=backend)
-        return cls(digest.trace, max_instructions=max_instructions,
-                   store=store)
 
     def plan(self, config):
         """The reuse plan :meth:`run` would realize, without running."""

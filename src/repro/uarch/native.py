@@ -1,29 +1,28 @@
 """Native sweep kernels: the timing inner loop and the LRU cache replay.
 
 The per-config cost of a grid study is dominated by executing run()'s
-integer scheduling recurrence ~60k times per config in Python.  Every
-input to that recurrence is already columnar — the digest's event
-streams, the banks' per-access latencies, the program's decode columns
-— so the loop ports directly to a ~100-line C function over int64
-arrays with *no* per-instruction Python anywhere.  The cache layer's
-hot loop, exact true-LRU replay of an address stream over one
-geometry, ports the same way; it serves every configuration of
-``simulate_cache_sweep`` and every cache bank the sweep builds.
+integer scheduling recurrence ~60k times per config.  Every input to
+that recurrence is already columnar — the digest's event streams, the
+banks' per-access latencies, the program's decode columns — so the loop
+ports directly to a ~100-line C function over int64 arrays with *no*
+per-instruction Python anywhere.  The cache layer's hot loop, exact
+true-LRU replay of an address stream over one geometry, ports the same
+way; it serves every configuration of ``simulate_cache_sweep`` and
+every cache bank the sweep builds.
 
-This module embeds both C functions in one source (exact ports of
-``sweep._interpreted_range`` and ``cache.Cache``, asserted equivalent
-by the corpus differential suites), compiles it once per machine
-through the shared :mod:`repro.native` toolchain into a
+This module embeds both C functions in one source (ports of
+``PipelineModel.run``'s scheduling loop and ``cache.Cache``, asserted
+equivalent by the corpus differential suites), compiles it once per
+machine through the shared :mod:`repro.native` toolchain into a
 content-addressed shared library under the repro cache dir, and
 exposes it through ctypes.  No third-party packages, no CPython API:
-plain arrays in, mutated state out, so the same packed state can flow
-between the Python loop and the native loop mid-trace.
+plain arrays in, final counters out.
 
-Everything degrades gracefully: no C compiler, a failed compile, or
-``REPRO_NATIVE=off`` simply means :func:`available` is False; the
-sweep then times every config with ``sweep._interpreted_range`` and
-the cache layer replays with its Python dict LRU.  The semantics are
-identical either way; only the wall time differs.
+No C compiler, a failed compile, or ``REPRO_NATIVE=off`` simply means
+:func:`available` is False: the sweep then times every config with the
+spec, ``PipelineModel.run``, and ``simulate_cache_sweep`` replays with
+its Python dict LRU.  The semantics are identical either way; only the
+wall time differs.
 """
 
 import ctypes
@@ -42,13 +41,13 @@ _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
 
-/* Exact port of repro.uarch.sweep._interpreted_range: run()'s
- * scheduling recurrence over dynamic positions [low, high), consuming
- * precomputed cache/predictor event streams by cursor.  The packed
- * state mirrors _initial_state: 19 scalars, 64 register-ready times,
- * the ROB/LSQ/fetch-queue rings, and the flattened FU pools. */
+/* run()'s scheduling recurrence over dynamic positions [0, n) from
+ * the fresh state _initial_state packs, consuming precomputed
+ * cache/predictor event streams by cursor.  The packed state is 19
+ * scalars, 64 register-ready times, the ROB/LSQ/fetch-queue rings, and
+ * the flattened FU pools; the final scalars are written back to sc. */
 int64_t repro_run_range(
-    int64_t low, int64_t high,
+    int64_t n,
     const int64_t *pcs,
     const int32_t *st_iclass, const int32_t *st_dest,
     const int32_t *st_src1, const int32_t *st_src2,
@@ -73,7 +72,7 @@ int64_t repro_run_range(
     int64_t fetch_queue_stalls = sc[14], redirect_cycles = sc[15];
     int64_t ii = sc[16], di = sc[17], bi = sc[18];
 
-    for (int64_t position = low; position < high; position++) {
+    for (int64_t position = 0; position < n; position++) {
         int64_t pc = pcs[position];
         int32_t iclass = st_iclass[pc];
 
@@ -281,7 +280,7 @@ def _load():
         return None
     library.repro_run_range.restype = ctypes.c_int64
     library.repro_run_range.argtypes = [
-        ctypes.c_int64, ctypes.c_int64,                    # low, high
+        ctypes.c_int64,                                    # n
         _I64,                                              # pcs
         _I32, _I32, _I32, _I32, _I32,                      # static
         _I64,                                              # latencies
@@ -335,12 +334,29 @@ def _ptr64(array):
     return array.ctypes.data_as(_I64)
 
 
-def run_range(low, high, digest, config, cache_bank, pred_bank, state):
-    """Drop-in replacement for ``_interpreted_range`` via the C loop.
+def _initial_state(config):
+    """Fresh packed scheduling state: ``(scalars, reg_ready, rob_ring,
+    lsq_ring, fetchq_ring, fus)`` int64 arrays, in the scalar order the
+    C loop unpacks.  The values mirror run()'s locals: everything
+    starts at 0 except the two bandwidth ports' cycles, which start at
+    -1."""
+    scalars = np.zeros(19, dtype=np.int64)
+    scalars[8] = scalars[10] = -1  # dispatch_cycle, commit_cycle
+    units = (config.n_int_alu + config.n_int_mul + config.n_fp_alu
+             + config.n_fp_mul + config.n_mem_ports)
+    return (scalars, np.zeros(64, dtype=np.int64),
+            np.zeros(config.rob_size, dtype=np.int64),
+            np.zeros(config.lsq_size, dtype=np.int64),
+            np.zeros(config.fetch_queue, dtype=np.int64),
+            np.zeros(int(units), dtype=np.int64))
 
-    Packs the scheduling state into int64 scratch arrays, runs the
-    native loop, and unpacks — so callers can mix native and Python
-    execution of the same trace at any boundary.
+
+def run_range(total, digest, config, cache_bank, pred_bank):
+    """Time dynamic positions ``[0, total)`` of ``digest``'s trace on
+    ``config`` in C, from a fresh state; returns the final scalars.
+
+    Index 6 is the last commit cycle and indices 12–15 are the ROB,
+    LSQ, fetch-queue stall and redirect-cycle counters.
     """
     run = _load().repro_run_range
     iclass, dest, src1, src2, pool = _static_columns(digest.static)
@@ -354,15 +370,9 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
         (config.n_int_alu, config.n_int_mul, config.n_fp_alu,
          config.n_fp_mul, config.n_mem_ports), dtype=np.int64)
     base = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    state = _initial_state(config)
 
-    scalars = np.array([int(value) for value in state[0]], dtype=np.int64)
-    reg_ready = np.array(state[1], dtype=np.int64)
-    rob_ring = np.array(state[2], dtype=np.int64)
-    lsq_ring = np.array(state[3], dtype=np.int64)
-    fetchq_ring = np.array(state[4], dtype=np.int64)
-    fus = np.array(state[5], dtype=np.int64)
-
-    run(low, high, _ptr64(digest.pcs),
+    run(total, _ptr64(digest.pcs),
         iclass.ctypes.data_as(_I32), dest.ctypes.data_as(_I32),
         src1.ctypes.data_as(_I32), src2.ctypes.data_as(_I32),
         pool.ctypes.data_as(_I32), _ptr64(latencies),
@@ -374,15 +384,8 @@ def run_range(low, high, digest, config, cache_bank, pred_bank, state):
         config.width, int(config.in_order), config.rob_size,
         config.lsq_size, config.fetch_queue, config.mispredict_penalty,
         _decode_depth(), _ptr64(base), _ptr64(sizes),
-        _ptr64(scalars), _ptr64(reg_ready), _ptr64(rob_ring),
-        _ptr64(lsq_ring), _ptr64(fetchq_ring), _ptr64(fus))
-
-    state[0] = tuple(int(value) for value in scalars)
-    state[1] = reg_ready.tolist()
-    state[2] = rob_ring.tolist()
-    state[3] = lsq_ring.tolist()
-    state[4] = fetchq_ring.tolist()
-    state[5] = tuple(fus.tolist())
+        *(_ptr64(array) for array in state))
+    return state[0]
 
 
 def lru_replay(addresses, line_shift, config, hits=None):

@@ -20,14 +20,17 @@ while digesting the trace only once:
   :func:`repro.uarch.branch_predictors.predictor_outcome_bank`.
 * **Scheduling loop** — the remaining per-config work (the
   fetch/dispatch/issue/commit recurrence) consumes the banks' event
-  arrays by cursor.  It runs in C (:mod:`repro.uarch.native`) when a
-  compiler is available and otherwise in :func:`_interpreted_range`,
-  the line-by-line Python twin of the C loop.
+  arrays by cursor, in C (:mod:`repro.uarch.native`).
+
+Digests and cache banks are the native loop's inputs, so a host without
+a C compiler (or with ``REPRO_NATIVE=0``) builds none of them: it times
+each config with the spec, ``PipelineModel(config).run``, and counts it
+in the ``fallback_configs`` stat.
 
 Everything observable (PipelineResult fields, cache stats, predictor
 stats, the telemetry-gated stall counters) matches ``PipelineModel.run``
 bit for bit; ``tests/test_uarch_sweep.py`` asserts equality across the
-corpus and every design change, on both engines.
+corpus and every design change.
 """
 
 import hashlib
@@ -38,8 +41,7 @@ import numpy as np
 
 from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
-from repro.sim.trace import (TraceRef, _column_bytes,
-                             combine_column_digests, write_npz)
+from repro.sim.trace import write_npz
 from repro.obs.journal import emit_event
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
@@ -48,7 +50,7 @@ from repro.uarch import native
 from repro.uarch.branch_predictors import (make_predictor,
                                            predictor_outcome_bank)
 from repro.uarch.cache import per_access_hits
-from repro.uarch.pipeline import DECODE_DEPTH, PipelineResult
+from repro.uarch.pipeline import PipelineModel, PipelineResult
 
 _LOG = get_logger("repro.uarch.sweep")
 
@@ -59,11 +61,6 @@ BANK_SCHEMA_VERSION = 2
 #: Traces shorter than this are not worth a store round-trip.
 _PERSIST_MIN_INSTRUCTIONS = 10_000
 
-_LOAD = int(IClass.LOAD)
-_JUMP = int(IClass.JUMP)
-_IDIV = int(IClass.IDIV)
-_FDIV = int(IClass.FDIV)
-
 
 # ----------------------------------------------------------------------
 # Sweep statistics (feeds uarch.sweep.* telemetry and `repro report`)
@@ -71,7 +68,6 @@ _FDIV = int(IClass.FDIV)
 _INT_STATS = (
     "grids", "configs", "instructions",
     "digests_built", "digests_reused", "digests_loaded", "digests_saved",
-    "digests_streamed",
     "cache_banks_built", "cache_banks_reused", "cache_banks_loaded",
     "cache_banks_saved",
     "pred_banks_built", "pred_banks_reused", "pred_banks_loaded",
@@ -129,7 +125,7 @@ class TraceDigest:
     repeated sweeps over the same trace share everything.
     """
 
-    def __init__(self, trace, _restored=None, _prebuilt=None):
+    def __init__(self, trace, _restored=None):
         self.trace = trace
         self.static = columns_for(trace.program)
         self.n = len(trace)
@@ -141,11 +137,6 @@ class TraceDigest:
         self._persisted = False
         if _restored is not None:
             self._restore(*_restored)
-        elif _prebuilt is not None:
-            # Event streams accumulated chunk-by-chunk by the streaming
-            # acquisition path.
-            for name in ("b_pos", "b_pcs", "b_taken", "m_pos", "m_addrs"):
-                setattr(self, name, _prebuilt[name])
         else:
             self._build()
 
@@ -425,95 +416,6 @@ def _persist_digest(digest, store):
     _note("digests_saved")
 
 
-class StreamingDigestBuilder:
-    """Accumulates a :class:`TraceDigest` from columnar trace chunks.
-
-    A sink for :func:`repro.sim.native.stream_trace`: each ``feed``
-    folds one chunk into the digest's event streams (branch positions
-    and outcomes, memory positions and addresses) and the per-column
-    content hashes, keeping only the ``pcs`` column whole.  ``finish``
-    yields a digest bound to a :class:`~repro.sim.trace.TraceRef` whose
-    content digest — and therefore every store key — matches the
-    materialized trace's exactly, without a ``DynamicTrace`` ever
-    existing.
-    """
-
-    def __init__(self, program):
-        self.program = program
-        self.static = columns_for(program)
-        self._pcs_parts = []
-        self._b_pos, self._b_taken = [], []
-        self._m_pos, self._m_addrs = [], []
-        self._offset = 0
-        self._hashers = [hashlib.sha256() for _ in range(3)]
-
-    def feed(self, pcs, addrs, taken):
-        for hasher, column in zip(self._hashers, (pcs, addrs, taken)):
-            hasher.update(_column_bytes(column))
-        pcs64 = pcs.astype(np.int64)
-        branch_mask = taken >= 0
-        b_local = np.nonzero(branch_mask)[0]
-        self._b_pos.append(b_local + self._offset)
-        self._b_taken.append(taken[b_local] == 1)
-        m_local = np.nonzero(self.static.is_mem[pcs64])[0]
-        self._m_pos.append(m_local + self._offset)
-        self._m_addrs.append(addrs[m_local].astype(np.int64))
-        self._pcs_parts.append(pcs64)
-        self._offset += len(pcs)
-
-    def _concat(self, parts, dtype):
-        if parts:
-            return np.concatenate(parts)
-        return np.zeros(0, dtype=dtype)
-
-    def finish(self):
-        """The completed (TraceRef-bound) digest, cached on the ref."""
-        pcs = self._concat(self._pcs_parts, np.int64)
-        content = combine_column_digests(
-            *(hasher.hexdigest() for hasher in self._hashers))
-        ref = TraceRef(self.program, pcs, content)
-        b_pos = self._concat(self._b_pos, np.int64)
-        prebuilt = {
-            "b_pos": b_pos,
-            "b_pcs": pcs[b_pos],
-            "b_taken": self._concat(self._b_taken, bool),
-            "m_pos": self._concat(self._m_pos, np.int64),
-            "m_addrs": self._concat(self._m_addrs, np.int64),
-        }
-        digest = TraceDigest(ref, _prebuilt=prebuilt)
-        _note("digests_streamed")
-        ref._sweep_digest = digest
-        return digest
-
-
-def acquire_trace_digest(program, max_instructions=50_000_000,
-                         store=None, backend=None):
-    """Acquire a sweep-ready trace digest for ``program``.
-
-    The default acquisition path for fleet workers and incremental
-    sessions: when the native engine can take the program, execution
-    streams columnar chunks straight into a
-    :class:`StreamingDigestBuilder` and the full trace never exists;
-    otherwise the trace is materialized through the resolved backend
-    and digested conventionally.  Either way the result is
-    interchangeable — identical content digest, store keys, and tables.
-    """
-    from repro.sim import native as sim_native
-    from repro.sim.functional import FunctionalSimulator, run_program
-    from repro.sim.functional import resolve_backend
-    resolved = resolve_backend(backend, program)
-    if resolved == "native" and sim_native.engine_for(program) is not None:
-        with span("sim.run", program=program.name, backend="native"):
-            builder = StreamingDigestBuilder(program)
-            simulator = FunctionalSimulator(program, backend="native")
-            sim_native.stream_trace(simulator, max_instructions,
-                                    builder.feed)
-        return builder.finish()
-    trace = run_program(program, max_instructions=max_instructions,
-                        trace=True, backend=resolved)
-    return trace_digest(trace, store)
-
-
 def _cache_bank_for(digest, config, store):
     key = _hierarchy_key(config)
     bank = digest.cache_banks.get(key)
@@ -629,228 +531,15 @@ def simulate_predictor_sweep(trace, specs, store=None):
 
 
 # ----------------------------------------------------------------------
-# The scheduling loop (Python twin of the native C loop)
-# ----------------------------------------------------------------------
-def _initial_state(config):
-    """The packed scheduling state both scheduling engines mutate.
-
-    ``state`` is ``[scalars, reg_ready, rob_ring, lsq_ring, fetchq_ring,
-    fus]`` with the scalar order unpacked at the top of
-    :func:`_interpreted_range`; the initial values mirror run()'s
-    locals (bandwidth ports start at cycle -1).
-    """
-    units = (config.n_int_alu + config.n_int_mul + config.n_fp_alu
-             + config.n_fp_mul + config.n_mem_ports)
-    return [
-        (0, 0, 0, False, 0, 0, 0, 0, -1, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0),
-        [0] * 64,
-        [0] * config.rob_size,
-        [0] * config.lsq_size,
-        [0] * config.fetch_queue,
-        (0,) * int(units),
-    ]
-
-
-def _interpreted_range(low, high, digest, config, cache_bank, pred_bank,
-                       state):
-    """Exact port of run()'s loop over dynamic positions [low, high).
-
-    Cache and predictor outcomes come from the banks (consumed by event
-    position), so this handles *any* trace.  It is the sweep's engine
-    when no C compiler is available, and the line-by-line reference for
-    the C loop in :mod:`repro.uarch.native`.
-    """
-    if low >= high:
-        return
-    static = digest.static
-    pcs = digest.pcs.tolist()
-    iacc_pos = digest.iacc(cache_bank.shift)[0].tolist()
-    iacc_extra = cache_bank.iacc_extra.tolist()
-    dacc_lat = cache_bank.dacc_lat.tolist()
-    m_pos = digest.m_pos.tolist()
-    b_pos = digest.b_pos.tolist()
-    b_taken = digest.b_taken.tolist()
-    b_miss = pred_bank.miss.tolist()
-    n_iacc = len(iacc_pos)
-    n_mem = len(m_pos)
-    n_branch = len(b_pos)
-
-    latency_of_class = (
-        config.latency_ialu, config.latency_imul, config.latency_idiv,
-        config.latency_falu, config.latency_fmul, config.latency_fdiv,
-        0, 1, config.latency_ialu, config.latency_ialu,
-        config.latency_ialu)
-    st_iclass = static.iclass_list
-    st_dest = static.dest_list
-    st_srcs = static.srcs_list
-    st_pool = static.pool_list
-
-    width = config.width
-    in_order = config.in_order
-    rob_size = config.rob_size
-    lsq_size = config.lsq_size
-    fetch_queue = config.fetch_queue
-    mispredict_penalty = config.mispredict_penalty
-
-    (i, fetch_cycle, fetch_used, fetch_break, fetch_stall_until,
-     last_issue, last_commit, mem_index, dispatch_cycle, dispatch_used,
-     commit_cycle, commit_used, rob_stalls, lsq_stalls,
-     fetch_queue_stalls, redirect_cycles, ii, di, bi) = state[0]
-    reg_ready = state[1]
-    rob_ring = state[2]
-    lsq_ring = state[3]
-    fetchq_ring = state[4]
-    pools = []
-    flat = state[5]
-    offset = 0
-    for count in (config.n_int_alu, config.n_int_mul, config.n_fp_alu,
-                  config.n_fp_mul, config.n_mem_ports):
-        pools.append(list(flat[offset:offset + count]))
-        offset += count
-
-    for position in range(low, high):
-        pc = pcs[position]
-        iclass = st_iclass[pc]
-
-        # ----- fetch ---------------------------------------------------
-        if fetch_stall_until > fetch_cycle:
-            redirect_cycles += fetch_stall_until - fetch_cycle
-            fetch_cycle = fetch_stall_until
-            fetch_used = 0
-            fetch_break = False
-        if ii < n_iacc and iacc_pos[ii] == position:
-            extra = iacc_extra[ii]
-            ii += 1
-            if extra:
-                fetch_cycle += extra
-                fetch_used = 0
-                fetch_break = False
-        if fetch_break or fetch_used >= width:
-            fetch_cycle += 1
-            fetch_used = 0
-            fetch_break = False
-        fetch_time = fetch_cycle
-        fetch_used += 1
-
-        queue_slot = i % fetch_queue
-        if fetch_time < fetchq_ring[queue_slot]:
-            fetch_time = fetchq_ring[queue_slot]
-            fetch_cycle = fetch_time
-            fetch_used = 1
-            fetch_queue_stalls += 1
-
-        # ----- dispatch ------------------------------------------------
-        dispatch_earliest = fetch_time + DECODE_DEPTH
-        rob_slot = i % rob_size
-        if rob_ring[rob_slot] > dispatch_earliest:
-            dispatch_earliest = rob_ring[rob_slot]
-            rob_stalls += 1
-        is_mem = di < n_mem and m_pos[di] == position
-        if is_mem:
-            lsq_slot = mem_index % lsq_size
-            if lsq_ring[lsq_slot] > dispatch_earliest:
-                dispatch_earliest = lsq_ring[lsq_slot]
-                lsq_stalls += 1
-        if dispatch_earliest > dispatch_cycle:
-            dispatch_cycle = dispatch_earliest
-            dispatch_used = 1
-        elif dispatch_used < width:
-            dispatch_used += 1
-        else:
-            dispatch_cycle += 1
-            dispatch_used = 1
-        fetchq_ring[queue_slot] = dispatch_cycle
-
-        # ----- issue ---------------------------------------------------
-        ready = dispatch_cycle + 1
-        for source in st_srcs[pc]:
-            source_ready = reg_ready[source]
-            if source_ready > ready:
-                ready = source_ready
-        if in_order and ready < last_issue:
-            ready = last_issue
-        pool = pools[st_pool[pc]]
-        unit = 0
-        unit_free = pool[0]
-        for index_unit in range(1, len(pool)):
-            if pool[index_unit] < unit_free:
-                unit_free = pool[index_unit]
-                unit = index_unit
-        issue_time = ready if ready > unit_free else unit_free
-        if in_order:
-            last_issue = issue_time
-
-        # ----- execute -------------------------------------------------
-        if is_mem:
-            complete = (issue_time + dacc_lat[di] if iclass == _LOAD
-                        else issue_time + 1)
-            di += 1
-        else:
-            complete = issue_time + latency_of_class[iclass]
-        pool[unit] = (complete if iclass in (_IDIV, _FDIV)
-                      else issue_time + 1)
-        dest = st_dest[pc]
-        if dest >= 0:
-            reg_ready[dest] = complete
-
-        # ----- control flow --------------------------------------------
-        if bi < n_branch and b_pos[bi] == position:
-            if b_miss[bi]:
-                redirect = complete + mispredict_penalty
-                if redirect > fetch_stall_until:
-                    fetch_stall_until = redirect
-            elif b_taken[bi]:
-                fetch_break = True
-            bi += 1
-        elif iclass == _JUMP:
-            fetch_break = True
-
-        # ----- commit --------------------------------------------------
-        commit_earliest = complete + 1
-        if commit_earliest < last_commit:
-            commit_earliest = last_commit
-        if commit_earliest > commit_cycle:
-            commit_cycle = commit_earliest
-            commit_used = 1
-        elif commit_used < width:
-            commit_used += 1
-        else:
-            commit_cycle += 1
-            commit_used = 1
-        last_commit = commit_cycle
-        rob_ring[rob_slot] = commit_cycle
-        if is_mem:
-            lsq_ring[lsq_slot] = commit_cycle
-            mem_index += 1
-        i += 1
-
-    state[0] = (i, fetch_cycle, fetch_used, fetch_break,
-                fetch_stall_until, last_issue, last_commit, mem_index,
-                dispatch_cycle, dispatch_used, commit_cycle, commit_used,
-                rob_stalls, lsq_stalls, fetch_queue_stalls,
-                redirect_cycles, ii, di, bi)
-    state[5] = tuple(value for pool in pools for value in pool)
-
-
-# ----------------------------------------------------------------------
 # Per-config execution and the public sweep entry point
 # ----------------------------------------------------------------------
 def _run_config(digest, config, cache_bank, pred_bank, total,
                 class_counts):
+    """Time one config in C over the digest and its outcome banks."""
     started = time.perf_counter()
-    state = _initial_state(config)
-    if total and native.available():
-        # The C loop shares the banks' event arrays in place.
-        native.run_range(0, total, digest, config, cache_bank,
-                         pred_bank, state)
-        _note("native_configs")
-    elif total:
-        _interpreted_range(0, total, digest, config, cache_bank,
-                           pred_bank, state)
-        _note("fallback_configs")
+    scalars = native.run_range(total, digest, config, cache_bank, pred_bank)
+    _note("native_configs")
 
-    scalars = state[0]
-    last_commit = scalars[6]
     n_iacc = int(np.searchsorted(digest.iacc(cache_bank.shift)[0], total,
                                  side="left"))
     n_data = int(np.searchsorted(digest.m_pos, total, side="left"))
@@ -866,7 +555,7 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
     result = PipelineResult(
         config=config,
         instructions=total,
-        cycles=max(1, last_commit if total else 0),
+        cycles=max(1, int(scalars[6])),
         class_counts=list(class_counts),
         icache_accesses=n_iacc,
         icache_misses=n_iacc - int(cache_bank.i_hit_cum[n_iacc]),
@@ -876,21 +565,53 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
         l2_misses=l2_misses,
         branch_lookups=n_branch,
         branch_mispredictions=int(pred_bank.miss_cum[n_branch]),
-        rob_stalls=scalars[12] if telemetry else 0,
-        lsq_stalls=scalars[13] if telemetry else 0,
-        fetch_queue_stalls=scalars[14] if telemetry else 0,
-        redirect_cycles=scalars[15] if telemetry else 0,
+        rob_stalls=int(scalars[12]) if telemetry else 0,
+        lsq_stalls=int(scalars[13]) if telemetry else 0,
+        fetch_queue_stalls=int(scalars[14]) if telemetry else 0,
+        redirect_cycles=int(scalars[15]) if telemetry else 0,
     )
     result.wall_seconds = time.perf_counter() - started
-    _note_seconds("config_seconds", result.wall_seconds)
     if telemetry:
         # Same accounting PipelineModel.run emits, so grids keep
-        # feeding the pipeline.* dashboards whichever engine times them.
+        # feeding the pipeline.* dashboards on either timing path.
         REGISTRY.counter("pipeline.instructions").inc(total)
         REGISTRY.counter("pipeline.runs").inc()
-        REGISTRY.counter("uarch.time_seconds").inc(result.wall_seconds)
         REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
     return result
+
+
+def _native_timer(trace, configs, total, store):
+    """Digest ``trace`` and build (or load) every outcome bank the grid
+    needs; returns the function that times one config natively."""
+    store = _resolve_store(trace, store)
+    digest = trace_digest(trace, store)
+    class_counts = digest.class_counts(total)
+    cache_banks = {}
+    pred_banks = {}
+    for config in configs:
+        key = _hierarchy_key(config)
+        if key not in cache_banks:
+            cache_banks[key] = _cache_bank_for(digest, config, store)
+        key = _predictor_key(config)
+        if key not in pred_banks:
+            pred_banks[key] = _pred_bank_for(digest, config, store)
+    if store is not None:
+        _persist_digest(digest, store)
+
+    def time_config(config):
+        return _run_config(digest, config,
+                           cache_banks[_hierarchy_key(config)],
+                           pred_banks[_predictor_key(config)], total,
+                           class_counts)
+    return time_config
+
+
+def _spec_timer(trace, max_instructions):
+    """Without the C loop every config is timed by the spec itself."""
+    def time_config(config):
+        _note("fallback_configs")
+        return PipelineModel(config).run(trace, max_instructions)
+    return time_config
 
 
 def simulate_pipeline_sweep(trace, configs, max_instructions=None,
@@ -907,47 +628,38 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
     if not configs:
         return []
     grid_started = time.perf_counter()
+    total = len(trace)
+    if max_instructions is not None and total > max_instructions:
+        total = max_instructions
     with span("uarch.sweep", configs=len(configs)):
-        store = _resolve_store(trace, store)
-        digest = trace_digest(trace, store)
-        total = len(trace)
-        if max_instructions is not None and total > max_instructions:
-            total = max_instructions
-        class_counts = digest.class_counts(total)
-        hierarchy_banks = {}
-        predictor_banks = {}
-        for config in configs:
-            key = _hierarchy_key(config)
-            if key not in hierarchy_banks:
-                hierarchy_banks[key] = _cache_bank_for(digest, config,
-                                                       store)
-            key = _predictor_key(config)
-            if key not in predictor_banks:
-                predictor_banks[key] = _pred_bank_for(digest, config,
-                                                      store)
-        if store is not None:
-            _persist_digest(digest, store)
+        if native.available():
+            time_config = _native_timer(trace, configs, total, store)
+        else:
+            time_config = _spec_timer(trace, max_instructions)
         results = []
         for index, config in enumerate(configs):
             # Per-config scheduling keeps run()'s span name, so grid
             # manifests still break out pipeline-timing wall time
             # (as ``uarch.sweep/uarch.pipeline``).
             with span("uarch.pipeline", config=config.name):
-                results.append(_run_config(
-                    digest, config, hierarchy_banks[_hierarchy_key(config)],
-                    predictor_banks[_predictor_key(config)], total,
-                    class_counts))
+                result = time_config(config)
+            _note_seconds("config_seconds", result.wall_seconds)
+            if REGISTRY.enabled:
+                REGISTRY.counter("uarch.time_seconds").inc(
+                    result.wall_seconds)
+            results.append(result)
             emit_event("progress", done=index + 1, total=len(configs),
                        unit="configs", label=config.name)
+    hierarchies = len({_hierarchy_key(config) for config in configs})
+    predictors = len({_predictor_key(config) for config in configs})
     _note("grids")
     _note("configs", len(configs))
     _note("instructions", total * len(configs))
-    _note("distinct_hierarchies", len(hierarchy_banks))
-    _note("distinct_predictors", len(predictor_banks))
+    _note("distinct_hierarchies", hierarchies)
+    _note("distinct_predictors", predictors)
     _note_seconds("grid_seconds", time.perf_counter() - grid_started)
     if REGISTRY.enabled:
         _LOG.debug("uarch.sweep", configs=len(configs),
-                   instructions=total,
-                   hierarchies=len(hierarchy_banks),
-                   predictors=len(predictor_banks))
+                   instructions=total, hierarchies=hierarchies,
+                   predictors=predictors)
     return results

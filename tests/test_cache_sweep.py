@@ -4,10 +4,13 @@
 ``simulate_cache``, and ``per_access_hits`` (the sweep engine's cache
 banks) must agree flag for flag with ``Cache.access``, because every
 experiment's Pearson correlations and rankings are computed from these
-miss counts.  Every check runs under both engines: the native exact-LRU
-kernel and the Python dict replay that a host without a C compiler
-(or ``REPRO_NATIVE=0``) uses.  A corpus test pins the two engines to
-each other on all 23 real and 23 clone address streams.
+miss counts.  Every sweep check runs under both engines: the native
+exact-LRU kernel and the Python dict replay that a host without a C
+compiler (or ``REPRO_NATIVE=0``) uses.  ``per_access_hits`` is native
+only — the sweep builds cache banks only for its native timing loop —
+so its checks run where the kernel is available.  A corpus test pins
+the two sweep engines to each other on all 23 real and 23 clone
+address streams.
 """
 
 import contextlib
@@ -83,13 +86,13 @@ def spec_hits(addresses, config):
 
 
 def assert_hits_equivalent(addresses, config):
+    """``per_access_hits`` against the spec, where the kernel runs."""
+    if not native.available():
+        return
     blocks = np.asarray(addresses, dtype=np.int64) >> config.line_shift
-    reference = spec_hits(addresses, config)
-    for name in ENGINES:
-        with engine(name):
-            hits = per_access_hits(blocks, config)
-        assert hits.dtype == bool, name
-        assert hits.tolist() == reference, (name, config)
+    hits = per_access_hits(blocks, config)
+    assert hits.dtype == bool
+    assert hits.tolist() == spec_hits(addresses, config), config
 
 
 # Every associativity class, plus awkward geometries.
@@ -190,6 +193,8 @@ def test_every_sweep_associativity_on_real_trace_shape(assoc):
     assert_equivalent(addresses, configs)
 
 
+@pytest.mark.skipif(not native.available(),
+                    reason="per_access_hits needs the native kernel")
 class TestPerAccessHits:
     @pytest.mark.parametrize("config", PATH_CONFIGS, ids=CacheConfig.label)
     def test_flags_match_cache_access(self, config):

@@ -21,7 +21,7 @@ contract, native against interp:
 
 It also covers translation gating, the program table and its caching,
 the one-compile-per-machine engine, chunked emission, and
-chunked-vs-materialized digest/profile parity.
+chunked-vs-materialized profile parity.
 """
 
 import contextlib
@@ -40,6 +40,7 @@ from repro.core.profiler import (
     ChunkedWorkloadProfiler,
     WorkloadProfiler,
     profile_program,
+    profile_trace,
 )
 from repro.evaluation import workload_artifacts
 from repro.isa import assemble
@@ -55,14 +56,6 @@ from repro.sim import (
     native,
     resolve_backend,
     run_program,
-)
-from repro.sim.trace import TraceRef
-from repro.uarch import BASE_CONFIG
-from repro.uarch.sweep import (
-    StreamingDigestBuilder,
-    acquire_trace_digest,
-    simulate_pipeline_sweep,
-    trace_digest,
 )
 from repro.workloads import build_workload, workload_names
 
@@ -244,44 +237,25 @@ class TestStreaming:
             np.concatenate([taken for _, _, taken in chunks]),
             reference.taken)
 
-    def test_streamed_digest_matches_materialized(self):
-        program = build_workload("qsort")
-        trace = run_program(program, backend="interp")
-        reference = trace_digest(trace, store=None)
-        builder = StreamingDigestBuilder(program)
-        step = 1013
-        for start in range(0, len(trace), step):
-            builder.feed(trace.pcs[start:start + step],
-                         trace.addrs[start:start + step],
-                         trace.taken[start:start + step])
-        streamed = builder.finish()
-        assert isinstance(streamed.trace, TraceRef)
-        assert streamed.trace.content_digest() == trace.content_digest()
-        for name in ("b_pos", "b_pcs", "b_taken", "m_pos", "m_addrs",
-                     "pcs"):
-            np.testing.assert_array_equal(getattr(streamed, name),
-                                          getattr(reference, name),
-                                          err_msg=name)
-
-    def test_acquired_digest_times_identically(self):
-        program = build_workload("crc32")
-        trace = run_program(program, backend="interp")
-        [reference] = simulate_pipeline_sweep(trace, [BASE_CONFIG])
-        digest = acquire_trace_digest(program)
-        assert isinstance(digest.trace, TraceRef)
-        [result] = simulate_pipeline_sweep(digest.trace, [BASE_CONFIG])
-        expected = dict(vars(reference))
-        got = dict(vars(result))
-        expected.pop("wall_seconds", None)
-        got.pop("wall_seconds", None)
-        assert got == expected
-
     def test_profile_program_streams_and_matches(self):
         program = build_workload("susan")
         trace = run_program(program, backend="interp")
         reference = WorkloadProfiler().profile(trace)
         streamed = profile_program(program)
         assert streamed.to_dict() == reference.to_dict()
+
+
+def test_profile_program_honours_interp_backend(monkeypatch):
+    # REPRO_SIM_BACKEND=interp must keep profiling off the native
+    # engine, as it does for every other acquisition path.
+    def refuse(*args, **kwargs):
+        raise AssertionError("profile_program streamed natively")
+    monkeypatch.setenv("REPRO_SIM_BACKEND", "interp")
+    monkeypatch.setattr(native, "stream_trace", refuse)
+    program = build_workload("crc32")
+    profile = profile_program(program)
+    reference = profile_trace(run_program(program))
+    assert profile.to_dict() == reference.to_dict()
 
 
 class TestChunkedProfilerUnit:

@@ -3,8 +3,9 @@
 ``simulate_pipeline_sweep`` (and ``simulate_pipeline``, a one-config
 sweep) promises *field-for-field identity* with ``PipelineModel.run``,
 the timing model's executable spec, for every config in a grid.  This
-suite enforces the whole contract under both scheduling engines (the
-native C loop and its Python twin):
+suite enforces the whole contract on the native C scheduling loop and
+on the fallback a host without a C compiler takes, which times every
+config with the spec itself and builds no digest or bank:
 
 * identical ``PipelineResult`` fields on all 23 corpus kernels and a
   synthesized clone, across the base config, every paper design change,
@@ -73,7 +74,7 @@ ABLATION_C_CAP = 100_000
 
 @pytest.fixture(params=["native", "python"])
 def engine(request, monkeypatch):
-    """Run a test under both timing engines (native C and Python).
+    """Run a test under both timing paths (native C loop, spec fallback).
 
     The native loop quietly stands down when no C compiler is present,
     so the "native" parameter only asserts availability where the
@@ -88,7 +89,7 @@ def engine(request, monkeypatch):
 
 @pytest.fixture()
 def python_engine(monkeypatch):
-    """Force the Python scheduling loop (no C loop)."""
+    """Force the spec fallback (no C loop)."""
     monkeypatch.setenv("REPRO_NATIVE", "off")
     native.reset()
     yield
@@ -225,8 +226,12 @@ class TestTelemetryParity:
             + result.fetch_queue_stalls + result.redirect_cycles > 0
 
 
+needs_native = pytest.mark.skipif(not native.available(),
+                                  reason="no C compiler on host")
+
+
 # ----------------------------------------------------------------------
-# Python fallback engine
+# Spec fallback (no C compiler)
 # ----------------------------------------------------------------------
 class TestFallback:
     @pytest.fixture()
@@ -242,8 +247,25 @@ class TestFallback:
         assert_sweep_equivalent(shifted_trace, GRID[:4])
         assert sweep_stats_snapshot()["fallback_configs"] == 4
 
+    def test_fallback_times_with_the_spec(self, tmp_path, python_engine):
+        # A fresh corpus trace, so no digest is memoized on it already.
+        trace = FunctionalSimulator(build_workload("crc32")).run(
+            max_instructions=5_000_000, trace=True)
+        store = ArtifactStore(root=str(tmp_path), enabled=True)
+        reset_sweep_stats()
+        swept = simulate_pipeline_sweep(trace, GRID, max_instructions=CAP,
+                                        store=store)
+        for config, result in zip(GRID, swept):
+            spec = PipelineModel(config).run(trace, max_instructions=CAP)
+            assert result_fields(result) == result_fields(spec), config.name
+        stats = sweep_stats_snapshot()
+        assert stats["digests_built"] == stats["cache_banks_built"] == 0
+        assert stats["fallback_configs"] == len(GRID)
+        assert stats["native_configs"] == 0
+        assert store.entries() == []
+
     def test_corpus_runs_never_fall_back(self, loop_nest_trace):
-        # Only a host without the native loop times configs in Python.
+        # Only a host without the native loop times configs by the spec.
         reset_sweep_stats()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
@@ -260,7 +282,8 @@ class TestPersistence:
         if hasattr(trace, "_sweep_digest"):
             del trace._sweep_digest
 
-    def test_round_trip(self, loop_nest_trace, tmp_path, python_engine):
+    @needs_native
+    def test_round_trip(self, loop_nest_trace, tmp_path):
         store = ArtifactStore(root=str(tmp_path), enabled=True)
         self._forget(loop_nest_trace)
         reset_sweep_stats()
@@ -284,8 +307,9 @@ class TestPersistence:
         assert [result_fields(result) for result in cold] \
             == [result_fields(result) for result in warm]
 
+    @needs_native
     def test_bank_store_keys_predict_persisted_entries(
-            self, loop_nest_trace, tmp_path, python_engine):
+            self, loop_nest_trace, tmp_path):
         """The fleet's pin helper names exactly the digest/bank keys a
         persisted sweep creates, without building any of them."""
         from repro.uarch.sweep import bank_store_keys
@@ -300,8 +324,8 @@ class TestPersistence:
         persisted = {key for key, _, _ in store.entries()}
         assert set(predicted) <= persisted
 
-    def test_corrupt_entries_are_rebuilt(self, loop_nest_trace, tmp_path,
-                                         python_engine):
+    @needs_native
+    def test_corrupt_entries_are_rebuilt(self, loop_nest_trace, tmp_path):
         store = ArtifactStore(root=str(tmp_path), enabled=True)
         self._forget(loop_nest_trace)
         cold = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
@@ -341,6 +365,7 @@ class TestPersistence:
 # Sweep reuse accounting
 # ----------------------------------------------------------------------
 class TestSweepStats:
+    @needs_native
     def test_shared_banks_counted(self, loop_nest_trace):
         reset_sweep_stats()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
@@ -376,9 +401,6 @@ class TestSweepStats:
 # Native timing loop
 # ----------------------------------------------------------------------
 class TestNative:
-    needs_native = pytest.mark.skipif(not native.available(),
-                                      reason="no C compiler on host")
-
     def test_env_gate_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "off")
         native.reset()
@@ -397,33 +419,26 @@ class TestNative:
         assert stats["fallback_configs"] == 0
 
     @needs_native
-    def test_state_handoff_matches_interpreter(self, loop_nest_trace):
-        # The C loop and the interpreter share the packed-state layout,
-        # so timing [0, k) natively and [k, total) interpreted must land
-        # in exactly the state the interpreter reaches alone.
-        from repro.uarch.sweep import (_build_cache_bank,
-                                       _build_pred_bank,
-                                       _initial_state,
-                                       _interpreted_range, trace_digest)
-        digest = trace_digest(loop_nest_trace)
-        config = BASE_CONFIG
-        cache_bank = _build_cache_bank(digest, config)
-        pred_bank = _build_pred_bank(digest, config)
-        total = min(CAP, digest.n)
-        split = total // 3 + 1
-
-        mixed = _initial_state(config)
-        native.run_range(0, split, digest, config, cache_bank,
-                         pred_bank, mixed)
-        _interpreted_range(split, total, digest, config, cache_bank,
-                           pred_bank, mixed)
-
-        pure = _initial_state(config)
-        _interpreted_range(0, total, digest, config, cache_bank,
-                           pred_bank, pure)
-        assert mixed[0] == pure[0]
-        assert mixed[1:5] == pure[1:5]
-        assert tuple(mixed[5]) == tuple(pure[5])
+    def test_fresh_trace_loads_persisted_digest(self, tmp_path):
+        # A second process re-simulates the program into a new trace
+        # object with the same content; its sweep restores the digest
+        # from the store instead of deriving it again.
+        store = ArtifactStore(root=str(tmp_path), enabled=True)
+        first = FunctionalSimulator(build_workload("crc32")).run(
+            max_instructions=5_000_000, trace=True)
+        cold = simulate_pipeline_sweep(first, GRID[:4],
+                                       max_instructions=CAP, store=store)
+        second = FunctionalSimulator(build_workload("crc32")).run(
+            max_instructions=5_000_000, trace=True)
+        assert not hasattr(second, "_sweep_digest")
+        reset_sweep_stats()
+        warm = simulate_pipeline_sweep(second, GRID[:4],
+                                       max_instructions=CAP, store=store)
+        stats = sweep_stats_snapshot()
+        assert stats["digests_loaded"] == 1
+        assert stats["digests_built"] == 0
+        assert [result_fields(result) for result in warm] \
+            == [result_fields(result) for result in cold]
 
     @needs_native
     def test_library_cache_survives_reset(self):
