@@ -1039,11 +1039,11 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="worker process count (default 1)")
     p.add_argument("--lease-ttl", type=float, default=None,
-                   help="seconds before an unrefreshed cell lease is "
+                   help="seconds before an unrefreshed block lease is "
                         "considered abandoned")
     p.add_argument("--chaos-kill", default=None, metavar="W:N",
                    help="fault injection for tests/CI: worker W SIGKILLs "
-                        "itself mid-cell after executing N cells")
+                        "itself mid-block after executing N cells")
     return parser
 
 

@@ -8,9 +8,9 @@ resumable system for large kernel × config × seed matrices:
 * :mod:`repro.fleet.queue` — file-backed work-stealing job queue
   (atomic lockfile leases, heartbeats, dead-pid/TTL reclaim) shared by
   any number of worker processes or hosts;
-* :mod:`repro.fleet.scheduler` — reuse-affinity sharding that keeps
-  cells sharing a trace digest, outcome bank, or compiled kernel on one
-  worker back-to-back;
+* :mod:`repro.fleet.scheduler` — reuse-affinity blocks and sharding
+  that keep cells sharing a trace digest, outcome bank, or compiled
+  kernel on one worker back-to-back, claimed a block at a time;
 * :mod:`repro.fleet.worker` — the worker loop routing consecutive cells
   through :class:`~repro.uarch.incremental.IncrementalSession` instead
   of cold sweeps;
@@ -42,7 +42,9 @@ from repro.fleet.run import (
     run_fleet,
 )
 from repro.fleet.scheduler import (
+    Block,
     affinity_key,
+    build_blocks,
     build_shards,
     order_cells,
     steal_candidates,
@@ -50,6 +52,7 @@ from repro.fleet.scheduler import (
 from repro.fleet.worker import FleetWorker, cell_metrics, worker_entry
 
 __all__ = [
+    "Block",
     "DEFAULT_LEASE_TTL",
     "Cell",
     "FleetError",
@@ -60,6 +63,7 @@ __all__ = [
     "Recipe",
     "RecipeError",
     "affinity_key",
+    "build_blocks",
     "build_shards",
     "cell_metrics",
     "collect_matrix",

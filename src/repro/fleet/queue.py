@@ -1,26 +1,29 @@
-"""File-backed work-stealing cell queue (leases + results on disk).
+"""File-backed work-stealing queue (block leases + cell results on disk).
 
-Every fleet run directory holds two flat namespaces keyed by cell id::
+Every fleet run directory holds two flat namespaces::
 
-    <run>/leases/<cell_id>.json    one worker's live claim
-    <run>/results/<cell_id>.json   the cell's published result
+    <run>/leases/<block_id>.json   one worker's live claim on a block
+    <run>/results/<cell_id>.json   one cell's published result
 
-Claiming is an ``O_CREAT | O_EXCL`` open — the filesystem arbitrates,
-so any number of worker processes (and multiple hosts sharing the run
-directory) can race on the same cell and exactly one wins.  Results are
-published with the same temp-file + ``os.rename`` idiom the artifact
-store uses, so a reader never sees a torn result and re-publication of
-an identical result is harmless (the cells are deterministic).
+A lease covers a block — a run of same-trace cells the scheduler cut
+(:mod:`repro.fleet.scheduler`) — while results stay per cell.  The
+queue itself only knows ids: claiming is an ``O_CREAT | O_EXCL`` open —
+the filesystem arbitrates, so any number of worker processes (and
+multiple hosts sharing the run directory) can race on the same block
+and exactly one wins.  Results are published with the same write-aside
++ ``os.rename`` idiom the artifact store uses, so a reader never sees a
+torn result and re-publication of an identical result is harmless (the
+cells are deterministic).
 
 A lease carries the owner's pid/host and is refreshed by
-:meth:`FleetQueue.heartbeat` (workers beat from a daemon thread for as
-long as a cell executes); :meth:`reclaim` releases leases whose owner
-is provably dead (same host, pid gone) immediately and any other lease
-after ``lease_ttl`` seconds without a heartbeat — so a SIGKILL-ed
-worker strands its in-flight cell for at most one TTL, and in the
+:meth:`FleetQueue.heartbeat` (each worker beats from one daemon thread
+for whichever lease it holds); :meth:`reclaim` releases leases whose
+owner is provably dead (same host, pid gone) immediately and any other
+lease after ``lease_ttl`` seconds without a heartbeat — so a SIGKILL-ed
+worker strands its in-flight block for at most one TTL, and in the
 common single-host case for no time at all.  A same-host owner whose
 pid is still alive is authoritative: its lease is never reclaimed on
-TTL age alone, so a cell that outlives the TTL is not re-executed by a
+TTL age alone, so a block that outlives the TTL is not re-executed by a
 sibling.
 
 Every claim / steal / complete / reclaim emits a ``fleet`` journal
@@ -78,8 +81,8 @@ class FleetQueue:
         os.makedirs(self.results_dir, exist_ok=True)
 
     # ------------------------------------------------------------------
-    def lease_path(self, cell_id):
-        return os.path.join(self.leases_dir, f"{cell_id}.json")
+    def lease_path(self, lease_id):
+        return os.path.join(self.leases_dir, f"{lease_id}.json")
 
     def result_path(self, cell_id):
         return os.path.join(self.results_dir, f"{cell_id}.json")
@@ -103,12 +106,12 @@ class FleetQueue:
         return {name[:-5] for name in names if name.endswith(".json")}
 
     # ------------------------------------------------------------------
-    def claim(self, cell_id, worker, stolen=False):
-        """Try to lease one cell; True exactly once across all racers."""
-        if self.has_result(cell_id):
+    def claim(self, lease_id, worker, stolen=False):
+        """Try to take one lease; True exactly once across all racers."""
+        if self.has_result(lease_id):
             return False
         try:
-            fd = os.open(self.lease_path(cell_id),
+            fd = os.open(self.lease_path(lease_id),
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
             return False
@@ -123,14 +126,14 @@ class FleetQueue:
         if stolen:
             REGISTRY.counter("fleet.steals").inc()
         emit_event("fleet", event="steal" if stolen else "claim",
-                   cell=cell_id, worker=worker)
+                   lease=lease_id, worker=worker)
         return True
 
     def _lease_record(self, worker):
         return {"worker": worker, "pid": os.getpid(), "host": self.host,
                 "ts": round(time.time(), 6)}
 
-    def heartbeat(self, cell_id, worker):
+    def heartbeat(self, lease_id, worker):
         """Refresh a held lease (atomic rewrite keeps readers whole)."""
         record = self._lease_record(worker)
         fd, staging = tempfile.mkstemp(prefix=f".hb-{os.getpid()}-",
@@ -138,15 +141,15 @@ class FleetQueue:
         try:
             with os.fdopen(fd, "w") as handle:
                 json.dump(record, handle)
-            os.rename(staging, self.lease_path(cell_id))
+            os.rename(staging, self.lease_path(lease_id))
         except OSError:
             with suppress(OSError):
                 os.remove(staging)
 
-    def lease_info(self, cell_id):
+    def lease_info(self, lease_id):
         """The lease record, or None; torn/invalid reads degrade to an
         mtime-only record so reclaim can still age it out."""
-        path = self.lease_path(cell_id)
+        path = self.lease_path(lease_id)
         try:
             with open(path) as handle:
                 record = json.load(handle)
@@ -163,26 +166,38 @@ class FleetQueue:
                       "ts": mtime}
         return record
 
-    def release(self, cell_id):
+    def release(self, lease_id):
         with suppress(OSError):
-            os.remove(self.lease_path(cell_id))
+            os.remove(self.lease_path(lease_id))
 
     # ------------------------------------------------------------------
-    def complete(self, cell_id, payload, worker=None):
-        """Atomically publish one cell result and drop its lease."""
-        fd, staging = tempfile.mkstemp(prefix=f".res-{os.getpid()}-",
-                                       dir=self.results_dir)
+    def publish(self, cell_id, payload):
+        """Atomically publish one cell result (the lease is untouched).
+
+        The staging name is unique per process and cell, so no
+        ``mkstemp`` search is needed; it never ends in ``.json``, so
+        :meth:`completed_ids` cannot mistake it for a result.
+        """
+        path = self.result_path(cell_id)
+        staging = os.path.join(self.results_dir,
+                               f".{cell_id}.{os.getpid()}.tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            os.rename(staging, self.result_path(cell_id))
+            # One write of the whole text: ``json.dump`` would make one
+            # small write per token.
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            with open(staging, "w") as handle:
+                handle.write(text)
+            os.rename(staging, path)
         except BaseException:
             with suppress(OSError):
                 os.remove(staging)
             raise
-        self.release(cell_id)
         REGISTRY.counter("fleet.cells_completed").inc()
+
+    def complete(self, cell_id, payload, worker=None):
+        """Publish one result under its own lease id and drop the lease."""
+        self.publish(cell_id, payload)
+        self.release(cell_id)
         emit_event("fleet", event="complete", cell=cell_id, worker=worker)
 
     def read_result(self, cell_id):
@@ -194,26 +209,26 @@ class FleetQueue:
             return None
 
     # ------------------------------------------------------------------
-    def reclaim(self, cell_ids=None, worker=None):
-        """Release abandoned leases; returns the reclaimed cell ids.
+    def reclaim(self, lease_ids=None, worker=None):
+        """Release abandoned leases; returns the reclaimed lease ids.
 
-        A lease is abandoned when its cell has no result and either its
+        A lease is abandoned when its id has no result and either its
         owner pid is dead on this host (immediate) or its last
         heartbeat is older than the TTL (cross-host fallback).  A
         same-host owner whose pid is alive keeps the lease regardless
-        of TTL — matching the workers' own wait logic — so a slow cell
+        of TTL — matching the workers' own wait logic — so a slow block
         is never stolen from a live process.
         """
-        if cell_ids is None:
-            cell_ids = self.leased_ids()
+        if lease_ids is None:
+            lease_ids = self.leased_ids()
         now = time.time()
         reclaimed = []
-        for cell_id in sorted(cell_ids):
-            if self.has_result(cell_id):
-                # Completed cells should have no lease; sweep leftovers.
-                self.release(cell_id)
+        for lease_id in sorted(lease_ids):
+            if self.has_result(lease_id):
+                # A completed id should have no lease; sweep leftovers.
+                self.release(lease_id)
                 continue
-            info = self.lease_info(cell_id)
+            info = self.lease_info(lease_id)
             if info is None:
                 continue
             same_host = (info.get("host") == self.host
@@ -223,13 +238,13 @@ class FleetQueue:
             expired = now - float(info.get("ts") or 0.0) > self.lease_ttl
             if not dead and (alive_here or not expired):
                 continue
-            self.release(cell_id)
-            reclaimed.append(cell_id)
+            self.release(lease_id)
+            reclaimed.append(lease_id)
             REGISTRY.counter("fleet.reclaims").inc()
-            emit_event("fleet", event="reclaim", cell=cell_id,
+            emit_event("fleet", event="reclaim", lease=lease_id,
                        worker=worker, previous=info.get("worker"),
                        reason="dead_pid" if dead else "expired")
-            _LOG.info("fleet.reclaim", cell=cell_id,
+            _LOG.info("fleet.reclaim", lease=lease_id,
                       previous=info.get("worker"),
                       reason="dead_pid" if dead else "expired")
         return reclaimed

@@ -3,7 +3,7 @@
 A run directory is the whole state of one matrix execution::
 
     <run>/recipe.json    canonical recipe (digest-checked on resume)
-    <run>/leases/        live cell claims (FleetQueue)
+    <run>/leases/        live block claims (FleetQueue)
     <run>/results/       published per-cell results
     <run>/workers/       per-worker summaries
     <run>/matrix.json    canonical matrix, written when complete
@@ -39,6 +39,7 @@ from repro.fleet.recipe import (
     recipe_from_dict,
     save_recipe,
 )
+from repro.fleet.scheduler import recipe_blocks
 from repro.fleet.worker import (
     CELLS_FILENAME,
     RECIPE_FILENAME,
@@ -65,12 +66,13 @@ class FleetError(RuntimeError):
 # ----------------------------------------------------------------------
 # Run directory state
 # ----------------------------------------------------------------------
-def init_run(run_dir, recipe):
+def init_run(run_dir, recipe, cells=None):
     """Create (or validate) a run directory for ``recipe``.
 
     Re-initializing with a *different* recipe is refused — a run
     directory is bound to one matrix for its whole life, which is what
-    makes resume and the byte-identical export sound.
+    makes resume and the byte-identical export sound.  ``cells`` is
+    ``recipe.expand()`` when the caller already has it.
     """
     os.makedirs(run_dir, exist_ok=True)
     recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
@@ -83,13 +85,14 @@ def init_run(run_dir, recipe):
                 f"run {recipe.name!r} ({recipe.digest()}) in it")
     else:
         save_recipe(recipe, recipe_path)
-        cells = recipe.expand()
+        if cells is None:
+            cells = recipe.expand()
+        text = json.dumps({"schema": MATRIX_SCHEMA_VERSION,
+                           "recipe_digest": recipe.digest(),
+                           "cells": [cell.to_dict() for cell in cells]},
+                          indent=2, sort_keys=True)
         with open(os.path.join(run_dir, CELLS_FILENAME), "w") as handle:
-            json.dump({"schema": MATRIX_SCHEMA_VERSION,
-                       "recipe_digest": recipe.digest(),
-                       "cells": [cell.to_dict() for cell in cells]},
-                      handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(text + "\n")
     FleetQueue(run_dir).ensure_dirs()
 
 
@@ -165,12 +168,15 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         recipe = recipe_from_dict(recipe)
     elif not isinstance(recipe, Recipe):
         raise RecipeError(f"not a recipe: {recipe!r}")
-    init_run(run_dir, recipe)
+    # The one expansion this process makes: everything below that needs
+    # the cell list (init, pinning, the in-process worker, the matrix
+    # export) takes it from here.
+    cells = recipe.expand()
+    init_run(run_dir, recipe, cells)
     workers = max(1, int(workers))
     chaos = parse_chaos(chaos)
     lease_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
     queue = FleetQueue(run_dir, **lease_kwargs)
-    cells = recipe.expand()
 
     own_journal = active_journal() is None
     if own_journal:
@@ -197,7 +203,8 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         if completed_before < len(cells):
             if workers == 1 and chaos is None:
                 summaries.append(FleetWorker(
-                    run_dir, 0, 1, lease_ttl=lease_ttl).run())
+                    run_dir, 0, 1, lease_ttl=lease_ttl, recipe=recipe,
+                    cells=cells).run())
             else:
                 dead_workers = _spawn_workers(run_dir, workers,
                                               lease_ttl, chaos)
@@ -208,7 +215,7 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         completed = len(queue.completed_ids())
         complete = completed >= len(cells)
         if complete:
-            export_matrix(run_dir)
+            export_matrix(run_dir, recipe, cells)
         summary = {
             "run_dir": run_dir,
             "recipe": recipe.name,
@@ -267,7 +274,13 @@ def fleet_status(run_dir):
     cells = recipe.expand()
     queue = FleetQueue(run_dir)
     completed = queue.completed_ids()
-    leased = queue.leased_ids() - completed
+    # Leases name blocks; report the pending cells the held ones cover.
+    blocks = {block.block_id: block
+              for block in recipe_blocks(recipe, cells)}
+    leased = {cell.cell_id
+              for lease_id in queue.leased_ids() if lease_id in blocks
+              for cell in blocks[lease_id].cells
+              if cell.cell_id not in completed}
     workers = []
     workers_dir = os.path.join(run_dir, WORKERS_DIR)
     if os.path.isdir(workers_dir):
@@ -293,16 +306,19 @@ def fleet_status(run_dir):
     }
 
 
-def collect_matrix(run_dir):
+def collect_matrix(run_dir, recipe=None, cells=None):
     """The canonical matrix dict (raises FleetError if incomplete).
 
     Strictly deterministic content: recipe identity plus each cell's
     id/coordinates and :func:`~repro.fleet.worker.cell_metrics` block,
     in expansion order.  Worker attribution, timestamps, and wall times
-    stay in the per-cell result files and are excluded here.
+    stay in the per-cell result files and are excluded here.  The run
+    directory's own recipe and its expansion are read unless passed.
     """
-    recipe = load_run_recipe(run_dir)
-    cells = recipe.expand()
+    if recipe is None:
+        recipe = load_run_recipe(run_dir)
+    if cells is None:
+        cells = recipe.expand()
     queue = FleetQueue(run_dir)
     rows = []
     missing = []
@@ -331,15 +347,15 @@ def collect_matrix(run_dir):
     }
 
 
-def matrix_bytes(run_dir):
+def matrix_bytes(run_dir, recipe=None, cells=None):
     """The canonical matrix serialization (the byte-identity contract)."""
-    matrix = collect_matrix(run_dir)
+    matrix = collect_matrix(run_dir, recipe, cells)
     return (json.dumps(matrix, indent=2, sort_keys=True) + "\n").encode()
 
 
-def export_matrix(run_dir):
+def export_matrix(run_dir, recipe=None, cells=None):
     """Write ``matrix.json`` atomically; returns its path."""
-    payload = matrix_bytes(run_dir)
+    payload = matrix_bytes(run_dir, recipe, cells)
     path = os.path.join(run_dir, MATRIX_FILENAME)
     staging = path + f".tmp-{os.getpid()}"
     with open(staging, "wb") as handle:

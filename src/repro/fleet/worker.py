@@ -1,33 +1,41 @@
 """One fleet worker process: claim, execute, publish, steal.
 
-A worker owns one shard of the run's affinity-ordered cells
-(:mod:`repro.fleet.scheduler`) and works it head to tail, leasing each
-cell through the :class:`~repro.fleet.queue.FleetQueue` before timing
-it.  Because a shard keeps all of a trace's cells contiguous, the
-worker holds one :class:`~repro.uarch.incremental.IncrementalSession`
-per trace: consecutive cells differ in a knob or two, so each step is a
+A worker owns one shard of the run's blocks (:mod:`repro.fleet.scheduler`
+— runs of consecutive same-trace cells in affinity order) and works it
+head to tail, leasing each block through the
+:class:`~repro.fleet.queue.FleetQueue` before timing its cells.
+Because a shard keeps all of a trace's cells contiguous, the worker
+holds one :class:`~repro.uarch.incremental.IncrementalSession` per
+trace: consecutive cells differ in a knob or two, so each step is a
 planned incremental re-simulation over the already-digested trace and
 in-memory outcome banks, not a cold sweep.
 
-When its own shard drains the worker steals from the other shards'
-tails; when nothing is claimable it reclaims abandoned leases (dead
-pid / expired TTL) and retries, so a killed sibling's in-flight cell is
-re-executed rather than stranded.  Each retry pass re-scans the own
-shard too: a thief can die holding a lease on an own-shard cell, and
-after the reclaim the shard owner may be the only worker left to run
-it (thieves never steal from their own shard).  While a cell executes
-its lease is refreshed from a daemon heartbeat thread, so a cell that
-outlives the lease TTL (trace acquisition under a 20M-instruction
-functional cap can) is never mistaken for abandoned.  Every published
-result is
-deterministic — exclusively :func:`cell_metrics` fields, which hold
-only simulation-defined numbers — so re-execution after a crash (or a
-racing duplicate publish) always writes the same bytes.
+Bookkeeping is per block; results are per cell.  A block costs one
+lease, one ``results/`` listing (the worker otherwise keeps its
+completed set in memory), one progress event and one metric flush;
+each of its cells still gets its own ``fleet.cell`` span and its own
+atomically published result file.  One daemon thread per worker
+refreshes whichever block lease it holds, so a block that outlives the
+lease TTL (trace acquisition under a 20M-instruction functional cap
+can) is never mistaken for abandoned.
+
+When its own shard drains the worker steals whole blocks from the
+other shards' tails; when nothing is claimable it reclaims abandoned
+leases (dead pid / expired TTL) and retries, so a killed sibling's
+in-flight block is re-executed rather than stranded.  A block killed
+part-way is reclaimed as a whole, and its re-run skips the cells that
+already have results, so a published result file is never rewritten.
+Each retry pass re-scans the own shard too: a thief can die holding a
+lease on an own-shard block, and after the reclaim the shard owner may
+be the only worker left to run it (thieves never steal from their own
+shard).  Every published result is deterministic — exclusively
+:func:`cell_metrics` fields, which hold only simulation-defined numbers
+— so re-execution after a crash always writes the same bytes.
 
 ``chaos`` is the fault-injection hook used by tests and the CI smoke
 job: ``(worker_index, after_cells)`` makes that worker SIGKILL itself
-*mid-cell* — after claiming its next cell but before publishing — once
-it has completed ``after_cells`` cells.
+*mid-block* — holding its block's lease, before timing the next cell —
+once it has completed ``after_cells`` cells.
 """
 
 import json
@@ -43,7 +51,11 @@ from repro.exec.artifacts import pipeline_artifacts, trace_artifacts
 from repro.exec.store import default_store
 from repro.fleet.queue import FleetQueue, _pid_alive
 from repro.fleet.recipe import recipe_from_dict
-from repro.fleet.scheduler import build_shards, steal_candidates
+from repro.fleet.scheduler import (
+    build_shards,
+    recipe_blocks,
+    steal_candidates,
+)
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
 from repro.obs.timing import TRACER
@@ -65,8 +77,8 @@ _MAX_SESSIONS = 2
 #: Poll interval while waiting on other workers' live leases.
 _POLL_SECONDS = 0.05
 
-#: A held lease is refreshed at this fraction of the TTL while its cell
-#: executes, keeping cross-host TTL reclaim honest for slow cells.
+#: A held lease is refreshed at this fraction of the TTL while its block
+#: executes, keeping cross-host TTL reclaim honest for slow blocks.
 _HEARTBEAT_FRACTION = 1 / 3
 
 RECIPE_FILENAME = "recipe.json"
@@ -112,19 +124,78 @@ def cell_metrics(result, power):
     }
 
 
+class _Heartbeat:
+    """One daemon thread per worker, refreshing whichever lease is held.
+
+    Used as a context manager around the worker's whole run; a block is
+    covered by :meth:`holding`.  The lock orders a beat against the
+    hand-over, so a beat never rewrites a lease after it was released.
+    """
+
+    def __init__(self, queue, worker_id):
+        self.queue = queue
+        self.worker_id = worker_id
+        self.interval = max(queue.lease_ttl * _HEARTBEAT_FRACTION,
+                            _POLL_SECONDS)
+        self._lock = threading.Lock()
+        self._held = None
+        self._stop = threading.Event()
+        self._thread = None
+
+    def __enter__(self):
+        self._stop.clear()
+        self._thread = threading.Thread(
+            target=self._beat, daemon=True,
+            name=f"fleet-hb-{self.worker_id}")
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._stop.set()
+        self._thread.join()
+
+    def _beat(self):
+        while not self._stop.wait(self.interval):
+            with self._lock:
+                if self._held is not None:
+                    self.queue.heartbeat(self._held, self.worker_id)
+
+    @contextmanager
+    def holding(self, lease_id):
+        with self._lock:
+            self._held = lease_id
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._held = None
+
+
 class FleetWorker:
-    """Executes one worker index's share of a fleet run."""
+    """Executes one worker index's share of a fleet run.
+
+    ``recipe`` and ``cells`` let an in-process caller that already
+    expanded the run's recipe pass it down; a worker process reads the
+    run directory's recipe and expands it once.
+    """
 
     def __init__(self, run_dir, worker_index, n_workers,
-                 lease_ttl=None, chaos=None):
+                 lease_ttl=None, chaos=None, recipe=None, cells=None):
         self.run_dir = run_dir
         self.index = worker_index
         self.n_workers = max(1, n_workers)
-        recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
-        with open(recipe_path) as handle:
-            self.recipe = recipe_from_dict(json.load(handle))
-        self.cells = self.recipe.expand()
-        self.shards = build_shards(self.cells, self.n_workers)
+        if recipe is None:
+            recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
+            with open(recipe_path) as handle:
+                recipe = recipe_from_dict(json.load(handle))
+        self.recipe = recipe
+        self.cells = recipe.expand() if cells is None else cells
+        self.blocks = recipe_blocks(recipe, self.cells)
+        self.shards = build_shards(self.blocks, self.n_workers)
+        self._trace_configs = {}
+        for cell in self.cells:
+            self._trace_configs.setdefault(cell.trace_key,
+                                           []).append(cell.config)
         kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = FleetQueue(run_dir, **kwargs)
         self.chaos = parse_chaos(chaos)
@@ -133,6 +204,8 @@ class FleetWorker:
         self.stolen = 0
         self.acquire_seconds = 0.0
         self.uarch_seconds = 0.0
+        self.completed = set()
+        self._heartbeat = _Heartbeat(self.queue, self.worker_id)
         self._sessions = OrderedDict()
         self._pin_owner = f"fleet-{self.worker_id}"
 
@@ -177,10 +250,9 @@ class FleetWorker:
             return
         keys = set()
         for trace_key, session in self._sessions.items():
-            configs = [cell.config for cell in self.cells
-                       if cell.trace_key == trace_key]
             with suppress(Exception):
-                keys.update(bank_store_keys(session.trace, configs))
+                keys.update(bank_store_keys(
+                    session.trace, self._trace_configs[trace_key]))
         store.pin(self._pin_owner, sorted(keys))
 
     def _execute(self, cell):
@@ -201,72 +273,66 @@ class FleetWorker:
         }
 
     # ------------------------------------------------------------------
-    def _maybe_chaos_kill(self, cell):
+    def _maybe_chaos_kill(self, block, cell):
         if self.chaos is None:
             return
         index, after = self.chaos
         if self.index == index and self.executed >= after:
-            # Mid-cell on purpose: the lease for ``cell`` is held and
+            # Mid-block on purpose: the lease for ``block`` is held and
             # will be stranded until a sibling (or resume) reclaims it.
             _LOG.warning("fleet.chaos_kill", worker=self.worker_id,
-                         cell=cell.cell_id, executed=self.executed)
-            emit_event("fleet", event="chaos_kill", cell=cell.cell_id,
-                       worker=self.worker_id)
+                         block=block.block_id, cell=cell.cell_id,
+                         executed=self.executed)
+            emit_event("fleet", event="chaos_kill", block=block.block_id,
+                       cell=cell.cell_id, worker=self.worker_id)
             os.kill(os.getpid(), signal.SIGKILL)
 
-    @contextmanager
-    def _heartbeating(self, cell_id):
-        """Refresh the held lease from a daemon thread while the cell
-        executes, so a cell outliving the TTL is never TTL-reclaimed
-        by a cross-host sibling mid-flight."""
-        stop = threading.Event()
-        interval = max(self.queue.lease_ttl * _HEARTBEAT_FRACTION,
-                       _POLL_SECONDS)
+    def _pending(self, block):
+        """Whether ``block`` still has a cell without a result.  Only
+        cells the in-memory set does not know are checked on disk, so a
+        block a sibling finished since the last listing is skipped."""
+        return any(cell.cell_id not in self.completed
+                   and not self.queue.has_result(cell.cell_id)
+                   for cell in block.cells)
 
-        def beat():
-            while not stop.wait(interval):
-                self.queue.heartbeat(cell_id, self.worker_id)
-
-        thread = threading.Thread(target=beat, daemon=True,
-                                  name=f"fleet-hb-{cell_id}")
-        thread.start()
-        try:
-            yield
-        finally:
-            stop.set()
-            thread.join()
-
-    def _try_cell(self, cell, stolen=False):
-        if not self.queue.claim(cell.cell_id, self.worker_id,
-                                stolen=stolen):
+    def _try_block(self, block, stolen=False):
+        if not self._pending(block) or not self.queue.claim(
+                block.block_id, self.worker_id, stolen=stolen):
             return False
-        self._maybe_chaos_kill(cell)
-        with TRACER.span("fleet.cell", cell=cell.cell_id,
-                         kernel=cell.kernel, config=cell.config.name,
-                         stolen=stolen), \
-                self._heartbeating(cell.cell_id):
-            payload = self._execute(cell)
-        self.queue.complete(cell.cell_id, payload, worker=self.worker_id)
-        self.executed += 1
+        # A dead earlier owner may have published part of this block:
+        # those cells are skipped, never rewritten.
+        self.completed = self.queue.completed_ids()
+        executed = 0
+        with self._heartbeat.holding(block.block_id):
+            for cell in block.cells:
+                if cell.cell_id in self.completed:
+                    continue
+                self._maybe_chaos_kill(block, cell)
+                with TRACER.span("fleet.cell", cell=cell.cell_id,
+                                 kernel=cell.kernel,
+                                 config=cell.config.name, stolen=stolen):
+                    payload = self._execute(cell)
+                self.queue.publish(cell.cell_id, payload)
+                self.completed.add(cell.cell_id)
+                self.executed += 1
+                executed += 1
+        self.queue.release(block.block_id)
         if stolen:
-            self.stolen += 1
-        done = len(self.queue.completed_ids())
-        emit_event("progress", done=done, total=len(self.cells),
-                   unit="cells", label=cell.cell_id)
+            self.stolen += executed
+        emit_event("fleet", event="complete", block=block.block_id,
+                   cells=executed, worker=self.worker_id)
+        emit_event("progress", done=len(self.completed),
+                   total=len(self.cells), unit="cells",
+                   label=block.block_id)
         emit_metric_deltas()
-        return True
-
-    def _pending(self):
-        completed = self.queue.completed_ids()
-        return [cell for cell in self.cells
-                if cell.cell_id not in completed]
+        return executed > 0
 
     def _live_lease_pending(self, pending):
-        """Whether any pending cell's lease looks alive (wait, don't
+        """Whether any pending block's lease looks alive (wait, don't
         quit): held by a live same-host pid or heartbeat-fresh."""
         now = time.time()
-        for cell in pending:
-            info = self.queue.lease_info(cell.cell_id)
+        for block in pending:
+            info = self.queue.lease_info(block.block_id)
             if info is None:
                 return True  # released between scans: claimable next pass
             if (info.get("host") == self.queue.host
@@ -280,45 +346,48 @@ class FleetWorker:
 
     def run(self):
         """Work the shard, then steal, until the matrix has no pending
-        claimable cells; returns a summary dict."""
+        claimable blocks; returns a summary dict."""
         self.queue.ensure_dirs()
         started = time.perf_counter()
         own = self.shards[self.index] if self.index < len(self.shards) \
             else []
         emit_event("fleet", event="worker_begin", worker=self.worker_id,
-                   shard=self.index, shard_cells=len(own),
+                   shard=self.index, shard_blocks=len(own),
+                   shard_cells=sum(len(block) for block in own),
                    total=len(self.cells))
-        for cell in own:
-            self._try_cell(cell)
-        while True:
-            progress = False
-            completed = self.queue.completed_ids()
-            # Re-scan the own shard before stealing: a thief may have
-            # died holding one of these cells and, since thieves never
-            # steal from their own shard, after the reclaim the shard
-            # owner can be the only worker left able to claim it.
-            for cell in own:
-                if cell.cell_id in completed:
+        self.completed = self.queue.completed_ids()
+        with self._heartbeat:
+            for block in own:
+                self._try_block(block)
+            while True:
+                progress = False
+                # Re-scan the own shard before stealing: a thief may
+                # have died holding one of these blocks and, since
+                # thieves never steal from their own shard, after the
+                # reclaim the shard owner can be the only worker left
+                # able to claim it.
+                for block in own:
+                    if self._try_block(block):
+                        progress = True
+                for block in steal_candidates(self.shards, self.index,
+                                              self._pending):
+                    if self._try_block(block, stolen=True):
+                        progress = True
+                self.completed = self.queue.completed_ids()
+                pending = [block for block in self.blocks
+                           if self._pending(block)]
+                if not pending:
+                    break
+                if progress:
                     continue
-                if self._try_cell(cell):
-                    progress = True
-            for cell in steal_candidates(
-                    self.shards, self.index,
-                    lambda cell: cell.cell_id not in completed):
-                if self._try_cell(cell, stolen=True):
-                    progress = True
-            pending = self._pending()
-            if not pending:
-                break
-            if progress:
-                continue
-            if self.queue.reclaim((cell.cell_id for cell in pending),
-                                  worker=self.worker_id):
-                continue
-            if self._live_lease_pending(pending):
-                time.sleep(_POLL_SECONDS)
-                continue
-            break  # nothing claimable, nothing reclaimable, owners gone
+                if self.queue.reclaim(
+                        (block.block_id for block in pending),
+                        worker=self.worker_id):
+                    continue
+                if self._live_lease_pending(pending):
+                    time.sleep(_POLL_SECONDS)
+                    continue
+                break  # nothing claimable, nothing reclaimable, owners gone
         with suppress(Exception):
             default_store().unpin(self._pin_owner)
         summary = {

@@ -36,6 +36,7 @@ corpus and every design change.
 import hashlib
 import os
 import time
+import weakref
 
 import numpy as np
 
@@ -123,10 +124,15 @@ class TraceDigest:
     ``static`` is the program's shared :class:`ProgramColumns`.  The
     digest also acts as the per-trace home for outcome banks, so
     repeated sweeps over the same trace share everything.
+
+    The trace owns its digest (``trace._sweep_digest``) and the digest
+    refers back to it only weakly: a strong back-reference would make
+    the pair a cycle, so a dropped trace would keep its digest and
+    every bank alive until a full garbage collection.
     """
 
     def __init__(self, trace, _restored=None):
-        self.trace = trace
+        self._trace = weakref.ref(trace)
         self.static = columns_for(trace.program)
         self.n = len(trace)
         self.pcs = np.asarray(trace.pcs, dtype=np.int64)
@@ -138,11 +144,16 @@ class TraceDigest:
         if _restored is not None:
             self._restore(*_restored)
         else:
-            self._build()
+            self._build(trace)
+
+    @property
+    def trace(self):
+        """The digested trace (None once it has been freed)."""
+        return self._trace()
 
     # -- construction ---------------------------------------------------
-    def _build(self):
-        trace, n = self.trace, self.n
+    def _build(self, trace):
+        n = self.n
         self.b_pos = np.nonzero(trace.taken >= 0)[0]
         self.b_pcs = self.pcs[self.b_pos]
         self.b_taken = trace.taken[self.b_pos] == 1
@@ -294,14 +305,14 @@ def _build_pred_bank(digest, config):
 # ----------------------------------------------------------------------
 # Artifact-store persistence for digests and banks
 # ----------------------------------------------------------------------
-def _store_key(kind, digest, component=""):
+def _store_key(kind, trace, component=""):
     from repro.exec.store import ARTIFACT_SCHEMA_VERSION
     material = "\x1f".join([
         f"schema={ARTIFACT_SCHEMA_VERSION}",
         f"bank_schema={BANK_SCHEMA_VERSION}",
         f"kind={kind}",
-        f"trace={digest.trace.content_digest()}",
-        f"program={digest.static.fingerprint()}",
+        f"trace={trace.content_digest()}",
+        f"program={columns_for(trace.program).fingerprint()}",
         f"component={component}",
     ])
     content = hashlib.sha256(material.encode()).hexdigest()[:24]
@@ -353,13 +364,10 @@ def bank_store_keys(trace, configs):
     the fleet's pin-while-leased layer shield a live run's warm
     digest/bank entries from LRU pruning.
     """
-    probe = TraceDigest.__new__(TraceDigest)
-    probe.trace = trace
-    probe.static = columns_for(trace.program)
-    keys = {_store_key("digest", probe)}
+    keys = {_store_key("digest", trace)}
     for config in configs:
-        keys.add(_store_key("cbank", probe, repr(_hierarchy_key(config))))
-        keys.add(_store_key("pbank", probe, repr(_predictor_key(config))))
+        keys.add(_store_key("cbank", trace, repr(_hierarchy_key(config))))
+        keys.add(_store_key("pbank", trace, repr(_predictor_key(config))))
     return sorted(keys)
 
 
@@ -376,10 +384,7 @@ def trace_digest(trace, store=None):
         _note("digests_reused")
         return digest
     if store is not None:
-        probe = TraceDigest.__new__(TraceDigest)
-        probe.trace = trace
-        probe.static = columns_for(trace.program)
-        restored = _load_npz_entry(store, _store_key("digest", probe),
+        restored = _load_npz_entry(store, _store_key("digest", trace),
                                    "digest.npz")
         if restored is not None:
             digest = TraceDigest(trace, _restored=restored)
@@ -395,7 +400,7 @@ def _persist_digest(digest, store):
     if digest._persisted:
         return
     digest._persisted = True
-    key = _store_key("digest", digest)
+    key = _store_key("digest", digest.trace)
     if store.has(key):
         return
     arrays = {
@@ -424,7 +429,7 @@ def _cache_bank_for(digest, config, store):
         return bank
     if store is not None:
         restored = _load_npz_entry(
-            store, _store_key("cbank", digest, repr(key)))
+            store, _store_key("cbank", digest.trace, repr(key)))
         if restored is not None:
             meta, arrays = restored
             bank = _CacheBank()
@@ -450,8 +455,8 @@ def _cache_bank_for(digest, config, store):
                 "bank_schema": BANK_SCHEMA_VERSION,
                 "component": repr(key), "shift": bank.shift,
                 "has_l2": bank.has_l2, "instructions": digest.n}
-        store.save(key=_store_key("cbank", digest, repr(key)), meta=meta,
-                   files={"bank.npz": _npz_writer(arrays)})
+        store.save(key=_store_key("cbank", digest.trace, repr(key)),
+                   meta=meta, files={"bank.npz": _npz_writer(arrays)})
         _note("cache_banks_saved")
     return bank
 
@@ -464,7 +469,7 @@ def _pred_bank_for(digest, config, store):
         return bank
     if store is not None:
         restored = _load_npz_entry(
-            store, _store_key("pbank", digest, repr(key)))
+            store, _store_key("pbank", digest.trace, repr(key)))
         if restored is not None:
             _, arrays = restored
             bank = _PredictorBank()
@@ -480,7 +485,8 @@ def _pred_bank_for(digest, config, store):
         meta = {"kind": "sweep-predictor-bank",
                 "bank_schema": BANK_SCHEMA_VERSION,
                 "component": repr(key), "instructions": digest.n}
-        store.save(key=_store_key("pbank", digest, repr(key)), meta=meta,
+        store.save(key=_store_key("pbank", digest.trace, repr(key)),
+                   meta=meta,
                    files={"bank.npz": _npz_writer({"miss": bank.miss})})
         _note("pred_banks_saved")
     return bank

@@ -17,6 +17,7 @@ from repro.fleet import (
     init_run,
     matrix_bytes,
     run_fleet,
+    scheduler,
 )
 
 
@@ -33,6 +34,24 @@ PAIR = Recipe(name="pair", kernels=["crc32"], pipeline_cap=20_000,
 
 GRID = Recipe(name="grid", kernels=["crc32", "sha"], pipeline_cap=20_000,
               axes={"width": [1, 2], "predictor": ["gap", "nottaken"]})
+
+
+@pytest.fixture
+def two_cell_blocks(monkeypatch):
+    """Cut GRID's 4-cell trace groups into two 2-cell blocks each
+    (forked workers inherit the patched size)."""
+    monkeypatch.setattr(scheduler, "BLOCK_INSTRUCTIONS",
+                        2 * GRID.pipeline_cap)
+
+
+def journal_events(run_dir):
+    events = []
+    for name in os.listdir(run_dir):
+        if name.startswith("journal-") and name.endswith(".jsonl"):
+            with open(os.path.join(run_dir, name)) as handle:
+                events.extend(json.loads(line) for line in handle
+                              if line.strip())
+    return events
 
 
 def result_snapshot(run_dir):
@@ -130,13 +149,32 @@ class TestStatus:
         assert sum(worker["executed"]
                    for worker in status["workers"]) == 2
 
+    def test_held_block_lease_counts_its_pending_cells(
+            self, tmp_path, two_cell_blocks):
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, GRID)
+        worker = FleetWorker(run_dir, 0, 1)
+        block = worker.blocks[1]
+        assert len(worker.blocks) == 4 and len(block) == 2
+        # One of the block's cells is already published, the other is
+        # still running under the block's lease.
+        worker.queue.publish(block.cells[0].cell_id, {"metrics": {}})
+        assert worker.queue.claim(block.block_id, worker.worker_id)
+        status = fleet_status(run_dir)
+        assert status["cells"] == 8
+        assert status["completed"] == 1
+        assert status["leased"] == 1
+        assert status["pending"] == 7
+        worker.queue.release(block.block_id)
+        assert fleet_status(run_dir)["leased"] == 0
+
     def test_not_a_run_dir(self, tmp_path):
         with pytest.raises(FleetError, match="not a fleet run"):
             fleet_status(str(tmp_path / "nope"))
 
 
 class TestCrashResume:
-    """The acceptance scenario: SIGKILL a worker mid-cell, resume, and
+    """The acceptance scenario: SIGKILL a worker mid-block, resume, and
     get a byte-identical matrix with completed cells skipped."""
 
     def test_sigkill_then_resume_is_byte_identical(self, tmp_path):
@@ -148,7 +186,7 @@ class TestCrashResume:
         assert crashed["complete"] is False
         assert crashed["dead_workers"] == 1
         assert crashed["completed"] == 2  # chaos fired after 2 cells
-        # The stranded mid-cell lease was reclaimed by the orchestrator.
+        # The stranded block lease was reclaimed by the orchestrator.
         queue = FleetQueue(run_dir)
         assert queue.leased_ids() - queue.completed_ids() == set()
 
@@ -171,7 +209,7 @@ class TestCrashResume:
         run_fleet(reference, GRID)
 
         run_dir = str(tmp_path / "chaotic")
-        # Worker 0 dies mid-cell after 1 cell; worker 1 must pick up the
+        # Worker 0 dies mid-block after 1 cell; worker 1 must pick up the
         # stranded lease (dead-pid fast path) and finish the whole
         # matrix in this single invocation.
         summary = run_fleet(run_dir, GRID, workers=2, chaos="0:1")
@@ -196,17 +234,17 @@ class TestCrashResume:
                    for event in reclaims)
 
     def test_dead_thief_own_shard_lease_recovered(self, tmp_path):
-        """Regression: a dead thief's lease on an own-shard cell must be
-        re-run by the shard owner, not livelock the poll loop (thieves
-        never steal from their own shard, so after the reclaim the
-        owner can be the only worker able to claim it)."""
+        """Regression: a dead thief's lease on an own-shard block must
+        be re-run by the shard owner, not livelock the poll loop
+        (thieves never steal from their own shard, so after the reclaim
+        the owner can be the only worker able to claim it)."""
         run_dir = str(tmp_path / "run")
         init_run(run_dir, PAIR)
         worker = FleetWorker(run_dir, 0, 1)
         target = worker.shards[0][0]
         record = {"worker": "thief", "pid": dead_pid(),
                   "host": worker.queue.host, "ts": 9_999_999_999.0}
-        with open(worker.queue.lease_path(target.cell_id), "w") as fh:
+        with open(worker.queue.lease_path(target.block_id), "w") as fh:
             json.dump(record, fh)
         done = {}
         thread = threading.Thread(
@@ -225,13 +263,26 @@ class TestHeartbeat:
         run_dir = str(tmp_path / "run")
         init_run(run_dir, PAIR)
         worker = FleetWorker(run_dir, 0, 1, lease_ttl=0.2)
-        cell = worker.shards[0][0]
-        assert worker.queue.claim(cell.cell_id, worker.worker_id)
-        before = worker.queue.lease_info(cell.cell_id)["ts"]
-        with worker._heartbeating(cell.cell_id):
+        block = worker.shards[0][0]
+        assert worker.queue.claim(block.block_id, worker.worker_id)
+        before = worker.queue.lease_info(block.block_id)["ts"]
+        with worker._heartbeat, worker._heartbeat.holding(block.block_id):
             time.sleep(0.5)
-        assert worker.queue.lease_info(cell.cell_id)["ts"] > before
-        worker.queue.release(cell.cell_id)
+        assert worker.queue.lease_info(block.block_id)["ts"] > before
+        worker.queue.release(block.block_id)
+
+    def test_released_lease_is_never_beaten_back(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, PAIR)
+        worker = FleetWorker(run_dir, 0, 1, lease_ttl=0.01)
+        block = worker.shards[0][0]
+        with worker._heartbeat:
+            assert worker.queue.claim(block.block_id, worker.worker_id)
+            with worker._heartbeat.holding(block.block_id):
+                time.sleep(0.2)
+            worker.queue.release(block.block_id)
+            time.sleep(0.2)
+        assert worker.queue.leased_ids() == set()
 
     def test_slow_cells_never_expiry_stolen_from_live_workers(
             self, tmp_path):
@@ -253,3 +304,102 @@ class TestHeartbeat:
                        and event.get("reason") == "expired"
                        for event in events
                        if event.get("kind") == "fleet")
+
+
+class TestBlocks:
+    """Claims are per block of same-trace cells; results stay per cell."""
+
+    def test_blocks_independent_of_worker_count(self, tmp_path,
+                                                two_cell_blocks):
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, GRID)
+        reference = FleetWorker(run_dir, 0, 1).blocks
+        assert len(reference) == 4
+        for n_workers in (1, 2, 3):
+            for index in range(n_workers):
+                worker = FleetWorker(run_dir, index, n_workers)
+                assert worker.blocks == reference
+                flat = [block for shard in worker.shards for block in shard]
+                assert sorted(block.block_id for block in flat) == \
+                    sorted(block.block_id for block in reference)
+        for block in reference:
+            assert len({cell.trace_key for cell in block.cells}) == 1
+        cells = [cell.cell_id for block in reference for cell in block.cells]
+        assert sorted(cells) == sorted(cell.cell_id for cell in GRID.expand())
+
+    def test_block_with_published_tail_runs_its_head(self, tmp_path):
+        # However a block's tail got published, its missing head cells
+        # are still claimed and run, and the tail is left as it was.
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, PAIR)
+        worker = FleetWorker(run_dir, 0, 1)
+        [block] = worker.blocks
+        head, tail = block.cells
+        worker.queue.publish(tail.cell_id, {"metrics": {}})
+        before = result_snapshot(run_dir)
+        done = {}
+        thread = threading.Thread(
+            target=lambda: done.setdefault("summary", worker.run()),
+            daemon=True)
+        thread.start()
+        thread.join(timeout=120)
+        assert "summary" in done, "worker livelocked on a partial block"
+        assert done["summary"]["executed"] == 1
+        after = result_snapshot(run_dir)
+        assert after[f"{tail.cell_id}.json"] == \
+            before[f"{tail.cell_id}.json"]
+        assert f"{head.cell_id}.json" in after
+
+    def test_one_claim_per_block(self, tmp_path, two_cell_blocks):
+        run_dir = str(tmp_path / "run")
+        summary = run_fleet(run_dir, GRID)
+        assert summary["complete"] is True
+        claims = [event for event in journal_events(run_dir)
+                  if event.get("kind") == "fleet"
+                  and event.get("event") in ("claim", "steal")]
+        assert len(claims) == 4
+        progress = [event for event in journal_events(run_dir)
+                    if event.get("kind") == "progress"
+                    and event.get("unit") == "cells"
+                    and event.get("label", "").endswith(".b2")]
+        assert [event["done"] for event in progress] == [2, 4, 6, 8]
+
+    def test_more_workers_than_cores_run_each_cell_once(
+            self, tmp_path, two_cell_blocks):
+        solo = str(tmp_path / "solo")
+        crowd = str(tmp_path / "crowd")
+        run_fleet(solo, GRID, workers=1)
+        workers = (os.cpu_count() or 1) + 2
+        summary = run_fleet(crowd, GRID, workers=workers)
+        assert summary["complete"] is True
+        assert summary["dead_workers"] == 0
+        status = fleet_status(crowd)
+        assert len(status["workers"]) == workers
+        assert sum(worker["executed"] for worker in status["workers"]) == 8
+        assert matrix_bytes(crowd) == matrix_bytes(solo)
+
+    def test_mid_block_kill_then_resume_is_byte_identical(
+            self, tmp_path, two_cell_blocks):
+        reference = str(tmp_path / "reference")
+        run_fleet(reference, GRID, workers=1)
+
+        run_dir = str(tmp_path / "chaotic")
+        # Three cells done: the kill lands inside the second block,
+        # after its first cell was published.
+        crashed = run_fleet(run_dir, GRID, workers=1, chaos="0:3")
+        assert crashed["complete"] is False
+        assert crashed["completed"] == 3
+        queue = FleetQueue(run_dir)
+        assert queue.leased_ids() == set()  # reclaimed as a whole
+
+        survivors = result_snapshot(run_dir)
+        resumed = run_fleet(run_dir, workers=2)
+        assert resumed["complete"] is True
+        assert resumed["skipped"] == 3 and resumed["executed"] == 5
+        after = result_snapshot(run_dir)
+        assert {name: after[name] for name in survivors} == survivors
+        assert len(after) == 8
+        with open(os.path.join(run_dir, "matrix.json"), "rb") as handle:
+            resumed_bytes = handle.read()
+        with open(os.path.join(reference, "matrix.json"), "rb") as handle:
+            assert resumed_bytes == handle.read()

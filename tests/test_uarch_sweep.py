@@ -25,8 +25,10 @@ It doubles as the tier-1 CI gate for sweep-engine regressions.
 """
 
 import dataclasses
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
@@ -35,7 +37,7 @@ from repro.evaluation import design_change_study, workload_artifacts
 from repro.exec.store import ArtifactStore
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
-from repro.sim import FunctionalSimulator
+from repro.sim import FunctionalSimulator, run_program
 from repro.sim.trace import DynamicTrace
 from repro.statsim import StatisticalSimulator
 from repro.uarch import (
@@ -439,6 +441,23 @@ class TestNative:
         assert stats["digests_built"] == 0
         assert [result_fields(result) for result in warm] \
             == [result_fields(result) for result in cold]
+
+    @needs_native
+    def test_dropped_trace_frees_its_digest(self, loop_nest_program):
+        # The trace owns its digest and the digest must not hold the
+        # trace back: with the collector off, dropping the last
+        # reference to a swept trace frees its digest (and banks) at
+        # once instead of at the next full collection.
+        trace = run_program(loop_nest_program)
+        simulate_pipeline_sweep(trace, GRID[:4], max_instructions=CAP,
+                                store=ArtifactStore(enabled=False))
+        digest = weakref.ref(trace._sweep_digest)
+        gc.disable()
+        try:
+            del trace
+            assert digest() is None
+        finally:
+            gc.enable()
 
     @needs_native
     def test_library_cache_survives_reset(self):
