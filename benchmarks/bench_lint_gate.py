@@ -4,9 +4,9 @@ Measures ``CloneSynthesizer.synthesize()`` with the gate off and on
 over the default corpus, plus the full clone pipeline (functional sim →
 profile → synthesize) the gate actually rides in.  The acceptance
 target is gate overhead under 5% of a workload's cloning cost; the
-synthesize-only ratio is reported alongside because the gate's passes
-re-derive the whole contract and are the same order of work as emission
-itself.
+synthesize-only ratio is reported alongside because the gate proves the
+clone safe and predicts its whole profile to check the contract, the
+same order of work as emission itself.
 """
 
 import time

@@ -18,8 +18,8 @@ speedup is never bought with a wrong prediction.
 
 At this scale the memory model stretches sweep-once reset periods
 toward the run length (up to 8x their natural period), which pushes a
-few kernels' *clones* outside the footprint tolerance (CF205/CF215 —
-the gate working as designed, statically and dynamically in agreement).
+few kernels' *clones* outside the footprint tolerance (CF215 — the
+gate working as designed, statically and dynamically in agreement).
 Those gate-flagged kernels are excluded from the headline geomean and
 logged explicitly; the ≥50x assertion runs over the gate-clean set.
 

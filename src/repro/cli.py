@@ -10,10 +10,11 @@ Commands mirror the vendor/architect workflow:
 * ``sweep``     — the 28-configuration cache study for one workload;
 * ``estimate``  — statistical-simulation IPC estimate from a profile;
 * ``lint``      — static verification of a workload/assembly file (or,
-  with ``--clone``, profile-conformance analysis of its clone);
-  ``--static-profile`` adds the abstract-interpretation layer (safety
-  proofs SR11x and, for clones, simulation-free profile prediction
-  scored as CF21x), ``--audit`` the disclosure audit (DL3xx), and
+  with ``--clone``, of its clone against the synthesis contract: safety
+  proofs SR11x and the CF21x checks on a simulation-free profile
+  prediction); ``--static-profile`` adds the safety proofs for programs
+  and the certificates (and, for clones, the predicted profile) to
+  ``--json`` output, ``--audit`` the disclosure audit (DL3xx), and
   ``--severity CODE=LEVEL`` reclassifies individual diagnostics;
 * ``report``    — render the manifest/metrics of a prior run directory;
 * ``trace``     — timeline / flame / critical-path views of a run
@@ -50,7 +51,7 @@ artifact cache key and appears in manifests and ``repro report``.
 Exit codes: 0 success, 1 runtime failure, 2 bad target, 3 load failure,
 4 lint findings (error severity, or any finding under ``lint --strict``),
 5 disclosure-audit findings (DL3xx errors take precedence over exit 4 so
-CI can tell a leak from a structural/conformance failure).
+CI can tell a leak from a structural/contract failure).
 """
 
 import argparse
@@ -423,7 +424,7 @@ def cmd_estimate(args, ctx):
 
 
 def _parse_severity_overrides(pairs):
-    """``["CF202=error", ...]`` → ``{code: severity}`` (validated)."""
+    """``["CF212=error", ...]`` → ``{code: severity}`` (validated)."""
     if not pairs:
         return None
     overrides = {}
@@ -445,7 +446,7 @@ def _parse_severity_overrides(pairs):
 
 
 def cmd_lint(args, ctx):
-    """Static verification: structural passes, plus conformance for clones."""
+    """Static verification: structural passes, plus the contract for clones."""
     if args.all:
         targets = list(workload_names())
     elif args.target:
@@ -465,7 +466,6 @@ def cmd_lint(args, ctx):
                 lint_gate="off")  # the point here is the report, not a raise
             clone = make_clone(profile, parameters)
             report = lint_clone(clone, severity_overrides=overrides,
-                                static=args.static_profile,
                                 audit=args.audit)
             program = clone.program
             if args.static_profile:
@@ -974,27 +974,27 @@ def build_parser():
                           help="statistical-simulation IPC estimate"))
 
     p = sub.add_parser("lint", parents=[parent],
-                       help="static verification / clone conformance")
+                       help="static verification / clone contract")
     p.add_argument("target", nargs="?", default=None,
                    help="workload name, .s file, or profile .json")
     p.add_argument("--all", action="store_true",
                    help="lint every workload in the corpus")
     p.add_argument("--clone", action="store_true",
                    help="synthesize the target's clone and lint that "
-                        "(adds profile-conformance passes)")
+                        "(adds the CF21x clone contract and SR11x "
+                        "safety proofs)")
     p.add_argument("--strict", action="store_true",
                    help="warnings also fail (exit 4)")
     p.add_argument("--static-profile", action="store_true",
-                   help="run the abstract-interpretation layer: safety "
-                        "proofs (SR11x) and, with --clone, "
-                        "simulation-free profile prediction (CF21x); "
-                        "adds safety certificates to --json output")
+                   help="run the safety proofs (SR11x) on programs; "
+                        "adds safety certificates (and, with --clone, "
+                        "the predicted profile) to --json output")
     p.add_argument("--audit", action="store_true",
                    help="run the disclosure audit (DL3xx); exit 5 on "
                         "audit errors")
     p.add_argument("--severity", action="append", metavar="CODE=LEVEL",
                    help="override one diagnostic's severity (repeatable; "
-                        "e.g. --severity CF202=error)")
+                        "e.g. --severity CF212=error)")
     p.add_argument("--instructions", type=int, default=120_000,
                    help="clone dynamic instruction target (with --clone)")
     p.add_argument("--seed", type=int, default=42)

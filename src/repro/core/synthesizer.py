@@ -50,8 +50,8 @@ class SynthesisParameters:
     error-severity findings, ``"warn"`` only records the verdict in
     ``CloneResult.stats["lint"]``, and ``"off"`` skips the gate.
     ``severity_overrides`` (``{code: severity}``) is threaded through
-    every lint pass the gate runs — structural, conformance, safety,
-    static-profile, and disclosure alike (see
+    every lint pass the gate runs — structural, safety, clone contract,
+    and disclosure alike (see
     :mod:`repro.lint.diagnostics` for the precedence rules).
     """
 
@@ -154,9 +154,10 @@ class CloneSynthesizer:
     #: generators modelled every memop independently).
     use_alias_pairing = True
 
-    #: Run the profile-conformance lint layer in the post-synthesis
-    #: gate.  Baseline synthesizers that *intentionally* violate the
-    #: synthesis contract turn this off; the structural layer still runs.
+    #: Check the synthesis contract (``CF21x``, plus the ``SR11x``
+    #: safety proofs) in the post-synthesis gate.  Baseline synthesizers
+    #: that *intentionally* violate the contract turn this off; the
+    #: structural layer still runs.
     lint_conformance = True
 
     def __init__(self, profile, parameters=None):
@@ -282,11 +283,11 @@ class CloneSynthesizer:
     def _lint_gate(self, result):
         """Statically verify the freshly synthesized clone (the gate).
 
-        Runs every static layer — structural (``SR1xx``), contract
-        conformance (``CF20x``), safety proofs (``SR11x``), static
-        profile prediction (``CF21x``), and the disclosure audit
-        (``DL3xx``) — and attaches the machine-readable safety
-        certificate to ``stats["certificate"]``.  No simulation runs.
+        Runs every static layer — structural (``SR1xx``), safety proofs
+        (``SR11x``), the synthesis contract checked on the static profile
+        prediction (``CF21x``), and the disclosure audit (``DL3xx``) —
+        and attaches the machine-readable safety certificate to
+        ``stats["certificate"]``.  No simulation runs.
 
         Imported lazily: ``repro.lint`` depends on :mod:`repro.core`
         modules, so a module-level import here would be circular.
@@ -298,8 +299,7 @@ class CloneSynthesizer:
         overrides = self.parameters.severity_overrides
         with span("lint_gate"):
             report = lint_clone(result, severity_overrides=overrides,
-                                conformance=self.lint_conformance,
-                                static=self.lint_conformance)
+                                contract=self.lint_conformance)
             # The absint fixpoint is already cached on the program's
             # columns, so certifying here costs nothing extra.
             result.stats["certificate"] = safety_certificate(result.program)

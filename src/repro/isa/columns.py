@@ -2,9 +2,10 @@
 
 Every downstream consumer of a program's static facts — the functional
 simulator's decode tables, the profiler's per-instruction lookups, the
-conformance lint's body walks, and the sweep engine's scheduling
-loops — used to rebuild its own per-instruction arrays by
-dereferencing :class:`Instruction` objects, once per *call*.  :class:`ProgramColumns` centralizes that work: one
+static profile predictor's block facts and dependency walk, and the
+sweep engine's scheduling loops — used to rebuild its own
+per-instruction arrays by dereferencing :class:`Instruction` objects,
+once per *call*.  :class:`ProgramColumns` centralizes that work: one
 pass over the instruction objects per program per process, producing
 numpy columns (and the plain-list mirrors the pure-Python hot loops
 index fastest), cached on the program object.

@@ -1,6 +1,6 @@
 """repro.lint — static verification for SRISC programs and clones.
 
-Three layers over one diagnostics vocabulary
+Two layers over one diagnostics vocabulary
 (:mod:`repro.lint.diagnostics`):
 
 * **Structural** (:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`):
@@ -11,14 +11,11 @@ Three layers over one diagnostics vocabulary
   :mod:`repro.lint.staticprof`, :mod:`repro.lint.disclosure`): an
   abstract interpreter proves safety (trip bounds, termination, a
   footprint interval — ``SR11x``), predicts the clone's dynamic profile
-  without simulation and scores it against the target (``CF21x``), and
-  the disclosure audit proves no emitted constant derives from raw
-  values of the profiled application (``DL3xx``).
-* **Conformance** (:mod:`repro.lint.conformance`): given a
-  :class:`repro.core.synthesizer.CloneResult`, statically re-derive the
-  paper's synthesis contract — mix, dependency distances, branch
-  machinery, streams, footprint — against the source profile (``CF20x``
-  codes).
+  without simulation and checks the paper's synthesis contract — mix,
+  dependency distances, branch machinery, streams, footprint, in
+  aggregate and per generated block — against the source profile
+  (``CF21x``), and the disclosure audit proves no emitted constant
+  derives from raw values of the profiled application (``DL3xx``).
 
 Entry points: :func:`lint_program` for any program,
 :func:`lint_clone` for a synthesis result, and :class:`LintGateError`,
@@ -29,9 +26,6 @@ from repro.lint.absint import (CERTIFICATE_SCHEMA_VERSION, analyze_program,
                                check_safety, safety_certificate)
 from repro.lint.cfg import (ControlFlowGraph, check_branch_targets,
                             check_fallthrough_end, check_reachability)
-from repro.lint.conformance import (CloneShape, ConformanceTolerances,
-                                    check_conformance, discover_shape,
-                                    recover_pattern)
 from repro.lint.dataflow import (check_memory_bounds, check_register_writes,
                                  check_use_before_def)
 from repro.lint.diagnostics import (CODES, ERROR, INFO, WARNING, Diagnostic,
@@ -39,22 +33,22 @@ from repro.lint.diagnostics import (CODES, ERROR, INFO, WARNING, Diagnostic,
                                     merge_reports)
 from repro.lint.disclosure import (audit_disclosure, audit_program,
                                    profile_secrets)
-from repro.lint.staticprof import (StaticPrediction, StaticPredictionError,
+from repro.lint.staticprof import (ConformanceTolerances, StaticPrediction,
+                                   StaticPredictionError,
                                    check_static_conformance, predict_profile)
 from repro.obs.metrics import REGISTRY
 from repro.obs.timing import span
 
 __all__ = [
     "CERTIFICATE_SCHEMA_VERSION", "CODES", "ERROR", "INFO", "WARNING",
-    "CloneShape", "ConformanceTolerances", "ControlFlowGraph",
-    "Diagnostic", "LintGateError", "LintReport", "StaticPrediction",
+    "ConformanceTolerances", "ControlFlowGraph", "Diagnostic",
+    "LintGateError", "LintReport", "StaticPrediction",
     "StaticPredictionError", "analyze_program", "audit_disclosure",
-    "audit_program", "check_branch_targets", "check_conformance",
-    "check_fallthrough_end", "check_memory_bounds", "check_reachability",
-    "check_register_writes", "check_safety", "check_static_conformance",
-    "check_use_before_def", "discover_shape", "lint_clone", "lint_program",
-    "make_diagnostic", "merge_reports", "predict_profile",
-    "profile_secrets", "recover_pattern", "safety_certificate",
+    "audit_program", "check_branch_targets", "check_fallthrough_end",
+    "check_memory_bounds", "check_reachability", "check_register_writes",
+    "check_safety", "check_static_conformance", "check_use_before_def",
+    "lint_clone", "lint_program", "make_diagnostic", "merge_reports",
+    "predict_profile", "profile_secrets", "safety_certificate",
 ]
 
 
@@ -107,31 +101,25 @@ def lint_program(program, severity_overrides=None, safety=False,
 
 
 def lint_clone(clone, tolerances=None, severity_overrides=None,
-               conformance=True, static=True, audit=True):
-    """Structural, static, and conformance passes for one clone.
+               contract=True, audit=True):
+    """Structural passes plus the clone contract for one clone.
 
-    ``static`` adds the abstract-interpretation layer: safety proofs
-    (``SR11x``) plus the static profile prediction scored against the
-    target profile (``CF21x``).  ``audit`` adds the disclosure audit
+    ``contract`` adds the abstract-interpretation layer: safety proofs
+    (``SR11x``) plus the synthesis contract checked on the static
+    profile prediction (``CF21x``).  ``audit`` adds the disclosure audit
     (``DL3xx``), using the provenance annotations the synthesizer
     recorded in ``clone.stats``.  Everything here is analysis — no pass
     simulates the clone.
     """
     with span("lint.clone"):
         report = lint_program(clone.program, severity_overrides)
-        if static:
+        if contract:
+            static_report, _ = check_static_conformance(
+                clone, tolerances, severity_overrides)
             report = merge_reports(
                 clone.program.name, report,
-                check_safety(clone.program, severity_overrides))
-        if conformance:
-            report = merge_reports(
-                clone.program.name, report,
-                check_conformance(clone, tolerances, severity_overrides))
-            if static:
-                static_report, _ = check_static_conformance(
-                    clone, tolerances, severity_overrides)
-                report = merge_reports(clone.program.name, report,
-                                       static_report)
+                check_safety(clone.program, severity_overrides),
+                static_report)
         if audit:
             report = merge_reports(
                 clone.program.name, report,

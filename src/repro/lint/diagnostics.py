@@ -1,7 +1,7 @@
 """Shared diagnostics engine for the static-analysis subsystem.
 
-Every lint pass — structural (``SR1xx``), profile-conformance
-(``CF2xx``), and disclosure (``DL3xx``) — reports through one
+Every lint pass — structural (``SR1xx``), clone contract (``CF21x``),
+and disclosure (``DL3xx``) — reports through one
 vocabulary: a stable *code* drawn from the :data:`CODES` registry, a
 *severity*, a human message, and an optional source location
 (instruction index, basic block, virtual pc).  Stability matters: codes
@@ -24,8 +24,7 @@ every pass and every code family):
 2. a per-run ``severity_overrides`` mapping (``{code: severity}``),
    threaded from the CLI's repeatable ``--severity CODE=LEVEL`` flag
    and from ``SynthesisParameters.severity_overrides`` through every
-   structural, conformance, safety, static-profile, and disclosure
-   check;
+   structural, safety, clone-contract, and disclosure check;
 3. the registry default recorded in :data:`CODES`.
 """
 
@@ -50,7 +49,10 @@ class CodeSpec:
 
 
 #: The full diagnostic vocabulary.  ``SR`` = structural verification,
-#: ``CF`` = clone/profile conformance.  Codes are never renumbered.
+#: ``CF`` = clone/profile conformance.  Codes are never renumbered or
+#: reused: CF200–CF205 (the shape-recovery conformance passes) are
+#: retired — the CF21x contract checks everything they did — and stay
+#: unassigned.
 CODES = {spec.code: spec for spec in (
     CodeSpec("SR101", "unreachable-block", WARNING,
              "basic block cannot be reached from the entry point"),
@@ -65,19 +67,6 @@ CODES = {spec.code: spec for spec in (
     CodeSpec("SR106", "oob-memory", ERROR,
              "memory operand statically addresses outside the data "
              "image and stack"),
-    CodeSpec("CF200", "clone-shape", ERROR,
-             "clone does not have the synthesizer's init/loop/tail shape"),
-    CodeSpec("CF201", "mix-divergence", ERROR,
-             "static instruction mix diverges from the profile"),
-    CodeSpec("CF202", "dep-divergence", WARNING,
-             "dependency-distance histogram diverges from the profile"),
-    CodeSpec("CF203", "branch-divergence", ERROR,
-             "branch machinery does not realize the profiled "
-             "taken/transition rates"),
-    CodeSpec("CF204", "stream-divergence", ERROR,
-             "stream pointer advance does not match the memory plan"),
-    CodeSpec("CF205", "footprint-divergence", ERROR,
-             "clone data footprint diverges from the profiled footprint"),
     # --- Safety proofs (abstract interpretation, repro.lint.absint) ---
     CodeSpec("SR110", "loop-bound", INFO,
              "loop trip count is statically bounded"),
@@ -96,14 +85,14 @@ CODES = {spec.code: spec for spec in (
              "static analysis cannot recover a bounded single-loop "
              "execution structure for the clone"),
     CodeSpec("CF211", "static-mix", ERROR,
-             "statically predicted instruction mix diverges from the "
-             "target profile"),
+             "statically predicted instruction mix (or one generated "
+             "block's mix) diverges from the target profile"),
     CodeSpec("CF212", "static-dep", WARNING,
              "statically predicted dependency-distance histogram "
              "diverges from the target profile"),
     CodeSpec("CF213", "static-branch", ERROR,
-             "statically predicted branch behaviour diverges from the "
-             "target profile"),
+             "statically predicted branch behaviour (or one generated "
+             "block's machinery) diverges from the target profile"),
     CodeSpec("CF214", "static-stream", ERROR,
              "statically derived stream strides diverge from the memory "
              "plan"),

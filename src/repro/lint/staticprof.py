@@ -1,11 +1,14 @@
-"""Static profile prediction from the abstract-interpretation fixpoint.
+"""Static profile prediction and the clone contract (codes ``CF21x``).
 
-Layer 2.5 of the lint stack: given a synthesized clone, *predict* the
-dynamic :class:`repro.core.profile.WorkloadProfile` the functional
-simulator and profiler would produce — without executing a single
-instruction — and compare it against the target profile with the same
-tolerance semantics as the dynamic fidelity suite (codes
-``CF210``–``CF215``).
+Given a synthesized clone, *predict* the dynamic
+:class:`repro.core.profile.WorkloadProfile` the functional simulator
+and profiler would produce — without executing a single instruction —
+and check the paper's synthesis contract (Section 3.2) against the
+target profile (codes ``CF210``–``CF215``).  This is the one
+clone-contract checker: aggregate comparisons use the same tolerance
+semantics as the dynamic fidelity suite, and two exact per-block
+contracts pin every generated ``bb<k>`` to the profiled block it was
+drawn from.
 
 The prediction leans entirely on facts the abstract interpreter
 *proved* (:mod:`repro.lint.absint`), never on the synthesizer's own
@@ -20,23 +23,28 @@ stats:
 * branch direction sequences come from classified machinery — constant
   (``beq/bne r0, r0``), modulo of a proven affine induction register,
   or a bit-window of the verified xorshift register — evaluated for all
-  ``N`` iterations in closed form or one vectorized sweep.
+  ``N`` iterations in closed form or one vectorized sweep.  The
+  classification itself (kind, mask, threshold) is recorded for the
+  per-block branch contract.
 
 When any structural obligation fails (several loops, indirect flow, an
 unclassifiable branch, a memory op whose base is not a proven countdown
 pointer, ...) the prediction declines with ``CF210`` instead of
 guessing, mirroring the soundness contract of the safety proofs.
 
-The payoff: the conformance gate and closed-loop candidate search can
-score a clone in milliseconds, where the simulate-then-profile path
-costs seconds.
+The checker deliberately *re-derives* what each block must look like
+instead of importing the synthesizer's internals: a verifier that
+shares code with the generator it checks can only confirm that the code
+ran, not that it did the right thing.  The one shared piece is
+:func:`repro.core.branch_model.pattern_for`, because the mapping from
+profiled rates to a realizable pattern *is* the published contract.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.branch_model import xorshift32
+from repro.core.branch_model import pattern_for, xorshift32
 from repro.core.profile import (
     DEP_BUCKETS,
     NUM_DEP_BUCKETS,
@@ -52,6 +60,7 @@ from repro.core.profiler import (
     WorkloadProfiler,
     _mean_run_length,
 )
+from repro.core.regassign import CloneRegisterFile
 from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
 from repro.isa.registers import ZERO_REG
@@ -63,7 +72,6 @@ from repro.lint.absint import (
     _nested_blocks,
     analyze_program,
 )
-from repro.lint.conformance import ConformanceTolerances
 from repro.lint.diagnostics import LintReport, make_diagnostic
 
 _SIGNED_MAX = 0x7FFFFFFF
@@ -72,6 +80,33 @@ _SIGNED_MAX = 0x7FFFFFFF
 #: (destination-relative): used to verify a register is the rng.
 _XORSHIFT_SHAPE = (("slli", 13), ("xor", None), ("srli", 17),
                    ("xor", None), ("slli", 5), ("xor", None))
+
+#: Mirror of the synthesizer's class→abstract-label mapping (jumps are
+#: linearized into integer-ALU work so per-class counts still add up).
+_SYNTH_LABELS = {
+    IClass.IALU: "ialu", IClass.IMUL: "imul", IClass.IDIV: "idiv",
+    IClass.FALU: "falu", IClass.FMUL: "fmul", IClass.FDIV: "fdiv",
+    IClass.LOAD: "load", IClass.STORE: "store", IClass.JUMP: "ialu",
+}
+#: Class names in :class:`IClass` order, for per-block diagnostics.
+_CLASS_NAMES = ("ialu", "imul", "idiv", "falu", "fmul", "fdiv", "load",
+                "store", "branch", "jump", "other")
+_CLASS_OF_LABEL = {label: iclass for iclass, label in enumerate(_CLASS_NAMES)}
+#: Condition-setup ALU instructions each branch mechanism inserts.
+_SETUP_COST = {"modulo": 2, "random": 3}
+
+
+@dataclass(frozen=True)
+class ConformanceTolerances:
+    """Divergence bounds; defaults mirror the corpus fidelity tests."""
+
+    memory_fraction: float = 0.08  # |clone − profile| memory fraction
+    branch_fraction: float = 0.12  # |clone − profile| branch fraction
+    compute_fraction: float = 0.05  # per IMUL/IDIV/FMUL/FDIV class
+    dep_tvd: float = 0.40  # total-variation distance, dep buckets
+    taken_rate: float = 0.15  # aggregate branch taken-rate
+    footprint_ratio_low: float = 0.2  # clone/target footprint bounds
+    footprint_ratio_high: float = 8.0
 
 
 class StaticPredictionError(Exception):
@@ -92,7 +127,13 @@ class StaticPrediction:
     countdowns: list
     reset_visits: dict  # reset block id -> visit count
     steady_blocks: list  # loop block ids executed every iteration
+    tail_start: int  # first tail instruction (pointer advance / rng step)
     branch_sequences: dict = field(default_factory=dict)
+    #: Block-machinery branch index -> proven ``(kind, mask, threshold)``;
+    #: kind is ``taken``/``not_taken``, ``random`` (xorshift window),
+    #: ``modulo`` (window of the 0, 1, 2, ... iteration counter) or
+    #: ``affine`` (window of any other proven induction register).
+    machinery: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +332,9 @@ def _branch_sequence(columns, loop, result, index, latch, countdowns,
     Sequences are memoized per behaviour key — every machinery branch
     with the same (window, threshold) parameters shares one array, so
     the per-branch cost is a dictionary lookup, not a numpy sweep.
+    Block machinery (anything but the latch and countdown branches) is
+    also recorded as ``context["machinery"][index] = (kind, mask,
+    threshold)``.
     """
     n = iterations
     if index == latch:
@@ -314,11 +358,14 @@ def _branch_sequence(columns, loop, result, index, latch, countdowns,
     imms = columns.imm_list
     op = opcodes[index]
     r1, r2 = int(src1s[index]), int(src2s[index])
+    machinery = context["machinery"]
     if r1 == ZERO_REG and r2 == ZERO_REG:
         if op == "beq":
+            machinery[index] = ("taken", 0, 0)
             return _cached_sequence(context, ("always",),
                                     lambda: np.ones(n, dtype=np.int8))
         if op == "bne":
+            machinery[index] = ("not_taken", 0, 0)
             return _cached_sequence(context, ("never",),
                                     lambda: np.zeros(n, dtype=np.int8))
         raise StaticPredictionError(
@@ -353,6 +400,7 @@ def _branch_sequence(columns, loop, result, index, latch, countdowns,
                  and window < context["xorshift"][2],
                  f"branch at {index} reads an unverified rng register")
         rng = context["rng_values"]
+        machinery[index] = ("random", mask, threshold)
         return _cached_sequence(
             context, ("random", shift, mask, threshold),
             lambda: (((rng >> shift) & mask) < threshold).astype(np.int8))
@@ -379,6 +427,8 @@ def _branch_sequence(columns, loop, result, index, latch, countdowns,
     last = first + cycle_delta * (n - 1)
     _require(first >= 0 and 0 <= last <= _SIGNED_MAX and cycle_delta >= 0,
              "affine counter may wrap over the run")
+    kind = "modulo" if (first, cycle_delta) == (0, 1) else "affine"
+    machinery[index] = (kind, mask, threshold)
 
     def build():
         values = first + cycle_delta * np.arange(n, dtype=np.int64)
@@ -526,6 +576,7 @@ def predict_profile(program, result=None):
                        if xorshift is not None else None),
         "seq_cache": {},
         "affine": {},
+        "machinery": {},
     }
     sequences = {}
     rate_cache = {}
@@ -644,12 +695,18 @@ def predict_profile(program, result=None):
             raise StaticPredictionError(
                 f"block {bid} escaped the visit computation")
 
+    # The tail opens with the first proven pointer advance or the
+    # xorshift step; the counter increment before the latch bounds it.
+    tail_start = min([info.advance_index for info in loop.countdowns]
+                     + ([xorshift[2]] if xorshift is not None else [])
+                     + [latch - 1])
     return StaticPrediction(
         profile=profile, iterations=n, loop_header=loop.header,
         countdowns=list(loop.countdowns), reset_visits=reset_visits,
         steady_blocks=[bid for bid in loop_chain
                        if bid not in reset_blocks],
-        branch_sequences=sequences)
+        tail_start=tail_start, branch_sequences=sequences,
+        machinery=context["machinery"])
 
 
 def _steady_state_dep_hist(columns, loop, reset_blocks, iterations):
@@ -721,17 +778,141 @@ def _dep_hist_walk(columns, body, iterations):
 
 
 # ----------------------------------------------------------------------
-# CF210-CF215: static conformance against the target profile
+# Per-block contracts: each generated block against its source block
+# ----------------------------------------------------------------------
+def _source_pattern(profile, bid):
+    """The pattern the contract demands for profiled block ``bid``."""
+    stats = profile.blocks[bid]
+    if stats.branch_pc < 0:
+        return None
+    branch = profile.branches.get(stats.branch_pc)
+    if branch is None:
+        return pattern_for(1.0, 0.0)
+    return pattern_for(branch.taken_rate, branch.transition_rate)
+
+
+def _contract_machinery(pattern):
+    """``pattern`` in the predictor's ``(kind, mask, threshold)`` form.
+
+    The random pattern's bit-window ``shift`` is left out: the
+    synthesizer rotates it through a cursor and it does not change the
+    realized rates.
+    """
+    if pattern is None:
+        return None
+    if pattern.kind == "modulo":
+        return ("modulo", pattern.period - 1, pattern.threshold)
+    if pattern.kind == "random":
+        return ("random", 7, pattern.threshold)
+    return (pattern.kind, 0, 0)
+
+
+def _expected_block_hist(profile, bid, pattern):
+    """Static class histogram the synthesizer promises for one block."""
+    stats = profile.blocks[bid]
+    counts = {}
+    for iclass, count in enumerate(stats.mix):
+        label = _SYNTH_LABELS.get(iclass)
+        if label is None or count == 0:
+            continue
+        counts[label] = counts.get(label, 0) + count
+    counts.pop("load", None)
+    counts.pop("store", None)
+    loads = sum(1 for pc in stats.mem_pcs
+                if not profile.mem_ops.get(pc)
+                or not profile.mem_ops[pc].is_store)
+    stores = len(stats.mem_pcs) - loads
+    if loads:
+        counts["load"] = loads
+    if stores:
+        counts["store"] = stores
+    setup = _SETUP_COST.get(getattr(pattern, "kind", ""), 0)
+    if setup and counts.get("ialu", 0) > 0:
+        counts["ialu"] = max(0, counts["ialu"] - setup)
+    hist = [0] * IClass.COUNT
+    for label, count in counts.items():
+        hist[_CLASS_OF_LABEL[label]] += count
+    if pattern is not None:
+        hist[IClass.BRANCH] += 1
+        hist[IClass.IALU] += setup
+    return hist
+
+
+def _describe_machinery(machinery):
+    if not machinery:
+        return "no branch machinery"
+    return ", ".join(kind if kind in ("taken", "not_taken")
+                     else f"{kind}(mask={mask}, threshold={threshold})"
+                     for kind, mask, threshold in machinery)
+
+
+def _check_blocks(clone, prediction, report, severity_overrides):
+    """Exact per-block contracts (``CF211`` mix, ``CF213`` machinery).
+
+    Each generated ``bb<k>`` region (up to the next block, or the tail
+    for the last one) must carry exactly the class histogram the
+    contract derives from ``stats["sequence"][k]``'s profiled block,
+    and exactly the branch machinery ``pattern_for`` demands for that
+    block's profiled rates, as the predictor classified it.  Clones
+    whose stats carry no matching walk are checked in aggregate only.
+    """
+    program = clone.program
+    profile = clone.profile
+    sequence = clone.stats.get("sequence")
+    labels = program.labels
+    starts = []
+    while f"bb{len(starts)}" in labels:
+        starts.append(labels[f"bb{len(starts)}"])
+    if not sequence or len(sequence) != len(starts):
+        return
+    iclass = columns_for(program).iclass
+    expected = {}  # the SFG walk revisits source blocks
+    for k, (start, end, bid) in enumerate(zip(
+            starts, starts[1:] + [prediction.tail_start], sequence)):
+        if bid not in expected:
+            pattern = _source_pattern(profile, bid)
+            expected[bid] = (_expected_block_hist(profile, bid, pattern),
+                             _contract_machinery(pattern))
+        want_hist, want_branch = expected[bid]
+        location = {"index": start, "data": {"block": k, "source_bid": bid}}
+        got_hist = np.bincount(iclass[start:end],
+                               minlength=IClass.COUNT).tolist()
+        if got_hist != want_hist:
+            diffs = ", ".join(
+                f"{name}={got_hist[iclass_id]} (expected "
+                f"{want_hist[iclass_id]})"
+                for iclass_id, name in enumerate(_CLASS_NAMES)
+                if got_hist[iclass_id] != want_hist[iclass_id])
+            report.add(make_diagnostic(
+                "CF211", f"block bb{k} (from profile block {bid}) mix "
+                f"diverges: {diffs}",
+                severity_overrides=severity_overrides, **location))
+        got_branch = [prediction.machinery[index]
+                      for index in range(start, end)
+                      if index in prediction.machinery]
+        want = [want_branch] if want_branch is not None else []
+        if got_branch != want:
+            report.add(make_diagnostic(
+                "CF213", f"block bb{k} realizes "
+                f"{_describe_machinery(got_branch)} but profile block "
+                f"{bid} demands {_describe_machinery(want)}",
+                severity_overrides=severity_overrides, **location))
+
+
+# ----------------------------------------------------------------------
+# CF210-CF215: the clone contract against the target profile
 # ----------------------------------------------------------------------
 def check_static_conformance(clone, tolerances=None,
                              severity_overrides=None, prediction=None):
-    """Score a clone against its target profile with zero simulation.
+    """Check a clone's synthesis contract with zero simulation.
 
     Mirrors the dynamic fidelity suite's comparisons, but feeds them the
     *predicted* profile: mix fractions (``CF211``), dependency-distance
     TVD (``CF212``), count-weighted taken rate (``CF213``), stream
     advances against the memory plan (``CF214``), and the data footprint
-    ratio (``CF215``).  A failed structure certification reports
+    ratio (``CF215``).  On top of the aggregates, every generated block
+    must match its source block's mix (``CF211``) and branch machinery
+    (``CF213``) exactly.  A failed structure certification reports
     ``CF210`` and skips the comparisons.
     """
     tolerances = tolerances or ConformanceTolerances()
@@ -815,12 +996,13 @@ def check_static_conformance(clone, tolerances=None,
                 data={"predicted": round(predicted_rate, 4),
                       "profile": round(target_rate, 4)}))
 
+    _check_blocks(clone, prediction, report, severity_overrides)
+
     # CF214: proven pointer advances against the memory plan.
     planned = {cluster["index"]: cluster["advance"]
                for cluster in clone.stats.get("clusters", [])
                if "index" in cluster and "advance" in cluster}
     if planned:
-        from repro.core.regassign import CloneRegisterFile
         first = CloneRegisterFile.FIRST_POINTER
         proven = {info.pointer - first: info.advance
                   for info in prediction.countdowns}
@@ -837,12 +1019,11 @@ def check_static_conformance(clone, tolerances=None,
                           "plan": want_adv}))
 
     # CF215: the proven footprint interval span against the scaled
-    # target — the static counterpart of CF205's allocation check, using
-    # the SR113 proof object rather than the data image's length.  (The
-    # granule-exact touched footprint lives in ``predicted.
-    # data_footprint_bytes`` for the cross-check suite; the gate
-    # compares reachable extent, matching CF205's order-of-magnitude
-    # contract.)
+    # target, using the SR113 proof object: the extent the clone can
+    # touch, not the data image it allocates.  (The granule-exact
+    # touched footprint lives in ``predicted.data_footprint_bytes`` for
+    # the cross-check suite; the gate compares reachable extent, an
+    # order-of-magnitude contract.)
     scale = getattr(clone.parameters, "footprint_scale", 1.0) or 1.0
     target_bytes = target.data_footprint_bytes * scale
     result = analyze_program(program)

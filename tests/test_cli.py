@@ -3,8 +3,8 @@
 import json
 import os
 
-from repro.cli import (EXIT_BAD_TARGET, EXIT_LINT_FAILED, EXIT_LOAD_FAILED,
-                       main)
+from repro.cli import (EXIT_BAD_TARGET, EXIT_ERROR, EXIT_LINT_FAILED,
+                       EXIT_LOAD_FAILED, main)
 
 
 class TestList:
@@ -238,6 +238,22 @@ main:
                      "--instructions", "20000"]) == 0
         out = capsys.readouterr().out
         assert "lint PASS" in out
+
+    def test_lint_clone_mode_runs_the_contract(self, capsys):
+        assert main(["lint", "--clone", "crc32", "--instructions", "20000",
+                     "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        codes = payload["summary"]["codes"]
+        assert "SR112" in codes  # the contract's safety proofs ran
+        assert not any(code.startswith("CF") for code in codes)
+
+    def test_severity_rejects_retired_code(self, capsys):
+        # CF200-CF205 are retired; an override naming one is an error,
+        # like any unknown code.
+        assert main(["lint", "crc32", "--severity",
+                     "CF202=error"]) == EXIT_ERROR
+        assert main(["lint", "crc32", "--severity",
+                     "CF212=error"]) == 0
 
     def test_lint_json_payload(self, tmp_path, capsys):
         source = tmp_path / "broken.s"

@@ -2,7 +2,7 @@
 
 The whole point of ``ProgramColumns`` is that the per-instruction walk
 over ``program.instructions`` happens *once* per program per process,
-and every consumer — functional sim, profiler, conformance lint, sweep
+and every consumer — functional sim, profiler, clone-contract lint, sweep
 digests and timing loops — shares the same struct-of-arrays view.
 This suite pins both halves: the columns agree with the Instruction
 objects they were derived from, and driving the full consumer stack

@@ -1,26 +1,31 @@
-"""Profile-conformance lint (CF2xx): clean clones pass, perturbed fail.
+"""The clone contract (CF21x): clean clones pass, perturbed fail.
 
 Each perturbation test takes the session's ``loop_nest_clone``, edits
 one aspect of its assembly (or stats) the way a buggy synthesizer
-would, reassembles, and asserts that exactly the matching conformance
-code fires.
+would, reassembles, and asserts that the matching contract code fires.
+
+The test names keep the numbers of the retired shape-recovery codes
+(CF200–CF205) whose cases they first guarded; each now asserts that
+code's CF21x successor (CF20k → CF21k).
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.branch_model import BranchPattern
-from repro.core.synthesizer import CloneResult
+from repro.core import make_clone, profile_trace
+from repro.core.branch_model import pattern_for
+from repro.core.synthesizer import CloneResult, SynthesisParameters
 from repro.isa import assemble
 from repro.lint import (
     ConformanceTolerances,
-    check_conformance,
-    discover_shape,
+    analyze_program,
+    check_static_conformance,
     lint_clone,
-    recover_pattern,
+    predict_profile,
 )
-from repro.lint.diagnostics import LintReport
+from repro.sim import run_program
+from repro.workloads import build_workload
 
 
 def reassembled(clone, source, parameters=None, profile=None, stats=None):
@@ -39,11 +44,22 @@ def perturbed(clone, old, new, count=1):
     return reassembled(clone, source)
 
 
+def contract(clone, **kwargs):
+    report, _ = check_static_conformance(clone, **kwargs)
+    return report
+
+
+def per_block(report, code):
+    """``code`` findings that name a generated block."""
+    return [diagnostic for diagnostic in report
+            if diagnostic.code == code and "block" in diagnostic.data]
+
+
 # ----------------------------------------------------------------------
 # Clean clones conform
 # ----------------------------------------------------------------------
 def test_unmodified_clone_is_clean(loop_nest_clone):
-    report = check_conformance(loop_nest_clone)
+    report = contract(loop_nest_clone)
     assert report.ok
     assert len(report) == 0
 
@@ -54,53 +70,61 @@ def test_lint_clone_end_to_end(loop_nest_clone):
     assert report.summary()["errors"] == 0
 
 
-def test_shape_recovery(loop_nest_clone):
-    report = LintReport("x")
-    shape = discover_shape(loop_nest_clone.program, report)
-    assert report.ok and shape is not None
-    assert shape.n_blocks == len(loop_nest_clone.stats["sequence"])
-    assert shape.loop_start < shape.tail_start <= shape.backedge
-    # the steady-state body covers the loop but skips reset paths
-    assert shape.body[0] == shape.loop_start
-    assert shape.body[-1] == shape.backedge
-
-
-def test_recover_pattern_roundtrip(loop_nest_clone):
-    shape_report = LintReport("x")
-    shape = discover_shape(loop_nest_clone.program, shape_report)
-    recovered = [recover_pattern(loop_nest_clone.program, k)
-                 for k in range(shape.n_blocks)]
-    assert all(pattern is None or isinstance(pattern, BranchPattern)
-               for pattern in recovered)
-    assert any(isinstance(pattern, BranchPattern) for pattern in recovered)
+def test_machinery_recorded_for_every_generated_block(loop_nest_clone):
+    # The predictor's branch classification is the per-block contract's
+    # only source: every block whose profiled source ends in a branch
+    # carries exactly the machinery pattern_for demands.
+    program = loop_nest_clone.program
+    profile = loop_nest_clone.profile
+    prediction = predict_profile(program)
+    sequence = loop_nest_clone.stats["sequence"]
+    starts = [program.labels[f"bb{k}"] for k in range(len(sequence))]
+    ends = starts[1:] + [prediction.tail_start]
+    checked = 0
+    for bid, start, end in zip(sequence, starts, ends):
+        got = [prediction.machinery[index] for index in range(start, end)
+               if index in prediction.machinery]
+        branch_pc = profile.blocks[bid].branch_pc
+        if branch_pc < 0:
+            assert got == []
+            continue
+        stats = profile.branches[branch_pc]
+        pattern = pattern_for(stats.taken_rate, stats.transition_rate)
+        assert len(got) == 1 and got[0][0] == pattern.kind
+        checked += 1
+    assert checked > 0
 
 
 # ----------------------------------------------------------------------
-# CF200: shape
+# CF210: not a clone
 # ----------------------------------------------------------------------
 def test_non_clone_program_reports_cf200(loop_nest_program, loop_nest_clone):
     impostor = CloneResult(program=loop_nest_program,
                            asm_source="", profile=loop_nest_clone.profile,
                            parameters=loop_nest_clone.parameters, stats={})
-    report = check_conformance(impostor)
-    assert report.codes().get("CF200") == 1
+    report = contract(impostor)
+    assert report.codes().get("CF210") == 1
     assert not report.ok
 
 
 # ----------------------------------------------------------------------
-# CF201: instruction mix
+# CF211: instruction mix, per block
 # ----------------------------------------------------------------------
 def test_swapped_opcode_class_reports_cf201(loop_nest_clone):
-    # One body add becomes a mul: the per-block static histogram no
-    # longer matches the profiled mix for that block.
+    # One body add becomes a mul: the aggregate mix stays within
+    # tolerance, but that block's static histogram no longer matches
+    # the one the contract derives from its profiled source block.
     broken = perturbed(loop_nest_clone, "\n    add ", "\n    mul ")
-    report = check_conformance(broken)
-    assert "CF201" in report.codes()
+    report = contract(broken)
+    findings = per_block(report, "CF211")
+    assert len(findings) == 1
+    assert "imul=" in findings[0].message
     assert not report.ok
+    assert not lint_clone(broken).ok
 
 
 # ----------------------------------------------------------------------
-# CF202: dependency distances
+# CF212: dependency distances
 # ----------------------------------------------------------------------
 def test_perturbed_dep_histogram_reports_cf202(loop_nest_clone):
     profile = loop_nest_clone.profile
@@ -113,25 +137,32 @@ def test_perturbed_dep_histogram_reports_cf202(loop_nest_clone):
                          profile=skewed,
                          parameters=loop_nest_clone.parameters,
                          stats=loop_nest_clone.stats)
-    report = check_conformance(broken)
-    assert "CF202" in report.codes()
+    report = contract(broken)
+    assert "CF212" in report.codes()
     # warning severity: divergence is reported but does not gate
     assert report.ok
+    assert lint_clone(broken).ok
 
 
 # ----------------------------------------------------------------------
-# CF203: branch machinery
+# CF213: branch machinery, per block
 # ----------------------------------------------------------------------
 def test_inverted_branch_reports_cf203(loop_nest_clone):
+    # An always-taken block branch becomes never-taken: the aggregate
+    # taken rate stays within tolerance, the block's machinery does not.
     broken = perturbed(loop_nest_clone, "    beq r0, r0, ",
                        "    bne r0, r0, ")
-    report = check_conformance(broken)
-    assert "CF203" in report.codes()
+    report = contract(broken)
+    findings = per_block(report, "CF213")
+    assert len(findings) == 1
+    assert "realizes not_taken" in findings[0].message
+    assert "demands taken" in findings[0].message
     assert not report.ok
+    assert not lint_clone(broken).ok
 
 
 # ----------------------------------------------------------------------
-# CF204: stream advances
+# CF214: stream advances
 # ----------------------------------------------------------------------
 def test_wrong_pointer_advance_reports_cf204(loop_nest_clone):
     clusters = [cluster for cluster in loop_nest_clone.stats["clusters"]
@@ -142,13 +173,13 @@ def test_wrong_pointer_advance_reports_cf204(loop_nest_clone):
     old = f"addi r{pointer}, r{pointer}, {cluster['advance']}"
     new = f"addi r{pointer}, r{pointer}, {cluster['advance'] + 32}"
     broken = perturbed(loop_nest_clone, old, new)
-    report = check_conformance(broken)
-    assert "CF204" in report.codes()
+    report = contract(broken)
+    assert "CF214" in report.codes()
     assert not report.ok
 
 
 # ----------------------------------------------------------------------
-# CF205: footprint
+# CF215: footprint
 # ----------------------------------------------------------------------
 def test_footprint_mismatch_reports_cf205(loop_nest_clone):
     inflated = dataclasses.replace(loop_nest_clone.parameters,
@@ -158,9 +189,27 @@ def test_footprint_mismatch_reports_cf205(loop_nest_clone):
                          profile=loop_nest_clone.profile,
                          parameters=inflated,
                          stats=loop_nest_clone.stats)
-    report = check_conformance(broken)
-    assert "CF205" in report.codes()
+    report = contract(broken)
+    assert "CF215" in report.codes()
     assert not report.ok
+
+
+def test_footprint_verdict_follows_touched_span_not_image():
+    # pegwit's seed-1 clone allocates a 3,488 B data image — within
+    # 0.2x..8x of the 3,012 B profiled footprint — but its proven
+    # accesses span only 492 B (0.16x), so the contract fails it.
+    profile = profile_trace(run_program(build_workload("pegwit")))
+    clone = make_clone(profile, SynthesisParameters(seed=1,
+                                                    lint_gate="off"))
+    image = len(clone.program.data_image)
+    target = profile.data_footprint_bytes
+    assert 0.2 <= image / target <= 8.0
+    lo, hi = analyze_program(clone.program).footprint
+    assert (hi - lo) / target < 0.2
+    report = contract(clone)
+    assert set(code for code in report.codes()) == {"CF215"}
+    assert report.errors()[0].data["span"] == hi - lo
+    assert not lint_clone(clone).ok
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +220,9 @@ def test_zero_tolerances_fail_a_real_clone(loop_nest_clone):
         memory_fraction=0.0, branch_fraction=0.0, compute_fraction=0.0,
         dep_tvd=0.0, taken_rate=0.0,
         footprint_ratio_low=0.999, footprint_ratio_high=1.001)
-    report = check_conformance(loop_nest_clone, tolerances=impossible)
+    report = contract(loop_nest_clone, tolerances=impossible)
     assert len(report) > 0
+    assert all(code.startswith("CF21") for code in report.codes())
 
 
 def test_tolerances_are_frozen():

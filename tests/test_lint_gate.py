@@ -44,8 +44,8 @@ def test_error_mode_raises_on_divergent_clone(loop_nest_profile):
         synthesizer.synthesize()
     report = excinfo.value.report
     assert not report.ok
-    assert "CF203" in report.codes()
-    assert "CF203" in str(excinfo.value)
+    assert "CF213" in report.codes()
+    assert "CF213" in str(excinfo.value)
 
 
 def test_warn_mode_records_failure_without_raising(loop_nest_profile):
@@ -53,7 +53,7 @@ def test_warn_mode_records_failure_without_raising(loop_nest_profile):
                                         _params(lint_gate="warn"))
     result = synthesizer.synthesize()
     assert result.stats["lint"]["ok"] is False
-    assert "CF203" in result.stats["lint"]["codes"]
+    assert "CF213" in result.stats["lint"]["codes"]
 
 
 def test_off_mode_skips_linting(loop_nest_profile):
