@@ -1,16 +1,17 @@
-"""Throughput of the ``repro.exec`` layer: batched cache sweeps, the
-persistent artifact store, and the parallel grid runner.
+"""Throughput of the ``repro.exec`` layer: batched cache sweeps and the
+persistent artifact store.
 
-Three wall-time comparisons, each paired with an equality assertion so
-the recorded speedups are guaranteed to be numerics-preserving:
+Two wall-time comparisons, each paired with an equality assertion so
+the recorded speedups are guaranteed to be numerics-preserving, plus
+the in-process wall time of one grid study:
 
 * per-config ``simulate_cache`` loop vs one ``simulate_cache_sweep``
   call over the 28-configuration grid (identical miss counts);
 * cold pipeline builds vs warm artifact-store hits (identical profiles,
   clone assembly, and traces — and the warm path must be faster, since
   a hit skips both functional simulations);
-* serial vs parallel ``cache_correlation_study`` (identical
-  correlations and MPI matrices).
+* ``cache_correlation_study`` over six workloads, in-process, from a
+  warm store behind a cold in-process memo.
 """
 
 import shutil
@@ -35,7 +36,6 @@ NAMES = ["crc32", "sha", "bitcount"]
 GRID_NAMES = ["adpcm", "bitcount", "crc32", "dijkstra", "qsort", "sha"]
 PARAMS = SynthesisParameters(dynamic_instructions=100_000)
 MAX_FUNCTIONAL = 5_000_000
-JOBS = 2
 
 
 def _timed(func):
@@ -84,23 +84,15 @@ def _measure():
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    # -- serial vs parallel experiment grid ----------------------------
-    # Drop the in-process memo before each timed run so both paths do
-    # the full per-workload work (the persistent store may still serve
-    # artifacts — identically to both, and that IS the deployed shape:
-    # a warm disk cache behind a cold process).
+    # -- one experiment grid, in-process ------------------------------
+    # Drop the in-process memo first so the study does the full
+    # per-workload work (the persistent store may still serve artifacts,
+    # and that IS the deployed shape: a warm disk cache behind a cold
+    # process).
     clear_artifact_cache()
-    study_serial, grid_serial_seconds = _timed(
-        lambda: cache_correlation_study(names=GRID_NAMES, jobs=1))
-    clear_artifact_cache()
-    study_parallel, grid_parallel_seconds = _timed(
-        lambda: cache_correlation_study(names=GRID_NAMES, jobs=JOBS))
-    assert study_parallel["correlations"] == study_serial["correlations"]
-    assert study_parallel["mpi_real"] == study_serial["mpi_real"]
-    assert study_parallel["mpi_clone"] == study_serial["mpi_clone"]
-    rows.append(["correlation study, jobs=1", grid_serial_seconds, 1.0])
-    rows.append([f"correlation study, jobs={JOBS}", grid_parallel_seconds,
-                 grid_serial_seconds / grid_parallel_seconds])
+    _, grid_seconds = _timed(
+        lambda: cache_correlation_study(names=GRID_NAMES))
+    rows.append(["correlation study", grid_seconds, 1.0])
     return rows
 
 
@@ -109,4 +101,4 @@ def test_exec_throughput(benchmark):
     emit("exec_throughput", format_table(
         ["stage", "seconds", "speedup"], rows, float_format="{:.3f}"),
         data={"rows": rows, "names": NAMES, "grid_names": GRID_NAMES,
-              "jobs": JOBS, "configs": len(CACHE_SWEEP)})
+              "configs": len(CACHE_SWEEP)})

@@ -24,8 +24,8 @@ Commands mirror the vendor/architect workflow:
 
 Runs started with ``--run-dir`` record an append-only event journal
 (``journal-<pid>.jsonl``, one file per process) next to the manifest:
-hierarchical spans from ``cli.<command>`` down to individual pool
-tasks, artifact-store hits/misses, lint verdicts, metric deltas, and
+hierarchical spans from ``cli.<command>`` down to individual fleet
+cells, artifact-store hits/misses, lint verdicts, metric deltas, and
 progress heartbeats.  ``--profile`` additionally samples the main
 thread and attributes hot code to the enclosing span (off by default;
 zero cost when disabled).
@@ -37,12 +37,12 @@ disables telemetry entirely), ``--json`` switches the command's output
 to a single JSON object including the run manifest, and ``--run-dir``
 persists that manifest to disk for later ``repro report``.
 
-``compare`` and ``sweep`` take ``--jobs N`` (or the ``REPRO_JOBS``
-environment variable) to fan independent simulations out over a process
-pool, and both are backed by the persistent ``repro.exec`` artifact
-cache (``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=off``): a warm
-cache skips the functional simulations entirely and the run manifest
-records the cache hits/misses that produced the result.
+``compare`` and ``sweep`` run in-process (``repro fleet run --workers N``
+is the one way to fan a grid out over worker processes), and both are
+backed by the persistent ``repro.exec`` artifact cache
+(``REPRO_CACHE_DIR``, disable with ``REPRO_CACHE=off``): a warm cache
+skips the functional simulations entirely and the run manifest records
+the cache hits/misses that produced the result.
 
 ``--sim-backend {auto,native,interp}`` (or ``REPRO_SIM_BACKEND``) picks
 the functional-simulator engine; the resolved backend is part of every
@@ -68,12 +68,7 @@ from repro.core import (
     profile_trace,
 )
 from repro.evaluation import format_table, pearson, rank_vector
-from repro.exec import (
-    default_store,
-    pipeline_artifacts,
-    resolve_jobs,
-    shared_state_map,
-)
+from repro.exec import default_store, pipeline_artifacts
 from repro.isa import AssemblerError, assemble
 from repro.lint import (
     CODES,
@@ -236,36 +231,6 @@ def _note_cache(ctx):
     ctx.payload["artifact_cache"] = stats
 
 
-def _chunks(items, n):
-    """Split ``items`` into ``n`` contiguous, order-preserving slices."""
-    items = list(items)
-    n = max(1, min(n, len(items)))
-    size, extra = divmod(len(items), n)
-    out, start = [], 0
-    for index in range(n):
-        end = start + size + (1 if index < extra else 0)
-        out.append(items[start:end])
-        start = end
-    return out
-
-
-def _compare_sim_worker(state, which):
-    real_trace, clone_trace, config = state
-    trace = real_trace if which == "real" else clone_trace
-    # A one-config grid: digests and outcome banks persist through
-    # the artifact store, so repeat compares skip straight to
-    # scheduling — and the run manifest picks up the sweep-reuse
-    # accounting.
-    [result] = simulate_pipeline_sweep(trace, [config])
-    return which, result
-
-
-def _sweep_chunk_worker(state, configs):
-    real_addresses, clone_addresses = state
-    return (simulate_cache_sweep(real_addresses, configs),
-            simulate_cache_sweep(clone_addresses, configs))
-
-
 # ----------------------------------------------------------------------
 def cmd_list(args, ctx):
     rows = [[spec.name, spec.domain, spec.suite, spec.description]
@@ -344,11 +309,11 @@ def cmd_compare(args, ctx):
     artifacts = _pipeline_for(args)
     ctx.lint = artifacts.clone.stats.get("lint")
     ctx.certificate = artifacts.clone.stats.get("certificate")
-    jobs = resolve_jobs(getattr(args, "jobs", None))
-    state = (artifacts.trace, artifacts.clone_trace, BASE_CONFIG)
-    results = dict(shared_state_map(_compare_sim_worker,
-                                    ["real", "clone"], state, jobs))
-    real, clone = results["real"], results["clone"]
+    # One-config grids: digests and outcome banks persist through the
+    # artifact store, so repeat compares skip straight to scheduling —
+    # and the run manifest picks up the sweep-reuse accounting.
+    [real] = simulate_pipeline_sweep(artifacts.trace, [BASE_CONFIG])
+    [clone] = simulate_pipeline_sweep(artifacts.clone_trace, [BASE_CONFIG])
     ctx.config = BASE_CONFIG
     rows = [
         ["IPC", real.ipc, clone.ipc],
@@ -379,16 +344,8 @@ def cmd_sweep(args, ctx):
     real_addresses = real_trace.memory_addresses()
     clone_addresses = clone_trace.memory_addresses()
     ctx.config = BASE_CONFIG
-    jobs = resolve_jobs(getattr(args, "jobs", None))
-    if jobs > 1:
-        parts = shared_state_map(_sweep_chunk_worker,
-                                 _chunks(CACHE_SWEEP, jobs),
-                                 (real_addresses, clone_addresses), jobs)
-        real_stats = [stats for part in parts for stats in part[0]]
-        clone_stats = [stats for part in parts for stats in part[1]]
-    else:
-        real_stats = simulate_cache_sweep(real_addresses, CACHE_SWEEP)
-        clone_stats = simulate_cache_sweep(clone_addresses, CACHE_SWEEP)
+    real_stats = simulate_cache_sweep(real_addresses, CACHE_SWEEP)
+    clone_stats = simulate_cache_sweep(clone_addresses, CACHE_SWEEP)
     real_mpi, clone_mpi, rows = [], [], []
     for config, real_cache, clone_cache in zip(CACHE_SWEEP, real_stats,
                                                clone_stats):
@@ -746,9 +703,6 @@ def _tail_snapshot(merged):
         age = last_ts - (begin["ts"] if begin else merged.events[0]["ts"])
         lines.append(f"state: running ({age:.1f}s, "
                      f"last event {time.strftime('%H:%M:%S', time.localtime(last_ts))})")
-    announced, done = merged.task_counts()
-    if announced:
-        lines.append(f"tasks: {done}/{announced} complete")
     open_spans = merged.open_spans()
     for pid in sorted(open_spans):
         stack = open_spans[pid]
@@ -941,7 +895,7 @@ def build_parser():
     sub.add_parser("list", parents=[parent],
                    help="show the workload corpus")
 
-    def common(p, with_output_dir=False, with_jobs=False):
+    def common(p, with_output_dir=False):
         p.add_argument("target",
                        help="workload name, .s file, or profile .json")
         p.add_argument("--instructions", type=int, default=120_000,
@@ -949,10 +903,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=42)
         if with_output_dir:
             p.add_argument("-o", "--output-dir", default="clone_out")
-        if with_jobs:
-            p.add_argument("-j", "--jobs", type=int, default=None,
-                           help="worker processes (default: REPRO_JOBS "
-                                "env var, else serial)")
 
     p = sub.add_parser("profile", parents=[parent],
                        help="save a JSON workload profile")
@@ -965,11 +915,9 @@ def build_parser():
     p.add_argument("--footprint-scale", type=float, default=1.0)
 
     common(sub.add_parser("compare", parents=[parent],
-                          help="real vs clone on the base machine"),
-           with_jobs=True)
+                          help="real vs clone on the base machine"))
     common(sub.add_parser("sweep", parents=[parent],
-                          help="28-config cache design study"),
-           with_jobs=True)
+                          help="28-config cache design study"))
     common(sub.add_parser("estimate", parents=[parent],
                           help="statistical-simulation IPC estimate"))
 
@@ -1084,7 +1032,6 @@ def main(argv=None):
         configure_journal(args.run_dir, fresh=True)
         emit_event("run_begin", command=args.command,
                    target=getattr(args, "target", None),
-                   jobs=getattr(args, "jobs", None),
                    argv=list(argv) if argv is not None else sys.argv[1:])
     profiler = None
     if getattr(args, "profile", False) and not args.quiet:

@@ -7,23 +7,24 @@ the per-workload pipeline in-process *and* persists it through the
 :mod:`repro.exec` artifact store, so artifacts are shared across
 processes and across runs.
 
-Every grid experiment takes a ``jobs`` argument (default: the
-``REPRO_JOBS`` environment variable, else serial).  The per-workload
-work is fanned out over a process pool via
-:func:`repro.exec.parallel_map`; with ``jobs=1`` the same worker
-functions run in a plain loop, so serial and parallel results are
-bit-identical.  Cache sweeps replay each address stream against all
-configurations in one batched pass (:func:`simulate_cache_sweep`)
-instead of re-converting and re-walking the stream per configuration,
-and pipeline grids go through :func:`simulate_pipeline_sweep`, which
-digests each trace once and shares cache/predictor outcome banks
-across the whole configuration grid (bit-identical to per-config
-``PipelineModel.run`` by construction and by differential test).
+Every study is a plain in-process loop over its workloads.  Each still
+accepts a ``jobs`` keyword and ignores it: ``perfbench/workloads.py``
+passes one.  Fanning a grid out over worker processes is the fleet's
+job (:mod:`repro.fleet`, ``repro fleet run --workers N``).  Cache
+sweeps replay each address stream against all configurations in one
+batched pass (:func:`simulate_cache_sweep`) instead of re-converting
+and re-walking the stream per configuration, and pipeline grids go
+through :func:`simulate_pipeline_sweep`, which digests each trace once
+and shares cache/predictor outcome banks across the whole
+configuration grid (bit-identical to per-config ``PipelineModel.run``
+by construction and by differential test).  Studies call those sweeps
+and :func:`shared_power_model` through this module's globals, so
+wrapping the names here attributes their time to their own layers.
 """
 
 from repro.core.baseline import MicroarchDependentSynthesizer
 from repro.core.synthesizer import SynthesisParameters
-from repro.exec import parallel_map, pipeline_artifacts
+from repro.exec import pipeline_artifacts
 from repro.sim.functional import run_program
 from repro.uarch.cache import simulate_cache_sweep
 from repro.uarch.config import BASE_CONFIG, CACHE_SWEEP, DESIGN_CHANGES
@@ -53,8 +54,7 @@ def workload_artifacts(name, parameters=None):
 
     The first level is an in-process dict; behind it sits the
     persistent :class:`repro.exec.ArtifactStore`, so a warm on-disk
-    cache makes this cheap even in a fresh process (including the
-    parallel grid runner's workers).
+    cache makes this cheap even in a fresh process.
     """
     if parameters is None:
         parameters = SynthesisParameters(
@@ -82,22 +82,18 @@ def _names(names):
 # ----------------------------------------------------------------------
 # Figure 3: single-stride coverage of dynamic memory references
 # ----------------------------------------------------------------------
-def _stride_coverage_worker(name):
-    artifacts = workload_artifacts(name)
-    return name, artifacts.profile.stride_coverage
-
-
 def stride_coverage_table(names=None, jobs=None):
     """Rows of (workload, fraction of dynamic refs covered by one stride)."""
-    return parallel_map(_stride_coverage_worker, _names(names), jobs)
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
+    return [(name, workload_artifacts(name).profile.stride_coverage)
+            for name in _names(names)]
 
 
 # ----------------------------------------------------------------------
 # Figures 4 & 5: miss-per-instruction tracking across 28 cache configs
 # ----------------------------------------------------------------------
-def _cache_mpi_worker(task):
+def _cache_mpi_rows(name, configs):
     """One workload's real and clone MPI rows over the whole sweep."""
-    name, configs = task
     artifacts = workload_artifacts(name)
     real_stats = simulate_cache_sweep(
         artifacts.trace.memory_addresses(), configs)
@@ -105,8 +101,7 @@ def _cache_mpi_worker(task):
         artifacts.clone_trace.memory_addresses(), configs)
     real_n = len(artifacts.trace)
     clone_n = len(artifacts.clone_trace)
-    return (name,
-            [stats.misses / real_n for stats in real_stats],
+    return ([stats.misses / real_n for stats in real_stats],
             [stats.misses / clone_n for stats in clone_stats])
 
 
@@ -117,14 +112,14 @@ def cache_correlation_study(names=None, configs=None, jobs=None):
     ranking of each configuration under real and clone (Figure 5), and
     the raw MPI matrices.
     """
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
     configs = list(configs) if configs is not None else CACHE_SWEEP
     names = _names(names)
-    results = parallel_map(_cache_mpi_worker,
-                           [(name, configs) for name in names], jobs)
     correlations = {}
     mpi_real = {}
     mpi_clone = {}
-    for name, real_row, clone_row in results:
+    for name in names:
+        real_row, clone_row = _cache_mpi_rows(name, configs)
         mpi_real[name] = real_row
         mpi_clone[name] = clone_row
         # Deltas relative to the first (256B direct-mapped) configuration.
@@ -160,8 +155,7 @@ def cache_correlation_study(names=None, configs=None, jobs=None):
 # ----------------------------------------------------------------------
 # Figures 6 & 7: absolute IPC and power on the base configuration
 # ----------------------------------------------------------------------
-def _base_config_worker(task):
-    name, config, max_instructions = task
+def _base_config_row(name, config, max_instructions):
     artifacts = workload_artifacts(name)
     power_model = shared_power_model(config)
     # A one-config "grid": the sweep path shares its digest and outcome
@@ -182,10 +176,9 @@ def _base_config_worker(task):
 def base_config_comparison(names=None, config=BASE_CONFIG,
                            max_instructions=None, jobs=None):
     """Per-workload IPC and power, real vs clone, plus average errors."""
-    names = _names(names)
-    rows = parallel_map(
-        _base_config_worker,
-        [(name, config, max_instructions) for name in names], jobs)
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
+    rows = [_base_config_row(name, config, max_instructions)
+            for name in _names(names)]
     ipc_error = mean_absolute_percentage_error(
         [row["ipc_real"] for row in rows],
         [row["ipc_clone"] for row in rows])
@@ -200,13 +193,9 @@ def base_config_comparison(names=None, config=BASE_CONFIG,
 # ----------------------------------------------------------------------
 # Table 3 / Figures 8 & 9: relative accuracy over five design changes
 # ----------------------------------------------------------------------
-def _design_change_worker(task):
-    """IPC/power for one workload on base plus every changed config.
-
-    Returns ``(name, rows)`` where ``rows`` aligns positionally with
-    ``[base] + changes``.
-    """
-    name, configs, max_instructions = task
+def _design_change_rows(name, configs, max_instructions):
+    """IPC/power for one workload on base plus every changed config,
+    aligned positionally with ``configs`` (``[base] + changes``)."""
     artifacts = workload_artifacts(name)
     # One sweep per trace digests it once and shares cache/predictor
     # outcome banks across every config in the grid.
@@ -222,7 +211,7 @@ def _design_change_worker(task):
             "power_real": power_model.evaluate(real).total,
             "power_clone": power_model.evaluate(clone).total,
         })
-    return name, rows
+    return rows
 
 
 def design_change_study(names=None, base=BASE_CONFIG, changes=None,
@@ -232,12 +221,12 @@ def design_change_study(names=None, base=BASE_CONFIG, changes=None,
     Also returns the per-workload speedups and power deltas for the
     width-doubling change (the paper's Figures 8 and 9).
     """
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
     changes = list(changes) if changes is not None else DESIGN_CHANGES
     names = _names(names)
-    grid = dict(parallel_map(
-        _design_change_worker,
-        [(name, [base] + changes, max_instructions) for name in names],
-        jobs))
+    grid = {name: _design_change_rows(name, [base] + changes,
+                                      max_instructions)
+            for name in names}
 
     base_results = {name: grid[name][0] for name in names}
 
@@ -282,8 +271,7 @@ def design_change_study(names=None, base=BASE_CONFIG, changes=None,
 # ----------------------------------------------------------------------
 # Ablation A: microarchitecture-dependent baseline vs our clone
 # ----------------------------------------------------------------------
-def _baseline_comparison_worker(task):
-    name, configs, profiled_cache = task
+def _baseline_comparison_row(name, configs, profiled_cache):
     artifacts = workload_artifacts(name)
     real_addresses = artifacts.trace.memory_addresses()
     real_n = len(artifacts.trace)
@@ -350,13 +338,12 @@ def baseline_cache_comparison(names=None, configs=None,
     machine's L1D; we then compare Pearson correlations across the cache
     sweep for it and for the microarchitecture-independent clone.
     """
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
     configs = list(configs) if configs is not None else CACHE_SWEEP
     if profiled_cache is None:
         profiled_cache = BASE_CONFIG.l1d
-    names = _names(names)
-    rows = parallel_map(
-        _baseline_comparison_worker,
-        [(name, configs, profiled_cache) for name in names], jobs)
+    rows = [_baseline_comparison_row(name, configs, profiled_cache)
+            for name in _names(names)]
     count = len(rows)
     return {
         "rows": rows,
@@ -377,8 +364,9 @@ def baseline_cache_comparison(names=None, configs=None,
 def stream_count_table(names=None, jobs=None):
     """(workload, unique streams, cache correlation) rows, most streams
     first — the paper's explanation of susan's lower correlation."""
+    # ``jobs`` is ignored: perfbench still passes it (module docstring).
     names = _names(names)
-    study = cache_correlation_study(names, jobs=jobs)
+    study = cache_correlation_study(names)
     rows = []
     for name in names:
         artifacts = workload_artifacts(name)

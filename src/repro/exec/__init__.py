@@ -1,16 +1,16 @@
 """Experiment execution engine (``repro.exec``).
 
-Three cooperating layers make the (workload × microarchitecture) grid —
+Two cooperating layers make the (workload × microarchitecture) grid —
 the paper's whole evaluation — cheap to re-run:
 
 * :mod:`repro.exec.store` — a persistent content-addressed artifact
   cache (traces, profiles, clone assembly) shared across processes,
   keyed so hits are bit-identical to cold runs;
 * :mod:`repro.exec.artifacts` — the cache-backed pipeline runner that
-  experiments, the CLI, and benchmarks all call;
-* :mod:`repro.exec.parallel` — order-preserving process-pool mapping
-  with ``--jobs`` / ``REPRO_JOBS`` resolution and a bit-identical
-  serial fallback.
+  experiments, the CLI, and benchmarks all call.
+
+Grids run in-process; the one way to fan a grid out over worker
+processes is :mod:`repro.fleet` (``repro fleet run --workers N``).
 """
 
 from repro.exec.artifacts import (
@@ -21,7 +21,6 @@ from repro.exec.artifacts import (
     trace_artifact_key,
     trace_artifacts,
 )
-from repro.exec.parallel import parallel_map, resolve_jobs, shared_state_map
 from repro.exec.store import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
@@ -42,11 +41,8 @@ __all__ = [
     "cache_enabled",
     "default_cache_dir",
     "default_store",
-    "parallel_map",
     "pipeline_artifacts",
     "reset_default_store",
-    "resolve_jobs",
-    "shared_state_map",
     "trace_artifact_key",
     "trace_artifacts",
 ]

@@ -20,7 +20,7 @@ Layout on disk (``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
         clone.s          clone assembly source
 
 Writes are atomic (temp directory + ``os.replace``-style rename), so
-concurrent processes — e.g. the parallel grid runner's workers — can
+concurrent processes — e.g. fleet workers — can
 share one store without locks: the first writer wins and later writers
 discard their duplicate.  Hit/miss/write/evict counts feed the
 ``exec.store.*`` telemetry counters, which run manifests pick up

@@ -1,7 +1,9 @@
 """Fleet-scale experiment engine (``repro.fleet``).
 
-Turns the one-shot ``--jobs`` grid call into an orchestrated,
-resumable system for large kernel × config × seed matrices:
+The one way to fan an experiment grid out over worker processes (the
+Section 5 studies, ``repro compare`` and ``repro sweep`` run
+in-process): an orchestrated, resumable system for large
+kernel × config × seed matrices:
 
 * :mod:`repro.fleet.recipe` — declarative experiment recipes expanding
   to deterministic cell lists with stable content-hashed cell ids;

@@ -1,7 +1,7 @@
 """Append-only JSONL event journal, one per run directory.
 
 Every instrumented process of a run — the CLI entry process and each
-``--jobs`` pool worker — appends events to its **own** file,
+fleet worker — appends events to its **own** file,
 ``journal-<pid>.jsonl``, inside the run directory.  One file per pid
 means concurrent writers can never interleave or tear each other's
 lines; :func:`read_journal` merges the per-pid streams back into one
@@ -16,8 +16,8 @@ per-process monotonic counter (so a single writer's order is recoverable
 even at equal timestamps).  Kinds in use: ``run_begin`` / ``run_end``,
 ``span_open`` / ``span_close`` (see :mod:`repro.obs.trace`), ``metrics``
 (counter deltas), ``store`` (artifact-cache hit/miss/write/evict),
-``lint`` (gate verdicts), ``progress`` and ``tasks`` / ``task_done``
-(live ``repro tail`` fodder).
+``lint`` (gate verdicts), ``progress`` (live ``repro tail`` fodder)
+and ``fleet`` (claims, reclaims, run begin/end).
 
 The journal is configured per run (:func:`configure_journal`), exported
 to child processes through the ``REPRO_JOURNAL_DIR`` environment
@@ -34,7 +34,7 @@ from repro.obs.logging import get_logger
 
 _LOG = get_logger("repro.obs.journal")
 
-#: Environment variable carrying the journal directory to pool workers.
+#: Environment variable carrying the journal directory to worker processes.
 JOURNAL_DIR_ENV = "REPRO_JOURNAL_DIR"
 
 #: Filename pattern of per-process journal files.
@@ -46,7 +46,7 @@ class Journal:
     """One process's append-only event stream in a run directory.
 
     The backing file is opened lazily on first emit and re-opened if
-    the pid changes (a forked pool worker inherits its parent's
+    the pid changes (a forked fleet worker inherits its parent's
     ``Journal`` object but must never share its file handle).
     """
 
@@ -138,7 +138,7 @@ def configure_journal(run_dir, fresh=False):
 def active_journal():
     """The process's journal, lazily resolved from the environment.
 
-    Pool workers never call :func:`configure_journal`; they find the run
+    Worker processes never call :func:`configure_journal`; they find the run
     directory through the inherited ``REPRO_JOURNAL_DIR`` variable.  The
     negative result is cached so uninstrumented runs pay one environment
     lookup total.
@@ -202,9 +202,9 @@ def reset_metric_baseline():
 def emit_metric_deltas():
     """Journal the change in every counter since the last call.
 
-    Emitted at run end and after each pool task, so the journal carries
+    Emitted at run end and after each fleet block, so the journal carries
     each process's metric contribution (per-process registries are never
-    merged back through the pool).
+    merged back across processes).
     """
     journal = active_journal()
     if journal is None:
@@ -287,11 +287,6 @@ class MergedJournal:
             latest[(event["pid"], event.get("unit"))] = event
         return latest
 
-    def task_counts(self):
-        """(tasks announced, tasks completed) across the whole run."""
-        announced = sum(event.get("total", 0)
-                        for event in self.of_kind("tasks"))
-        return announced, len(self.of_kind("task_done"))
 
 
 def read_journal(run_dir):

@@ -3,11 +3,10 @@
 :mod:`repro.obs.timing` aggregates spans by *path* for the manifest;
 this module gives each individual span entry an **identity** — a span id
 ``"<pid>-<n>"``, a parent id, and free-form attributes — and records the
-open/close pair in the run journal (:mod:`repro.obs.journal`).  Pool
-workers stitch their spans under the dispatching span through the
-``REPRO_TRACE_PARENT`` environment variable, which
-:func:`repro.exec.parallel` sets around pool creation, so a merged
-journal yields one tree from ``cli.<command>`` down to each worker task.
+open/close pair in the run journal (:mod:`repro.obs.journal`).  Fleet
+workers are forked, so they inherit the open-span stack and their first
+span attaches under the span that started them: a merged journal yields
+one tree from ``cli.<command>`` down to each worker's cells.
 
 Reading side: :func:`build_span_tree` reconstructs the forest from
 merged events (tolerating unclosed spans from crashed runs), and the
@@ -24,9 +23,6 @@ import json
 import os
 
 from repro.obs.journal import active_journal
-
-#: Environment variable carrying the dispatching span id to pool workers.
-TRACE_PARENT_ENV = "REPRO_TRACE_PARENT"
 
 _SEQ = 0
 _SEQ_PID = None
@@ -45,11 +41,9 @@ def _next_id():
 
 
 def current_span_id():
-    """Innermost open span id; falls back to the inherited trace parent
-    so a worker's first span attaches under the dispatching span."""
-    if _STACK:
-        return _STACK[-1]
-    return os.environ.get(TRACE_PARENT_ENV)
+    """Innermost open span id of this process (or, in a forked worker,
+    of the parent at fork time), else ``None``."""
+    return _STACK[-1] if _STACK else None
 
 
 def begin_span(name, attrs=None):
@@ -326,9 +320,8 @@ def export_chrome_trace(events, path):
             if not node.complete:
                 entry["args"]["incomplete"] = True
             trace_events.append(entry)
-    instant_kinds = {"store", "lint", "progress", "metrics", "tasks",
-                     "task_done", "run_begin", "run_end",
-                     "profile_summary"}
+    instant_kinds = {"store", "lint", "progress", "metrics", "run_begin",
+                     "run_end", "profile_summary"}
     for event in events:
         kind = event.get("kind")
         if kind not in instant_kinds:

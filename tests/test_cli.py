@@ -158,23 +158,6 @@ class TestObservability:
         assert "ipc_estimate" in data
 
 class TestExecIntegration:
-    def test_sweep_jobs_output_identical_to_serial(self, capsys):
-        assert main(["sweep", "bitcount", "--instructions", "30000"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["sweep", "bitcount", "--instructions", "30000",
-                     "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
-
-    def test_repro_jobs_env_matches_flag(self, capsys, monkeypatch):
-        assert main(["compare", "bitcount", "--instructions", "20000",
-                     "--json"]) == 0
-        explicit = json.loads(capsys.readouterr().out)["rows"]
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        assert main(["compare", "bitcount", "--instructions", "20000",
-                     "--json"]) == 0
-        via_env = json.loads(capsys.readouterr().out)["rows"]
-        assert via_env == explicit
-
     def test_json_carries_artifact_cache_provenance(self, capsys):
         args = ["compare", "bitcount", "--instructions", "20000", "--json"]
         assert main(args) == 0

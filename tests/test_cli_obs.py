@@ -15,7 +15,6 @@ from repro.obs.trace import (build_span_tree, reset_trace_state,
 @pytest.fixture(autouse=True)
 def _clean_obs_state(monkeypatch):
     monkeypatch.delenv(JOURNAL_DIR_ENV, raising=False)
-    monkeypatch.delenv("REPRO_TRACE_PARENT", raising=False)
     reset_trace_state()
     yield
     configure_journal(None)
@@ -24,10 +23,31 @@ def _clean_obs_state(monkeypatch):
 
 @pytest.fixture(scope="module")
 def journaled_run(tmp_path_factory):
-    """One parallel compare run with a journal, shared across tests."""
+    """One compare run with a journal, shared across tests."""
     run_dir = tmp_path_factory.mktemp("obs") / "run"
     code = main(["compare", "crc32", "--instructions", "20000",
-                 "--jobs", "2", "--run-dir", str(run_dir)])
+                 "--run-dir", str(run_dir)])
+    assert code == 0
+    configure_journal(None)
+    reset_trace_state()
+    return run_dir
+
+
+@pytest.fixture(scope="module")
+def journaled_fleet_run(tmp_path_factory):
+    """A 2-worker fleet run journaled through ``--run-dir``: one trace
+    group per worker.  The clones' synthesis seed is used by no other
+    test, so each worker first synthesizes its clone, long enough for
+    the sibling to claim its own block before anything is stealable."""
+    root = tmp_path_factory.mktemp("obs-fleet")
+    recipe = root / "recipe.json"
+    recipe.write_text(json.dumps({
+        "name": "obs-grid", "kernels": ["crc32", "sha"],
+        "subject": "clone", "seeds": [1901],
+        "pipeline_cap": 20_000, "axes": {"width": [1, 2]}}))
+    run_dir = root / "run"
+    code = main(["fleet", "run", str(recipe), "--dir", str(root / "fleet"),
+                 "--workers", "2", "--run-dir", str(run_dir)])
     assert code == 0
     configure_journal(None)
     reset_trace_state()
@@ -47,7 +67,7 @@ class TestJournaledRun:
         assert begin["command"] == "compare"
         assert end["exit_code"] == 0
         kinds = {event["kind"] for event in merged.events}
-        assert {"span_open", "span_close", "tasks", "task_done"} <= kinds
+        assert {"span_open", "span_close", "metrics"} <= kinds
 
     def test_span_tree_covers_at_least_95_percent_of_wall(
             self, journaled_run):
@@ -56,16 +76,28 @@ class TestJournaledRun:
         roots = build_span_tree(merged.events)
         assert span_coverage(roots, end["wall_seconds"]) >= 0.95
 
-    def test_worker_spans_attach_under_cli_root(self, journaled_run):
+    def test_compare_runs_in_process(self, journaled_run):
         merged = read_journal(str(journaled_run))
         roots = build_span_tree(merged.events)
-        assert len(roots) == 1
+        assert [root.name for root in roots] == ["cli.compare"]
+        nodes = list(roots[0].walk())
+        assert {node.pid for node in nodes} == {roots[0].pid}
+        sweeps = [node for node in nodes if node.name == "uarch.sweep"]
+        assert len(sweeps) == 2  # real, then clone
+        assert all(node.parent == roots[0].sid for node in sweeps)
+
+    def test_worker_spans_attach_under_cli_root(self, journaled_fleet_run):
+        merged = read_journal(str(journaled_fleet_run))
+        roots = build_span_tree(merged.events)
+        assert [root.name for root in roots] == ["cli.fleet"]
         root = roots[0]
-        assert root.name == "cli.compare"
-        pids = {node.pid for node in root.walk()}
-        assert len(pids) >= 2  # main process + at least one pool worker
-        names = {node.name for node in root.walk()}
-        assert "exec.task" in names
+        cells = [node for node in root.walk() if node.name == "fleet.cell"]
+        assert len(cells) == 4
+        # Forked workers inherit the open-span stack: their cells stitch
+        # under the CLI root from processes other than the CLI's own.
+        cell_pids = {node.pid for node in cells}
+        assert len(cell_pids) == 2
+        assert root.pid not in cell_pids
 
     def test_quiet_suppresses_journaling(self, tmp_path, capsys):
         run_dir = tmp_path / "quiet-run"
@@ -123,7 +155,7 @@ class TestTailCommand:
         assert main(["tail", str(journaled_run)]) == 0
         out = capsys.readouterr().out
         assert "finished" in out
-        assert "tasks: 2/2" in out
+        assert "run: compare crc32" in out
 
     def test_tail_of_running_run_shows_open_spans(self, tmp_path, capsys):
         run_dir = str(tmp_path / "live")

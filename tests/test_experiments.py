@@ -2,6 +2,11 @@
 subset so the suite stays fast.  The full-corpus runs live in
 ``benchmarks/`` and EXPERIMENTS.md."""
 
+import json
+import multiprocessing
+import os
+import subprocess
+
 import pytest
 
 from repro.evaluation import (
@@ -13,6 +18,7 @@ from repro.evaluation import (
     stride_coverage_table,
     workload_artifacts,
 )
+from repro.evaluation import experiments
 from repro.evaluation.experiments import clear_artifact_cache
 from repro.uarch import BASE_CONFIG, CacheConfig
 
@@ -145,3 +151,40 @@ class TestAblations:
         rows = stream_count_table(SUBSET)
         streams = [row[1] for row in rows]
         assert streams == sorted(streams, reverse=True)
+
+
+class TestJobsIgnored:
+    """Studies run in-process; ``jobs=`` is accepted and ignored, so a
+    caller passing a worker count (perfbench does) starts no process and
+    gets the same result as a plain call."""
+
+    STUDIES = [
+        ("stride_coverage_table", {}),
+        ("cache_correlation_study", {"configs": SMALL_SWEEP}),
+        ("base_config_comparison", {"max_instructions": 20_000}),
+        ("design_change_study", {"max_instructions": 20_000}),
+        ("baseline_cache_comparison", {"configs": SMALL_SWEEP}),
+        ("stream_count_table", {}),
+    ]
+
+    @staticmethod
+    def _forbid_process_creation(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a study started a process")
+        for name in ("fork", "forkpty", "posix_spawn", "posix_spawnp"):
+            if hasattr(os, name):
+                monkeypatch.setattr(os, name, refuse)
+        monkeypatch.setattr(subprocess.Popen, "_execute_child", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            refuse)
+
+    @pytest.mark.parametrize("study,kwargs", STUDIES,
+                             ids=[name for name, _ in STUDIES])
+    def test_jobs_starts_no_process(self, study, kwargs, monkeypatch):
+        run = getattr(experiments, study)
+        # Two workloads: a pool would fan out over them.
+        expected = run(SUBSET, jobs=None, **kwargs)
+        self._forbid_process_creation(monkeypatch)
+        got = run(SUBSET, jobs=2, **kwargs)
+        assert json.dumps(got, sort_keys=True, default=str) \
+            == json.dumps(expected, sort_keys=True, default=str)

@@ -148,20 +148,16 @@ class TestMergedReads:
         assert [(event["ts"], event["pid"]) for event in merged.events] \
             == [(1.0, 2), (2.0, 1), (3.0, 2), (4.0, 1)]
 
-    def test_run_info_and_task_counts(self, tmp_path):
+    def test_run_info(self, tmp_path):
         run_dir = str(tmp_path / "run")
         configure_journal(run_dir)
         emit_event("run_begin", command="compare")
-        emit_event("tasks", total=2, jobs=2)
-        emit_event("task_done", task=0)
-        emit_event("task_done", task=1)
         emit_event("run_end", exit_code=0, wall_seconds=1.5)
         configure_journal(None)
         merged = read_journal(run_dir)
         begin, end = merged.run_info()
         assert begin["command"] == "compare"
         assert end["exit_code"] == 0
-        assert merged.task_counts() == (2, 2)
 
     def test_open_spans_tracks_unclosed_only(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -9,7 +9,6 @@ import pytest
 from repro.obs.journal import configure_journal, read_journal
 from repro.obs.timing import TRACER
 from repro.obs.trace import (
-    TRACE_PARENT_ENV,
     begin_span,
     build_span_tree,
     critical_path,
@@ -26,8 +25,7 @@ from repro.obs.trace import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_trace_state(monkeypatch):
-    monkeypatch.delenv(TRACE_PARENT_ENV, raising=False)
+def _clean_trace_state():
     reset_trace_state()
     yield
     configure_journal(None)
@@ -74,14 +72,6 @@ class TestSpanWriting:
                  if event["kind"] == "span_open"]
         assert opens[0]["parent"] is None
         assert opens[1]["parent"] == opens[0]["span"]
-
-    def test_env_parent_adopts_worker_roots(self, journal, monkeypatch):
-        monkeypatch.setenv(TRACE_PARENT_ENV, "1234-1")
-        handle = begin_span("worker.task")
-        end_span(handle, 0.1)
-        opens = [event for event in _span_events(journal)
-                 if event["kind"] == "span_open"]
-        assert opens[0]["parent"] == "1234-1"
 
     def test_unbalanced_close_recovers(self, journal):
         outer = begin_span("outer")

@@ -17,7 +17,6 @@ config with the spec itself and builds no digest or bank:
   mid basic-block, with no cap at all, and on a trace entering mid-block;
 * digest/bank persistence round-trips through the artifact store,
   including corrupt-entry tolerance;
-* serial vs ``--jobs`` grid studies produce identical JSON;
 * the vectorized predictor outcome banks match the scalar predictor
   specification kind by kind.
 
@@ -26,14 +25,13 @@ It doubles as the tier-1 CI gate for sweep-engine regressions.
 
 import dataclasses
 import gc
-import json
 import os
 import weakref
 
 import pytest
 
 from repro.core import profile_trace
-from repro.evaluation import design_change_study, workload_artifacts
+from repro.evaluation import workload_artifacts
 from repro.exec.store import ArtifactStore
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
@@ -463,19 +461,6 @@ class TestNative:
     def test_library_cache_survives_reset(self):
         native.reset()
         assert native.available()
-
-
-# ----------------------------------------------------------------------
-# Grid studies: serial vs --jobs
-# ----------------------------------------------------------------------
-class TestStudyParallelism:
-    def test_design_change_study_jobs_invariant(self):
-        serial = design_change_study(["crc32"], max_instructions=CAP,
-                                     jobs=1)
-        parallel = design_change_study(["crc32"], max_instructions=CAP,
-                                       jobs=2)
-        assert json.dumps(serial, sort_keys=True, default=str) \
-            == json.dumps(parallel, sort_keys=True, default=str)
 
 
 # ----------------------------------------------------------------------
