@@ -9,14 +9,14 @@ baseline (per-config ``PipelineModel.run``):
 * **incremental cell** — an :class:`IncrementalSession` warmed on the
   base config re-times one single-knob edit (ROB size, L1D geometry,
   predictor kind, width, an FU latency).  Every untouched artifact is
-  reused per the session's plan.  Target: ≥20x geomean vs timing the
-  same cell cold with ``PipelineModel.run``.
+  reused from the session's trace digest; each row's ``reused`` /
+  ``rebuilt`` columns are the sweep engine's own ``*_reused`` /
+  ``*_built`` counter deltas for that edit.  Target: ≥20x geomean vs
+  timing the same cell cold with ``PipelineModel.run``.
 
 Every timed cell is also an equality assertion against the reference
 model, so the recorded speedups are numerics-preserving by
-construction.  The per-edit reuse plans are journaled
-(``sweep.incremental_plan`` events) when ``REPRO_BENCH_JOURNAL_DIR``
-is set — CI uploads that journal as the reuse-accounting artifact.
+construction.
 
 Runs two ways, like the other benches:
 
@@ -41,7 +41,7 @@ from repro.sim import FunctionalSimulator
 from repro.uarch import BASE_CONFIG, DESIGN_CHANGES, IncrementalSession, native
 from repro.uarch.cache import CacheConfig
 from repro.uarch.pipeline import PipelineModel
-from repro.uarch.sweep import simulate_pipeline_sweep
+from repro.uarch.sweep import simulate_pipeline_sweep, sweep_stats_snapshot
 from repro.workloads import build_workload, workload_names
 
 from _shared import emit, maybe_journal, run_once
@@ -72,6 +72,10 @@ KNOB_EDITS = [
 ]
 
 
+#: The artifact kinds a knob edit either reuses or rebuilds.
+ARTIFACTS = ("digests", "cache_banks", "pred_banks")
+
+
 def _geomean(values):
     return float(np.exp(np.mean(np.log(values))))
 
@@ -80,6 +84,12 @@ def _result_fields(result):
     fields = dataclasses.asdict(result)
     fields.pop("wall_seconds")  # host timing, not a simulated number
     return fields
+
+
+def _moved(before, after, how):
+    """Artifacts counted as ``how`` (built/reused) between snapshots."""
+    return sum(after[f"{kind}_{how}"] - before[f"{kind}_{how}"]
+               for kind in ARTIFACTS)
 
 
 def _forget(trace):
@@ -109,7 +119,8 @@ def _grid_row(name, trace, store):
 
 
 def _knob_rows(name, trace):
-    """[kernel:knob, instructions, cold-cell ms, incr ms, incr x]."""
+    """[kernel:knob, instructions, cold-cell ms, incr ms, incr x,
+    reused, rebuilt]."""
     _forget(trace)
     session = IncrementalSession(
         trace, max_instructions=PIPELINE_CAP,
@@ -122,17 +133,19 @@ def _knob_rows(name, trace):
                                          max_instructions=PIPELINE_CAP)
         cell_s = time.perf_counter() - start
 
+        before = sweep_stats_snapshot()
         start = time.perf_counter()
         incremental = session.run(config)
         incremental_s = time.perf_counter() - start
+        after = sweep_stats_snapshot()
 
         assert _result_fields(incremental) == _result_fields(cell), \
             f"incremental diverges from cold cell for {name}/{knob}"
-        plan = session.last_plan
         rows.append([f"{name}:{knob}", cell.instructions,
                      cell_s * 1e3, incremental_s * 1e3,
                      cell_s / incremental_s,
-                     len(plan.reused), len(plan.rebuilt)])
+                     _moved(before, after, "reused"),
+                     _moved(before, after, "built")])
         session.run(BASE_CONFIG)  # step back to the design point
     return rows
 

@@ -26,7 +26,9 @@ Runs started with ``--run-dir`` record an append-only event journal
 (``journal-<pid>.jsonl``, one file per process) next to the manifest:
 hierarchical spans from ``cli.<command>`` down to individual fleet
 cells, artifact-store hits/misses, lint verdicts, metric deltas, and
-progress heartbeats.  ``--profile`` additionally samples the main
+progress heartbeats.  ``fleet run``/``fleet resume`` without
+``--run-dir`` journal into the fleet directory instead, appending
+across resumes.  ``--profile`` additionally samples the main
 thread and attributes hot code to the enclosing span (off by default;
 zero cost when disabled).
 
@@ -744,6 +746,11 @@ def _worker_time_split(worker):
             f"timing {timing or 0.0:.2f}s)")
 
 
+def _fleet_run_dir(args, recipe):
+    """Where ``fleet run`` works: ``--dir``, else ``fleet-<recipe>``."""
+    return args.dir or f"fleet-{recipe.name}"
+
+
 def cmd_fleet(args, ctx):
     """Fleet-scale experiment matrices: run / resume / status / expand."""
     from repro import fleet as _fleet
@@ -793,7 +800,7 @@ def cmd_fleet(args, ctx):
     # run / resume
     if args.action == "run":
         recipe = _load_recipe_or_fail(args.target)
-        run_dir = args.dir or f"fleet-{recipe.name}"
+        run_dir = _fleet_run_dir(args, recipe)
     else:
         recipe = None
         run_dir = args.target
@@ -1007,6 +1014,32 @@ _HANDLERS = {
 _READONLY_COMMANDS = ("report", "trace", "tail")
 
 
+def _journal_target(args):
+    """``(directory, fresh)`` this command journals into, or ``None``.
+
+    A ``--run-dir`` starts a clean journal there.  Without one, ``fleet
+    run`` and ``fleet resume`` journal into the fleet directory itself
+    and append, so a resume continues the run's journal and every
+    worker's cells nest under the command's root span.  A fleet target
+    the handler will reject (a missing directory, an unreadable recipe)
+    gets no journal: the handler reports the error.
+    """
+    if args.quiet or args.command in _READONLY_COMMANDS:
+        return None
+    if args.run_dir:
+        return args.run_dir, True
+    if args.command != "fleet" or args.action not in ("run", "resume"):
+        return None
+    if args.action == "resume":
+        return (args.target, False) if os.path.isdir(args.target) else None
+    from repro import fleet as _fleet
+    try:
+        recipe = _fleet.load_recipe(args.target)
+    except _fleet.RecipeError:
+        return None
+    return _fleet_run_dir(args, recipe), False
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if getattr(args, "sim_backend", None):
@@ -1024,12 +1057,14 @@ def main(argv=None):
     reset_sweep_stats()
     default_store().reset_counters()
 
-    # Runs that persist a run dir also record an event journal there;
-    # read-only commands must never clobber the journal they inspect.
-    journaling = bool(args.run_dir and not args.quiet
-                      and args.command not in _READONLY_COMMANDS)
+    # Runs that persist a run dir (or a fleet dir) also record an event
+    # journal there, opened before the root span so the span tree has
+    # one root; read-only commands never clobber the journal they
+    # inspect.
+    target = _journal_target(args)
+    journaling = target is not None
     if journaling:
-        configure_journal(args.run_dir, fresh=True)
+        configure_journal(*target)
         emit_event("run_begin", command=args.command,
                    target=getattr(args, "target", None),
                    argv=list(argv) if argv is not None else sys.argv[1:])

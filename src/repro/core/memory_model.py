@@ -225,10 +225,6 @@ class StreamPlan:
     def _range_start(stats):
         return min(stats.first_address, stats.last_address)
 
-    @staticmethod
-    def _range_end(stats):
-        return max(stats.first_address, stats.last_address)
-
     # ------------------------------------------------------------------
     def allocate(self, pc, rng=None):
         """Claim the next instance of original memop ``pc``.

@@ -11,11 +11,11 @@ kernel × config × seed matrices:
   (atomic lockfile leases, heartbeats, dead-pid/TTL reclaim) shared by
   any number of worker processes or hosts;
 * :mod:`repro.fleet.scheduler` — reuse-affinity blocks and sharding
-  that keep cells sharing a trace digest, outcome bank, or compiled
-  kernel on one worker back-to-back, claimed a block at a time;
-* :mod:`repro.fleet.worker` — the worker loop routing consecutive cells
-  through :class:`~repro.uarch.incremental.IncrementalSession` instead
-  of cold sweeps;
+  that keep cells sharing a trace digest or outcome bank on one worker
+  back-to-back, claimed a block at a time;
+* :mod:`repro.fleet.worker` — the worker loop timing consecutive cells
+  through one :class:`~repro.uarch.incremental.IncrementalSession` per
+  trace instead of cold sweeps;
 * :mod:`repro.fleet.run` — run/resume/status orchestration with a
   byte-identical canonical matrix export.
 
@@ -48,7 +48,6 @@ from repro.fleet.scheduler import (
     affinity_key,
     build_blocks,
     build_shards,
-    order_cells,
     steal_candidates,
 )
 from repro.fleet.worker import FleetWorker, cell_metrics, worker_entry
@@ -74,7 +73,6 @@ __all__ = [
     "init_run",
     "load_recipe",
     "matrix_bytes",
-    "order_cells",
     "recipe_from_dict",
     "run_fleet",
     "save_recipe",

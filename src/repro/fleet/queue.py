@@ -26,9 +26,10 @@ pid is still alive is authoritative: its lease is never reclaimed on
 TTL age alone, so a block that outlives the TTL is not re-executed by a
 sibling.
 
-Every claim / steal / complete / reclaim emits a ``fleet`` journal
-event, giving ``repro tail`` and post-mortem ``repro trace`` the full
-scheduling history.
+Every claim / steal / reclaim emits a ``fleet`` journal event (the
+worker adds one ``complete`` event per finished block), giving
+``repro tail`` and post-mortem ``repro trace`` the full scheduling
+history.
 """
 
 import errno
@@ -193,12 +194,6 @@ class FleetQueue:
                 os.remove(staging)
             raise
         REGISTRY.counter("fleet.cells_completed").inc()
-
-    def complete(self, cell_id, payload, worker=None):
-        """Publish one result under its own lease id and drop the lease."""
-        self.publish(cell_id, payload)
-        self.release(cell_id)
-        emit_event("fleet", event="complete", cell=cell_id, worker=worker)
 
     def read_result(self, cell_id):
         """The published result payload, or None (torn reads -> None)."""

@@ -7,7 +7,9 @@ A scheduler that scatters a kernel's cells across workers makes every
 worker acquire the trace and re-derive (or at best re-load) each bank;
 one that keeps a trace's cells on a single worker back-to-back turns
 all of that into in-process cache hits and single-knob
-:class:`~repro.uarch.incremental.IncrementalSession` steps.
+:class:`~repro.uarch.incremental.IncrementalSession` steps.  The sweep
+engine's ``*_reused`` / ``*_built`` counters record how much of that
+reuse a run actually got.
 
 So the fleet orders and shards on exactly those keys:
 
@@ -69,14 +71,6 @@ def affinity_key(cell):
     return (repr(_hierarchy_key(cell.config)),
             repr(_predictor_key(cell.config)),
             cell.index)
-
-
-def order_cells(cells):
-    """Cells grouped by trace, affinity-sorted inside each group."""
-    ordered = []
-    for group in group_by_trace(cells):
-        ordered.extend(group)
-    return ordered
 
 
 def group_by_trace(cells):

@@ -6,8 +6,8 @@ head to tail, leasing each block through the
 :class:`~repro.fleet.queue.FleetQueue` before timing its cells.
 Because a shard keeps all of a trace's cells contiguous, the worker
 holds one :class:`~repro.uarch.incremental.IncrementalSession` per
-trace: consecutive cells differ in a knob or two, so each step is a
-planned incremental re-simulation over the already-digested trace and
+trace: consecutive cells differ in a knob or two, so each step is an
+incremental re-simulation over the already-digested trace and
 in-memory outcome banks, not a cold sweep.
 
 Bookkeeping is per block; results are per cell.  A block costs one

@@ -47,11 +47,6 @@ POOL_OF_CLASS = {
 BUILD_COUNTS = {}
 
 
-def total_builds():
-    """Total column builds this process (regression-test hook)."""
-    return sum(BUILD_COUNTS.values())
-
-
 class ProgramColumns:
     """Struct-of-arrays decode/block tables for one program."""
 

@@ -241,12 +241,6 @@ class AbsintResult:
     degraded: str = ""
     block_bounds: dict = field(default_factory=dict)
 
-    def loop_at(self, header):
-        for loop in self.loops:
-            if loop.header == header:
-                return loop
-        return None
-
 
 # ----------------------------------------------------------------------
 # Transfer functions

@@ -179,23 +179,6 @@ class ControlFlowGraph:
             current = idom[current]
         return False
 
-    def dominators(self):
-        """``{bid: set of dominator bids}`` over reachable blocks.
-
-        Materialized lazily from the immediate-dominator tree: each
-        block's dominator set is its idom chain up to the entry.
-        """
-        idom = self.idoms()
-        dom = {}
-        for bid in self.rpo():
-            chain = {bid}
-            current = bid
-            while current != self.entry:
-                current = idom[current]
-                chain.add(current)
-            dom[bid] = chain
-        return dom
-
     def natural_loops(self):
         """``[(header, back_source, frozenset(body))]`` natural loops.
 

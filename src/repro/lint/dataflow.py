@@ -120,22 +120,6 @@ def _assignment_masks(cfg, def_masks, entry_mask):
     return in_masks
 
 
-def definite_assignments(cfg, entry_defined=(ZERO_REG, REG_SP)):
-    """Per-block IN sets of definitely-assigned registers (fixpoint).
-
-    A set view over the bitmask fixpoint the checks use directly;
-    unreachable non-entry blocks sit at the full register universe.
-    """
-    def_masks, _ = _block_summaries(cfg)
-    entry_mask = 0
-    for register in entry_defined:
-        entry_mask |= 1 << register
-    in_masks = _assignment_masks(cfg, def_masks, entry_mask)
-    return {block.bid: {register for register in range(2 * FP_REG_BASE)
-                        if (in_masks[block.bid] >> register) & 1}
-            for block in cfg.blocks}
-
-
 def check_use_before_def(cfg, severity_overrides=None):
     """``SR104``: reads that some path can reach with no prior write."""
     from repro.isa.registers import reg_name

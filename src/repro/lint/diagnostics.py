@@ -209,15 +209,6 @@ class LintReport:
             counts[diagnostic.code] = counts.get(diagnostic.code, 0) + 1
         return dict(sorted(counts.items()))
 
-    def max_severity(self):
-        """The highest severity present, or None for a clean report."""
-        best = None
-        for diagnostic in self.diagnostics:
-            if best is None or (SEVERITY_RANK[diagnostic.severity]
-                                > SEVERITY_RANK[best]):
-                best = diagnostic.severity
-        return best
-
     # ------------------------------------------------------------------
     def summary(self):
         """Compact verdict block for manifests and artifact metadata."""

@@ -86,11 +86,6 @@ class Tracer:
                        "cpu_s": entry[2]}
                 for path, entry in sorted(self._spans.items())}
 
-    def wall_of(self, path):
-        """Accumulated wall seconds for one path (0.0 if never entered)."""
-        entry = self._spans.get(path)
-        return entry[1] if entry else 0.0
-
     def reset(self):
         self._spans.clear()
         self._stack.clear()

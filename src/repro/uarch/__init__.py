@@ -44,12 +44,7 @@ from repro.uarch.sweep import (
     sweep_stats_snapshot,
     trace_digest,
 )
-from repro.uarch.incremental import (
-    IncrementalPlan,
-    IncrementalSession,
-    plan_incremental,
-    plan_profile_delta,
-)
+from repro.uarch.incremental import IncrementalSession
 
 __all__ = [
     "AlwaysNotTaken",
@@ -63,7 +58,6 @@ __all__ = [
     "CacheStats",
     "DESIGN_CHANGES",
     "GShare",
-    "IncrementalPlan",
     "IncrementalSession",
     "MachineConfig",
     "PipelineModel",
@@ -73,8 +67,6 @@ __all__ = [
     "cache_sweep_configs",
     "estimate_power",
     "make_predictor",
-    "plan_incremental",
-    "plan_profile_delta",
     "power_key",
     "reset_shared_power_models",
     "shared_power_model",

@@ -75,8 +75,6 @@ _INT_STATS = (
     "pred_banks_saved",
     "fallback_configs", "native_configs",
     "distinct_hierarchies", "distinct_predictors",
-    "incremental_plans", "incremental_full_rebuilds",
-    "incremental_reused_artifacts", "incremental_rebuilt_artifacts",
     "predictor_sweeps", "predictor_sweep_kinds",
     "power_models_built", "power_models_reused",
 )

@@ -99,6 +99,31 @@ class TestJournaledRun:
         assert len(cell_pids) == 2
         assert root.pid not in cell_pids
 
+    def test_fleet_journals_into_its_dir_without_run_dir(self, tmp_path):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({
+            "name": "dir-journal", "kernels": ["crc32", "sha"],
+            "pipeline_cap": 20_000, "axes": {"width": [1, 2]}}))
+        fleet_dir = str(tmp_path / "fleet")
+        assert main(["fleet", "run", str(recipe), "--dir", fleet_dir,
+                     "--workers", "2"]) == 0
+        merged = read_journal(fleet_dir)
+        roots = build_span_tree(merged.events)
+        assert [root.name for root in roots] == ["cli.fleet"]
+        cells = [node for node in roots[0].walk()
+                 if node.name == "fleet.cell"]
+        assert len(cells) == 4
+        begin, end = merged.run_info()
+        assert begin["command"] == "fleet"
+        assert end["exit_code"] == 0
+        # A resume appends its own envelope and tree to the same journal.
+        assert main(["fleet", "resume", fleet_dir]) == 0
+        merged = read_journal(fleet_dir)
+        assert [root.name for root in build_span_tree(merged.events)] == \
+            ["cli.fleet", "cli.fleet"]
+        assert len(merged.of_kind("run_begin")) == 2
+        assert len(merged.of_kind("run_end")) == 2
+
     def test_quiet_suppresses_journaling(self, tmp_path, capsys):
         run_dir = tmp_path / "quiet-run"
         assert main(["profile", "crc32", "-o",

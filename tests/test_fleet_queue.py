@@ -40,7 +40,8 @@ class TestClaim:
 
     def test_claim_refused_after_result(self, queue):
         queue.claim("cell-a", "w0")
-        queue.complete("cell-a", {"metrics": {}}, worker="w0")
+        queue.publish("cell-a", {"metrics": {}})
+        queue.release("cell-a")
         assert queue.claim("cell-a", "w1") is False
 
     def test_release_reopens_cell(self, queue):
@@ -65,16 +66,19 @@ class TestClaim:
 class TestComplete:
     def test_publish_round_trips_and_drops_lease(self, queue):
         queue.claim("cell-a", "w0")
-        queue.complete("cell-a", {"metrics": {"ipc": 1.5}}, worker="w0")
+        queue.publish("cell-a", {"metrics": {"ipc": 1.5}})
+        # Publishing leaves the lease to its holder; release drops it.
+        assert os.path.exists(queue.lease_path("cell-a"))
+        queue.release("cell-a")
         assert queue.read_result("cell-a") == {"metrics": {"ipc": 1.5}}
         assert not os.path.exists(queue.lease_path("cell-a"))
         assert queue.completed_ids() == {"cell-a"}
 
     def test_republication_is_byte_identical(self, queue):
         payload = {"metrics": {"ipc": 1.5}, "cell": {"seed": 0}}
-        queue.complete("cell-a", payload)
+        queue.publish("cell-a", payload)
         first = open(queue.result_path("cell-a"), "rb").read()
-        queue.complete("cell-a", payload)
+        queue.publish("cell-a", payload)
         assert open(queue.result_path("cell-a"), "rb").read() == first
 
     def test_torn_result_reads_none(self, queue):
@@ -119,7 +123,7 @@ class TestReclaim:
         assert queue.reclaim(["cell-b"]) == ["cell-b"]  # stale: reclaimed
 
     def test_completed_cell_lease_swept_not_counted(self, queue):
-        queue.complete("cell-a", {"metrics": {}})
+        queue.publish("cell-a", {"metrics": {}})
         plant_lease(queue, "cell-a", pid=find_dead_pid())
         assert queue.reclaim(["cell-a"]) == []
         assert not os.path.exists(queue.lease_path("cell-a"))

@@ -8,7 +8,6 @@ from repro.fleet.scheduler import (
     build_blocks,
     build_shards,
     group_by_trace,
-    order_cells,
     recipe_blocks,
     steal_candidates,
 )
@@ -36,6 +35,12 @@ def cells_of(blocks):
     return [cell for block in blocks for cell in block.cells]
 
 
+def affinity_order(cells):
+    """Cell ids grouped by trace, affinity-sorted inside each group."""
+    return [cell.cell_id for group in group_by_trace(cells)
+            for cell in group]
+
+
 class TestOrdering:
     def test_groups_cover_all_cells_once(self):
         cells = grid_cells()
@@ -60,9 +65,7 @@ class TestOrdering:
         assert len(seen) == len(set(seen)) == 2
 
     def test_order_is_deterministic(self):
-        a = [cell.cell_id for cell in order_cells(grid_cells())]
-        b = [cell.cell_id for cell in order_cells(grid_cells())]
-        assert a == b
+        assert affinity_order(grid_cells()) == affinity_order(grid_cells())
 
     def test_affinity_key_total_order(self):
         cells = grid_cells(kernels=("crc32",))
@@ -74,7 +77,7 @@ class TestBlocks:
     def test_blocks_cover_all_cells_once_in_affinity_order(self):
         blocks = grid_blocks(per_block=3)
         assert [cell.cell_id for cell in cells_of(blocks)] == \
-            [cell.cell_id for cell in order_cells(grid_cells())]
+            affinity_order(grid_cells())
 
     def test_blocks_never_span_traces(self):
         for block in grid_blocks(per_block=3):

@@ -1,17 +1,19 @@
-"""Incremental re-simulation: planner classification + bit-identity.
+"""Incremental re-simulation: artifact reuse + bit-identity.
 
 Two contracts:
 
-* the planner's reuse/rebuild verdicts match the sweep engine's actual
-  artifact keying (unit tests per knob class);
+* each config knob class rebuilds exactly the artifacts the sweep
+  engine keys on it, read from the engine's own ``*_built`` /
+  ``*_reused`` / ``*_loaded`` counters (one test per knob class);
 * an :class:`IncrementalSession` walking a *random* sequence of
   single-knob config edits stays field-for-field identical to
   ``PipelineModel.run`` (the timing spec) of every visited config — the
   property the ≥20x re-sweep speedup is only allowed to exist under.
 
-Plus the fig4-outlier profile-delta path: a crc32 clone re-synthesized
-from a perturbed profile is a planned full rebuild, and its incremental
-re-simulation still matches the spec exactly.
+Plus the profile axis of clone refinement: a clone synthesized from an
+identical or relabeled profile loads every artifact from the store, a
+materially perturbed profile builds them all anew, and its re-simulation
+still matches the spec exactly.
 """
 
 import dataclasses
@@ -21,19 +23,30 @@ import pytest
 
 from repro.core import make_clone, profile_trace
 from repro.core.synthesizer import SynthesisParameters
+from repro.exec.store import ArtifactStore
 from repro.sim import FunctionalSimulator
-from repro.uarch import (
-    BASE_CONFIG,
-    IncrementalSession,
-    PipelineModel,
-    plan_incremental,
-    plan_profile_delta,
-)
+from repro.uarch import BASE_CONFIG, IncrementalSession, PipelineModel, native
 from repro.uarch.cache import CacheConfig
 from repro.uarch.sweep import sweep_stats_snapshot
 from repro.workloads import build_workload
 
 CAP = 20_000
+
+#: The sweep counters recording, per artifact, whether a run built it,
+#: reused it from the trace's in-memory digest, or loaded it from the
+#: store.
+REUSE_COUNTERS = tuple(f"{artifact}_{how}"
+                       for artifact in ("digests", "cache_banks",
+                                        "pred_banks")
+                       for how in ("built", "reused", "loaded"))
+
+#: A run that reuses, builds or loads all three artifacts.
+ALL_REUSED = {"digests_reused": 1, "cache_banks_reused": 1,
+              "pred_banks_reused": 1}
+ALL_BUILT = {"digests_built": 1, "cache_banks_built": 1,
+             "pred_banks_built": 1}
+ALL_LOADED = {"digests_loaded": 1, "cache_banks_loaded": 1,
+              "pred_banks_loaded": 1}
 
 #: Single-knob edit generators, one per artifact-dependence class.
 KNOBS = [
@@ -58,70 +71,103 @@ def result_fields(result):
     return fields
 
 
-@pytest.fixture(scope="module")
-def crc32_trace():
+def expect(counts):
+    """The counters a run should move: without the C loop the sweep
+    times each config with the spec and builds no artifact at all."""
+    return counts if native.available() else {}
+
+
+def run_counted(session, config):
+    """``session.run(config)`` and the reuse counters it moved."""
+    before = sweep_stats_snapshot()
+    result = session.run(config)
+    after = sweep_stats_snapshot()
+    moved = {key: after[key] - before[key] for key in REUSE_COUNTERS
+             if after[key] != before[key]}
+    return result, moved
+
+
+def crc32_run():
     return FunctionalSimulator(build_workload("crc32")).run(
         max_instructions=2_000_000, trace=True)
 
 
+@pytest.fixture(scope="module")
+def crc32_trace():
+    return crc32_run()
+
+
+@pytest.fixture
+def warm_session(tmp_path):
+    """A session over a fresh crc32 trace (no digest yet) and an empty
+    store, warmed on ``BASE_CONFIG``."""
+    session = IncrementalSession(crc32_run(), max_instructions=CAP,
+                                 store=ArtifactStore(str(tmp_path)))
+    _, moved = run_counted(session, BASE_CONFIG)
+    assert moved == expect(ALL_BUILT)
+    return session
+
+
+def clone_trace(profile):
+    clone = make_clone(profile,
+                       SynthesisParameters(dynamic_instructions=30_000))
+    return FunctionalSimulator(clone.program).run(
+        max_instructions=2_000_000, trace=True)
+
+
+def first_run_reuse(trace, store):
+    """The counters a brand-new session's first run moves."""
+    session = IncrementalSession(trace, max_instructions=CAP, store=store)
+    return run_counted(session, BASE_CONFIG)[1]
+
+
 class TestPlanClassification:
-    def test_cache_knob_rebuilds_cache_bank_only(self):
+    """Each knob class against the artifacts a re-run really builds."""
+
+    def test_cache_knob_rebuilds_cache_bank_only(self, warm_session):
         edited = BASE_CONFIG.renamed("half-l1d", l1d=CacheConfig(
             BASE_CONFIG.l1d.size // 2, BASE_CONFIG.l1d.assoc,
             BASE_CONFIG.l1d.line))
-        plan = plan_incremental(BASE_CONFIG, edited)
-        assert plan.rebuilt == ("cache_bank",)
-        assert set(plan.reused) == {"digest", "pred_bank"}
-        assert "l1d" in plan.changed_fields
-        assert not plan.full_rebuild
+        _, moved = run_counted(warm_session, edited)
+        assert moved == expect({"digests_reused": 1,
+                                "cache_banks_built": 1,
+                                "pred_banks_reused": 1})
 
-    def test_predictor_knob_rebuilds_pred_bank_only(self):
-        plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("nt", predictor="nottaken"))
-        assert plan.rebuilt == ("pred_bank",)
+    def test_predictor_knob_rebuilds_pred_bank_only(self, warm_session):
+        _, moved = run_counted(
+            warm_session, BASE_CONFIG.renamed("nt", predictor="nottaken"))
+        assert moved == expect({"digests_reused": 1,
+                                "cache_banks_reused": 1,
+                                "pred_banks_built": 1})
 
-    def test_width_change_rebuilds_nothing(self, crc32_trace):
-        # The scheduling loop reads the width at run time: the plan
-        # rebuilds nothing, and the engine builds no digest or bank.
-        widened = BASE_CONFIG.renamed("w2", width=2)
-        plan = plan_incremental(BASE_CONFIG, widened)
-        assert plan.rebuilt == ()
-        assert plan.params_changed
-        session = IncrementalSession(crc32_trace, max_instructions=CAP)
-        session.run(BASE_CONFIG)
-        before = sweep_stats_snapshot()
-        session.run(widened)
-        after = sweep_stats_snapshot()
-        assert session.last_plan.rebuilt == ()
-        for key in ("digests_built", "cache_banks_built",
-                    "pred_banks_built"):
-            assert after[key] == before[key], key
+    def test_width_change_rebuilds_nothing(self, warm_session):
+        # The scheduling loop reads the width at run time.
+        _, moved = run_counted(warm_session,
+                               BASE_CONFIG.renamed("w2", width=2))
+        assert moved == expect(ALL_REUSED)
 
-    def test_ring_resize_rebuilds_nothing(self):
-        plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("rob24", rob_size=24))
-        assert plan.rebuilt == ()
-        assert plan.params_changed
+    def test_ring_resize_rebuilds_nothing(self, warm_session):
+        _, moved = run_counted(warm_session,
+                               BASE_CONFIG.renamed("rob24", rob_size=24))
+        assert moved == expect(ALL_REUSED)
 
-    def test_latency_knob_rebuilds_nothing(self):
-        plan = plan_incremental(
-            BASE_CONFIG, BASE_CONFIG.renamed("slow", latency_fmul=6))
-        assert plan.rebuilt == ()
-        assert plan.params_changed
+    def test_latency_knob_rebuilds_nothing(self, warm_session):
+        _, moved = run_counted(
+            warm_session, BASE_CONFIG.renamed("slow", latency_fmul=6))
+        assert moved == expect(ALL_REUSED)
 
-    def test_rename_only_changes_nothing(self):
-        plan = plan_incremental(BASE_CONFIG, BASE_CONFIG.renamed("alias"))
-        assert plan.changed_fields == ("name",)
-        assert plan.rebuilt == ()
-        assert not plan.params_changed
+    def test_rename_only_changes_nothing(self, warm_session):
+        _, moved = run_counted(warm_session, BASE_CONFIG.renamed("alias"))
+        assert moved == expect(ALL_REUSED)
 
-    def test_digest_always_survives_config_edits(self):
+    def test_digest_always_survives_config_edits(self, warm_session):
         edited = BASE_CONFIG.renamed(
             "everything", width=4, rob_size=64, predictor="nottaken",
             l1d=CacheConfig(4096, 1, 32), memory_latency=80)
-        plan = plan_incremental(BASE_CONFIG, edited)
-        assert "digest" in plan.reused
-        assert set(plan.rebuilt) == {"cache_bank", "pred_bank"}
+        _, moved = run_counted(warm_session, edited)
+        assert moved == expect({"digests_reused": 1,
+                                "cache_banks_built": 1,
+                                "pred_banks_built": 1})
 
 
 class TestRandomKnobWalk:
@@ -134,10 +180,9 @@ class TestRandomKnobWalk:
             knob, generate = rng.choice(KNOBS)
             config = config.renamed(f"step-{step}-{knob}",
                                     **generate(rng))
-            incremental = session.run(config)
-            plan = session.last_plan
-            assert set(plan.reused) | set(plan.rebuilt) \
-                == {"digest", "cache_bank", "pred_bank"}
+            incremental, moved = run_counted(session, config)
+            assert "digests_built" not in moved, \
+                f"rebuilt the digest at step {step} ({knob})"
             spec = PipelineModel(config).run(crc32_trace,
                                              max_instructions=CAP)
             assert result_fields(incremental) == result_fields(spec), \
@@ -145,50 +190,52 @@ class TestRandomKnobWalk:
 
 
 class TestProfileDelta:
-    def test_identical_profiles_reuse_everything(self, crc32_trace):
+    def test_identical_profiles_reuse_everything(self, crc32_trace,
+                                                 tmp_path):
+        store = ArtifactStore(str(tmp_path))
         profile = profile_trace(crc32_trace)
-        plan = plan_profile_delta(profile, profile)
-        assert plan.changed_fields == ()
-        assert plan.rebuilt == ()
+        assert first_run_reuse(clone_trace(profile), store) == \
+            expect(ALL_BUILT)
+        assert first_run_reuse(clone_trace(profile), store) == \
+            expect(ALL_LOADED)
 
-    def test_rename_is_not_a_rebuild(self, crc32_trace):
+    def test_rename_is_not_a_rebuild(self, crc32_trace, tmp_path):
+        # The store keys on trace content and program structure, never
+        # on the name a clone is labeled with.
+        store = ArtifactStore(str(tmp_path))
         profile = profile_trace(crc32_trace)
         relabeled = dataclasses.replace(profile, name="crc32-copy")
-        plan = plan_profile_delta(profile, relabeled)
-        assert plan.changed_fields == ("name",)
-        assert plan.rebuilt == ()
+        assert first_run_reuse(clone_trace(profile), store) == \
+            expect(ALL_BUILT)
+        assert first_run_reuse(clone_trace(relabeled), store) == \
+            expect(ALL_LOADED)
 
-    def test_material_change_is_full_rebuild(self, crc32_trace):
+    def test_material_change_is_full_rebuild(self, crc32_trace, tmp_path):
+        store = ArtifactStore(str(tmp_path))
         profile = profile_trace(crc32_trace)
         perturbed = dataclasses.replace(
-            profile, total_instructions=profile.total_instructions + 1)
-        plan = plan_profile_delta(profile, perturbed)
-        assert plan.full_rebuild
-        assert set(plan.rebuilt) == {"digest", "cache_bank", "pred_bank"}
+            profile, data_footprint_bytes=profile.data_footprint_bytes * 2)
+        assert first_run_reuse(clone_trace(profile), store) == \
+            expect(ALL_BUILT)
+        assert first_run_reuse(clone_trace(perturbed), store) == \
+            expect(ALL_BUILT)
 
     def test_crc32_clone_refinement_equivalence(self, crc32_trace):
         """A perturbed-profile clone re-times bit-identically.
 
         The refinement loop's profile axis: perturb the profile,
-        re-synthesize, re-simulate.  The planner calls it a full
-        rebuild, and the rebuilt path must still match the spec field
+        re-synthesize, re-simulate.  The clone's artifacts are all
+        rebuilt, and the rebuilt path must still match the spec field
         for field.
         """
         profile = profile_trace(crc32_trace)
         perturbed = dataclasses.replace(
             profile, name="crc32-refined",
             data_footprint_bytes=profile.data_footprint_bytes * 2)
-        plan = plan_profile_delta(profile, perturbed)
-        assert plan.full_rebuild
-
-        clone = make_clone(perturbed,
-                           SynthesisParameters(dynamic_instructions=30_000))
-        clone_trace = FunctionalSimulator(clone.program).run(
-            max_instructions=2_000_000, trace=True)
-        session = IncrementalSession(clone_trace, max_instructions=CAP)
+        refined = clone_trace(perturbed)
+        session = IncrementalSession(refined, max_instructions=CAP)
         for config in (BASE_CONFIG,
                        BASE_CONFIG.renamed("rob32", rob_size=32)):
             incremental = session.run(config)
-            spec = PipelineModel(config).run(clone_trace,
-                                             max_instructions=CAP)
+            spec = PipelineModel(config).run(refined, max_instructions=CAP)
             assert result_fields(incremental) == result_fields(spec)

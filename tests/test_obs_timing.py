@@ -51,13 +51,6 @@ class TestSpans:
             pass
         assert set(tracer.flat()) == {"a", "b"}
 
-    def test_wall_of(self):
-        tracer = Tracer()
-        with tracer.span("x"):
-            pass
-        assert tracer.wall_of("x") > 0.0
-        assert tracer.wall_of("missing") == 0.0
-
 
 class TestDisabledTracer:
     def test_disabled_records_nothing(self):
