@@ -658,20 +658,20 @@ def cmd_trace(args, ctx):
     """Render a run journal: timeline, flame summary, critical path."""
     merged = _journal_or_fail(args.target)
     roots = build_span_tree(merged.events)
-    begin, end = merged.run_info()
     header = [f"journal: {len(merged.events)} events from "
               f"{len(merged.files)} process(es)"]
     if merged.skipped:
         header.append(f"  skipped: {merged.skipped} torn/unreadable "
                       "line(s)")
-    if begin is not None:
-        header.append(f"  command: {begin.get('command')} "
-                      f"{begin.get('target') or ''}".rstrip())
-    if end is not None:
-        header.append(f"  exit:    {end.get('exit_code')} after "
-                      f"{end.get('wall_seconds', 0.0):.3f}s")
-    else:
-        header.append("  exit:    (no run_end — in flight or killed)")
+    invocations = merged.invocations() or [(None, None)]
+    for begin, end in invocations:
+        command = (f"{begin.get('command')} {begin.get('target') or ''}"
+                   .rstrip() if begin is not None else "(no run_begin)")
+        outcome = (f"exit {end.get('exit_code')} after "
+                   f"{end.get('wall_seconds', 0.0):.3f}s"
+                   if end is not None
+                   else "no run_end — in flight or killed")
+        header.append(f"  run: {command}: {outcome}")
     ctx.emit("\n".join(header))
     if args.view in ("timeline", "all"):
         ctx.emit("\n" + timeline_text(roots))

@@ -7,6 +7,9 @@ Two layers over one diagnostics vocabulary
   CFG well-formedness, reachability, register dataflow, and static
   memory bounds for *any* assembled :class:`repro.isa.Program` —
   hand-written kernel or synthesized clone alike (``SR10x`` codes).
+  The structural layer runs no value analysis of its own: ``SR106``
+  reads the address intervals the abstract interpreter proves, over
+  the one CFG that interpreter builds.
 * **Static analysis** (:mod:`repro.lint.absint`,
   :mod:`repro.lint.staticprof`, :mod:`repro.lint.disclosure`): an
   abstract interpreter proves safety (trip bounds, termination, a
@@ -23,11 +26,11 @@ which the post-synthesis gate raises on error-severity findings.
 """
 
 from repro.lint.absint import (CERTIFICATE_SCHEMA_VERSION, analyze_program,
-                               check_safety, safety_certificate)
+                               check_memory_bounds, check_safety,
+                               safety_certificate)
 from repro.lint.cfg import (ControlFlowGraph, check_branch_targets,
                             check_fallthrough_end, check_reachability)
-from repro.lint.dataflow import (check_memory_bounds, check_register_writes,
-                                 check_use_before_def)
+from repro.lint.dataflow import check_register_writes, check_use_before_def
 from repro.lint.diagnostics import (CODES, ERROR, INFO, WARNING, Diagnostic,
                                     LintReport, make_diagnostic,
                                     merge_reports)
@@ -74,7 +77,8 @@ def lint_program(program, severity_overrides=None, safety=False,
     when one is supplied.
     """
     with span("lint.program"):
-        cfg = ControlFlowGraph(program)
+        result = analyze_program(program)
+        cfg = result.cfg
         report = merge_reports(
             program.name,
             check_branch_targets(program, severity_overrides),
@@ -82,12 +86,12 @@ def lint_program(program, severity_overrides=None, safety=False,
             check_fallthrough_end(cfg, severity_overrides),
             check_use_before_def(cfg, severity_overrides),
             check_register_writes(program, severity_overrides),
-            check_memory_bounds(cfg, severity_overrides),
+            check_memory_bounds(program, severity_overrides, result),
         )
         if safety:
             report = merge_reports(
                 program.name, report,
-                check_safety(program, severity_overrides))
+                check_safety(program, severity_overrides, result))
         if audit:
             report = merge_reports(
                 program.name, report,

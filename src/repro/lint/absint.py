@@ -7,11 +7,12 @@ tailored to SRISC and to the synthesizer's regular output shape:
 
 * a **stride/interval domain** — every integer register is tracked as
   ``(lo, hi, stride)`` over the unsigned 32-bit value space, meaning
-  "some value in ``{lo, lo+stride, ..., hi}``".  Transfer functions
-  over-approximate (anything that may wrap goes straight to ⊤), and
-  conditional branches refine the intervals on their out-edges, so
-  counted loops guarded by ``blt``/``bge``/``bne`` converge to tight
-  bounds without losing soundness;
+  "some value in ``{lo, lo+stride, ..., hi}``".  Constants wrap mod
+  2³² exactly as the machine does; every other transfer function
+  over-approximates (a non-constant interval that may wrap goes
+  straight to ⊤), and conditional branches refine the intervals on
+  their out-edges, so counted loops guarded by ``blt``/``bge``/``bne``
+  converge to tight bounds without losing soundness;
 
 * a **modulo-counter (countdown) domain** — the synthesizer realizes
   bounded pointer walks as ``advance a each iteration, reset to base
@@ -23,7 +24,7 @@ tailored to SRISC and to the synthesizer's regular output shape:
   ``p ∈ [base, base + a·(period-1)]`` into the fixpoint as a proven
   clamp.
 
-Three capabilities sit on the fixpoint:
+Four capabilities sit on the fixpoint:
 
 1. loop trip-count bounds (``SR110``/``SR111``) via affine induction
    registers against loop-invariant limits;
@@ -33,7 +34,11 @@ Three capabilities sit on the fixpoint:
    jumps;
 3. a proven dynamic memory footprint interval (``SR113``/``SR114``):
    every executed load/store address provably falls inside one
-   ``[lo, hi)`` byte range.
+   ``[lo, hi)`` byte range;
+4. static memory bounds (``SR106``): a load/store whose address is
+   proven constant must hit the data image or the stack window.  This
+   is the structural layer's one value analysis — :func:`lint_program
+   <repro.lint.lint_program>` reads it from the same cached result.
 
 Everything here is *sound by construction*: when a bound cannot be
 proved the analysis reports "unbounded" (a warning diagnostic), never a
@@ -49,7 +54,6 @@ import numpy as np
 from repro.isa.columns import columns_for
 from repro.isa.registers import NUM_INT_REGS, REG_SP
 from repro.lint.cfg import ControlFlowGraph
-from repro.lint.dataflow import ACCESS_WIDTH
 from repro.lint.diagnostics import LintReport, make_diagnostic
 
 _M32 = 0xFFFFFFFF
@@ -68,6 +72,15 @@ WIDEN_DELAY = 3
 MAX_USEFUL_SPAN = 1 << 28
 
 CERTIFICATE_SCHEMA_VERSION = 1
+
+#: Memory access width per opcode (doubles for the FP file).
+ACCESS_WIDTH = {"lw": 4, "sw": 4, "lb": 1, "lbu": 1, "sb": 1,
+                "flw": 8, "fsw": 8}
+
+#: Bytes below (and slack above) the initial stack pointer accepted as
+#: legitimate stack addressing by the memory-bounds pass.
+STACK_WINDOW = 0x10000
+STACK_SLACK = 8
 
 
 def _const(value):
@@ -118,7 +131,11 @@ def _clamp(ivl, lo, hi):
     return (new_lo, new_hi, stride)
 
 
+# Constant operands wrap mod 2**32 exactly as the machine does; a
+# non-constant interval that may wrap goes to TOP.
 def _add_const(ivl, imm):
+    if _is_const(ivl):
+        return _const(ivl[0] + imm)
     lo, hi = ivl[0] + imm, ivl[1] + imm
     if lo < 0 or hi > _M32:
         return TOP
@@ -126,6 +143,8 @@ def _add_const(ivl, imm):
 
 
 def _add(a, b):
+    if _is_const(a) and _is_const(b):
+        return _const(a[0] + b[0])
     lo, hi = a[0] + b[0], a[1] + b[1]
     if lo < 0 or hi > _M32:
         return TOP
@@ -133,6 +152,8 @@ def _add(a, b):
 
 
 def _sub(a, b):
+    if _is_const(a) and _is_const(b):
+        return _const(a[0] - b[0])
     lo, hi = a[0] - b[1], a[1] - b[0]
     if lo < 0 or hi > _M32:
         return TOP
@@ -140,6 +161,8 @@ def _sub(a, b):
 
 
 def _shift_left(a, k):
+    if _is_const(a):
+        return _const(a[0] << k)
     hi = a[1] << k
     if hi > _M32:
         return TOP
@@ -155,13 +178,14 @@ def _shift_right(a, k):
 
 
 def _or_const(a, imm):
-    """``ori``: exact when the immediate fills known-zero low bits."""
+    """``ori``: exact on a constant, or when the immediate fills
+    known-zero low bits."""
     if imm == 0:
         return a
+    if _is_const(a):
+        return _const(a[0] | (imm & _M32))
     if imm < 0:
         return TOP
-    if _is_const(a):
-        return _const(a[0] | imm)
     width = imm.bit_length()
     unit = 1 << width
     if a[2] and a[2] % unit == 0 and a[0] % unit == 0:
@@ -1252,6 +1276,41 @@ def _prove_footprint(result, cfg, columns):
 # ----------------------------------------------------------------------
 # Diagnostics + certificate
 # ----------------------------------------------------------------------
+def _valid_regions(program):
+    """[(start, end)) address ranges statically accepted for data access."""
+    image_end = program.data_base + len(program.data_image)
+    return [(program.data_base, image_end),
+            (program.stack_top - STACK_WINDOW,
+             program.stack_top + STACK_SLACK)]
+
+
+def check_memory_bounds(program, severity_overrides=None, result=None):
+    """``SR106``: constant-addressed memops must hit data or stack.
+
+    Only a stride-0 (singleton) address interval is a proof, so every
+    finding is a genuine out-of-footprint access; a program the
+    analysis declines (indirect jumps, irreducible cycles) gets none.
+    """
+    if result is None:
+        result = analyze_program(program)
+    report = LintReport(program.name)
+    regions = _valid_regions(program)
+    for index, (lo, hi, stride) in sorted(result.mem_intervals.items()):
+        if stride or any(start <= lo and hi <= end
+                         for start, end in regions):
+            continue
+        report.add(make_diagnostic(
+            "SR106",
+            f"{program.instructions[index].opcode} at address {lo:#x} is "
+            "outside the data image "
+            f"[{regions[0][0]:#x}, {regions[0][1]:#x}) and the stack region",
+            severity_overrides=severity_overrides,
+            index=index, block=program.block_of(index),
+            pc=program.pc_address(index),
+            data={"address": lo, "width": hi - lo}))
+    return report
+
+
 def check_safety(program, severity_overrides=None, result=None):
     """``SR110``–``SR114``: safety-proof diagnostics for one program."""
     if result is None:

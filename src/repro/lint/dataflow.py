@@ -1,50 +1,39 @@
-"""Register and memory dataflow verification (lint layer 1, part two).
+"""Register dataflow verification (lint layer 1, part two).
 
-Two classic forward dataflow analyses over the lint CFG:
+A classic forward must-analysis over the lint CFG: **definite
+assignment** (meet = intersection) backs the use-before-def pass
+(``SR104``): a register read is flagged when some path from the entry
+reaches it without any write.  The SRISC machine zero-initializes the
+register file and sets ``sp``, so this is well-defined behaviour — but
+in a synthesized clone it means a dependency edge the synthesizer
+intended does not exist, and in a hand-written kernel it is almost
+always a forgotten ``li``.
 
-* **Definite assignment** (must-analysis, meet = intersection) backs the
-  use-before-def pass (``SR104``): a register read is flagged when some
-  path from the entry reaches it without any write.  The SRISC machine
-  zero-initializes the register file and sets ``sp``, so this is
-  well-defined behaviour — but in a synthesized clone it means a
-  dependency edge the synthesizer intended does not exist, and in a
-  hand-written kernel it is almost always a forgotten ``li``.
+The structural layer runs no value analysis of its own.  Out-of-bounds
+memory (``SR106``) is read from :mod:`repro.lint.absint`'s proven
+address intervals, and two passes stay outside that interpreter on
+purpose:
 
-* **Constant propagation** (meet = equality) backs the out-of-bounds
-  memory pass (``SR106``): a load/store whose base register is
-  statically constant must address the declared data image or the stack
-  region.  Only provably-constant addresses are checked, so every
-  ``SR106`` is a genuine out-of-footprint access.
+* ``SR101`` (unreachable blocks, :mod:`repro.lint.cfg`) is plain CFG
+  reachability, which the abstract interpreter itself consumes
+  (``cfg.reachable()``) rather than derives;
+* ``SR104`` asks whether a register was *written* on every path, and
+  the abstract interpreter cannot express that: it models the machine's
+  zero-initialized register file, where an unwritten register is the
+  constant 0, indistinguishable from a written one.
 
-Both analyses iterate a worklist to a fixpoint, so loop-carried pointer
-arithmetic (the common case in both kernels and clones) correctly
-degrades to "not a constant" instead of producing false positives.
+The worklist iterates to a fixpoint, so loop-carried definitions flow
+around back edges; assignment sets are register bitmasks (one
+machine-int intersection per edge), cheap enough for the gate inside
+:meth:`CloneSynthesizer.synthesize` to run on every clone.
 
-The gate inside :meth:`CloneSynthesizer.synthesize` runs these passes on
-every clone, so the representations are chosen for speed: assignment
-sets are register bitmasks (one machine-int intersection per edge) and
-constant maps are sparse dicts restricted to the backward slice of the
-memory base registers (absence means not-a-constant).
-
-``SR105`` (writes to the hardwired zero register) rides along in the
-same instruction scan; the canonical ``nop`` encoding
+``SR105`` (writes to the hardwired zero register) rides along in a
+plain instruction scan; the canonical ``nop`` encoding
 (``add r0, r0, r0``) is exempt.
 """
 
-from repro.isa.assembler import STACK_TOP
 from repro.isa.registers import FP_REG_BASE, REG_SP, ZERO_REG
 from repro.lint.diagnostics import LintReport, make_diagnostic
-
-#: Bytes below (and slack above) the initial stack pointer accepted as
-#: legitimate stack addressing by the memory-bounds pass.
-STACK_WINDOW = 0x10000
-STACK_SLACK = 8
-
-#: Memory access width per opcode (doubles for the FP file).
-ACCESS_WIDTH = {"lw": 4, "sw": 4, "lb": 1, "lbu": 1, "sb": 1,
-                "flw": 8, "fsw": 8}
-
-_M32 = 0xFFFFFFFF
 
 #: Bitmask covering the whole register file (int + fp).
 _UNIVERSE = (1 << (2 * FP_REG_BASE)) - 1
@@ -168,173 +157,4 @@ def check_register_writes(program, severity_overrides=None):
                 f"{instr.opcode!r} writes r0; the result is discarded",
                 severity_overrides=severity_overrides,
                 index=index, pc=program.pc_address(index)))
-    return report
-
-
-# ----------------------------------------------------------------------
-# Constant propagation and memory bounds
-# ----------------------------------------------------------------------
-#: Opcodes the constant folder models; anything else kills its
-#: destination (defines not-a-constant).
-_CONST_OPS = frozenset((
-    "addi", "lui", "ori", "andi", "xori", "slli", "srli", "add", "sub"))
-
-
-def _trackable_registers(instructions):
-    """Integer registers whose constancy can matter to a memory operand.
-
-    The backward closure from memory base registers through the modelled
-    opcodes.  Tracking only these keeps the constant maps sparse — in a
-    clone that is the pointer registers and their ``la`` feeders, a
-    handful out of the whole file.
-    """
-    relevant = set()
-    for instr in instructions:
-        if instr.is_mem:
-            base = instr.rs1
-            if base and base < FP_REG_BASE:
-                relevant.add(base)
-    if relevant:
-        grew = True
-        while grew:
-            grew = False
-            for instr in reversed(instructions):
-                if instr.rd in relevant and instr.opcode in _CONST_OPS:
-                    for src in instr.srcs:
-                        if src and src < FP_REG_BASE and src not in relevant:
-                            relevant.add(src)
-                            grew = True
-    return relevant
-
-
-def _transfer_const(instr, values):
-    """Apply one instruction to a sparse {register: value} constant map.
-
-    Absence means not-a-constant; ``r0`` reads as zero and is never a
-    key.  Any write the folder does not model kills the destination.
-    """
-    rd = instr.rd
-    if rd is None or rd == ZERO_REG or rd >= FP_REG_BASE:
-        return
-    op = instr.opcode
-    result = None
-    if op in _CONST_OPS:
-        if op == "lui":
-            result = (instr.imm << 16) & _M32
-        else:
-            rs1 = instr.rs1
-            a = 0 if rs1 == ZERO_REG else values.get(rs1)
-            if a is not None:
-                if op == "addi":
-                    result = (a + instr.imm) & _M32
-                elif op == "ori":
-                    result = (a | (instr.imm & _M32)) & _M32
-                elif op == "andi":
-                    result = a & instr.imm & _M32
-                elif op == "xori":
-                    result = (a ^ (instr.imm & _M32)) & _M32
-                elif op == "slli":
-                    result = (a << (instr.imm & 31)) & _M32
-                elif op == "srli":
-                    result = (a & _M32) >> (instr.imm & 31)
-                else:  # add / sub
-                    rs2 = instr.rs2
-                    b = 0 if rs2 == ZERO_REG else values.get(rs2)
-                    if b is not None:
-                        result = ((a + b) if op == "add"
-                                  else (a - b)) & _M32
-    if result is None:
-        values.pop(rd, None)
-    else:
-        values[rd] = result
-
-
-def constant_inputs(cfg):
-    """Per-block IN constant maps for the integer file (fixpoint).
-
-    Maps are sparse over the trackable registers (absence means
-    not-a-constant); ``None`` marks blocks the entry cannot reach.
-    """
-    program = cfg.program
-    instructions = program.instructions
-    tracked = _trackable_registers(instructions)
-    in_maps = {block.bid: None for block in cfg.blocks}
-    if cfg.entry is None:
-        return in_maps
-
-    # Only instructions writing a tracked register can change a map.
-    per_block = [[instr for instr
-                  in instructions[block.start:block.end]
-                  if instr.rd in tracked]
-                 for block in cfg.blocks]
-
-    entry_values = {}
-    if REG_SP in tracked:
-        entry_values[REG_SP] = STACK_TOP
-    in_maps[cfg.entry] = entry_values
-    successors = cfg.successors
-    worklist = [cfg.entry]
-    while worklist:
-        bid = worklist.pop()
-        values = dict(in_maps[bid])
-        for instr in per_block[bid]:
-            _transfer_const(instr, values)
-        for succ in successors[bid]:
-            current = in_maps[succ]
-            if current is None:
-                in_maps[succ] = dict(values)
-                worklist.append(succ)
-            else:
-                dead = [register for register in current
-                        if values.get(register) != current[register]]
-                if dead:
-                    for register in dead:
-                        del current[register]
-                    worklist.append(succ)
-    return in_maps
-
-
-def _valid_regions(program):
-    """[(start, end)) address ranges statically accepted for data access."""
-    image_end = program.data_base + len(program.data_image)
-    return [(program.data_base, image_end),
-            (program.stack_top - STACK_WINDOW,
-             program.stack_top + STACK_SLACK)]
-
-
-def check_memory_bounds(cfg, severity_overrides=None):
-    """``SR106``: constant-addressed memops must hit data or stack."""
-    program = cfg.program
-    instructions = program.instructions
-    report = LintReport(program.name)
-    regions = _valid_regions(program)
-    in_maps = constant_inputs(cfg)
-    for block in cfg.blocks:
-        values = in_maps.get(block.bid)
-        if values is None:  # unreachable: nothing to prove
-            continue
-        values = dict(values)
-        for index in range(block.start, block.end):
-            instr = instructions[index]
-            if instr.is_mem:
-                base = (0 if instr.rs1 == ZERO_REG
-                        else values.get(instr.rs1))
-                if base is not None:
-                    address = (base + (instr.imm or 0)) & _M32
-                    width = ACCESS_WIDTH[instr.opcode]
-                    inside = any(start <= address and address + width <= end
-                                 for start, end in regions)
-                    if not inside:
-                        report.add(make_diagnostic(
-                            "SR106",
-                            f"{instr.opcode} at address {address:#x} is "
-                            "outside the data image "
-                            f"[{regions[0][0]:#x}, {regions[0][1]:#x}) "
-                            "and the stack region",
-                            severity_overrides=severity_overrides,
-                            index=index, block=block.bid,
-                            pc=program.pc_address(index),
-                            data={"address": address, "width": width}))
-            if instr.rd is not None:
-                _transfer_const(instr, values)
     return report

@@ -260,11 +260,34 @@ class MergedJournal:
     def pids(self):
         return sorted({event["pid"] for event in self.events})
 
+    def invocations(self):
+        """One ``(run_begin, run_end)`` pair per invocation, in start order.
+
+        A directory's journal appends across invocations (``fleet run``
+        then ``fleet resume``), so each ``run_end`` closes the latest
+        open ``run_begin`` of its own pid.  A missing half is None: an
+        invocation still in flight (or killed) has no ``run_end``.
+        """
+        pairs = []
+        open_by_pid = {}
+        for event in self.events:
+            kind = event.get("kind")
+            if kind == "run_begin":
+                pair = [event, None]
+                pairs.append(pair)
+                open_by_pid[event.get("pid")] = pair
+            elif kind == "run_end":
+                pair = open_by_pid.pop(event.get("pid"), None)
+                if pair is None:
+                    pairs.append([None, event])
+                else:
+                    pair[1] = event
+        return [tuple(pair) for pair in pairs]
+
     def run_info(self):
-        """(run_begin event or None, run_end event or None)."""
-        begins = self.of_kind("run_begin")
-        ends = self.of_kind("run_end")
-        return (begins[0] if begins else None, ends[-1] if ends else None)
+        """``(run_begin, run_end)`` of the latest invocation; None halves."""
+        pairs = self.invocations()
+        return pairs[-1] if pairs else (None, None)
 
     def open_spans(self):
         """Per-pid stack of spans opened but never closed, in open order."""

@@ -166,6 +166,27 @@ class TestTraceCommand:
         empty.mkdir()
         assert main(["trace", str(empty)]) == EXIT_LOAD_FAILED
 
+    def test_header_has_one_line_per_invocation(self, tmp_path, capsys):
+        # A fleet run then a resume journal into the fleet dir; the
+        # header must not pair the run's start with the resume's end.
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(json.dumps({
+            "name": "two-runs", "kernels": ["crc32"],
+            "pipeline_cap": 20_000, "axes": {"width": [1, 2]}}))
+        fleet_dir = str(tmp_path / "fleet")
+        assert main(["fleet", "run", str(recipe), "--dir", fleet_dir,
+                     "--workers", "1"]) == 0
+        assert main(["fleet", "resume", fleet_dir]) == 0
+        walls = [end["wall_seconds"]
+                 for end in read_journal(fleet_dir).of_kind("run_end")]
+        capsys.readouterr()
+        assert main(["trace", fleet_dir, "--view", "critical"]) == 0
+        runs = [line.strip() for line in capsys.readouterr().out.splitlines()
+                if line.startswith("  run: ")]
+        assert runs == [f"run: fleet {target}: exit 0 after {wall:.3f}s"
+                        for target, wall in zip((str(recipe), fleet_dir),
+                                                walls)]
+
     def test_json_mode_emits_summary(self, journaled_run, capsys):
         assert main(["--json", "trace", str(journaled_run)]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -198,6 +219,21 @@ class TestTailCommand:
         assert "running" in out
         assert "cli.compare" in out
         assert "3/9" in out
+
+    def test_tail_follows_the_latest_invocation(self, tmp_path, capsys):
+        # A resume in flight after a finished run is still running.
+        run_dir = str(tmp_path / "resumed")
+        configure_journal(run_dir)
+        from repro.obs.journal import emit_event
+        emit_event("run_begin", command="fleet", target="run")
+        emit_event("run_end", exit_code=0, wall_seconds=1.6)
+        emit_event("run_begin", command="fleet", target="resume")
+        configure_journal(None)
+        assert main(["tail", run_dir]) == 0
+        out = capsys.readouterr().out
+        assert "run: fleet resume" in out
+        assert "running" in out
+        assert "finished" not in out
 
     def test_missing_run_dir_distinct_exit(self, tmp_path):
         assert main(["tail", str(tmp_path / "nope")]) == EXIT_BAD_TARGET

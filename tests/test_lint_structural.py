@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.isa import assemble
 from repro.isa.instructions import Instruction
@@ -10,6 +11,7 @@ from repro.isa.program import Program
 from repro.lint import (
     ControlFlowGraph,
     LintReport,
+    analyze_program,
     check_branch_targets,
     check_fallthrough_end,
     check_memory_bounds,
@@ -21,6 +23,7 @@ from repro.lint import (
     merge_reports,
 )
 from repro.lint.diagnostics import CODES
+from repro.sim import FunctionalSimulator
 
 
 def codes_of(report):
@@ -273,7 +276,7 @@ main:
     sw   r5, 64(r4)
     halt
 """, name="oob-store")
-        report = check_memory_bounds(ControlFlowGraph(program))
+        report = check_memory_bounds(program)
         assert codes_of(report) == ["SR106"]
         assert report.diagnostics[0].severity == "error"
         assert not lint_program(program).ok
@@ -289,7 +292,7 @@ main:
     lw   r5, 6(r4)
     halt
 """, name="straddle")
-        assert codes_of(check_memory_bounds(ControlFlowGraph(program))) \
+        assert codes_of(check_memory_bounds(program)) \
             == ["SR106"]
 
     def test_in_bounds_and_stack_accesses_are_clean(self):
@@ -303,7 +306,7 @@ main:
     sw   r5, -8(r29)
     halt
 """, name="in-bounds")
-        assert codes_of(check_memory_bounds(ControlFlowGraph(program))) == []
+        assert codes_of(check_memory_bounds(program)) == []
 
     def test_loop_pointer_is_not_a_constant(self):
         # The advancing pointer walks past the image, but its value is
@@ -324,7 +327,7 @@ loop:
     blt  r6, r7, loop
     halt
 """, name="walker")
-        assert codes_of(check_memory_bounds(ControlFlowGraph(program))) == []
+        assert codes_of(check_memory_bounds(program)) == []
 
     def test_zero_based_absolute_access_sr106(self):
         program = assemble("""
@@ -333,8 +336,137 @@ main:
     lw   r5, 16(r0)
     halt
 """, name="null-deref")
-        assert codes_of(check_memory_bounds(ControlFlowGraph(program))) \
+        assert codes_of(check_memory_bounds(program)) \
             == ["SR106"]
+
+    @pytest.mark.parametrize("code", [
+        "lw   r5, -4(r0)",
+        "addi r4, r0, -4\n    lw   r5, 0(r4)",
+    ])
+    def test_wrapped_constant_address_sr106(self, code):
+        # 0 + (-4) wraps to the top of the address space, as it does in
+        # the machine; the address is still a proven constant.
+        program = assemble(f"""
+    .text
+main:
+    {code}
+    halt
+""", name="wrap")
+        report = check_memory_bounds(program)
+        assert codes_of(report) == ["SR106"]
+        assert report.diagnostics[0].data == {"address": 0xFFFFFFFC,
+                                              "width": 4}
+        assert report.diagnostics[0].index == len(program) - 2
+
+    def test_unwritten_base_register_reads_as_zero(self):
+        # The machine zero-initializes the register file, so the base
+        # is the constant 0 and the access lands at address 16: SR106
+        # beside the use-before-def finding for the base itself.
+        program = assemble("""
+    .text
+main:
+    lw   r5, 16(r5)
+    halt
+""", name="unwritten-base")
+        report = lint_program(program)
+        assert sorted(codes_of(report)) == ["SR104", "SR106"]
+        (oob,) = [d for d in report.diagnostics if d.code == "SR106"]
+        assert oob.data == {"address": 16, "width": 4}
+
+    def test_indirect_jump_declines_sr106(self):
+        # absint declines programs with jr/jalr, so no address is proven.
+        program = assemble("""
+    .text
+main:
+    lw   r5, 16(r0)
+    jr   r31
+""", name="indirect")
+        assert codes_of(check_memory_bounds(program)) == []
+
+
+#: Straight-line address-chain ops (register/immediate forms).
+_CHAIN_REGS = (4, 5, 6, 7, 8)
+_CHAIN_IMMS = st.integers(-0x8000, 0x7FFF) | st.sampled_from(
+    [-1, -4, -0x8000, 0x7FFF, 0x10000, -0x10000, 0x7FFFFFFF])
+_PROBE = 9
+_PROBE_BASE = 0x1000
+_PROBE_MEMORY = 0x3000
+
+
+@st.composite
+def _address_chain(draw):
+    """Random constant-chain code, probed by loads/stores.
+
+    Each probe masks a chain register into ``[0x1000, 0x2000)`` (after
+    an optional right shift, so high bits are checked too) and accesses
+    it at a small signed offset, so every access lands in memory while
+    its address still depends on every wrapped step of the chain.
+    """
+    instructions = []
+    memops = 0
+    steps = draw(st.integers(1, 24))
+    for step in range(steps):
+        rd = draw(st.sampled_from(_CHAIN_REGS))
+        rs1 = draw(st.sampled_from((0,) + _CHAIN_REGS))
+        op = draw(st.sampled_from(("addi", "lui", "ori", "andi", "xori",
+                                   "slli", "srli", "add", "sub")))
+        if op in ("add", "sub"):
+            instructions.append(Instruction(
+                op, rd=rd, rs1=rs1,
+                rs2=draw(st.sampled_from((0,) + _CHAIN_REGS))))
+        elif op == "lui":
+            instructions.append(Instruction(
+                op, rd=rd, imm=draw(st.integers(0, 0xFFFF))))
+        elif op in ("slli", "srli"):
+            instructions.append(Instruction(
+                op, rd=rd, rs1=rs1, imm=draw(st.integers(0, 31))))
+        else:
+            instructions.append(Instruction(op, rd=rd, rs1=rs1,
+                                            imm=draw(_CHAIN_IMMS)))
+        if draw(st.booleans()) or step == steps - 1:
+            source = draw(st.sampled_from(_CHAIN_REGS))
+            instructions += [
+                Instruction("srli", rd=_PROBE, rs1=source,
+                            imm=draw(st.sampled_from((0, 11, 22)))),
+                Instruction("andi", rd=_PROBE, rs1=_PROBE, imm=0xFF8),
+                Instruction("ori", rd=_PROBE, rs1=_PROBE, imm=_PROBE_BASE)]
+            offset = draw(st.integers(-64, 56))
+            memop = draw(st.sampled_from(("lw", "sw", "lb", "lbu", "sb")))
+            if memop in ("sw", "sb"):
+                instructions.append(Instruction(
+                    memop, rs1=_PROBE, rs2=source, imm=offset))
+            else:
+                instructions.append(Instruction(
+                    memop, rd=10, rs1=_PROBE, imm=offset))
+            memops += 1
+    instructions.append(Instruction("halt"))
+    return Program(instructions, name="chain"), memops
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_address_chain())
+def test_proven_constant_addresses_are_exact(case):
+    """Every memop absint proves constant executes at that address.
+
+    Straight-line code from constants is constant throughout, so absint
+    must prove *every* probe: an analysis that sends a wrapped constant
+    to TOP fails here, not only an unsound one.
+    """
+    program, memops = case
+    result = analyze_program(program)
+    trace = FunctionalSimulator(program, memory_size=_PROBE_MEMORY).run(
+        10_000, trace=True, backend="interp")
+    executed = {pc: addr for pc, addr in zip(trace.pcs.tolist(),
+                                             trace.addrs.tolist())
+                if addr >= 0}
+    constant = {index: ivl for index, ivl in result.mem_intervals.items()
+                if ivl[2] == 0}
+    assert memops >= 1
+    assert len(constant) == memops == len(executed)
+    for index, (lo, hi, _) in constant.items():
+        assert executed[index] == lo
+        assert hi - lo == (4 if program.instructions[index].opcode
+                           in ("lw", "sw") else 1)
 
 
 # ----------------------------------------------------------------------

@@ -159,6 +159,24 @@ class TestMergedReads:
         assert begin["command"] == "compare"
         assert end["exit_code"] == 0
 
+    def test_invocations_pair_each_begin_with_its_own_end(self, tmp_path):
+        # A run then a resume append to one journal: each invocation
+        # keeps its own envelope, and run_info() is the latest one.
+        run_dir = str(tmp_path / "run")
+        configure_journal(run_dir)
+        emit_event("run_begin", command="fleet", argv=["run"])
+        emit_event("run_end", exit_code=0, wall_seconds=1.6)
+        emit_event("run_begin", command="fleet", argv=["resume"])
+        emit_event("run_end", exit_code=0, wall_seconds=0.03)
+        emit_event("run_begin", command="fleet", argv=["resume"])
+        configure_journal(None)
+        merged = read_journal(run_dir)
+        pairs = merged.invocations()
+        assert [(begin["argv"], end and end["wall_seconds"])
+                for begin, end in pairs] == [
+            (["run"], 1.6), (["resume"], 0.03), (["resume"], None)]
+        assert merged.run_info() == pairs[-1]
+
     def test_open_spans_tracks_unclosed_only(self, tmp_path):
         run_dir = tmp_path / "run"
         run_dir.mkdir()
