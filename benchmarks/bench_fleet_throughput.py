@@ -5,8 +5,8 @@ independent cells over a bench-local ``ProcessPoolExecutor``, and every
 task re-acquires its trace through the artifact store and runs a
 one-config sweep, so digests, outcome banks, and compiled kernels are
 re-loaded (at best) per *cell*.  The fleet path (``repro.fleet``)
-shards the same cells by trace with reuse-affinity ordering and routes
-consecutive cells through one
+shards the same cells by trace with reuse-affinity ordering and times
+each block of consecutive cells with one call to one
 :class:`~repro.uarch.incremental.IncrementalSession` per trace — the
 acceptance bar is a ≥2x geomean wall-clock win at equal worker count,
 from affinity + incremental routing, not from more processes.

@@ -125,7 +125,7 @@ def _knob_rows(name, trace):
     session = IncrementalSession(
         trace, max_instructions=PIPELINE_CAP,
         store=ArtifactStore(root=tempfile.gettempdir(), enabled=False))
-    session.run(BASE_CONFIG)  # warm the session on the design point
+    session.run([BASE_CONFIG])  # warm the session on the design point
     rows = []
     for knob, config in KNOB_EDITS:
         start = time.perf_counter()
@@ -135,7 +135,7 @@ def _knob_rows(name, trace):
 
         before = sweep_stats_snapshot()
         start = time.perf_counter()
-        incremental = session.run(config)
+        [incremental] = session.run([config])
         incremental_s = time.perf_counter() - start
         after = sweep_stats_snapshot()
 
@@ -146,7 +146,7 @@ def _knob_rows(name, trace):
                      cell_s / incremental_s,
                      _moved(before, after, "reused"),
                      _moved(before, after, "built")])
-        session.run(BASE_CONFIG)  # step back to the design point
+        session.run([BASE_CONFIG])  # step back to the design point
     return rows
 
 

@@ -13,9 +13,9 @@ kernel × config × seed matrices:
 * :mod:`repro.fleet.scheduler` — reuse-affinity blocks and sharding
   that keep cells sharing a trace digest or outcome bank on one worker
   back-to-back, claimed a block at a time;
-* :mod:`repro.fleet.worker` — the worker loop timing consecutive cells
-  through one :class:`~repro.uarch.incremental.IncrementalSession` per
-  trace instead of cold sweeps;
+* :mod:`repro.fleet.worker` — the worker loop timing each claimed
+  block with one :class:`~repro.uarch.incremental.IncrementalSession`
+  call and publishing it as one result file;
 * :mod:`repro.fleet.run` — run/resume/status orchestration with a
   byte-identical canonical matrix export.
 

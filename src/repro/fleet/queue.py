@@ -1,19 +1,22 @@
-"""File-backed work-stealing queue (block leases + cell results on disk).
+"""File-backed work-stealing queue (block leases + block results on disk).
 
 Every fleet run directory holds two flat namespaces::
 
-    <run>/leases/<block_id>.json   one worker's live claim on a block
-    <run>/results/<cell_id>.json   one cell's published result
+    <run>/leases/<block_id>.json    one worker's live claim on a block
+    <run>/results/<block_id>.json   one block's published results
 
-A lease covers a block — a run of same-trace cells the scheduler cut
-(:mod:`repro.fleet.scheduler`) — while results stay per cell.  The
-queue itself only knows ids: claiming is an ``O_CREAT | O_EXCL`` open —
-the filesystem arbitrates, so any number of worker processes (and
-multiple hosts sharing the run directory) can race on the same block
-and exactly one wins.  Results are published with the same write-aside
-+ ``os.rename`` idiom the artifact store uses, so a reader never sees a
-torn result and re-publication of an identical result is harmless (the
-cells are deterministic).
+A block — a run of same-trace cells the scheduler cut
+(:mod:`repro.fleet.scheduler`) — is the unit of leasing and of
+publication: a result file is ``{"schema": 2, "block": <block_id>,
+"cells": {<cell_id>: <payload>}}``.  The queue still answers per cell
+(:meth:`FleetQueue.completed_ids`, :meth:`FleetQueue.read_result`), and
+per-cell files an earlier version wrote (``results/<cell_id>.json``)
+count as completed too.  Claiming is an ``O_CREAT | O_EXCL`` open — the
+filesystem arbitrates, so any number of worker processes (and multiple
+hosts sharing the run directory) can race on the same block and
+exactly one wins.  Results are written aside and renamed, as in the
+artifact store, so a reader sees a whole block or nothing, and a block
+killed part-way publishes nothing.
 
 A lease carries the owner's pid/host and is refreshed by
 :meth:`FleetQueue.heartbeat` (each worker beats from one daemon thread
@@ -24,7 +27,8 @@ worker strands its in-flight block for at most one TTL, and in the
 common single-host case for no time at all.  A same-host owner whose
 pid is still alive is authoritative: its lease is never reclaimed on
 TTL age alone, so a block that outlives the TTL is not re-executed by a
-sibling.
+sibling.  A block with a whole result file is never claimed again, and
+a leftover lease on it is swept, not reclaimed.
 
 Every claim / steal / reclaim emits a ``fleet`` journal event (the
 worker adds one ``complete`` event per finished block), giving
@@ -53,6 +57,9 @@ DEFAULT_LEASE_TTL = 60.0
 LEASES_DIR = "leases"
 RESULTS_DIR = "results"
 
+#: Block result file layout version (each payload keeps its own).
+BLOCK_SCHEMA_VERSION = 2
+
 
 def _pid_alive(pid):
     """Best-effort liveness of a same-host pid (signal 0 probe)."""
@@ -76,6 +83,9 @@ class FleetQueue:
         self.leases_dir = os.path.join(run_dir, LEASES_DIR)
         self.results_dir = os.path.join(run_dir, RESULTS_DIR)
         self.host = socket.gethostname()
+        # Result file stem -> its cell ids (ids only, never payloads):
+        # published files are never rewritten, so each is parsed once.
+        self._cells_of = {}
 
     def ensure_dirs(self):
         os.makedirs(self.leases_dir, exist_ok=True)
@@ -85,26 +95,47 @@ class FleetQueue:
     def lease_path(self, lease_id):
         return os.path.join(self.leases_dir, f"{lease_id}.json")
 
-    def result_path(self, cell_id):
-        return os.path.join(self.results_dir, f"{cell_id}.json")
+    def result_path(self, block_id):
+        return os.path.join(self.results_dir, f"{block_id}.json")
 
-    def has_result(self, cell_id):
-        return os.path.exists(self.result_path(cell_id))
+    def has_result(self, block_id):
+        """Whether ``block_id`` has a whole result file; a torn one is
+        none, so its block is re-run and the file replaced."""
+        if block_id not in self._cells_of:
+            results = self._read(block_id)
+            if results is not None:
+                self._cells_of[block_id] = frozenset(results)
+        return block_id in self._cells_of
+
+    def _read(self, stem):
+        """``{cell_id: payload}`` of one result file, or None (torn or
+        unreadable); a per-cell file is its own one-cell block."""
+        try:
+            with open(self.result_path(stem)) as handle:
+                data = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        if data.get("schema") == BLOCK_SCHEMA_VERSION:
+            return data["cells"]
+        return {stem: data}
+
+    @staticmethod
+    def _stems(directory):
+        """``directory``'s ``.json`` file names without the extension."""
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return []
+        return [name[:-5] for name in names if name.endswith(".json")]
 
     def completed_ids(self):
         """Cell ids with a published result."""
-        try:
-            names = os.listdir(self.results_dir)
-        except OSError:
-            return set()
-        return {name[:-5] for name in names if name.endswith(".json")}
+        return set().union(*(self._cells_of[stem]
+                             for stem in self._stems(self.results_dir)
+                             if self.has_result(stem)))
 
     def leased_ids(self):
-        try:
-            names = os.listdir(self.leases_dir)
-        except OSError:
-            return set()
-        return {name[:-5] for name in names if name.endswith(".json")}
+        return set(self._stems(self.leases_dir))
 
     # ------------------------------------------------------------------
     def claim(self, lease_id, worker, stolen=False):
@@ -172,20 +203,18 @@ class FleetQueue:
             os.remove(self.lease_path(lease_id))
 
     # ------------------------------------------------------------------
-    def publish(self, cell_id, payload):
-        """Atomically publish one cell result (the lease is untouched).
-
-        The staging name is unique per process and cell, so no
-        ``mkstemp`` search is needed; it never ends in ``.json``, so
-        :meth:`completed_ids` cannot mistake it for a result.
-        """
-        path = self.result_path(cell_id)
+    def publish_block(self, block_id, payloads):
+        """Atomically publish one block's ``{cell_id: payload}`` as one
+        file (the lease is untouched).  The staging name is unique per
+        process and block and never ends in ``.json``."""
+        path = self.result_path(block_id)
         staging = os.path.join(self.results_dir,
-                               f".{cell_id}.{os.getpid()}.tmp")
+                               f".{block_id}.{os.getpid()}.tmp")
         try:
-            # One write of the whole text: ``json.dump`` would make one
-            # small write per token.
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            # Compact: the indented encoder runs in pure Python.
+            text = json.dumps({"schema": BLOCK_SCHEMA_VERSION,
+                               "block": block_id, "cells": payloads},
+                              sort_keys=True) + "\n"
             with open(staging, "w") as handle:
                 handle.write(text)
             os.rename(staging, path)
@@ -193,21 +222,30 @@ class FleetQueue:
             with suppress(OSError):
                 os.remove(staging)
             raise
-        REGISTRY.counter("fleet.cells_completed").inc()
+        self._cells_of[block_id] = frozenset(payloads)
+        REGISTRY.counter("fleet.cells_completed").inc(len(payloads))
+
+    def read_results(self):
+        """Every published ``{cell_id: payload}``, each file read once."""
+        results = {}
+        for stem in self._stems(self.results_dir):
+            results.update(self._read(stem) or {})
+        return results
 
     def read_result(self, cell_id):
-        """The published result payload, or None (torn reads -> None)."""
-        try:
-            with open(self.result_path(cell_id)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
+        """One cell's published payload, or None (torn reads -> None)."""
+        if not any(cell_id in ids for ids in self._cells_of.values()):
+            self.completed_ids()
+        for stem, ids in self._cells_of.items():
+            if cell_id in ids:
+                return (self._read(stem) or {}).get(cell_id)
+        return None
 
     # ------------------------------------------------------------------
     def reclaim(self, lease_ids=None, worker=None):
         """Release abandoned leases; returns the reclaimed lease ids.
 
-        A lease is abandoned when its id has no result and either its
+        A lease is abandoned when its block has no result and either its
         owner pid is dead on this host (immediate) or its last
         heartbeat is older than the TTL (cross-host fallback).  A
         same-host owner whose pid is alive keeps the lease regardless
@@ -220,7 +258,7 @@ class FleetQueue:
         reclaimed = []
         for lease_id in sorted(lease_ids):
             if self.has_result(lease_id):
-                # A completed id should have no lease; sweep leftovers.
+                # A published block should have no lease; sweep it.
                 self.release(lease_id)
                 continue
             info = self.lease_info(lease_id)

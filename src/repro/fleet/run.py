@@ -4,7 +4,7 @@ A run directory is the whole state of one matrix execution::
 
     <run>/recipe.json    canonical recipe (digest-checked on resume)
     <run>/leases/        live block claims (FleetQueue)
-    <run>/results/       published per-cell results
+    <run>/results/       published results, one file per block
     <run>/workers/       per-worker summaries
     <run>/matrix.json    canonical matrix, written when complete
     <run>/journal-*.jsonl  run journal (claims, progress, spans)
@@ -17,8 +17,8 @@ key them.  Pinning is best-effort — it guards future prunes only, so
 an eviction racing the pin write just costs a re-derivation — but it
 keeps a long matrix from routinely LRU-evicting its own warm inputs
 mid-run.  Invoking it again on the same directory *is* the
-resume path: completed cells are skipped byte-for-byte (their result
-files are never rewritten), only pending cells execute.  When the last
+resume path: completed blocks are skipped byte-for-byte (their result
+files are never rewritten), only pending blocks execute.  When the last
 cell lands the canonical matrix — deterministic metrics only, sorted
 keys — is exported, so an interrupted-then-resumed run produces a
 ``matrix.json`` byte-identical to an uninterrupted one.
@@ -41,7 +41,6 @@ from repro.fleet.recipe import (
 )
 from repro.fleet.scheduler import recipe_blocks
 from repro.fleet.worker import (
-    CELLS_FILENAME,
     RECIPE_FILENAME,
     WORKERS_DIR,
     FleetWorker,
@@ -66,13 +65,12 @@ class FleetError(RuntimeError):
 # ----------------------------------------------------------------------
 # Run directory state
 # ----------------------------------------------------------------------
-def init_run(run_dir, recipe, cells=None):
+def init_run(run_dir, recipe):
     """Create (or validate) a run directory for ``recipe``.
 
     Re-initializing with a *different* recipe is refused — a run
     directory is bound to one matrix for its whole life, which is what
-    makes resume and the byte-identical export sound.  ``cells`` is
-    ``recipe.expand()`` when the caller already has it.
+    makes resume and the byte-identical export sound.
     """
     os.makedirs(run_dir, exist_ok=True)
     recipe_path = os.path.join(run_dir, RECIPE_FILENAME)
@@ -85,14 +83,6 @@ def init_run(run_dir, recipe, cells=None):
                 f"run {recipe.name!r} ({recipe.digest()}) in it")
     else:
         save_recipe(recipe, recipe_path)
-        if cells is None:
-            cells = recipe.expand()
-        text = json.dumps({"schema": MATRIX_SCHEMA_VERSION,
-                           "recipe_digest": recipe.digest(),
-                           "cells": [cell.to_dict() for cell in cells]},
-                          indent=2, sort_keys=True)
-        with open(os.path.join(run_dir, CELLS_FILENAME), "w") as handle:
-            handle.write(text + "\n")
     FleetQueue(run_dir).ensure_dirs()
 
 
@@ -172,7 +162,7 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
     # the cell list (init, pinning, the in-process worker, the matrix
     # export) takes it from here.
     cells = recipe.expand()
-    init_run(run_dir, recipe, cells)
+    init_run(run_dir, recipe)
     workers = max(1, int(workers))
     chaos = parse_chaos(chaos)
     lease_kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
@@ -312,18 +302,19 @@ def collect_matrix(run_dir, recipe=None, cells=None):
     Strictly deterministic content: recipe identity plus each cell's
     id/coordinates and :func:`~repro.fleet.worker.cell_metrics` block,
     in expansion order.  Worker attribution, timestamps, and wall times
-    stay in the per-cell result files and are excluded here.  The run
+    stay in the result files and are excluded here.  The run
     directory's own recipe and its expansion are read unless passed.
+    Each result file is read once (expansion order is not block order).
     """
     if recipe is None:
         recipe = load_run_recipe(run_dir)
     if cells is None:
         cells = recipe.expand()
-    queue = FleetQueue(run_dir)
+    results = FleetQueue(run_dir).read_results()
     rows = []
     missing = []
     for cell in cells:
-        payload = queue.read_result(cell.cell_id)
+        payload = results.get(cell.cell_id)
         if payload is None:
             missing.append(cell.cell_id)
             continue

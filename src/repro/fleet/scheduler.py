@@ -19,8 +19,9 @@ So the fleet orders and shards on exactly those keys:
   neighbors differ in as few artifact keys as possible;
 * each group is cut into **blocks** — runs of consecutive cells sized
   by estimated work (:data:`BLOCK_INSTRUCTIONS`) — and a block is the
-  unit a worker claims, heartbeats and steals: per-claim bookkeeping
-  (lease file, heartbeat, progress) is paid per block, not per cell;
+  unit a worker claims, heartbeats, steals, times and publishes: the
+  bookkeeping (lease file, heartbeat, span, sweep call, result file,
+  progress) is paid per block, not per cell;
 * groups are packed onto shards largest-first onto the currently
   lightest shard (LPT), so shard loads balance without breaking
   affinity;

@@ -1,4 +1,4 @@
-"""One fleet worker process: claim, execute, publish, steal.
+"""One fleet worker process: claim, time, publish, steal.
 
 A worker owns one shard of the run's blocks (:mod:`repro.fleet.scheduler`
 — runs of consecutive same-trace cells in affinity order) and works it
@@ -6,36 +6,37 @@ head to tail, leasing each block through the
 :class:`~repro.fleet.queue.FleetQueue` before timing its cells.
 Because a shard keeps all of a trace's cells contiguous, the worker
 holds one :class:`~repro.uarch.incremental.IncrementalSession` per
-trace: consecutive cells differ in a knob or two, so each step is an
-incremental re-simulation over the already-digested trace and
-in-memory outcome banks, not a cold sweep.
+trace, so a block re-uses the already-digested trace and in-memory
+outcome banks instead of a cold sweep.
 
-Bookkeeping is per block; results are per cell.  A block costs one
+The block is the unit of leasing, timing and publication: it costs one
 lease, one ``results/`` listing (the worker otherwise keeps its
-completed set in memory), one progress event and one metric flush;
-each of its cells still gets its own ``fleet.cell`` span and its own
-atomically published result file.  One daemon thread per worker
-refreshes whichever block lease it holds, so a block that outlives the
-lease TTL (trace acquisition under a 20M-instruction functional cap
-can) is never mistaken for abandoned.
+completed set in memory), one ``fleet.block`` span (with a ``cells``
+count), one :meth:`IncrementalSession.run` call over its cells'
+configs, one result file ``results/<block_id>.json``, one progress
+event and one metric flush.
+One daemon thread per worker refreshes whichever block lease it holds,
+so a block that outlives the lease TTL (trace acquisition under a
+20M-instruction functional cap can) is never mistaken for abandoned.
 
 When its own shard drains the worker steals whole blocks from the
 other shards' tails; when nothing is claimable it reclaims abandoned
 leases (dead pid / expired TTL) and retries, so a killed sibling's
 in-flight block is re-executed rather than stranded.  A block killed
-part-way is reclaimed as a whole, and its re-run skips the cells that
-already have results, so a published result file is never rewritten.
-Each retry pass re-scans the own shard too: a thief can die holding a
-lease on an own-shard block, and after the reclaim the shard owner may
-be the only worker left to run it (thieves never steal from their own
-shard).  Every published result is deterministic — exclusively
-:func:`cell_metrics` fields, which hold only simulation-defined numbers
-— so re-execution after a crash always writes the same bytes.
+part-way has published nothing, so its re-run times it whole; a
+published result file is never rewritten.  Each retry pass re-scans the
+own shard too: a thief can die holding a lease on an own-shard block,
+and after the reclaim the shard owner may be the only worker left to
+run it (thieves never steal from their own shard).  Every published
+metric is deterministic — exclusively :func:`cell_metrics` fields,
+which hold only simulation-defined numbers — so re-execution after a
+crash always yields the same matrix.
 
 ``chaos`` is the fault-injection hook used by tests and the CI smoke
 job: ``(worker_index, after_cells)`` makes that worker SIGKILL itself
-*mid-block* — holding its block's lease, before timing the next cell —
-once it has completed ``after_cells`` cells.
+*mid-block* in the block that takes its executed-cell count past
+``after_cells`` — holding the block's lease, after timing the block and
+before publishing it.
 """
 
 import json
@@ -82,7 +83,6 @@ _POLL_SECONDS = 0.05
 _HEARTBEAT_FRACTION = 1 / 3
 
 RECIPE_FILENAME = "recipe.json"
-CELLS_FILENAME = "cells.json"
 WORKERS_DIR = "workers"
 
 
@@ -255,77 +255,80 @@ class FleetWorker:
                     session.trace, self._trace_configs[trace_key]))
         store.pin(self._pin_owner, sorted(keys))
 
-    def _execute(self, cell):
-        session = self._session_for(cell)
+    def _time_block(self, cells):
+        """``{cell_id: payload}`` of same-trace ``cells``, one sweep call."""
+        session = self._session_for(cells[0])
         timing_started = time.perf_counter()
-        result = session.run(cell.config)
+        results = session.run([cell.config for cell in cells])
         self.uarch_seconds += time.perf_counter() - timing_started
-        power = shared_power_model(cell.config).evaluate(result).total
-        return {
-            "schema": RESULT_SCHEMA_VERSION,
-            "cell": cell.to_dict(),
-            "metrics": cell_metrics(result, power),
-            "meta": {
-                "worker": self.worker_id,
-                "wall_seconds": result.wall_seconds,
-                "ts": round(time.time(), 6),
-            },
-        }
+        payloads = {}
+        for cell, result in zip(cells, results):
+            power = shared_power_model(cell.config).evaluate(result).total
+            payloads[cell.cell_id] = {
+                "schema": RESULT_SCHEMA_VERSION,
+                "cell": cell.to_dict(),
+                "metrics": cell_metrics(result, power),
+                "meta": {
+                    "worker": self.worker_id,
+                    "wall_seconds": result.wall_seconds,
+                    "ts": round(time.time(), 6),
+                },
+            }
+        return payloads
 
     # ------------------------------------------------------------------
-    def _maybe_chaos_kill(self, block, cell):
+    def _maybe_chaos_kill(self, block, cells):
         if self.chaos is None:
             return
         index, after = self.chaos
-        if self.index == index and self.executed >= after:
-            # Mid-block on purpose: the lease for ``block`` is held and
-            # will be stranded until a sibling (or resume) reclaims it.
+        if self.index == index and self.executed + len(cells) > after:
+            # Mid-block on purpose: the lease is held and the timed block
+            # unpublished until a sibling (or resume) re-runs it whole.
             _LOG.warning("fleet.chaos_kill", worker=self.worker_id,
-                         block=block.block_id, cell=cell.cell_id,
-                         executed=self.executed)
+                         block=block.block_id, executed=self.executed)
             emit_event("fleet", event="chaos_kill", block=block.block_id,
-                       cell=cell.cell_id, worker=self.worker_id)
+                       worker=self.worker_id)
             os.kill(os.getpid(), signal.SIGKILL)
 
     def _pending(self, block):
-        """Whether ``block`` still has a cell without a result.  Only
-        cells the in-memory set does not know are checked on disk, so a
-        block a sibling finished since the last listing is skipped."""
-        return any(cell.cell_id not in self.completed
-                   and not self.queue.has_result(cell.cell_id)
-                   for cell in block.cells)
+        """Whether ``block`` still has a cell without a result.  The
+        block's own result file is checked on disk, so a block a
+        sibling finished since the last listing is skipped."""
+        return (any(cell.cell_id not in self.completed
+                    for cell in block.cells)
+                and not self.queue.has_result(block.block_id))
 
     def _try_block(self, block, stolen=False):
         if not self._pending(block) or not self.queue.claim(
                 block.block_id, self.worker_id, stolen=stolen):
             return False
-        # A dead earlier owner may have published part of this block:
-        # those cells are skipped, never rewritten.
+        # Cells an earlier version published one file each are skipped,
+        # never rewritten.
         self.completed = self.queue.completed_ids()
-        executed = 0
-        with self._heartbeat.holding(block.block_id):
-            for cell in block.cells:
-                if cell.cell_id in self.completed:
-                    continue
-                self._maybe_chaos_kill(block, cell)
-                with TRACER.span("fleet.cell", cell=cell.cell_id,
-                                 kernel=cell.kernel,
-                                 config=cell.config.name, stolen=stolen):
-                    payload = self._execute(cell)
-                self.queue.publish(cell.cell_id, payload)
-                self.completed.add(cell.cell_id)
-                self.executed += 1
-                executed += 1
+        cells = [cell for cell in block.cells
+                 if cell.cell_id not in self.completed]
+        if not cells:  # a sibling published it between check and claim
+            self.queue.release(block.block_id)
+            return False
+        with self._heartbeat.holding(block.block_id), TRACER.span(
+                "fleet.block", block=block.block_id,
+                kernel=block.cells[0].kernel, cells=len(cells),
+                stolen=stolen):
+            payloads = self._time_block(cells)
+            self._maybe_chaos_kill(block, cells)
+            self.queue.publish_block(block.block_id, payloads)
         self.queue.release(block.block_id)
+        self.completed.update(payloads)
+        self.executed += len(cells)
         if stolen:
-            self.stolen += executed
+            self.stolen += len(cells)
         emit_event("fleet", event="complete", block=block.block_id,
-                   cells=executed, worker=self.worker_id)
+                   cells=len(cells), worker=self.worker_id)
         emit_event("progress", done=len(self.completed),
                    total=len(self.cells), unit="cells",
                    label=block.block_id)
         emit_metric_deltas()
-        return executed > 0
+        return True
 
     def _live_lease_pending(self, pending):
         """Whether any pending block's lease looks alive (wait, don't

@@ -33,7 +33,8 @@ class IncrementalSession:
     Successive :meth:`run` calls share the trace digest and every
     config-keyed bank through the sweep engine's per-trace caches, so
     a single-knob edit re-times in milliseconds while remaining
-    bit-identical to a cold ``PipelineModel.run``.
+    bit-identical to a cold ``PipelineModel.run``.  One call with
+    several configs equals one call per config, field for field.
     """
 
     def __init__(self, trace, max_instructions=None, store=None):
@@ -41,8 +42,9 @@ class IncrementalSession:
         self.max_instructions = max_instructions
         self.store = store
 
-    def run(self, config):
-        """Time ``config``; returns the engine's ``PipelineResult``."""
+    def run(self, configs):
+        """Time every config in ``configs`` with one sweep call; returns
+        one ``PipelineResult`` per config, in order."""
         return simulate_pipeline_sweep(
-            self.trace, [config], max_instructions=self.max_instructions,
-            store=self.store)[0]
+            self.trace, configs, max_instructions=self.max_instructions,
+            store=self.store)

@@ -91,13 +91,15 @@ class TestJournaledRun:
         roots = build_span_tree(merged.events)
         assert [root.name for root in roots] == ["cli.fleet"]
         root = roots[0]
-        cells = [node for node in root.walk() if node.name == "fleet.cell"]
-        assert len(cells) == 4
-        # Forked workers inherit the open-span stack: their cells stitch
+        blocks = [node for node in root.walk()
+                  if node.name == "fleet.block"]
+        assert len(blocks) == 2  # one 2-cell block per trace
+        assert sum(node.attrs["cells"] for node in blocks) == 4
+        # Forked workers inherit the open-span stack: their blocks stitch
         # under the CLI root from processes other than the CLI's own.
-        cell_pids = {node.pid for node in cells}
-        assert len(cell_pids) == 2
-        assert root.pid not in cell_pids
+        block_pids = {node.pid for node in blocks}
+        assert len(block_pids) == 2
+        assert root.pid not in block_pids
 
     def test_fleet_journals_into_its_dir_without_run_dir(self, tmp_path):
         recipe = tmp_path / "recipe.json"
@@ -110,9 +112,9 @@ class TestJournaledRun:
         merged = read_journal(fleet_dir)
         roots = build_span_tree(merged.events)
         assert [root.name for root in roots] == ["cli.fleet"]
-        cells = [node for node in roots[0].walk()
-                 if node.name == "fleet.cell"]
-        assert len(cells) == 4
+        blocks = [node for node in roots[0].walk()
+                  if node.name == "fleet.block"]
+        assert sorted(node.attrs["cells"] for node in blocks) == [2, 2]
         begin, end = merged.run_info()
         assert begin["command"] == "fleet"
         assert end["exit_code"] == 0

@@ -19,6 +19,7 @@ from repro.fleet import (
     run_fleet,
     scheduler,
 )
+from repro.uarch import IncrementalSession
 
 
 def dead_pid():
@@ -54,6 +55,12 @@ def journal_events(run_dir):
     return events
 
 
+def publish_legacy(queue, cell_id, payload):
+    """Write one cell's result file the way the per-cell fleet did."""
+    with open(queue.result_path(cell_id), "w") as handle:
+        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def result_snapshot(run_dir):
     """(bytes, mtime_ns) of every published result file."""
     results_dir = os.path.join(run_dir, "results")
@@ -81,6 +88,89 @@ class TestRun:
             assert metrics["instructions"] > 0
             assert metrics["cycles"] > 0
             assert metrics["power"] > 0
+        # One block, one result file, holding both cells.
+        [block] = FleetWorker(run_dir, 0, 1).blocks
+        assert sorted(os.listdir(os.path.join(run_dir, "results"))) == \
+            [f"{block.block_id}.json"]
+        assert not os.path.exists(os.path.join(run_dir, "cells.json"))
+
+    def test_one_sweep_call_per_block(self, tmp_path, monkeypatch,
+                                      two_cell_blocks):
+        calls = []
+        original = IncrementalSession.run
+
+        def counted(session, configs):
+            calls.append([config.name for config in configs])
+            return original(session, configs)
+        monkeypatch.setattr(IncrementalSession, "run", counted)
+        run_dir = str(tmp_path / "run")
+        run_fleet(run_dir, GRID)
+        blocks = FleetWorker(run_dir, 0, 1).blocks
+        assert sorted(calls) == sorted(
+            [cell.config.name for cell in block.cells] for block in blocks)
+
+    def test_matrix_export_reads_each_block_file_once(self, tmp_path,
+                                                      monkeypatch,
+                                                      two_cell_blocks):
+        run_dir = str(tmp_path / "run")
+        run_fleet(run_dir, GRID)
+        reads = []
+        original = FleetQueue._read
+
+        def counted(queue, stem):
+            reads.append(stem)
+            return original(queue, stem)
+        monkeypatch.setattr(FleetQueue, "_read", counted)
+        matrix_bytes(run_dir)
+        assert sorted(reads) == sorted(
+            block.block_id for block in FleetWorker(run_dir, 0, 1).blocks)
+
+    def test_finished_block_is_never_claimed_again(self, tmp_path,
+                                                   two_cell_blocks):
+        run_dir = str(tmp_path / "run")
+        run_fleet(run_dir, GRID, workers=2)
+        queue = FleetQueue(run_dir)
+        for block in FleetWorker(run_dir, 0, 1).blocks:
+            assert queue.claim(block.block_id, "late") is False
+            assert queue.has_result(block.block_id)
+        assert queue.leased_ids() == set()
+
+    def test_torn_block_file_is_rerun_on_resume(self, tmp_path):
+        reference = str(tmp_path / "reference")
+        run_fleet(reference, GRID)
+        run_dir = str(tmp_path / "run")
+        run_fleet(run_dir, GRID)
+        torn, whole = FleetWorker(run_dir, 0, 1).blocks
+        path = FleetQueue(run_dir).result_path(torn.block_id)
+        with open(path, "r+") as handle:
+            handle.truncate(40)
+        os.remove(os.path.join(run_dir, "matrix.json"))
+        kept = result_snapshot(run_dir)[f"{whole.block_id}.json"]
+        summary = run_fleet(run_dir)
+        assert summary["complete"] is True
+        assert summary["skipped"] == 4 and summary["executed"] == 4
+        assert result_snapshot(run_dir)[f"{whole.block_id}.json"] == kept
+        assert matrix_bytes(run_dir) == matrix_bytes(reference)
+
+    def test_finished_block_lease_is_swept_not_reclaimed(self, tmp_path):
+        run_dir = str(tmp_path / "run")
+        run_fleet(run_dir, GRID)
+        block = FleetWorker(run_dir, 0, 1).blocks[0]
+        # A lease left behind on a block that has its result (its owner
+        # died between publishing and releasing).
+        record = {"worker": "gone", "pid": dead_pid(),
+                  "host": FleetQueue(run_dir).host, "ts": 0.0}
+        with open(FleetQueue(run_dir).lease_path(block.block_id),
+                  "w") as handle:
+            json.dump(record, handle)
+        summary = run_fleet(run_dir)
+        assert summary["executed"] == 0
+        assert FleetQueue(run_dir).leased_ids() == set()
+        begin = [event for event in journal_events(run_dir)
+                 if event.get("event") == "run_begin"][-1]
+        assert begin["reclaimed"] == 0
+        assert not any(event.get("event") == "reclaim"
+                       for event in journal_events(run_dir))
 
     def test_resume_skips_completed_byte_for_byte(self, tmp_path):
         run_dir = str(tmp_path / "run")
@@ -156,9 +246,10 @@ class TestStatus:
         worker = FleetWorker(run_dir, 0, 1)
         block = worker.blocks[1]
         assert len(worker.blocks) == 4 and len(block) == 2
-        # One of the block's cells is already published, the other is
-        # still running under the block's lease.
-        worker.queue.publish(block.cells[0].cell_id, {"metrics": {}})
+        # One of the block's cells was published by the per-cell fleet,
+        # the other is still running under the block's lease.
+        publish_legacy(worker.queue, block.cells[0].cell_id,
+                       {"metrics": {}})
         assert worker.queue.claim(block.block_id, worker.worker_id)
         status = fleet_status(run_dir)
         assert status["cells"] == 8
@@ -182,24 +273,26 @@ class TestCrashResume:
         run_fleet(reference, GRID)
 
         run_dir = str(tmp_path / "chaotic")
-        crashed = run_fleet(run_dir, GRID, workers=1, chaos="0:2")
+        # GRID's two traces are one 4-cell block each: the kill lands in
+        # the second block, after its timing and before its publication.
+        crashed = run_fleet(run_dir, GRID, workers=1, chaos="0:4")
         assert crashed["complete"] is False
         assert crashed["dead_workers"] == 1
-        assert crashed["completed"] == 2  # chaos fired after 2 cells
+        assert crashed["completed"] == 4  # the first block only
         # The stranded block lease was reclaimed by the orchestrator.
         queue = FleetQueue(run_dir)
-        assert queue.leased_ids() - queue.completed_ids() == set()
+        assert queue.leased_ids() == set()
 
         survivors = result_snapshot(run_dir)
         resumed = run_fleet(run_dir)
         assert resumed["complete"] is True
-        assert resumed["skipped"] == 2
-        assert resumed["executed"] == 6
+        assert resumed["skipped"] == 4
+        assert resumed["executed"] == 4
         # Surviving results were never rewritten (bytes and mtimes)...
         after = result_snapshot(run_dir)
         assert {name: after[name] for name in survivors} == survivors
-        # ...no duplicates appeared...
-        assert len(after) == 8
+        # ...no duplicates appeared (one file per block)...
+        assert len(survivors) == 1 and len(after) == 2
         # ...and the final matrix is byte-identical to the
         # never-interrupted reference run.
         assert matrix_bytes(run_dir) == matrix_bytes(reference)
@@ -307,7 +400,7 @@ class TestHeartbeat:
 
 
 class TestBlocks:
-    """Claims are per block of same-trace cells; results stay per cell."""
+    """Claims, timing and results are per block of same-trace cells."""
 
     def test_blocks_independent_of_worker_count(self, tmp_path,
                                                 two_cell_blocks):
@@ -328,14 +421,15 @@ class TestBlocks:
         assert sorted(cells) == sorted(cell.cell_id for cell in GRID.expand())
 
     def test_block_with_published_tail_runs_its_head(self, tmp_path):
-        # However a block's tail got published, its missing head cells
-        # are still claimed and run, and the tail is left as it was.
+        # A run dir the per-cell fleet left mid-block: its missing head
+        # cells are still claimed and run, and the tail's per-cell
+        # result file is left as it was.
         run_dir = str(tmp_path / "run")
         init_run(run_dir, PAIR)
         worker = FleetWorker(run_dir, 0, 1)
         [block] = worker.blocks
         head, tail = block.cells
-        worker.queue.publish(tail.cell_id, {"metrics": {}})
+        publish_legacy(worker.queue, tail.cell_id, {"metrics": {}})
         before = result_snapshot(run_dir)
         done = {}
         thread = threading.Thread(
@@ -348,7 +442,11 @@ class TestBlocks:
         after = result_snapshot(run_dir)
         assert after[f"{tail.cell_id}.json"] == \
             before[f"{tail.cell_id}.json"]
-        assert f"{head.cell_id}.json" in after
+        assert sorted(after) == sorted([f"{tail.cell_id}.json",
+                                        f"{block.block_id}.json"])
+        assert set(worker.queue.read_result(head.cell_id)) == \
+            {"schema", "cell", "metrics", "meta"}
+        assert worker.queue.completed_ids() == {head.cell_id, tail.cell_id}
 
     def test_one_claim_per_block(self, tmp_path, two_cell_blocks):
         run_dir = str(tmp_path / "run")
@@ -384,21 +482,28 @@ class TestBlocks:
         run_fleet(reference, GRID, workers=1)
 
         run_dir = str(tmp_path / "chaotic")
-        # Three cells done: the kill lands inside the second block,
-        # after its first cell was published.
+        # The kill lands inside the second block (three cells would end
+        # half-way through it), after its timing and before its
+        # publication: that block leaves no result file at all.
         crashed = run_fleet(run_dir, GRID, workers=1, chaos="0:3")
         assert crashed["complete"] is False
-        assert crashed["completed"] == 3
+        assert crashed["completed"] == 2
         queue = FleetQueue(run_dir)
         assert queue.leased_ids() == set()  # reclaimed as a whole
+        first, killed = FleetWorker(run_dir, 0, 1).shards[0][:2]
+        [chaos] = [event for event in journal_events(run_dir)
+                   if event.get("event") == "chaos_kill"]
+        assert chaos["block"] == killed.block_id
+        assert not queue.has_result(killed.block_id)
 
         survivors = result_snapshot(run_dir)
+        assert list(survivors) == [f"{first.block_id}.json"]
         resumed = run_fleet(run_dir, workers=2)
         assert resumed["complete"] is True
-        assert resumed["skipped"] == 3 and resumed["executed"] == 5
+        assert resumed["skipped"] == 2 and resumed["executed"] == 6
         after = result_snapshot(run_dir)
         assert {name: after[name] for name in survivors} == survivors
-        assert len(after) == 8
+        assert len(after) == 4  # one file per block
         with open(os.path.join(run_dir, "matrix.json"), "rb") as handle:
             resumed_bytes = handle.read()
         with open(os.path.join(reference, "matrix.json"), "rb") as handle:

@@ -78,9 +78,9 @@ def expect(counts):
 
 
 def run_counted(session, config):
-    """``session.run(config)`` and the reuse counters it moved."""
+    """``session.run([config])`` and the reuse counters it moved."""
     before = sweep_stats_snapshot()
-    result = session.run(config)
+    [result] = session.run([config])
     after = sweep_stats_snapshot()
     moved = {key: after[key] - before[key] for key in REUSE_COUNTERS
              if after[key] != before[key]}
@@ -175,7 +175,7 @@ class TestRandomKnobWalk:
         rng = random.Random(20260808)
         session = IncrementalSession(crc32_trace, max_instructions=CAP)
         config = BASE_CONFIG
-        session.run(config)
+        session.run([config])
         for step in range(12):
             knob, generate = rng.choice(KNOBS)
             config = config.renamed(f"step-{step}-{knob}",
@@ -187,6 +187,28 @@ class TestRandomKnobWalk:
                                              max_instructions=CAP)
             assert result_fields(incremental) == result_fields(spec), \
                 f"diverged at step {step} ({knob})"
+
+
+class TestBatchedRun:
+    def test_one_call_equals_one_call_per_config(self, tmp_path):
+        # A fleet block times all its configs in one call; each result
+        # must equal the one a single-config call gives, field for field.
+        rng = random.Random(20261018)
+        configs = [BASE_CONFIG]
+        for step in range(8):
+            knob, generate = rng.choice(KNOBS)
+            configs.append(configs[-1].renamed(f"step-{step}-{knob}",
+                                               **generate(rng)))
+        unpersisted = ArtifactStore(str(tmp_path), enabled=False)
+        batched = IncrementalSession(crc32_run(), max_instructions=CAP,
+                                     store=unpersisted).run(configs)
+        assert len(batched) == len(configs)
+        single = IncrementalSession(crc32_run(), max_instructions=CAP,
+                                    store=unpersisted)
+        for config, result in zip(configs, batched):
+            [alone] = single.run([config])
+            assert result_fields(result) == result_fields(alone), \
+                config.name
 
 
 class TestProfileDelta:
@@ -236,6 +258,6 @@ class TestProfileDelta:
         session = IncrementalSession(refined, max_instructions=CAP)
         for config in (BASE_CONFIG,
                        BASE_CONFIG.renamed("rob32", rob_size=32)):
-            incremental = session.run(config)
+            [incremental] = session.run([config])
             spec = PipelineModel(config).run(refined, max_instructions=CAP)
             assert result_fields(incremental) == result_fields(spec)
