@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.obs.journal import emit_event
-from repro.obs.timing import TRACER
+from repro.obs.trace import span
 from repro.sim import FunctionalSimulator
 from repro.sim import native
 from repro.workloads import build_workload, workload_names
@@ -73,7 +73,7 @@ def _acquisition_rows(names):
     """
     rows = []
     for index, name in enumerate(names):
-        with TRACER.span("bench.acquire", kernel=name):
+        with span("sim.acquire", kernel=name):
             program = build_workload(name)
             interp_sim, interp_trace, interp_s = _best_of(program,
                                                           "interp")

@@ -25,7 +25,7 @@ Commands mirror the vendor/architect workflow:
 Runs started with ``--run-dir`` record an append-only event journal
 (``journal-<pid>.jsonl``, one file per process) next to the manifest:
 hierarchical spans from ``cli.<command>`` down to individual fleet
-cells, artifact-store hits/misses, lint verdicts, metric deltas, and
+blocks, artifact-store hits/misses, lint verdicts, metric deltas, and
 progress heartbeats.  ``fleet run``/``fleet resume`` without
 ``--run-dir`` journal into the fleet directory instead, appending
 across resumes.  ``--profile`` additionally samples the main
@@ -100,9 +100,9 @@ from repro.obs import (
     read_journal,
     reset_telemetry,
     set_telemetry_enabled,
+    span,
     timeline_text,
 )
-from repro.obs import trace as _trace
 from repro.sim import BACKENDS, SimulationError, run_program
 from repro.uarch import (
     BASE_CONFIG,
@@ -1040,6 +1040,39 @@ def _journal_target(args):
     return _fleet_run_dir(args, recipe), False
 
 
+def _dispatch(args, ctx):
+    """Run the command's handler; ``(exit code, failed)``."""
+    try:
+        return _HANDLERS[args.command](args, ctx), False
+    except CliError as exc:
+        _LOG.error("cli.error", command=args.command, message=str(exc))
+        if ctx.json_mode:
+            print(json.dumps({"command": args.command,
+                              "error": str(exc),
+                              "exit_code": exc.code}))
+        return exc.code, True
+    except SimulationError as exc:
+        _LOG.error("cli.simulation_error", command=args.command,
+                   message=str(exc), pc=exc.pc,
+                   instructions=exc.instructions, block=exc.block)
+        if ctx.json_mode:
+            print(json.dumps({"command": args.command,
+                              "error": str(exc),
+                              "exit_code": EXIT_ERROR}))
+        return EXIT_ERROR, True
+    except LintGateError as exc:
+        _LOG.error("cli.lint_gate", command=args.command,
+                   codes=exc.report.codes())
+        if ctx.json_mode:
+            print(json.dumps({"command": args.command,
+                              "error": "post-synthesis lint gate failed",
+                              "lint": exc.report.to_dict(),
+                              "exit_code": EXIT_LINT_FAILED}))
+        else:
+            print(exc.report.render_text(), file=sys.stderr)
+        return EXIT_LINT_FAILED, True
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if getattr(args, "sim_backend", None):
@@ -1076,42 +1109,11 @@ def main(argv=None):
     code = None
     failed = False
     wall_start = time.perf_counter()
-    root_span = _trace.begin_span(f"cli.{args.command}",
-                                  {"command": args.command})
     try:
-        try:
-            code = _HANDLERS[args.command](args, ctx)
-        except CliError as exc:
-            _LOG.error("cli.error", command=args.command, message=str(exc))
-            if ctx.json_mode:
-                print(json.dumps({"command": args.command,
-                                  "error": str(exc),
-                                  "exit_code": exc.code}))
-            code, failed = exc.code, True
-        except SimulationError as exc:
-            _LOG.error("cli.simulation_error", command=args.command,
-                       message=str(exc), pc=exc.pc,
-                       instructions=exc.instructions, block=exc.block)
-            if ctx.json_mode:
-                print(json.dumps({"command": args.command,
-                                  "error": str(exc),
-                                  "exit_code": EXIT_ERROR}))
-            code, failed = EXIT_ERROR, True
-        except LintGateError as exc:
-            _LOG.error("cli.lint_gate", command=args.command,
-                       codes=exc.report.codes())
-            if ctx.json_mode:
-                print(json.dumps({"command": args.command,
-                                  "error": "post-synthesis lint gate "
-                                           "failed",
-                                  "lint": exc.report.to_dict(),
-                                  "exit_code": EXIT_LINT_FAILED}))
-            else:
-                print(exc.report.render_text(), file=sys.stderr)
-            code, failed = EXIT_LINT_FAILED, True
+        with span(f"cli.{args.command}", command=args.command):
+            code, failed = _dispatch(args, ctx)
     finally:
         wall = time.perf_counter() - wall_start
-        _trace.end_span(root_span, wall)
         if profiler is not None:
             profiler.stop()
         if journaling:

@@ -33,7 +33,7 @@ from repro.isa.instructions import IClass
 from repro.isa.registers import ZERO_REG
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.timing import span
+from repro.obs.trace import span
 from repro.sim.functional import run_program
 
 _LOG = get_logger("repro.profiler")
@@ -81,21 +81,21 @@ class WorkloadProfiler:
             total_branches=int(np.count_nonzero(trace.taken >= 0)),
         )
 
-        with span("profile"):
+        with span("core.profiler"):
             tables = columns_for(program)
             dyn_class = tables.iclass[pcs]
             profile.global_mix = np.bincount(
                 dyn_class, minlength=IClass.COUNT).tolist()
 
-            with span("sfg_build"):
+            with span("core.profiler.sfg_build"):
                 ctx_of_instr, visit_blocks, ctx_keys, n_blocks = \
                     self._flow_graph(profile, tables, pcs, program)
-            with span("dependencies"):
+            with span("core.profiler.dependencies"):
                 self._dependencies(profile, tables, pcs, ctx_of_instr,
                                    ctx_keys, n_blocks)
-            with span("stride_mining"):
+            with span("core.profiler.stride_mining"):
                 self._memory_streams(profile, trace)
-            with span("branches"):
+            with span("core.profiler.branches"):
                 self._branch_behaviour(profile, trace)
             profile.data_footprint_bytes = (
                 trace.data_footprint(self.footprint_granularity)
@@ -657,7 +657,7 @@ def profile_program(program, max_instructions=50_000_000, **kwargs):
             simulator = FunctionalSimulator(program, backend="native")
             native.stream_trace(simulator, max_instructions,
                                 profiler.feed)
-        with span("profile"):
+        with span("core.profiler"):
             return profiler.finish()
     trace = run_program(program, max_instructions=max_instructions)
     return WorkloadProfiler(**kwargs).profile(trace)

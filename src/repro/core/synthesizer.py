@@ -31,7 +31,7 @@ from repro.isa.registers import reg_name
 from repro.obs.journal import emit_event
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.timing import span
+from repro.obs.trace import span
 
 _LOG = get_logger("repro.synthesizer")
 
@@ -172,7 +172,7 @@ class CloneSynthesizer:
 
     # ------------------------------------------------------------------
     def synthesize(self):
-        with span("synthesize"):
+        with span("core.synthesizer"):
             result = self._synthesize()
             self._lint_gate(result)
         REGISTRY.counter("synthesize.runs").inc()
@@ -208,12 +208,12 @@ class CloneSynthesizer:
                                    / max(mem_per_visit, 1e-6)))
             target = min(params.max_block_instances, target)
 
-        with span("sfg_walk"):
+        with span("core.synthesizer.sfg_walk"):
             sfg = StatisticalFlowGraph(profile, target_instances=target)
             sequence = sfg.walk(target, rng)
             plan = self._make_stream_plan()
 
-        with span("plan_blocks"):
+        with span("core.synthesizer.plan_blocks"):
             abstract_blocks = self._plan_blocks(sequence, plan, rng)
             body_estimate = (sum(profile.blocks[bid].size
                                  for bid in sequence) + 32)
@@ -221,7 +221,7 @@ class CloneSynthesizer:
                 estimated_iterations=max(
                     2, params.dynamic_instructions // max(1, body_estimate)))
 
-        with span("codegen"):
+        with span("core.synthesizer.codegen"):
             body_lines, body_instructions = self._emit_body(
                 abstract_blocks, plan, regs)
             tail_lines, tail_common = self._emit_tail(plan, regs)
@@ -241,7 +241,7 @@ class CloneSynthesizer:
             source_lines.append("    halt")
             asm_source = "\n".join(source_lines) + "\n"
 
-        with span("assemble"):
+        with span("core.synthesizer.assemble"):
             program = assemble(asm_source, name=f"{profile.name}.clone")
         stats = {
             "block_instances": len(sequence),
@@ -297,7 +297,7 @@ class CloneSynthesizer:
             return
         from repro.lint import LintGateError, lint_clone, safety_certificate
         overrides = self.parameters.severity_overrides
-        with span("lint_gate"):
+        with span("lint.gate"):
             report = lint_clone(result, severity_overrides=overrides,
                                 contract=self.lint_conformance)
             # The absint fixpoint is already cached on the program's

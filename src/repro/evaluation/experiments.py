@@ -20,11 +20,15 @@ configuration grid (bit-identical to per-config ``PipelineModel.run``
 by construction and by differential test).  Studies call those sweeps
 and :func:`shared_power_model` through this module's globals, so
 wrapping the names here attributes their time to their own layers.
+Each study call is one ``evaluation.<study>`` span.
 """
+
+import functools
 
 from repro.core.baseline import MicroarchDependentSynthesizer
 from repro.core.synthesizer import SynthesisParameters
 from repro.exec import pipeline_artifacts
+from repro.obs.trace import span
 from repro.sim.functional import run_program
 from repro.uarch.cache import simulate_cache_sweep
 from repro.uarch.config import BASE_CONFIG, CACHE_SWEEP, DESIGN_CHANGES
@@ -79,9 +83,21 @@ def _names(names):
     return list(names) if names is not None else workload_names()
 
 
+def _study(function):
+    """Run each call of ``function`` in an ``evaluation.<name>`` span."""
+    name = f"evaluation.{function.__name__}"
+
+    @functools.wraps(function)
+    def traced(*args, **kwargs):
+        with span(name):
+            return function(*args, **kwargs)
+    return traced
+
+
 # ----------------------------------------------------------------------
 # Figure 3: single-stride coverage of dynamic memory references
 # ----------------------------------------------------------------------
+@_study
 def stride_coverage_table(names=None, jobs=None):
     """Rows of (workload, fraction of dynamic refs covered by one stride)."""
     # ``jobs`` is ignored: perfbench still passes it (module docstring).
@@ -105,6 +121,7 @@ def _cache_mpi_rows(name, configs):
             [stats.misses / clone_n for stats in clone_stats])
 
 
+@_study
 def cache_correlation_study(names=None, configs=None, jobs=None):
     """Per-workload Pearson correlation of relative MPI across caches.
 
@@ -173,6 +190,7 @@ def _base_config_row(name, config, max_instructions):
     }
 
 
+@_study
 def base_config_comparison(names=None, config=BASE_CONFIG,
                            max_instructions=None, jobs=None):
     """Per-workload IPC and power, real vs clone, plus average errors."""
@@ -214,6 +232,7 @@ def _design_change_rows(name, configs, max_instructions):
     return rows
 
 
+@_study
 def design_change_study(names=None, base=BASE_CONFIG, changes=None,
                         max_instructions=None, jobs=None):
     """Relative IPC/power error of the clone for each design change.
@@ -329,6 +348,7 @@ def _baseline_comparison_row(name, configs, profiled_cache):
     }
 
 
+@_study
 def baseline_cache_comparison(names=None, configs=None,
                               profiled_cache=None, jobs=None):
     """How each synthesis style tracks cache changes (the paper's
@@ -361,6 +381,7 @@ def baseline_cache_comparison(names=None, configs=None,
 # ----------------------------------------------------------------------
 # Ablation B: accuracy vs number of unique streams (the susan discussion)
 # ----------------------------------------------------------------------
+@_study
 def stream_count_table(names=None, jobs=None):
     """(workload, unique streams, cache correlation) rows, most streams
     first — the paper's explanation of susan's lower correlation."""

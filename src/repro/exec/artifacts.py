@@ -21,7 +21,7 @@ from repro.core.synthesizer import CloneResult
 from repro.exec.store import artifact_key, default_store
 from repro.isa.assembler import assemble
 from repro.obs.logging import get_logger
-from repro.obs.timing import span
+from repro.obs.trace import span
 from repro.sim.functional import resolve_backend, run_program
 from repro.sim.trace import DynamicTrace
 
@@ -101,7 +101,7 @@ def pipeline_artifacts(name, source, parameters,
     if cached is not None:
         meta, entry = cached
         try:
-            with span("exec.artifacts.load"):
+            with span("exec.store.load"):
                 artifacts = _load_artifacts(meta, entry, program, name,
                                             parameters)
             _LOG.debug("artifacts.hit", name=name, key=key,
@@ -111,8 +111,8 @@ def pipeline_artifacts(name, source, parameters,
             # A concurrent eviction or partial entry: rebuild.
             _LOG.warning("artifacts.reload_failed", name=name,
                          key=key, error=str(exc))
-    # The cold pipeline runs unwrapped so its phase spans keep their
-    # established manifest paths (``profile/...``, ``sim.run``, ...).
+    # The cold pipeline runs unwrapped: its layer spans (``sim.run``,
+    # ``core.profiler``, ...) sit directly under the caller's span.
     artifacts = _build_artifacts(program, name, parameters,
                                  max_instructions, sim_backend)
     meta = {
@@ -134,7 +134,7 @@ def pipeline_artifacts(name, source, parameters,
         "profile.json": artifacts.profile.save,
         "clone.s": _text_writer(artifacts.clone.asm_source),
     }
-    with span("exec.artifacts.save"):
+    with span("exec.store.save"):
         store.save(key, meta, files)
     return artifacts
 
@@ -184,7 +184,7 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
     if cached is not None:
         meta, entry = cached
         try:
-            with span("exec.artifacts.load"):
+            with span("exec.store.load"):
                 trace = DynamicTrace.load(
                     os.path.join(entry, "trace.npz"), program)
             return TraceArtifacts(name=name, program=program, trace=trace,
@@ -202,7 +202,7 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
         "sim_backend": sim_backend,
         "trace_instructions": len(trace),
     }
-    with span("exec.artifacts.save"):
+    with span("exec.store.save"):
         store.save(key, meta, {"trace.npz": trace.save})
     return TraceArtifacts(name=name, program=program, trace=trace,
                           sim_backend=sim_backend)

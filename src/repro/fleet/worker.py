@@ -59,7 +59,7 @@ from repro.fleet.scheduler import (
 )
 from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
-from repro.obs.timing import TRACER
+from repro.obs.trace import span
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
 from repro.uarch.sweep import bank_store_keys
@@ -227,8 +227,8 @@ class FleetWorker:
             self._sessions.move_to_end(key)
             return session
         acquire_started = time.perf_counter()
-        with TRACER.span("fleet.acquire_trace", kernel=cell.kernel,
-                         subject=cell.subject):
+        with span("fleet.acquire_trace", kernel=cell.kernel,
+                  subject=cell.subject):
             trace = self._trace_for(cell)
         self.acquire_seconds += time.perf_counter() - acquire_started
         session = IncrementalSession(
@@ -310,7 +310,7 @@ class FleetWorker:
         if not cells:  # a sibling published it between check and claim
             self.queue.release(block.block_id)
             return False
-        with self._heartbeat.holding(block.block_id), TRACER.span(
+        with self._heartbeat.holding(block.block_id), span(
                 "fleet.block", block=block.block_id,
                 kernel=block.cells[0].kernel, cells=len(cells),
                 stolen=stolen):
@@ -399,9 +399,8 @@ class FleetWorker:
             "executed": self.executed,
             "stolen": self.stolen,
             "wall_seconds": round(time.perf_counter() - started, 6),
-            # Where the wall went: functional acquisition vs pipeline
-            # timing (mirrors the sim.acquire_seconds/uarch.time_seconds
-            # journal counters, but attributed per worker).
+            # Where the wall went: this worker's functional acquisition
+            # (its fleet.acquire_trace spans) vs its sweep calls.
             "sim_acquire_seconds": round(self.acquire_seconds, 6),
             "uarch_time_seconds": round(self.uarch_seconds, 6),
         }

@@ -40,7 +40,7 @@ from repro.lint.staticprof import (ConformanceTolerances, StaticPrediction,
                                    StaticPredictionError,
                                    check_static_conformance, predict_profile)
 from repro.obs.metrics import REGISTRY
-from repro.obs.timing import span
+from repro.obs.trace import span
 
 __all__ = [
     "CERTIFICATE_SCHEMA_VERSION", "CODES", "ERROR", "INFO", "WARNING",

@@ -1240,8 +1240,8 @@ def _memop_facts(columns):
 
 
 def _prove_footprint(result, cfg, columns):
-    if result.degraded:
-        return
+    # Only indirect jumps (which return before this) defeat the
+    # fixpoint; an irreducible cycle declines termination, not this.
     reachable = cfg.reachable()
     memops = _memop_facts(columns)
     lo = hi = None
@@ -1288,8 +1288,8 @@ def check_memory_bounds(program, severity_overrides=None, result=None):
     """``SR106``: constant-addressed memops must hit data or stack.
 
     Only a stride-0 (singleton) address interval is a proof, so every
-    finding is a genuine out-of-footprint access; a program the
-    analysis declines (indirect jumps, irreducible cycles) gets none.
+    finding is a genuine out-of-footprint access; a program with
+    indirect jumps, which the analysis declines, gets none.
     """
     if result is None:
         result = analyze_program(program)

@@ -25,6 +25,7 @@ import subprocess
 import tempfile
 
 from repro.obs.logging import get_logger
+from repro.obs.trace import span
 
 _LOG = get_logger("repro.native.toolchain")
 
@@ -58,26 +59,27 @@ def compile_cached(source, stem):
     Keyed by source hash so any edit to the C source rebuilds cleanly;
     concurrent builders race benignly through a temp-file rename.
     """
-    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
-    directory = cache_dir()
-    library = os.path.join(directory, f"{stem}-{digest}.so")
-    if os.path.exists(library):
+    with span("native.compile", stem=stem):
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        directory = cache_dir()
+        library = os.path.join(directory, f"{stem}-{digest}.so")
+        if os.path.exists(library):
+            return library
+        os.makedirs(directory, exist_ok=True)
+        fd, source_path = tempfile.mkstemp(suffix=".c", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(source)
+            staged = source_path[:-2] + ".so"
+            subprocess.run([*CC, "-o", staged, source_path, "-lm"],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(staged, library)
+        finally:
+            for leftover in (source_path, source_path[:-2] + ".so"):
+                if os.path.exists(leftover):
+                    with contextlib.suppress(OSError):
+                        os.remove(leftover)
         return library
-    os.makedirs(directory, exist_ok=True)
-    fd, source_path = tempfile.mkstemp(suffix=".c", dir=directory)
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(source)
-        staged = source_path[:-2] + ".so"
-        subprocess.run([*CC, "-o", staged, source_path, "-lm"],
-                       check=True, capture_output=True, timeout=120)
-        os.replace(staged, library)
-    finally:
-        for leftover in (source_path, source_path[:-2] + ".so"):
-            if os.path.exists(leftover):
-                with contextlib.suppress(OSError):
-                    os.remove(leftover)
-    return library
 
 
 def probe():

@@ -7,16 +7,16 @@ rest of the stack instruments itself with:
 
 * :mod:`repro.obs.metrics` — process-wide counters, gauges, and
   histograms with a zero-cost disabled mode;
-* :mod:`repro.obs.timing` — nestable phase spans measuring wall and CPU
-  time (SFG build, stride mining, codegen, simulation, ...);
 * :mod:`repro.obs.logging` — a structured, level-controlled logger
   (``REPRO_LOG_LEVEL``) replacing bare prints;
 * :mod:`repro.obs.runinfo` — run manifests: seed, config hash, git rev,
-  python version, per-phase wall times, and headline stats as JSON;
+  python version, per-span wall times, and headline stats as JSON;
 * :mod:`repro.obs.journal` — append-only per-run JSONL event journal
   written concurrently by every process of a run;
-* :mod:`repro.obs.trace` — hierarchical span identities over the
-  journal, with Chrome-trace / flame / critical-path exporters;
+* :mod:`repro.obs.trace` — the one span system: nestable spans named
+  by layer (``core.profiler``, ``uarch.sweep``, ...) measuring wall and
+  CPU time, folded into the manifest's phase table and journaled as a
+  tree, with Chrome-trace / flame / critical-path exporters;
 * :mod:`repro.obs.selfprof` — opt-in sampling profiler attributing hot
   code to the enclosing span.
 
@@ -62,7 +62,6 @@ from repro.obs.runinfo import (
     validate_manifest,
 )
 from repro.obs.selfprof import SamplingProfiler, format_profile
-from repro.obs.timing import TRACER, Tracer, span
 from repro.obs.trace import (
     SpanNode,
     build_span_tree,
@@ -71,8 +70,13 @@ from repro.obs.trace import (
     export_chrome_trace,
     flame_summary,
     flame_text,
+    phase_table,
+    reset_trace_state,
+    set_tracing_enabled,
+    span,
     span_coverage,
     timeline_text,
+    tracing_enabled,
 )
 
 
@@ -80,20 +84,19 @@ def set_telemetry_enabled(enabled):
     """Toggle metrics and tracing globally (logging has its own level)."""
     if enabled:
         REGISTRY.enable()
-        TRACER.enable()
     else:
         REGISTRY.disable()
-        TRACER.disable()
+    set_tracing_enabled(enabled)
 
 
 def telemetry_enabled():
-    return REGISTRY.enabled or TRACER.enabled
+    return REGISTRY.enabled or tracing_enabled()
 
 
 def reset_telemetry():
     """Clear accumulated metrics and spans (start of a fresh run)."""
     REGISTRY.reset()
-    TRACER.reset()
+    reset_trace_state()
 
 
 __all__ = [
@@ -103,7 +106,6 @@ __all__ = [
     "MANIFEST_FILENAME",
     "MANIFEST_SCHEMA_VERSION",
     "REGISTRY",
-    "TRACER",
     "WARNING",
     "Counter",
     "Gauge",
@@ -114,7 +116,6 @@ __all__ = [
     "RunManifest",
     "SamplingProfiler",
     "SpanNode",
-    "Tracer",
     "active_journal",
     "build_span_tree",
     "config_hash",
@@ -133,6 +134,7 @@ __all__ = [
     "get_logger",
     "git_revision",
     "histogram",
+    "phase_table",
     "provenance",
     "read_journal",
     "reset_telemetry",

@@ -100,16 +100,16 @@ class RunManifest:
     def collect(cls, command, target=None, seed=None, config=None,
                 wall_seconds=0.0, headline=None, lint=None, profile=None,
                 certificate=None):
-        """Build a manifest from the global tracer/registry state."""
+        """Build a manifest from the global span/registry state."""
         from repro.obs.metrics import REGISTRY
-        from repro.obs.timing import TRACER
+        from repro.obs.trace import phase_table
         from repro.uarch.sweep import sweep_stats_snapshot
         sweep = sweep_stats_snapshot()
         return cls(command=command, target=target, seed=seed,
                    config_hash=config_hash(config) if config is not None
                    else None,
                    wall_seconds=wall_seconds, headline=dict(headline or {}),
-                   phases=TRACER.flat(), metrics=REGISTRY.snapshot(),
+                   phases=phase_table(), metrics=REGISTRY.snapshot(),
                    lint=dict(lint) if lint else None,
                    sweep=sweep if sweep.get("grids") else None,
                    profile=dict(profile) if profile else None,

@@ -3,10 +3,10 @@
 A daemon thread periodically samples the main thread's stack through
 :func:`sys._current_frames` and records, for each sample, the innermost
 executing ``file:function`` **together with the enclosing span path**
-from :data:`repro.obs.timing.TRACER`.  That pairing is the point: a
-flat profile says "``_step`` is hot"; this one says "``_step`` is hot
-*inside* ``uarch.sweep/uarch.pipeline``", which makes sweep
-regressions attributable to a pipeline phase.
+from :func:`repro.obs.trace.current_path`.  That pairing is the point:
+a flat profile says "``_run_config`` is hot"; this one says it is hot
+*inside* ``cli.sweep/uarch.sweep``, which makes regressions
+attributable to a layer.
 
 Sampling is opt-in (the CLI's ``--profile``) and entirely absent
 otherwise — no thread is created, no signal handler installed, no
@@ -71,12 +71,12 @@ class SamplingProfiler:
         return self
 
     def _run(self):
-        from repro.obs.timing import TRACER
+        from repro.obs.trace import current_path
         while not self._stop.wait(self.interval_s):
             frame = sys._current_frames().get(self._target_ident)
             if frame is None:
                 continue
-            span_path = TRACER.current_path() or "<no span>"
+            span_path = current_path() or "<no span>"
             key = (span_path, _frame_label(frame))
             self._counts[key] = self._counts.get(key, 0) + 1
             self.samples += 1

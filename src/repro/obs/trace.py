@@ -1,12 +1,29 @@
-"""Hierarchical distributed tracing over the event journal.
+"""Span tracing: the one per-process span stack, journaled as a tree.
 
-:mod:`repro.obs.timing` aggregates spans by *path* for the manifest;
-this module gives each individual span entry an **identity** — a span id
-``"<pid>-<n>"``, a parent id, and free-form attributes — and records the
-open/close pair in the run journal (:mod:`repro.obs.journal`).  Fleet
-workers are forked, so they inherit the open-span stack and their first
-span attaches under the span that started them: a merged journal yields
-one tree from ``cli.<command>`` down to each worker's cells.
+Usage — spans nest, and nesting builds slash-separated name chains::
+
+    from repro.obs.trace import span
+
+    with span("core.synthesizer"):
+        with span("core.synthesizer.codegen", blocks=12):
+            ...
+
+Span names follow the benchmark's layers (``native``, ``sim``,
+``core.profiler``, ``core.synthesizer``, ``lint``, ``exec.store``,
+``uarch.cache``, ``uarch.sweep``, ``statsim``, ``uarch.power``,
+``fleet``, ``evaluation``): each is a layer or ``<layer>.<step>``; the
+CLI's root span is ``cli.<command>``.
+
+Each span close does two things.  It folds the span's wall and CPU
+time into one in-process table keyed by name chain
+(:func:`phase_table`, the manifest's ``phases`` block), and, when a run
+journal is active (:mod:`repro.obs.journal`), it records the span with
+its identity — ``"<pid>-<n>"``, a parent id, and free-form attributes —
+as a ``span_open``/``span_close`` pair.  Fleet workers are forked, so
+they inherit the open-span stack and their first span attaches under
+the span that started them: a merged journal yields one tree from
+``cli.<command>`` down to each worker's blocks.  :func:`flame_summary`
+of that tree derives the same chains as the table.
 
 Reading side: :func:`build_span_tree` reconstructs the forest from
 merged events (tolerating unclosed spans from crashed runs), and the
@@ -14,19 +31,32 @@ exporters render it as a text timeline, a flame summary (self vs total
 time per path), a critical path, or Chrome trace-event JSON loadable in
 ``chrome://tracing`` / Perfetto.
 
-Writing is zero-cost without a journal: :func:`begin_span` returns
-``None`` after one check and :func:`end_span` ignores ``None``.
+Disabled tracing (:func:`set_tracing_enabled`) makes :func:`span` a
+no-op context manager; without a journal a span costs its timers and
+one table update.
 """
 
 import contextlib
 import json
 import os
+import time
 
 from repro.obs.journal import active_journal
 
+_ENABLED = True
 _SEQ = 0
 _SEQ_PID = None
-_STACK = []  # open span ids, this process
+_STACK = []   # open spans of this process: (span id or None, name chain)
+_PHASES = {}  # name chain -> [count, wall_s, cpu_s]
+
+
+def set_tracing_enabled(enabled):
+    global _ENABLED
+    _ENABLED = bool(enabled)
+
+
+def tracing_enabled():
+    return _ENABLED
 
 
 def _next_id():
@@ -43,52 +73,72 @@ def _next_id():
 def current_span_id():
     """Innermost open span id of this process (or, in a forked worker,
     of the parent at fork time), else ``None``."""
-    return _STACK[-1] if _STACK else None
+    return _STACK[-1][0] if _STACK else None
 
 
-def begin_span(name, attrs=None):
-    """Open a span and journal it; returns an opaque handle for
-    :func:`end_span`, or ``None`` when no journal is active."""
-    journal = active_journal()
-    if journal is None:
-        return None
-    sid = _next_id()
-    parent = current_span_id()
-    _STACK.append(sid)
-    if attrs:
-        journal.emit("span_open", span=sid, parent=parent, name=name,
-                     attrs=attrs)
-    else:
-        journal.emit("span_open", span=sid, parent=parent, name=name)
-    return (sid, parent, name)
+def current_path():
+    """The innermost open span's name chain, or ``None``."""
+    return _STACK[-1][1] if _STACK else None
 
 
-def end_span(handle, wall_s, cpu_s=None):
-    """Close a span opened by :func:`begin_span` (``None`` is a no-op)."""
-    if handle is None:
+@contextlib.contextmanager
+def span(name, **attrs):
+    """Time a phase; nested spans extend the current name chain."""
+    if not _ENABLED:
+        yield
         return
-    sid, parent, name = handle
-    if _STACK and _STACK[-1] == sid:
-        _STACK.pop()
-    else:  # unbalanced close (exception paths); drop if present anywhere
-        with contextlib.suppress(ValueError):
-            _STACK.remove(sid)
+    parent, chain = _STACK[-1] if _STACK else (None, None)
+    path = f"{chain}/{name}" if chain else name
     journal = active_journal()
-    if journal is None:
-        return
-    fields = {"span": sid, "parent": parent, "name": name,
-              "wall_s": round(wall_s, 6)}
-    if cpu_s is not None:
-        fields["cpu_s"] = round(cpu_s, 6)
-    journal.emit("span_close", **fields)
+    sid = None
+    if journal is not None:
+        sid = _next_id()
+        if attrs:
+            journal.emit("span_open", span=sid, parent=parent, name=name,
+                         attrs=attrs)
+        else:
+            journal.emit("span_open", span=sid, parent=parent, name=name)
+    frame = (sid, path)
+    _STACK.append(frame)
+    wall0 = time.perf_counter()
+    cpu0 = time.process_time()
+    try:
+        yield
+    finally:
+        wall = time.perf_counter() - wall0
+        cpu = time.process_time() - cpu0
+        # Closed out of order (a generator, a reset): drop it wherever
+        # it is.
+        for index in range(len(_STACK) - 1, -1, -1):
+            if _STACK[index] is frame:
+                del _STACK[index]
+                break
+        entry = _PHASES.get(path)
+        if entry is None:
+            _PHASES[path] = [1, wall, cpu]
+        else:
+            entry[0] += 1
+            entry[1] += wall
+            entry[2] += cpu
+        journal = active_journal() if sid is not None else None
+        if journal is not None:
+            journal.emit("span_close", span=sid, parent=parent, name=name,
+                         wall_s=round(wall, 6), cpu_s=round(cpu, 6))
+
+
+def phase_table():
+    """``{name chain: {"count", "wall_s", "cpu_s"}}``, chains sorted."""
+    return {path: {"count": entry[0], "wall_s": entry[1],
+                   "cpu_s": entry[2]}
+            for path, entry in sorted(_PHASES.items())}
 
 
 def reset_trace_state():
-    """Testing hook: drop the open-span stack and id counter."""
-    global _SEQ, _SEQ_PID
-    _SEQ = 0
-    _SEQ_PID = None
+    """Drop the open-span stack and the phase table (start of a fresh
+    run).  Span ids keep counting, so runs that append to one journal
+    never reuse one."""
     _STACK.clear()
+    _PHASES.clear()
 
 
 # ----------------------------------------------------------------------

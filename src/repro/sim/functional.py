@@ -478,9 +478,6 @@ class FunctionalSimulator:
             throughput = executed / elapsed / 1e6 if elapsed > 0 else 0.0
             REGISTRY.counter("sim.instructions").inc(executed)
             REGISTRY.counter("sim.runs").inc()
-            # A counter (not a gauge) so per-process journal deltas and
-            # fleet worker summaries can attribute acquisition time.
-            REGISTRY.counter("sim.acquire_seconds").inc(elapsed)
             REGISTRY.gauge("sim.mips").set(throughput)
             REGISTRY.gauge(f"sim.mips.{backend}").set(throughput)
             _LOG.debug("sim.run", program=self.program.name,
@@ -510,7 +507,7 @@ def run_program(program, max_instructions=50_000_000, trace=True,
     execution engine (``auto``/``native``/``interp``); see
     :class:`FunctionalSimulator`.
     """
-    from repro.obs.timing import span
+    from repro.obs.trace import span
     simulator = FunctionalSimulator(program, backend=backend)
     with span("sim.run"):
         result = simulator.run(max_instructions=max_instructions, trace=trace)

@@ -26,6 +26,7 @@ from repro.core.sfg import StatisticalFlowGraph
 from repro.core.synthesizer import _CLASS_LABELS, _interleave, _sample_bucket
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
+from repro.obs.trace import span
 from repro.sim.trace import DynamicTrace
 
 #: Opcodes used to reconstruct instructions per class.
@@ -216,8 +217,9 @@ class StatisticalSimulator:
     def estimate(self, config, n_instructions=60_000):
         """IPC (and the full PipelineResult) for one configuration."""
         from repro.uarch.pipeline import simulate_pipeline
-        trace = self.synthesize_trace(n_instructions)
-        return simulate_pipeline(trace, config)
+        with span("statsim.estimate", instructions=n_instructions):
+            trace = self.synthesize_trace(n_instructions)
+            return simulate_pipeline(trace, config)
 
 
 def synthesize_trace(profile, n_instructions=100_000, seed=42):

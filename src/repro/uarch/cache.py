@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.trace import span
 from repro.uarch import native
 
 
@@ -219,29 +220,30 @@ def simulate_cache_sweep(addresses, configs):
     configs = list(configs)
     address_array = np.asarray(addresses, dtype=np.int64)
     n = len(address_array)
-    if n == 0:
-        return [CacheStats() for _ in configs]
-    if native.available():
-        return [CacheStats(n, *native.lru_replay(
-                    address_array, config.line_shift, config))
-                for config in configs]
-    block_lists_by_shift = {}
-    results = []
-    for config in configs:
-        block_list = block_lists_by_shift.get(config.line_shift)
-        if block_list is None:
-            # A block equal to its predecessor is MRU in its set and
-            # hits under *any* geometry, so the replay only needs the
-            # consecutive-deduplicated stream (converted once).
-            blocks = address_array >> config.line_shift
-            keep = np.ones(n, dtype=bool)
-            keep[1:] = blocks[1:] != blocks[:-1]
-            block_list = block_lists_by_shift[config.line_shift] = \
-                blocks[keep].tolist()
-        stats = _replay_blocks(block_list, config)
-        stats.accesses = n
-        results.append(stats)
-    return results
+    with span("uarch.cache", configs=len(configs), accesses=n):
+        if n == 0:
+            return [CacheStats() for _ in configs]
+        if native.available():
+            return [CacheStats(n, *native.lru_replay(
+                        address_array, config.line_shift, config))
+                    for config in configs]
+        block_lists_by_shift = {}
+        results = []
+        for config in configs:
+            block_list = block_lists_by_shift.get(config.line_shift)
+            if block_list is None:
+                # A block equal to its predecessor is MRU in its set and
+                # hits under *any* geometry, so the replay only needs the
+                # consecutive-deduplicated stream (converted once).
+                blocks = address_array >> config.line_shift
+                keep = np.ones(n, dtype=bool)
+                keep[1:] = blocks[1:] != blocks[:-1]
+                block_list = block_lists_by_shift[config.line_shift] = \
+                    blocks[keep].tolist()
+            stats = _replay_blocks(block_list, config)
+            stats.accesses = n
+            results.append(stats)
+        return results
 
 
 # ----------------------------------------------------------------------

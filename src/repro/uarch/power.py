@@ -11,6 +11,7 @@ results are used relatively, and so are ours.
 from dataclasses import dataclass
 
 from repro.isa.instructions import IClass
+from repro.obs.trace import span
 
 #: Fraction of a structure's active energy consumed when idle
 #: (conditional clocking with leakage, as in Wattch cc3).
@@ -160,7 +161,8 @@ def shared_power_model(config):
     key = power_key(config)
     model = _SHARED_MODELS.get(key)
     if model is None:
-        model = _SHARED_MODELS[key] = PowerModel(config)
+        with span("uarch.power.build"):
+            model = _SHARED_MODELS[key] = PowerModel(config)
         _note_power("power_models_built")
     else:
         _note_power("power_models_reused")

@@ -43,10 +43,9 @@ import numpy as np
 from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
 from repro.sim.trace import write_npz
-from repro.obs.journal import emit_event
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
-from repro.obs.timing import span
+from repro.obs.trace import span
 from repro.uarch import native
 from repro.uarch.branch_predictors import (make_predictor,
                                            predictor_outcome_bank)
@@ -640,20 +639,10 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
             time_config = _native_timer(trace, configs, total, store)
         else:
             time_config = _spec_timer(trace, max_instructions)
-        results = []
-        for index, config in enumerate(configs):
-            # Per-config scheduling keeps run()'s span name, so grid
-            # manifests still break out pipeline-timing wall time
-            # (as ``uarch.sweep/uarch.pipeline``).
-            with span("uarch.pipeline", config=config.name):
-                result = time_config(config)
-            _note_seconds("config_seconds", result.wall_seconds)
-            if REGISTRY.enabled:
-                REGISTRY.counter("uarch.time_seconds").inc(
-                    result.wall_seconds)
-            results.append(result)
-            emit_event("progress", done=index + 1, total=len(configs),
-                       unit="configs", label=config.name)
+        # Nothing is journaled per config: the call is one span.
+        results = [time_config(config) for config in configs]
+    _note_seconds("config_seconds",
+                  sum(result.wall_seconds for result in results))
     hierarchies = len({_hierarchy_key(config) for config in configs})
     predictors = len({_predictor_key(config) for config in configs})
     _note("grids")

@@ -142,11 +142,11 @@ class TestObservability:
         assert main(["report", str(run_dir)]) == EXIT_LOAD_FAILED
 
     def test_quiet_disables_telemetry(self, capsys):
-        from repro.obs import TRACER, telemetry_enabled
+        from repro.obs import phase_table, telemetry_enabled
         assert main(["estimate", "bitcount", "--instructions", "20000",
                      "--quiet"]) == 0
         assert not telemetry_enabled()
-        assert TRACER.flat() == {}
+        assert phase_table() == {}
         # Re-enable for the rest of the test session.
         from repro.obs import set_telemetry_enabled
         set_telemetry_enabled(True)

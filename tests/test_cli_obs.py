@@ -1,15 +1,20 @@
 """CLI observability: journaled runs, trace/tail views, degradation."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
 
+from perfbench.spans import LAYERS
 from repro.cli import EXIT_BAD_TARGET, EXIT_LOAD_FAILED, main
+from repro.fleet.recipe import load_recipe
+from repro.fleet.scheduler import recipe_blocks
 from repro.obs.journal import (JOURNAL_DIR_ENV, configure_journal,
                                read_journal)
-from repro.obs.trace import (build_span_tree, reset_trace_state,
-                             span_coverage)
+from repro.obs.trace import (build_span_tree, flame_summary,
+                             reset_trace_state, span, span_coverage)
 
 
 @pytest.fixture(autouse=True)
@@ -52,6 +57,68 @@ def journaled_fleet_run(tmp_path_factory):
     configure_journal(None)
     reset_trace_state()
     return run_dir
+
+
+@pytest.fixture(scope="module")
+def journaled_json_run(tmp_path_factory):
+    """``compare --run-dir D --json``: the manifest beside its journal."""
+    run_dir = tmp_path_factory.mktemp("obs-json") / "run"
+    capture = io.StringIO()
+    with contextlib.redirect_stdout(capture):
+        code = main(["compare", "crc32", "--instructions", "20000",
+                     "--run-dir", str(run_dir), "--json"])
+    assert code == 0
+    configure_journal(None)
+    reset_trace_state()
+    return run_dir, json.loads(capture.getvalue())["manifest"]
+
+
+def _opened_names(run_dir):
+    return {event["name"] for event in read_journal(str(run_dir)).events
+            if event["kind"] == "span_open"}
+
+
+def _is_layer_name(name):
+    return any(name == layer or name.startswith(layer + ".")
+               for layer in LAYERS)
+
+
+class TestLayerNamedSpans:
+    def test_manifest_phases_are_the_journal_flame_rows(
+            self, journaled_json_run):
+        run_dir, manifest = journaled_json_run
+        rows = flame_summary(build_span_tree(
+            read_journal(str(run_dir)).events))
+        assert {row["path"]: row["count"] for row in rows} == {
+            path: entry["count"]
+            for path, entry in manifest["phases"].items()}
+        assert "cli.compare" in manifest["phases"]
+
+    def test_every_span_is_cli_root_or_a_perfbench_layer(
+            self, journaled_json_run, journaled_fleet_run):
+        for run_dir, command in ((journaled_json_run[0], "compare"),
+                                 (journaled_fleet_run, "fleet")):
+            names = _opened_names(run_dir)
+            assert f"cli.{command}" in names
+            strays = {name for name in names - {f"cli.{command}"}
+                      if not _is_layer_name(name)}
+            assert strays == set()
+
+    def test_fleet_journals_per_block_never_per_config(
+            self, journaled_fleet_run):
+        recipe = load_recipe(str(journaled_fleet_run.parent
+                                 / "recipe.json"))
+        blocks = recipe_blocks(recipe, recipe.expand())
+        events = read_journal(str(journaled_fleet_run)).events
+        block_spans = [event["attrs"]["block"] for event in events
+                       if event["kind"] == "span_open"
+                       and event["name"] == "fleet.block"]
+        assert sorted(block_spans) == sorted(
+            block.block_id for block in blocks)
+        assert "uarch.pipeline" not in _opened_names(journaled_fleet_run)
+        assert not [event for event in events
+                    if event["kind"] == "progress"
+                    and event.get("unit") == "configs"]
 
 
 class TestJournaledRun:
@@ -209,9 +276,9 @@ class TestTailCommand:
         run_dir = str(tmp_path / "live")
         configure_journal(run_dir)
         from repro.obs.journal import emit_event
-        from repro.obs.trace import begin_span
         emit_event("run_begin", command="compare", target="crc32")
-        begin_span("cli.compare")
+        live = span("cli.compare")
+        live.__enter__()  # never exited: the run is still in flight
         emit_event("progress", done=3, total=9, unit="configs",
                    label="base")
         configure_journal(None)

@@ -13,6 +13,7 @@ from repro.isa import assemble
 from repro.lint import (
     CERTIFICATE_SCHEMA_VERSION,
     analyze_program,
+    check_memory_bounds,
     check_safety,
     lint_program,
     safety_certificate,
@@ -148,6 +149,32 @@ main:
 # Footprint interval (SR113/SR114)
 # ----------------------------------------------------------------------
 class TestFootprint:
+    def test_irreducible_cycle_keeps_footprint_and_sr106(self):
+        # The a/b cycle has two entries (fall-through into a, branch
+        # into b), so it is no natural loop: termination is declined,
+        # but the fixpoint still proves the load's constant address.
+        program = assemble("""
+    .text
+main:
+    li   r4, 3
+    beq  r4, r0, b
+a:
+    lw   r5, 16(r0)
+    addi r4, r4, -1
+b:
+    bne  r4, r0, a
+    halt
+""", name="irreducible")
+        result = analyze_program(program)
+        assert result.degraded == "irreducible cycle outside natural loops"
+        assert not result.terminates
+        assert result.mem_intervals == {2: (16, 20, 0)}
+        assert result.footprint == (16, 20)
+        codes = codes_of(check_safety(program))
+        assert "SR111" in codes and "SR112" not in codes
+        assert "SR113" in codes and "SR114" not in codes
+        assert codes_of(check_memory_bounds(program)) == ["SR106"]
+
     def test_footprint_contains_every_observed_address(self):
         program = assemble("""
     .data

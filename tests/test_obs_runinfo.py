@@ -40,7 +40,7 @@ class TestManifestRoundTrip:
             command="compare", target="crc32", seed=7,
             config_hash=config_hash(BASE_CONFIG), wall_seconds=1.25,
             headline={"ipc_real": 0.9},
-            phases={"profile": {"count": 1, "wall_s": 0.1, "cpu_s": 0.1}},
+            phases={"core.profiler": {"count": 1, "wall_s": 0.1, "cpu_s": 0.1}},
             metrics={"sim.mips": {"type": "gauge", "value": 3.0}})
 
     def test_save_load_round_trip(self, tmp_path):
@@ -65,10 +65,10 @@ class TestManifestRoundTrip:
             RunManifest.load(tmp_path)
 
     def test_collect_pulls_global_telemetry(self):
-        from repro.obs import REGISTRY, TRACER, reset_telemetry
+        from repro.obs import REGISTRY, reset_telemetry, span
         reset_telemetry()
         REGISTRY.counter("t.count").inc(2)
-        with TRACER.span("t.phase"):
+        with span("t.phase"):
             pass
         manifest = RunManifest.collect("test", target="x", seed=1,
                                        config=BASE_CONFIG)

@@ -4,8 +4,7 @@ import time
 
 from repro.obs.journal import configure_journal
 from repro.obs.selfprof import SamplingProfiler, format_profile
-from repro.obs.timing import TRACER
-from repro.obs.trace import reset_trace_state
+from repro.obs.trace import reset_trace_state, span
 
 
 def _busy(seconds):
@@ -22,7 +21,7 @@ class TestSamplingProfiler:
         profiler = SamplingProfiler(interval_s=0.001)
         profiler.start()
         try:
-            with TRACER.span("hot"):
+            with span("hot"):
                 _busy(0.2)
         finally:
             profiler.stop()

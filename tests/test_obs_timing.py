@@ -1,67 +1,76 @@
-"""Nested span timing: paths, aggregation, disabled mode."""
+"""Span timing: name chains, aggregation into the phase table, disabled
+mode and reset."""
 
 import time
 
 import pytest
 
-from repro.obs.timing import Tracer
+from repro.obs.trace import (
+    current_path,
+    phase_table,
+    reset_trace_state,
+    set_tracing_enabled,
+    span,
+)
+
+
+@pytest.fixture(autouse=True)
+def _clean_trace_state():
+    reset_trace_state()
+    yield
+    set_tracing_enabled(True)
+    reset_trace_state()
 
 
 class TestSpans:
     def test_nested_spans_build_slash_paths(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            assert tracer.current_path() == "outer"
-            with tracer.span("inner"):
-                assert tracer.current_path() == "outer/inner"
-        flat = tracer.flat()
-        assert set(flat) == {"outer", "outer/inner"}
-        assert flat["outer"]["count"] == 1
+        with span("outer"):
+            assert current_path() == "outer"
+            with span("inner"):
+                assert current_path() == "outer/inner"
+        table = phase_table()
+        assert set(table) == {"outer", "outer/inner"}
+        assert table["outer"]["count"] == 1
 
     def test_repeated_spans_aggregate(self):
-        tracer = Tracer()
         for _ in range(3):
-            with tracer.span("phase"):
+            with span("phase"):
                 pass
-        flat = tracer.flat()
-        assert flat["phase"]["count"] == 3
-        assert flat["phase"]["wall_s"] >= 0.0
+        table = phase_table()
+        assert table["phase"]["count"] == 3
+        assert table["phase"]["wall_s"] >= 0.0
 
     def test_wall_time_measures_sleep(self):
-        tracer = Tracer()
-        with tracer.span("nap"):
+        with span("nap"):
             time.sleep(0.02)
-        entry = tracer.flat()["nap"]
+        entry = phase_table()["nap"]
         assert entry["wall_s"] >= 0.015
         # Sleeping burns wall time, not CPU time.
         assert entry["cpu_s"] < entry["wall_s"]
 
     def test_exception_still_records_span(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError), tracer.span("boom"):
+        with pytest.raises(RuntimeError), span("boom"):
             raise RuntimeError("x")
-        assert tracer.flat()["boom"]["count"] == 1
-        assert tracer.current_path() is None
+        assert phase_table()["boom"]["count"] == 1
+        assert current_path() is None
 
     def test_sibling_spans_do_not_nest(self):
-        tracer = Tracer()
-        with tracer.span("a"):
+        with span("a"):
             pass
-        with tracer.span("b"):
+        with span("b"):
             pass
-        assert set(tracer.flat()) == {"a", "b"}
+        assert set(phase_table()) == {"a", "b"}
 
 
-class TestDisabledTracer:
+class TestDisabledTracing:
     def test_disabled_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("outer"), tracer.span("inner"):
-            pass
-        assert tracer.flat() == {}
+        set_tracing_enabled(False)
+        with span("outer"), span("inner"):
+            assert current_path() is None
+        assert phase_table() == {}
 
     def test_reset_clears_spans(self):
-        tracer = Tracer()
-        with tracer.span("x"):
+        with span("x"):
             pass
-        tracer.reset()
-        assert tracer.flat() == {}
+        reset_trace_state()
+        assert phase_table() == {}

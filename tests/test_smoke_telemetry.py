@@ -14,7 +14,7 @@ from repro.obs import validate_manifest
 
 def test_compare_json_manifest_validates(capsys, monkeypatch):
     # Force a cold pipeline: a warm artifact-cache hit would (correctly)
-    # skip the profile/synthesize/sim phases this test asserts on.
+    # skip the profiler/synthesizer/sim spans this test asserts on.
     monkeypatch.setenv("REPRO_CACHE", "off")
     assert main(["compare", "crc32", "--instructions", "20000",
                  "--json"]) == 0
@@ -27,9 +27,11 @@ def test_compare_json_manifest_validates(capsys, monkeypatch):
     # times, and simulation throughput.
     assert manifest["seed"] == 42
     assert isinstance(manifest["config_hash"], str) and manifest["config_hash"]
-    for phase in ("profile/sfg_build", "profile/stride_mining",
-                  "synthesize/codegen", "sim.run", "uarch.sweep",
-                  "uarch.sweep/uarch.pipeline"):
+    for phase in ("cli.compare",
+                  "cli.compare/core.profiler/core.profiler.sfg_build",
+                  "cli.compare/core.profiler/core.profiler.stride_mining",
+                  "cli.compare/core.synthesizer/core.synthesizer.codegen",
+                  "cli.compare/sim.run", "cli.compare/uarch.sweep"):
         assert manifest["phases"][phase]["wall_s"] >= 0.0
     assert manifest["metrics"]["sim.mips"]["value"] > 0.0
     assert manifest["metrics"]["pipeline.sim_mips"]["value"] > 0.0
