@@ -124,56 +124,78 @@ def _sweep_rows(names, store):
 
 
 #: Kernels used for the journaling-overhead measurement: a small and a
-#: large trace, best-of-two per mode, so the ratio is stable without
-#: doubling the whole bench.
+#: large trace.
 OVERHEAD_NAMES = ["crc32", "fft"]
 
+#: Cold sweeps of every overhead kernel in one timed sample: one sweep
+#: lasts tens of milliseconds, too short for a 3% bound to resolve.
+SWEEPS_PER_SAMPLE = 10
 
-def _overhead_sweep_once(trace, journal_dir):
-    """One cold sweep in a throwaway store; journaled iff ``journal_dir``."""
+
+def _overhead_sweep_once(trace):
+    """Seconds of one cold sweep in a throwaway store."""
     staging = tempfile.mkdtemp(prefix="bench-uarch-ovh-")
     try:
         store = ArtifactStore(root=staging, enabled=True)
         _forget(trace)
-        if journal_dir is not None:
-            configure_journal(journal_dir, fresh=True)
         start = time.perf_counter()
         simulate_pipeline_sweep(trace, GRID,
                                 max_instructions=PIPELINE_CAP, store=store)
         return time.perf_counter() - start
     finally:
-        if journal_dir is not None:
-            configure_journal(None)
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _journal_overhead(names, reps=5):
-    """Cold-sweep wall ratio with journaling on vs off (geomean).
+def _timed_sweep(trace, journaled):
+    """One cold sweep into the open journal, or under
+    :func:`suspend_journal`, which keeps it journal-free even when the
+    bench itself is journaled (CI sets ``REPRO_BENCH_JOURNAL_DIR``)."""
+    if journaled:
+        return _overhead_sweep_once(trace)
+    with suspend_journal():
+        return _overhead_sweep_once(trace)
+
+
+def _overhead_pair(traces, on_first):
+    """On/off wall ratio of one pair: ``SWEEPS_PER_SAMPLE`` cold sweeps
+    of every trace per mode, the modes interleaved sweep by sweep with
+    the leading mode alternating, so a change in host speed hits both
+    alike."""
+    on = off = 0.0
+    for _ in range(SWEEPS_PER_SAMPLE):
+        for trace in traces:
+            if on_first:
+                on += _timed_sweep(trace, True)
+                off += _timed_sweep(trace, False)
+            else:
+                off += _timed_sweep(trace, False)
+                on += _timed_sweep(trace, True)
+            on_first = not on_first
+    return on / off
+
+
+def _journal_overhead(names, pairs=9):
+    """Cold-sweep wall ratio with journaling on vs off: the median of
+    per-pair on/off ratios, pairs alternating which mode leads.
 
     The acceptance bar for span/journal instrumentation is ≤3% on this
     path; the measured ratio is committed with the results so a
-    regression is visible in review, not just on a CI host.  Best-of-N
-    per mode, with the "off" leg under :func:`suspend_journal` so the
-    baseline is journal-free even when the bench itself is journaled
-    (CI sets ``REPRO_BENCH_JOURNAL_DIR``).
+    regression is visible in review, not just on a CI host.  The
+    journal stays open across the measurement, as it does for a run.
     """
-    ratios = []
+    traces = [FunctionalSimulator(build_workload(name)).run(
+        max_instructions=FUNCTIONAL_CAP, trace=True) for name in names]
     journal_dir = tempfile.mkdtemp(prefix="bench-journal-overhead-")
+    configure_journal(journal_dir, fresh=True)
     try:
-        for name in names:
-            trace = FunctionalSimulator(build_workload(name)).run(
-                max_instructions=FUNCTIONAL_CAP, trace=True)
-            off = on = None
-            for _ in range(reps):  # interleaved: host drift hits both
-                with suspend_journal():
-                    elapsed = _overhead_sweep_once(trace, None)
-                off = elapsed if off is None else min(off, elapsed)
-                elapsed = _overhead_sweep_once(trace, journal_dir)
-                on = elapsed if on is None else min(on, elapsed)
-            ratios.append(on / off)
+        for trace in traces:  # warm-up, untimed
+            _timed_sweep(trace, True)
+        ratios = [_overhead_pair(traces, pair % 2 == 1)
+                  for pair in range(pairs)]
     finally:
+        configure_journal(None)
         shutil.rmtree(journal_dir, ignore_errors=True)
-    return _geomean(ratios)
+    return float(np.median(ratios))
 
 
 def _measure(names, overhead=True):
@@ -249,12 +271,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.overhead_only:
         start = time.perf_counter()
-        ratio = _journal_overhead(OVERHEAD_NAMES, reps=7)
-        data = {"kernels": OVERHEAD_NAMES, "reps": 7,
+        pairs = 9
+        ratio = _journal_overhead(OVERHEAD_NAMES, pairs=pairs)
+        data = {"kernels": OVERHEAD_NAMES, "pairs": pairs,
+                "sweeps_per_sample": SWEEPS_PER_SAMPLE,
                 "cold_sweep_ratio": ratio}
         text = (f"journaling overhead, cold grid sweep "
-                f"({len(GRID)} configs x {PIPELINE_CAP} instructions, "
-                f"best-of-7 per mode over {', '.join(OVERHEAD_NAMES)}):\n"
+                f"({len(GRID)} configs x {PIPELINE_CAP} instructions; "
+                f"median of {pairs} alternating on/off pairs, each "
+                f"sample {SWEEPS_PER_SAMPLE} cold sweeps of "
+                f"{', '.join(OVERHEAD_NAMES)}):\n"
                 f"  on/off wall ratio: {ratio:.3f} "
                 f"({(ratio - 1.0) * 100.0:+.1f}%)")
         emit("journal_overhead", text, data=data,

@@ -35,7 +35,8 @@ zero cost when disabled).
 Global flags (valid before or after the subcommand): ``--verbose`` /
 ``--quiet`` control the structured log level (also settable via the
 ``REPRO_LOG_LEVEL`` environment variable; ``--quiet`` additionally
-disables telemetry entirely), ``--json`` switches the command's output
+records no spans, phase table or journal, while counters and results
+are the same as without it), ``--json`` switches the command's output
 to a single JSON object including the run manifest, and ``--run-dir``
 persists that manifest to disk for later ``repro report``.
 
@@ -99,7 +100,7 @@ from repro.obs import (
     get_logger,
     read_journal,
     reset_telemetry,
-    set_telemetry_enabled,
+    set_tracing_enabled,
     span,
     timeline_text,
 )
@@ -111,7 +112,6 @@ from repro.uarch import (
     simulate_cache_sweep,
     simulate_pipeline_sweep,
 )
-from repro.uarch.sweep import reset_sweep_stats
 from repro.workloads import all_workloads, build_workload, get_workload, workload_names
 
 _LOG = get_logger("repro.cli")
@@ -616,10 +616,7 @@ def cmd_report(args, ctx):
     if data.get("metrics"):
         rows = []
         for name, entry in sorted(data["metrics"].items()):
-            value = (f"n={entry['count']} mean={entry['mean']:.2f} "
-                     f"max={entry['max']}"
-                     if entry.get("type") == "histogram"
-                     else entry.get("value"))
+            value = entry.get("value")
             if isinstance(value, float):
                 value = f"{value:.4f}"  # seconds counters, rate gauges
             rows.append([name, entry.get("type"), value])
@@ -873,7 +870,8 @@ def _add_global_flags(parser, suppress):
                         help="debug-level structured logs")
     parser.add_argument("-q", "--quiet", action="store_true",
                         default=default,
-                        help="warnings only; disables telemetry entirely")
+                        help="warnings only; no spans or journal "
+                             "(counters still count)")
     parser.add_argument("--json", action="store_true", default=default,
                         help="emit one JSON object (incl. run manifest)")
     parser.add_argument("--run-dir",
@@ -1076,18 +1074,16 @@ def _dispatch(args, ctx):
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if getattr(args, "sim_backend", None):
-        # Exported (not just stored) so exec's worker processes and any
+        # Exported (not just stored) so forked fleet workers and any
         # library code resolving the backend see the same selection.
         os.environ["REPRO_SIM_BACKEND"] = args.sim_backend
     if args.quiet:
         configure_logging(level=WARNING)
-        set_telemetry_enabled(False)
-    else:
-        if args.verbose:
-            configure_logging(level=DEBUG)
-        set_telemetry_enabled(True)
+    elif args.verbose:
+        configure_logging(level=DEBUG)
+    # Counters always count; --quiet only stops spans and the journal.
+    set_tracing_enabled(not args.quiet)
     reset_telemetry()
-    reset_sweep_stats()
     default_store().reset_counters()
 
     # Runs that persist a run dir (or a fleet dir) also record an event

@@ -47,7 +47,8 @@ from repro.fleet.worker import (
     parse_chaos,
     worker_entry,
 )
-from repro.obs.journal import active_journal, configure_journal, emit_event
+from repro.obs.journal import (active_journal, configure_journal, emit_event,
+                               emit_metric_deltas)
 from repro.obs.logging import get_logger
 
 _LOG = get_logger("repro.fleet.run")
@@ -202,6 +203,9 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         # lease; siblings usually reclaim it live, but if *they* exited
         # first the run ends incomplete — exactly what resume is for.
         queue.reclaim(worker="orchestrator")
+        # The orchestrator's own counts (its reclaims): forked workers
+        # journal only their own increments.
+        emit_metric_deltas()
         completed = len(queue.completed_ids())
         complete = completed >= len(cells)
         if complete:

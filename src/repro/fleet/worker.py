@@ -103,10 +103,10 @@ def parse_chaos(spec):
 def cell_metrics(result, power):
     """The canonical (deterministic) metric dict for one cell.
 
-    Only simulation-defined numbers belong here: telemetry-gated
-    counters (rob/lsq/fetch-queue stalls, redirect cycles) and wall
-    times vary run to run and would break the byte-identical matrix
-    contract, so they are deliberately excluded.
+    Only simulation-defined numbers belong here.  Wall times vary run
+    to run and would break the byte-identical matrix contract; the
+    rob/lsq/fetch-queue stall and redirect counters are left out only
+    to keep the matrix layout unchanged.
     """
     return {
         "instructions": result.instructions,
@@ -288,6 +288,9 @@ class FleetWorker:
                          block=block.block_id, executed=self.executed)
             emit_event("fleet", event="chaos_kill", block=block.block_id,
                        worker=self.worker_id)
+            # The drill journals its counters first, as it does the
+            # event: a real SIGKILL loses those since the last block.
+            emit_metric_deltas()
             os.kill(os.getpid(), signal.SIGKILL)
 
     def _pending(self, block):

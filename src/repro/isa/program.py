@@ -114,7 +114,7 @@ class Program:
         self._block_of = block_of
 
     def static_mix(self):
-        """Histogram of static instruction counts per instruction class."""
+        """Static instruction counts per instruction class."""
         counts = [0] * IClass.COUNT
         for instr in self.instructions:
             counts[instr.iclass] += 1

@@ -5,8 +5,8 @@ original across dozens of machine configurations — so every run must be
 inspectable and reproducible.  This package provides the four pieces the
 rest of the stack instruments itself with:
 
-* :mod:`repro.obs.metrics` — process-wide counters, gauges, and
-  histograms with a zero-cost disabled mode;
+* :mod:`repro.obs.metrics` — process-wide counters and gauges, always
+  on;
 * :mod:`repro.obs.logging` — a structured, level-controlled logger
   (``REPRO_LOG_LEVEL``) replacing bare prints;
 * :mod:`repro.obs.runinfo` — run manifests: seed, config hash, git rev,
@@ -20,9 +20,10 @@ rest of the stack instruments itself with:
 * :mod:`repro.obs.selfprof` — opt-in sampling profiler attributing hot
   code to the enclosing span.
 
-Telemetry is ON by default (its cost is per-phase, not per-instruction);
-``set_telemetry_enabled(False)`` — or the CLI's ``--quiet`` — turns the
-whole subsystem into no-ops.
+Counters always count (their cost is per-phase, not per-instruction),
+so no result or tally depends on a logging flag.  Spans are on by
+default; ``set_tracing_enabled(False)`` — the CLI's ``--quiet`` — turns
+them into no-ops, and ``--quiet`` also opens no journal.
 """
 
 from repro.obs.journal import (
@@ -33,6 +34,7 @@ from repro.obs.journal import (
     emit_event,
     emit_metric_deltas,
     read_journal,
+    rebase_metric_deltas,
 )
 from repro.obs.logging import (
     DEBUG,
@@ -46,11 +48,9 @@ from repro.obs.metrics import (
     REGISTRY,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     counter,
     gauge,
-    histogram,
 )
 from repro.obs.runinfo import (
     MANIFEST_FILENAME,
@@ -80,22 +80,10 @@ from repro.obs.trace import (
 )
 
 
-def set_telemetry_enabled(enabled):
-    """Toggle metrics and tracing globally (logging has its own level)."""
-    if enabled:
-        REGISTRY.enable()
-    else:
-        REGISTRY.disable()
-    set_tracing_enabled(enabled)
-
-
-def telemetry_enabled():
-    return REGISTRY.enabled or tracing_enabled()
-
-
 def reset_telemetry():
     """Clear accumulated metrics and spans (start of a fresh run)."""
     REGISTRY.reset()
+    rebase_metric_deltas()
     reset_trace_state()
 
 
@@ -109,7 +97,6 @@ __all__ = [
     "WARNING",
     "Counter",
     "Gauge",
-    "Histogram",
     "Journal",
     "MergedJournal",
     "MetricsRegistry",
@@ -133,15 +120,14 @@ __all__ = [
     "gauge",
     "get_logger",
     "git_revision",
-    "histogram",
     "phase_table",
     "provenance",
     "read_journal",
     "reset_telemetry",
-    "set_telemetry_enabled",
+    "set_tracing_enabled",
     "span",
     "span_coverage",
-    "telemetry_enabled",
     "timeline_text",
+    "tracing_enabled",
     "validate_manifest",
 ]

@@ -31,6 +31,7 @@ import time
 from contextlib import contextmanager, suppress
 
 from repro.obs.logging import get_logger
+from repro.obs.metrics import REGISTRY
 
 _LOG = get_logger("repro.obs.journal")
 
@@ -122,7 +123,7 @@ def configure_journal(run_dir, fresh=False):
             os.environ[JOURNAL_DIR_ENV] = _PREVIOUS_ENV
         _PREVIOUS_ENV = None
     _ENV_MISSED = False
-    reset_metric_baseline()
+    rebase_metric_deltas()
     if run_dir is None:
         return None
     if fresh:
@@ -195,8 +196,26 @@ def emit_event(kind, **fields):
 _METRIC_BASELINE = {}
 
 
-def reset_metric_baseline():
+def _counters():
+    return {name: entry["value"]
+            for name, entry in REGISTRY.snapshot().items()
+            if entry["type"] == "counter"}
+
+
+def rebase_metric_deltas():
+    """Count deltas from now on: the baseline becomes every counter's
+    current value.
+
+    Runs when a journal is configured, when telemetry is reset, and in
+    every forked child: a child inherits its parent's counter values,
+    and the parent journals those itself, so each process journals
+    only its own increments.
+    """
     _METRIC_BASELINE.clear()
+    _METRIC_BASELINE.update(_counters())
+
+
+os.register_at_fork(after_in_child=rebase_metric_deltas)
 
 
 def emit_metric_deltas():
@@ -209,16 +228,12 @@ def emit_metric_deltas():
     journal = active_journal()
     if journal is None:
         return
-    from repro.obs.metrics import REGISTRY, Counter
     deltas = {}
-    for name in REGISTRY.names():
-        instrument = REGISTRY.get(name)
-        if not isinstance(instrument, Counter):
-            continue
-        delta = instrument.value - _METRIC_BASELINE.get(name, 0)
+    for name, value in _counters().items():
+        delta = value - _METRIC_BASELINE.get(name, 0)
         if delta:
             deltas[name] = delta
-            _METRIC_BASELINE[name] = instrument.value
+            _METRIC_BASELINE[name] = value
     if deltas:
         journal.emit("metrics", deltas=deltas)
 

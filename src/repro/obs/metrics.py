@@ -1,4 +1,4 @@
-"""Process-wide counters, gauges, and histograms.
+"""Process-wide counters and gauges.
 
 One :data:`REGISTRY` serves the whole process; instrumented code asks it
 for named instruments::
@@ -6,20 +6,13 @@ for named instruments::
     from repro.obs.metrics import REGISTRY
     REGISTRY.counter("sim.instructions").inc(executed)
     REGISTRY.gauge("sim.mips").set(throughput / 1e6)
-    REGISTRY.histogram("pipeline.block_size").observe(n)
 
-**Disabled mode is free**: a disabled registry hands out shared null
-instruments whose mutators do nothing, so call sites never branch on
-enablement — and hot loops can additionally hoist ``REGISTRY.enabled``
-into a local before entering.  ``snapshot()`` returns plain dicts ready
-for JSON (and for the run manifest).
+The registry is always on: no logging flag changes what it counts, so a
+count means the same thing in every run.  Instruments are bumped once
+per phase or per call, never per simulated instruction.
+``snapshot()`` returns plain dicts ready for JSON (and for the run
+manifest).
 """
-
-import bisect
-
-#: Default histogram bucket upper bounds (log-ish spacing); the final
-#: implicit bucket is overflow (> last bound).
-DEFAULT_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 
 class Counter:
@@ -37,9 +30,6 @@ class Counter:
     def snapshot(self):
         return {"type": "counter", "value": self.value}
 
-    def clear(self):
-        self.value = 0
-
 
 class Gauge:
     """Last-written value (throughput, occupancy, ratios...)."""
@@ -56,85 +46,6 @@ class Gauge:
     def snapshot(self):
         return {"type": "gauge", "value": self.value}
 
-    def clear(self):
-        self.value = 0.0
-
-
-class Histogram:
-    """Bucketed distribution with count/total/min/max.
-
-    ``bounds`` are inclusive upper bounds; observations larger than the
-    last bound land in a final overflow bucket, so ``bucket_counts`` has
-    ``len(bounds) + 1`` entries.
-    """
-
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "total",
-                 "min", "max")
-
-    def __init__(self, name, bounds=DEFAULT_BUCKETS):
-        if list(bounds) != sorted(bounds) or not bounds:
-            raise ValueError(f"histogram bounds must be sorted, non-empty: "
-                             f"{bounds!r}")
-        self.name = name
-        self.bounds = tuple(bounds)
-        self.clear()
-
-    def clear(self):
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.total = 0.0
-        self.min = None
-        self.max = None
-
-    def observe(self, value):
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self):
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self):
-        return {"type": "histogram", "count": self.count,
-                "total": self.total, "mean": self.mean,
-                "min": self.min, "max": self.max,
-                "bounds": list(self.bounds),
-                "bucket_counts": list(self.bucket_counts)}
-
-
-class _NullInstrument:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "<disabled>"
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def inc(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def clear(self):
-        pass
-
-    def snapshot(self):
-        return {"type": "null"}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
 
 class MetricsRegistry:
     """Named instruments with get-or-create semantics.
@@ -144,24 +55,11 @@ class MetricsRegistry:
     would silently fork the data).
     """
 
-    def __init__(self, enabled=True):
+    def __init__(self):
         self._instruments = {}
-        self._enabled = bool(enabled)
-
-    @property
-    def enabled(self):
-        return self._enabled
-
-    def enable(self):
-        self._enabled = True
-
-    def disable(self):
-        self._enabled = False
 
     # ------------------------------------------------------------------
     def _get(self, name, factory, kind):
-        if not self._enabled:
-            return NULL_INSTRUMENT
         instrument = self._instruments.get(name)
         if instrument is None:
             instrument = self._instruments[name] = factory()
@@ -177,16 +75,10 @@ class MetricsRegistry:
     def gauge(self, name):
         return self._get(name, lambda: Gauge(name), Gauge)
 
-    def histogram(self, name, bounds=DEFAULT_BUCKETS):
-        return self._get(name, lambda: Histogram(name, bounds), Histogram)
-
     # ------------------------------------------------------------------
     def get(self, name):
         """Look up an existing instrument (None if never registered)."""
         return self._instruments.get(name)
-
-    def names(self):
-        return sorted(self._instruments)
 
     def snapshot(self):
         """All instruments as a JSON-ready ``{name: {...}}`` dict."""
@@ -199,7 +91,7 @@ class MetricsRegistry:
 
 
 #: The process-wide registry every instrumented module uses.
-REGISTRY = MetricsRegistry(enabled=True)
+REGISTRY = MetricsRegistry()
 
 
 def counter(name):
@@ -208,7 +100,3 @@ def counter(name):
 
 def gauge(name):
     return REGISTRY.gauge(name)
-
-
-def histogram(name, bounds=DEFAULT_BUCKETS):
-    return REGISTRY.histogram(name, bounds)

@@ -288,8 +288,9 @@ def flame_text(roots, limit=12, width=68):
 
 
 def critical_path(roots):
-    """Longest chain of spans: at each level descend into the child that
-    finishes last.  Returns ``[(depth, SpanNode)]``."""
+    """Longest chain of spans: at each level descend into the child with
+    the largest ``wall_s`` (on a tie, the one that ends later).
+    Returns ``[(depth, SpanNode)]``."""
     if not roots:
         return []
     chain = []
@@ -299,8 +300,8 @@ def critical_path(roots):
         chain.append((depth, node))
         if not node.children:
             break
-        node = max(node.children,
-                   key=lambda child: child.end if child.end else child.start)
+        node = max(node.children, key=lambda child: (
+            child.wall_s, child.end if child.end else child.start))
         depth += 1
     return chain
 
@@ -309,7 +310,7 @@ def critical_path_text(roots):
     chain = critical_path(roots)
     if not chain:
         return "critical path: no spans recorded"
-    lines = ["critical path (longest finishing chain):"]
+    lines = ["critical path (longest child at each level):"]
     for depth, node in chain:
         marker = "" if node.complete else "  [open]"
         lines.append(f"  {'  ' * depth}{node.name}  "

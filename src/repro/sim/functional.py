@@ -192,11 +192,10 @@ class FunctionalSimulator:
 
         # Heartbeat progress shares the cap check: ``check_limit`` is the
         # nearer of the cap and the next heartbeat, so the loop keeps the
-        # seed's single integer compare per instruction and telemetry-off
-        # runs are exactly as fast as before.
+        # seed's single integer compare per instruction and runs nobody
+        # watches (no INFO log, no journal) are exactly as fast as before.
         wall_start = time.perf_counter()
-        if REGISTRY.enabled and (_LOG.is_enabled_for(INFO)
-                                 or active_journal() is not None):
+        if _LOG.is_enabled_for(INFO) or active_journal() is not None:
             next_heartbeat = HEARTBEAT_INTERVAL
         else:
             next_heartbeat = max_instructions + 1
@@ -473,16 +472,15 @@ class FunctionalSimulator:
         """Common run epilogue: final state plus backend-tagged telemetry."""
         self.instructions_executed = executed
         self.halted = True
-        if REGISTRY.enabled:
-            elapsed = time.perf_counter() - wall_start
-            throughput = executed / elapsed / 1e6 if elapsed > 0 else 0.0
-            REGISTRY.counter("sim.instructions").inc(executed)
-            REGISTRY.counter("sim.runs").inc()
-            REGISTRY.gauge("sim.mips").set(throughput)
-            REGISTRY.gauge(f"sim.mips.{backend}").set(throughput)
-            _LOG.debug("sim.run", program=self.program.name,
-                       instructions=executed, wall_s=elapsed,
-                       mips=throughput, backend=backend)
+        elapsed = time.perf_counter() - wall_start
+        throughput = executed / elapsed / 1e6 if elapsed > 0 else 0.0
+        REGISTRY.counter("sim.instructions").inc(executed)
+        REGISTRY.counter("sim.runs").inc()
+        REGISTRY.gauge("sim.mips").set(throughput)
+        REGISTRY.gauge(f"sim.mips.{backend}").set(throughput)
+        _LOG.debug("sim.run", program=self.program.name,
+                   instructions=executed, wall_s=elapsed,
+                   mips=throughput, backend=backend)
 
     def _cap_error(self, pc, executed, max_instructions):
         """Context-rich error for the instruction-cap (runaway) case."""

@@ -44,7 +44,6 @@ from repro.isa.instructions import OPCODES
 from repro.native import toolchain
 from repro.obs.journal import active_journal, emit_event
 from repro.obs.logging import INFO, get_logger
-from repro.obs.metrics import REGISTRY
 from repro.sim import functional as _functional
 from repro.sim.functional import _M32, _OP_IDS, SimulationError
 from repro.sim.trace import DynamicTrace
@@ -457,8 +456,7 @@ def _drive(simulator, max_instructions, sink, chunk_events=CHUNK_EVENTS):
     # is read through the module so test monkeypatching applies here).
     heartbeat_interval = _functional.HEARTBEAT_INTERVAL
     wall_start = time.perf_counter()
-    if REGISTRY.enabled and (_LOG.is_enabled_for(INFO)
-                             or active_journal() is not None):
+    if _LOG.is_enabled_for(INFO) or active_journal() is not None:
         next_heartbeat = heartbeat_interval
     else:
         next_heartbeat = max_instructions + 1

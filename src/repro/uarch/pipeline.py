@@ -49,10 +49,9 @@ class PipelineResult:
     l2_misses: int = 0
     branch_lookups: int = 0
     branch_mispredictions: int = 0
-    # Occupancy/stall telemetry: how often dispatch waited on a full
-    # ROB/LSQ, fetch waited on the decoupling queue, and how many cycles
-    # fetch sat redirected after mispredictions.  Collected only while
-    # the repro.obs metrics registry is enabled; zero otherwise.
+    # Occupancy stalls: how often dispatch waited on a full ROB/LSQ,
+    # fetch waited on the decoupling queue, and how many cycles fetch
+    # sat redirected after mispredictions.
     rob_stalls: int = 0
     lsq_stalls: int = 0
     fetch_queue_stalls: int = 0
@@ -191,9 +190,6 @@ class PipelineModel:
         lsq_stalls = 0
         fetch_queue_stalls = 0
         redirect_cycles = 0
-        # Hoisted so a disabled registry costs one local bool test per
-        # stall *event* (not per instruction) in the hot loop.
-        telemetry = REGISTRY.enabled
         wall_start = time.perf_counter()
         class_counts = [0] * IClass.COUNT
         width = config.width
@@ -208,8 +204,7 @@ class PipelineModel:
 
             # ----- fetch ------------------------------------------------
             if fetch_stall_until > fetch_cycle:
-                if telemetry:
-                    redirect_cycles += fetch_stall_until - fetch_cycle
+                redirect_cycles += fetch_stall_until - fetch_cycle
                 fetch_cycle = fetch_stall_until
                 fetch_used = 0
                 fetch_break = False
@@ -235,23 +230,20 @@ class PipelineModel:
                 fetch_time = fetchq_ring[queue_slot]
                 fetch_cycle = fetch_time
                 fetch_used = 1
-                if telemetry:
-                    fetch_queue_stalls += 1
+                fetch_queue_stalls += 1
 
             # ----- dispatch (ROB / LSQ allocation) ----------------------
             dispatch_earliest = fetch_time + DECODE_DEPTH
             rob_slot = i % config.rob_size
             if rob_ring[rob_slot] > dispatch_earliest:
                 dispatch_earliest = rob_ring[rob_slot]
-                if telemetry:
-                    rob_stalls += 1
+                rob_stalls += 1
             is_mem = iclass in (IClass.LOAD, IClass.STORE)
             if is_mem:
                 lsq_slot = mem_index % config.lsq_size
                 if lsq_ring[lsq_slot] > dispatch_earliest:
                     dispatch_earliest = lsq_ring[lsq_slot]
-                    if telemetry:
-                        lsq_stalls += 1
+                    lsq_stalls += 1
             dispatch_time = dispatch_port.allocate(dispatch_earliest)
             fetchq_ring[queue_slot] = dispatch_time
 
@@ -332,14 +324,13 @@ class PipelineModel:
             redirect_cycles=redirect_cycles,
             wall_seconds=wall,
         )
-        if REGISTRY.enabled:
-            REGISTRY.counter("pipeline.instructions").inc(total)
-            REGISTRY.counter("pipeline.runs").inc()
-            REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
-            _LOG.debug("pipeline.run", config=config.name,
-                       instructions=total, cycles=result.cycles,
-                       ipc=result.ipc, sim_mips=result.simulated_mips,
-                       rob_stalls=rob_stalls, lsq_stalls=lsq_stalls)
+        REGISTRY.counter("pipeline.instructions").inc(total)
+        REGISTRY.counter("pipeline.runs").inc()
+        REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
+        _LOG.debug("pipeline.run", config=config.name,
+                   instructions=total, cycles=result.cycles,
+                   ipc=result.ipc, sim_mips=result.simulated_mips,
+                   rob_stalls=rob_stalls, lsq_stalls=lsq_stalls)
         return result
 
 

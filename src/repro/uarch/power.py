@@ -11,6 +11,7 @@ results are used relatively, and so are ours.
 from dataclasses import dataclass
 
 from repro.isa.instructions import IClass
+from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
 
 #: Fraction of a structure's active energy consumed when idle
@@ -163,21 +164,15 @@ def shared_power_model(config):
     if model is None:
         with span("uarch.power.build"):
             model = _SHARED_MODELS[key] = PowerModel(config)
-        _note_power("power_models_built")
+        REGISTRY.counter("uarch.sweep.power_models_built").inc()
     else:
-        _note_power("power_models_reused")
+        REGISTRY.counter("uarch.sweep.power_models_reused").inc()
     return model
 
 
 def reset_shared_power_models():
     """Drop the shared-model cache (tests)."""
     _SHARED_MODELS.clear()
-
-
-def _note_power(key):
-    # Imported lazily: power is importable without the sweep engine.
-    from repro.uarch.sweep import _note
-    _note(key)
 
 
 def estimate_power(result, config=None):

@@ -28,9 +28,9 @@ each config with the spec, ``PipelineModel(config).run``, and counts it
 in the ``fallback_configs`` stat.
 
 Everything observable (PipelineResult fields, cache stats, predictor
-stats, the telemetry-gated stall counters) matches ``PipelineModel.run``
-bit for bit; ``tests/test_uarch_sweep.py`` asserts equality across the
-corpus and every design change.
+stats, the ROB/LSQ/fetch-queue stall and redirect counters) matches
+``PipelineModel.run`` bit for bit; ``tests/test_uarch_sweep.py``
+asserts equality across the corpus and every design change.
 """
 
 import hashlib
@@ -63,9 +63,10 @@ _PERSIST_MIN_INSTRUCTIONS = 10_000
 
 
 # ----------------------------------------------------------------------
-# Sweep statistics (feeds uarch.sweep.* telemetry and `repro report`)
+# Sweep statistics: the registry counters ``uarch.sweep.<key>``
 # ----------------------------------------------------------------------
-_INT_STATS = (
+#: Every key :func:`sweep_stats_snapshot` reports, zero until counted.
+_STATS = (
     "grids", "configs", "instructions",
     "digests_built", "digests_reused", "digests_loaded", "digests_saved",
     "cache_banks_built", "cache_banks_reused", "cache_banks_loaded",
@@ -76,40 +77,24 @@ _INT_STATS = (
     "distinct_hierarchies", "distinct_predictors",
     "predictor_sweeps", "predictor_sweep_kinds",
     "power_models_built", "power_models_reused",
+    "config_seconds", "grid_seconds",
 )
-_FLOAT_STATS = ("config_seconds", "grid_seconds")
-
-_SWEEP_STATS = {key: 0 for key in _INT_STATS}
-_SWEEP_STATS.update({key: 0.0 for key in _FLOAT_STATS})
 
 
 def _note(key, amount=1):
-    _SWEEP_STATS[key] += amount
-    if REGISTRY.enabled:
-        REGISTRY.counter(f"uarch.sweep.{key}").inc(amount)
-
-
-def _note_seconds(key, seconds):
-    _SWEEP_STATS[key] += seconds
-    if REGISTRY.enabled:
-        REGISTRY.gauge(f"uarch.sweep.{key}").set(_SWEEP_STATS[key])
+    REGISTRY.counter(f"uarch.sweep.{key}").inc(amount)
 
 
 def sweep_stats_snapshot():
     """Process-cumulative sweep accounting (manifests, `repro report`)."""
-    snapshot = dict(_SWEEP_STATS)
+    snapshot = {}
+    for key in _STATS:
+        instrument = REGISTRY.get(f"uarch.sweep.{key}")
+        snapshot[key] = 0 if instrument is None else instrument.value
     configs = snapshot["configs"]
     snapshot["mean_config_seconds"] = (
         snapshot["config_seconds"] / configs if configs else 0.0)
     return snapshot
-
-
-def reset_sweep_stats():
-    """Zero the cumulative counters (tests and per-command accounting)."""
-    for key in _INT_STATS:
-        _SWEEP_STATS[key] = 0
-    for key in _FLOAT_STATS:
-        _SWEEP_STATS[key] = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -554,7 +539,6 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
     else:
         l2_accesses = 0
         l2_misses = 0
-    telemetry = REGISTRY.enabled
     result = PipelineResult(
         config=config,
         instructions=total,
@@ -568,18 +552,17 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
         l2_misses=l2_misses,
         branch_lookups=n_branch,
         branch_mispredictions=int(pred_bank.miss_cum[n_branch]),
-        rob_stalls=int(scalars[12]) if telemetry else 0,
-        lsq_stalls=int(scalars[13]) if telemetry else 0,
-        fetch_queue_stalls=int(scalars[14]) if telemetry else 0,
-        redirect_cycles=int(scalars[15]) if telemetry else 0,
+        rob_stalls=int(scalars[12]),
+        lsq_stalls=int(scalars[13]),
+        fetch_queue_stalls=int(scalars[14]),
+        redirect_cycles=int(scalars[15]),
     )
     result.wall_seconds = time.perf_counter() - started
-    if telemetry:
-        # Same accounting PipelineModel.run emits, so grids keep
-        # feeding the pipeline.* dashboards on either timing path.
-        REGISTRY.counter("pipeline.instructions").inc(total)
-        REGISTRY.counter("pipeline.runs").inc()
-        REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
+    # Same accounting PipelineModel.run emits, so grids keep feeding
+    # the pipeline.* counters on either timing path.
+    REGISTRY.counter("pipeline.instructions").inc(total)
+    REGISTRY.counter("pipeline.runs").inc()
+    REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
     return result
 
 
@@ -641,8 +624,7 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
             time_config = _spec_timer(trace, max_instructions)
         # Nothing is journaled per config: the call is one span.
         results = [time_config(config) for config in configs]
-    _note_seconds("config_seconds",
-                  sum(result.wall_seconds for result in results))
+    _note("config_seconds", sum(result.wall_seconds for result in results))
     hierarchies = len({_hierarchy_key(config) for config in configs})
     predictors = len({_predictor_key(config) for config in configs})
     _note("grids")
@@ -650,9 +632,7 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
     _note("instructions", total * len(configs))
     _note("distinct_hierarchies", hierarchies)
     _note("distinct_predictors", predictors)
-    _note_seconds("grid_seconds", time.perf_counter() - grid_started)
-    if REGISTRY.enabled:
-        _LOG.debug("uarch.sweep", configs=len(configs),
-                   instructions=total, hierarchies=hierarchies,
-                   predictors=predictors)
+    _note("grid_seconds", time.perf_counter() - grid_started)
+    _LOG.debug("uarch.sweep", configs=len(configs), instructions=total,
+               hierarchies=hierarchies, predictors=predictors)
     return results

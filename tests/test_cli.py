@@ -142,14 +142,16 @@ class TestObservability:
         assert main(["report", str(run_dir)]) == EXIT_LOAD_FAILED
 
     def test_quiet_disables_telemetry(self, capsys):
-        from repro.obs import phase_table, telemetry_enabled
+        from repro.obs import (REGISTRY, phase_table, set_tracing_enabled,
+                               tracing_enabled)
         assert main(["estimate", "bitcount", "--instructions", "20000",
                      "--quiet"]) == 0
-        assert not telemetry_enabled()
+        assert not tracing_enabled()
         assert phase_table() == {}
+        # Spans stop; counters still count.
+        assert REGISTRY.get("sim.instructions").value > 0
         # Re-enable for the rest of the test session.
-        from repro.obs import set_telemetry_enabled
-        set_telemetry_enabled(True)
+        set_tracing_enabled(True)
 
     def test_global_flag_position_before_subcommand(self, capsys):
         assert main(["--json", "estimate", "bitcount",

@@ -9,12 +9,16 @@ import pytest
 
 from perfbench.spans import LAYERS
 from repro.cli import EXIT_BAD_TARGET, EXIT_LOAD_FAILED, main
+from repro.fleet import FleetQueue, init_run
 from repro.fleet.recipe import load_recipe
 from repro.fleet.scheduler import recipe_blocks
+from repro.obs import logging as obslog
 from repro.obs.journal import (JOURNAL_DIR_ENV, configure_journal,
                                read_journal)
 from repro.obs.trace import (build_span_tree, flame_summary,
-                             reset_trace_state, span, span_coverage)
+                             reset_trace_state, set_tracing_enabled, span,
+                             span_coverage)
+from tests.test_fleet_run import dead_pid
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +204,84 @@ class TestJournaledRun:
                      "--quiet"]) == 0
         assert not any(name.startswith("journal-")
                        for name in os.listdir(run_dir))
+
+
+def _summed_deltas(run_dir, name):
+    return sum(event["deltas"].get(name, 0)
+               for event in read_journal(str(run_dir)).of_kind("metrics"))
+
+
+def _fleet_events(run_dir, *names):
+    return [event for event in read_journal(str(run_dir)).of_kind("fleet")
+            if event.get("event") in names]
+
+
+def _grid_recipe(path):
+    path.write_text(json.dumps({
+        "name": "count-grid", "kernels": ["crc32", "sha"],
+        "pipeline_cap": 20_000, "axes": {"width": [1, 2]}}))
+    return str(path)
+
+
+@pytest.fixture
+def quiet_restored():
+    """Undo what a ``--quiet`` run leaves behind in this process."""
+    level = obslog.current_level()
+    yield
+    obslog.configure(level=level)
+    set_tracing_enabled(True)
+
+
+class TestCountersAlwaysCount:
+    """``--quiet`` stops spans and the journal, never a count."""
+
+    def test_quiet_compare_reports_the_same_headline(
+            self, capsys, quiet_restored):
+        def headline(*flags):
+            assert main(["compare", "crc32", "--json", *flags]) == 0
+            manifest = json.loads(capsys.readouterr().out)["manifest"]
+            # Host speed and cache warmth are not results.
+            return manifest, {
+                key: value for key, value in manifest["headline"].items()
+                if not key.startswith(("sim_mips_", "artifact_cache_"))}
+
+        loud_manifest, loud = headline()
+        quiet_manifest, quiet = headline("--quiet")
+        assert quiet == loud
+        assert loud["rob_stalls_real"] > 0 and loud["rob_stalls_clone"] > 0
+        assert quiet_manifest["phases"] == {}
+        assert quiet_manifest["metrics"]["pipeline.runs"]["value"] \
+            == loud_manifest["metrics"]["pipeline.runs"]["value"]
+        assert set(quiet_manifest["sweep"]) == set(loud_manifest["sweep"])
+        assert quiet_manifest["sweep"]["configs"] \
+            == loud_manifest["sweep"]["configs"] > 0
+
+    def test_quiet_fleet_journals_its_claims(
+            self, tmp_path, quiet_restored):
+        fleet_dir = tmp_path / "fleet"
+        assert main(["fleet", "run", _grid_recipe(tmp_path / "r.json"),
+                     "--dir", str(fleet_dir), "--workers", "2", "-q"]) == 0
+        claimed = _fleet_events(fleet_dir, "claim", "steal")
+        assert claimed
+        assert _summed_deltas(fleet_dir, "fleet.claims") == len(claimed)
+
+    def test_resume_journals_one_reclaim_per_reclaimed_lease(
+            self, tmp_path):
+        # The orchestrator reclaims a dead pid's lease, then forks two
+        # workers: only the process that reclaimed journals the count.
+        fleet_dir = str(tmp_path / "fleet")
+        recipe = load_recipe(_grid_recipe(tmp_path / "r.json"))
+        init_run(fleet_dir, recipe)
+        queue = FleetQueue(fleet_dir)
+        block = recipe_blocks(recipe, recipe.expand())[0]
+        with open(queue.lease_path(block.block_id), "w") as handle:
+            json.dump({"worker": "gone", "pid": dead_pid(),
+                       "host": queue.host, "ts": 0.0}, handle)
+        assert main(["fleet", "resume", fleet_dir, "--workers", "2"]) == 0
+        assert len(_fleet_events(fleet_dir, "reclaim")) == 1
+        assert _summed_deltas(fleet_dir, "fleet.reclaims") == 1
+        assert _summed_deltas(fleet_dir, "fleet.claims") \
+            == len(_fleet_events(fleet_dir, "claim", "steal"))
 
 
 class TestTraceCommand:

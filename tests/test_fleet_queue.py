@@ -106,7 +106,7 @@ class TestComplete:
     def test_published_cells_counted(self, queue, monkeypatch):
         from repro.fleet import queue as queue_module
         from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry(enabled=True)
+        registry = MetricsRegistry()
         monkeypatch.setattr(queue_module, "REGISTRY", registry)
         queue.publish_block("blk-a", {"cell-1": {}, "cell-2": {},
                                       "cell-3": {}})

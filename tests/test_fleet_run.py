@@ -55,6 +55,11 @@ def journal_events(run_dir):
     return events
 
 
+def summed_deltas(events, name):
+    return sum(event["deltas"].get(name, 0) for event in events
+               if event.get("kind") == "metrics")
+
+
 def publish_legacy(queue, cell_id, payload):
     """Write one cell's result file the way the per-cell fleet did."""
     with open(queue.result_path(cell_id), "w") as handle:
@@ -313,18 +318,33 @@ class TestCrashResume:
     def test_reclaim_event_journaled(self, tmp_path):
         run_dir = str(tmp_path / "chaotic")
         run_fleet(run_dir, GRID, workers=2, chaos="0:1")
-        events = []
-        for name in os.listdir(run_dir):
-            if name.startswith("journal-") and name.endswith(".jsonl"):
-                with open(os.path.join(run_dir, name)) as handle:
-                    events.extend(json.loads(line) for line in handle
-                                  if line.strip())
+        events = journal_events(run_dir)
         reclaims = [event for event in events
                     if event.get("kind") == "fleet"
                     and event.get("event") == "reclaim"]
         assert reclaims
         assert any(event.get("reason") == "dead_pid"
                    for event in reclaims)
+        # The journaled counters match the events, the killed worker's
+        # claim included.
+        claims = [event for event in events
+                  if event.get("event") in ("claim", "steal")]
+        assert summed_deltas(events, "fleet.claims") == len(claims)
+        assert summed_deltas(events, "fleet.reclaims") == len(reclaims)
+
+    def test_resume_journals_each_reclaim_once(self, tmp_path):
+        # The orchestrator reclaims before it forks: the workers must
+        # not journal the count they inherit.
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, GRID)
+        queue = FleetQueue(run_dir)
+        block = FleetWorker(run_dir, 0, 1).blocks[0]
+        record = {"worker": "gone", "pid": dead_pid(), "host": queue.host,
+                  "ts": 0.0}
+        with open(queue.lease_path(block.block_id), "w") as handle:
+            json.dump(record, handle)
+        assert run_fleet(run_dir, workers=2)["complete"] is True
+        assert summed_deltas(journal_events(run_dir), "fleet.reclaims") == 1
 
     def test_dead_thief_own_shard_lease_recovered(self, tmp_path):
         """Regression: a dead thief's lease on an own-shard block must

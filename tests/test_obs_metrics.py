@@ -1,15 +1,8 @@
-"""Metrics registry semantics: instruments, disabled mode, snapshots."""
+"""Metrics registry semantics: instruments and snapshots."""
 
 import pytest
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 
 
 class TestInstruments:
@@ -25,28 +18,6 @@ class TestInstruments:
         gauge.set(1.5)
         gauge.set(2.5)
         assert gauge.value == 2.5
-
-    def test_histogram_bucket_boundaries(self):
-        hist = Histogram("h", bounds=(10, 20, 30))
-        for value in (5, 10, 11, 30, 31, 1000):
-            hist.observe(value)
-        # Bounds are inclusive uppers; the 4th bucket is overflow.
-        assert hist.bucket_counts == [2, 1, 1, 2]
-        assert hist.count == 6
-        assert hist.min == 5 and hist.max == 1000
-        assert hist.mean == pytest.approx(sum((5, 10, 11, 30, 31, 1000)) / 6)
-
-    def test_histogram_snapshot_shape(self):
-        hist = Histogram("h")
-        hist.observe(3)
-        snap = hist.snapshot()
-        assert snap["type"] == "histogram"
-        assert snap["bounds"] == list(DEFAULT_BUCKETS)
-        assert len(snap["bucket_counts"]) == len(DEFAULT_BUCKETS) + 1
-
-    def test_histogram_rejects_unsorted_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("h", bounds=(5, 2))
 
 
 class TestRegistry:
@@ -74,27 +45,3 @@ class TestRegistry:
         registry.reset()
         assert registry.snapshot() == {}
         assert registry.get("a") is None
-
-
-class TestDisabledMode:
-    def test_disabled_registry_hands_out_null_noops(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("a")
-        gauge = registry.gauge("b")
-        hist = registry.histogram("c")
-        assert counter is NULL_INSTRUMENT
-        assert gauge is NULL_INSTRUMENT and hist is NULL_INSTRUMENT
-        counter.inc(100)
-        gauge.set(9.9)
-        hist.observe(7)
-        assert registry.snapshot() == {}
-
-    def test_enable_toggle(self):
-        registry = MetricsRegistry(enabled=False)
-        assert not registry.enabled
-        registry.enable()
-        registry.counter("a").inc()
-        assert registry.snapshot()["a"]["value"] == 1
-        registry.disable()
-        registry.counter("later").inc(5)  # no-op while disabled
-        assert "later" not in registry.snapshot()

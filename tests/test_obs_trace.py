@@ -169,10 +169,49 @@ class TestViews:
         timeline = timeline_text(roots)
         assert "pid 1:" in timeline and "pid 2:" in timeline
 
-    def test_critical_path_descends_latest_child(self):
+    def test_critical_path_descends_longest_child(self):
         chain = critical_path(build_span_tree(_forest()))
         assert [node.name for _, node in chain] == ["root", "b"]
         assert [depth for depth, _ in chain] == [0, 1]
+
+    def test_critical_path_skips_late_zero_length_sibling(self):
+        # A long early child beats a sibling that finishes last but
+        # takes no time (``repro compare``'s sweeps, then the power
+        # model build).
+        events = [
+            _mk(10.0, 1, 1, "span_open", span="1-1", parent=None,
+                name="root"),
+            _mk(10.0, 1, 2, "span_open", span="1-2", parent="1-1",
+                name="sweep"),
+            _mk(10.8, 1, 3, "span_close", span="1-2", parent="1-1",
+                name="sweep", wall_s=0.8),
+            _mk(10.9, 1, 4, "span_open", span="1-3", parent="1-1",
+                name="build"),
+            _mk(10.9, 1, 5, "span_close", span="1-3", parent="1-1",
+                name="build", wall_s=0.0),
+            _mk(11.0, 1, 6, "span_close", span="1-1", parent=None,
+                name="root", wall_s=1.0),
+        ]
+        chain = critical_path(build_span_tree(events))
+        assert [node.name for _, node in chain] == ["root", "sweep"]
+
+    def test_critical_path_tie_takes_the_later_child(self):
+        events = [
+            _mk(10.0, 1, 1, "span_open", span="1-1", parent=None,
+                name="root"),
+            _mk(10.0, 1, 2, "span_open", span="1-2", parent="1-1",
+                name="early"),
+            _mk(10.3, 1, 3, "span_close", span="1-2", parent="1-1",
+                name="early", wall_s=0.3),
+            _mk(10.5, 1, 4, "span_open", span="1-3", parent="1-1",
+                name="late"),
+            _mk(10.8, 1, 5, "span_close", span="1-3", parent="1-1",
+                name="late", wall_s=0.3),
+            _mk(11.0, 1, 6, "span_close", span="1-1", parent=None,
+                name="root", wall_s=1.0),
+        ]
+        chain = critical_path(build_span_tree(events))
+        assert [node.name for _, node in chain] == ["root", "late"]
 
     def test_empty_views_do_not_crash(self):
         assert "no spans" in flame_text([])

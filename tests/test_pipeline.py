@@ -1,8 +1,6 @@
 """Tests for the out-of-order timing model: sanity bounds and the
 directional effects each paper design change must produce."""
 
-import pytest
-
 from repro.isa import assemble
 from repro.sim import run_program
 from repro.uarch import BASE_CONFIG, simulate_pipeline
@@ -152,15 +150,6 @@ class TestConfig:
 
 
 class TestTelemetry:
-    @pytest.fixture(autouse=True)
-    def _telemetry_on(self):
-        from repro.obs import REGISTRY
-        was_enabled = REGISTRY.enabled
-        REGISTRY.enable()
-        yield
-        if not was_enabled:
-            REGISTRY.disable()
-
     def test_stall_counters_present_and_consistent(self, loop_nest_trace):
         result = simulate_pipeline(loop_nest_trace, BASE_CONFIG)
         assert result.rob_stalls >= 0

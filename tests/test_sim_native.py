@@ -535,22 +535,17 @@ main:
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def _info_log():
-    """JSON log lines at INFO into a buffer, with telemetry on."""
-    from repro.obs.metrics import REGISTRY
+    """JSON log lines at INFO into a buffer (INFO arms heartbeats)."""
     buffer = io.StringIO()
     old_level = obslog.current_level()
     old_stream = obslog._CONFIG.stream
     old_json = obslog._CONFIG.json_lines
-    was_enabled = REGISTRY.enabled
-    REGISTRY.enable()  # heartbeats are gated on telemetry being on
     obslog.configure(level=obslog.INFO, stream=buffer, json_lines=True)
     try:
         yield buffer
     finally:
         obslog.configure(level=old_level, json_lines=old_json)
         obslog._CONFIG.stream = old_stream
-        if not was_enabled:
-            REGISTRY.disable()
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ config with the spec itself and builds no digest or bank:
 * identical results on the traces ``simulate_pipeline`` times: statsim
   synthetic traces, which have no block structure, and the Ablation C
   real and clone traces at their 100k-instruction cap;
-* identical results with and without telemetry, under a cap that lands
+* identical results with and without `--quiet`, under a cap that lands
   mid basic-block, with no cap at all, and on a trace entering mid-block;
 * digest/bank persistence round-trips through the artifact store,
   including corrupt-entry tolerance;
@@ -32,7 +32,9 @@ import pytest
 
 from repro.core import profile_trace
 from repro.evaluation import workload_artifacts
+from repro.cli import main
 from repro.exec.store import ArtifactStore
+from repro.obs import logging as obslog
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
 from repro.sim import FunctionalSimulator, run_program
@@ -50,7 +52,7 @@ from repro.uarch.branch_predictors import (
     simulate_predictor_reference,
 )
 from repro.uarch import native
-from repro.uarch.sweep import reset_sweep_stats, sweep_stats_snapshot
+from repro.uarch.sweep import sweep_stats_snapshot
 from repro.workloads import build_workload, workload_names
 
 KERNELS = workload_names()
@@ -104,7 +106,7 @@ def result_fields(result):
     return data
 
 
-#: (trace id, config, cap, telemetry) -> (trace, spec result fields).
+#: (trace id, config, cap) -> (trace, spec result fields).
 #: The spec is engine-independent, so both engine parameters share one
 #: run; holding the trace keeps its id from being reused.
 _REFERENCES = {}
@@ -112,7 +114,7 @@ _REFERENCES = {}
 
 def reference_fields(trace, config, max_instructions):
     """``PipelineModel.run`` — the spec — for one config, memoized."""
-    key = (id(trace), repr(config), max_instructions, REGISTRY.enabled)
+    key = (id(trace), repr(config), max_instructions)
     if key not in _REFERENCES:
         result = PipelineModel(config).run(
             trace, max_instructions=max_instructions)
@@ -203,27 +205,38 @@ class TestCorpusEquivalence:
 # ----------------------------------------------------------------------
 class TestTelemetryParity:
     def test_equivalent_with_metrics_enabled(self, loop_nest_trace):
-        # Stall/redirect counters are collected only while the registry
-        # is enabled; the sweep must mirror run() in both modes.
-        was_enabled = REGISTRY.enabled
-        REGISTRY.enable()
-        try:
-            assert_sweep_equivalent(loop_nest_trace, GRID[:4])
-        finally:
-            if not was_enabled:
-                REGISTRY.disable()
+        assert_sweep_equivalent(loop_nest_trace, GRID[:4])
 
     def test_stall_counters_populated(self, loop_nest_trace):
-        was_enabled = REGISTRY.enabled
-        REGISTRY.enable()
-        try:
-            [result] = simulate_pipeline_sweep(
-                loop_nest_trace, [BASE_CONFIG], max_instructions=CAP)
-        finally:
-            if not was_enabled:
-                REGISTRY.disable()
+        [result] = simulate_pipeline_sweep(
+            loop_nest_trace, [BASE_CONFIG], max_instructions=CAP)
         assert result.rob_stalls + result.lsq_stalls \
             + result.fetch_queue_stalls + result.redirect_cycles > 0
+
+    def test_quiet_changes_no_field(self, loop_nest_trace, capsys):
+        """With tracing off (what ``--quiet`` switches) and on, the
+        sweep and the spec return the same fields, stalls included."""
+        def fields():
+            swept = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
+                                            max_instructions=CAP)
+            spec = [PipelineModel(config).run(loop_nest_trace,
+                                              max_instructions=CAP)
+                    for config in GRID[:4]]
+            return ([result_fields(result) for result in swept],
+                    [result_fields(result) for result in spec])
+
+        level = obslog.current_level()
+        try:
+            assert main(["list", "--quiet"]) == 0
+            quiet = fields()
+        finally:
+            obslog.configure(level=level)
+            assert main(["list"]) == 0
+        loud = fields()
+        assert quiet == loud
+        assert loud[0] == loud[1]
+        assert any(row["rob_stalls"] for row in loud[0])
+        assert any(row["redirect_cycles"] for row in loud[0])
 
 
 needs_native = pytest.mark.skipif(not native.available(),
@@ -243,7 +256,7 @@ class TestFallback:
                             loop_nest_trace.taken[1:].copy())
 
     def test_fallback_is_still_exact(self, shifted_trace, python_engine):
-        reset_sweep_stats()
+        REGISTRY.reset()
         assert_sweep_equivalent(shifted_trace, GRID[:4])
         assert sweep_stats_snapshot()["fallback_configs"] == 4
 
@@ -252,7 +265,7 @@ class TestFallback:
         trace = FunctionalSimulator(build_workload("crc32")).run(
             max_instructions=5_000_000, trace=True)
         store = ArtifactStore(root=str(tmp_path), enabled=True)
-        reset_sweep_stats()
+        REGISTRY.reset()
         swept = simulate_pipeline_sweep(trace, GRID, max_instructions=CAP,
                                         store=store)
         for config, result in zip(GRID, swept):
@@ -266,7 +279,7 @@ class TestFallback:
 
     def test_corpus_runs_never_fall_back(self, loop_nest_trace):
         # Only a host without the native loop times configs by the spec.
-        reset_sweep_stats()
+        REGISTRY.reset()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
         expected = 0 if native.available() else len(GRID)
@@ -286,7 +299,7 @@ class TestPersistence:
     def test_round_trip(self, loop_nest_trace, tmp_path):
         store = ArtifactStore(root=str(tmp_path), enabled=True)
         self._forget(loop_nest_trace)
-        reset_sweep_stats()
+        REGISTRY.reset()
         cold = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
                                        max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
@@ -295,7 +308,7 @@ class TestPersistence:
         assert stats["pred_banks_saved"] >= 1
 
         self._forget(loop_nest_trace)
-        reset_sweep_stats()
+        REGISTRY.reset()
         warm = simulate_pipeline_sweep(loop_nest_trace, GRID[:4],
                                        max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
@@ -342,7 +355,7 @@ class TestPersistence:
         assert clobbered > 0
 
         self._forget(loop_nest_trace)
-        reset_sweep_stats()
+        REGISTRY.reset()
         recovered = simulate_pipeline_sweep(
             loop_nest_trace, GRID[:4], max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
@@ -354,7 +367,7 @@ class TestPersistence:
     def test_disabled_store_is_skipped(self, loop_nest_trace, tmp_path):
         store = ArtifactStore(root=str(tmp_path), enabled=False)
         self._forget(loop_nest_trace)
-        reset_sweep_stats()
+        REGISTRY.reset()
         assert_sweep_equivalent(loop_nest_trace, GRID[:2], store=store)
         stats = sweep_stats_snapshot()
         assert stats["digests_saved"] == 0
@@ -367,7 +380,7 @@ class TestPersistence:
 class TestSweepStats:
     @needs_native
     def test_shared_banks_counted(self, loop_nest_trace):
-        reset_sweep_stats()
+        REGISTRY.reset()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
         stats = sweep_stats_snapshot()
@@ -382,7 +395,7 @@ class TestSweepStats:
         assert reused > 0
 
     def test_manifest_carries_sweep_block(self, loop_nest_trace):
-        reset_sweep_stats()
+        REGISTRY.reset()
         simulate_pipeline_sweep(loop_nest_trace, GRID[:2],
                                 max_instructions=CAP)
         manifest = RunManifest.collect("test", target="loop-nest")
@@ -391,7 +404,7 @@ class TestSweepStats:
         assert validate_manifest(manifest.to_dict()) == []
 
     def test_manifest_omits_sweep_when_none_ran(self):
-        reset_sweep_stats()
+        REGISTRY.reset()
         manifest = RunManifest.collect("test")
         assert manifest.sweep is None
         assert validate_manifest(manifest.to_dict()) == []
@@ -411,7 +424,7 @@ class TestNative:
 
     @needs_native
     def test_native_configs_counted(self, loop_nest_trace):
-        reset_sweep_stats()
+        REGISTRY.reset()
         simulate_pipeline_sweep(loop_nest_trace, GRID,
                                 max_instructions=CAP)
         stats = sweep_stats_snapshot()
@@ -431,7 +444,7 @@ class TestNative:
         second = FunctionalSimulator(build_workload("crc32")).run(
             max_instructions=5_000_000, trace=True)
         assert not hasattr(second, "_sweep_digest")
-        reset_sweep_stats()
+        REGISTRY.reset()
         warm = simulate_pipeline_sweep(second, GRID[:4],
                                        max_instructions=CAP, store=store)
         stats = sweep_stats_snapshot()
