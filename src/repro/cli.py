@@ -871,7 +871,8 @@ def _add_global_flags(parser, suppress):
     parser.add_argument("-q", "--quiet", action="store_true",
                         default=default,
                         help="warnings only; no spans or journal "
-                             "(counters still count)")
+                             "(counters still count; a fleet run still "
+                             "journals into its fleet dir, its record)")
     parser.add_argument("--json", action="store_true", default=default,
                         help="emit one JSON object (incl. run manifest)")
     parser.add_argument("--run-dir",

@@ -9,7 +9,9 @@ is that machinery, factored out so there is a single gate, one compile
 cache, and one probe event per process no matter how many engines are
 in play.  Each engine is one fixed C source that takes programs and
 traces as data, so a machine compiles three small libraries (probe,
-``sweeploop``, ``simfunc``) once, whatever it later simulates.
+``sweeploop``, ``simfunc``) once, whatever it later simulates, plus the
+sweep's lane kernel at the host's lane width the first time a sweep
+times configs in lanes.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
 ``REPRO_NATIVE=off`` means :func:`load_library` returns ``None`` and

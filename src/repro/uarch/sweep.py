@@ -20,7 +20,12 @@ while digesting the trace only once:
   :func:`repro.uarch.branch_predictors.predictor_outcome_bank`.
 * **Scheduling loop** — the remaining per-config work (the
   fetch/dispatch/issue/commit recurrence) consumes the banks' event
-  arrays by cursor, in C (:mod:`repro.uarch.native`).
+  arrays by cursor, in C (:mod:`repro.uarch.native`).  Configs that
+  agree on the ring and FU-pool sizes and the I-line size
+  (:func:`_shape_key`) are timed together, up to the host's lane width
+  per pass over the digest (``lane_configs`` counts them); a config
+  with no same-shape partner left is timed alone.  Each config's
+  ``wall_seconds`` is its share of the pass that timed it.
 
 Digests and cache banks are the native loop's inputs, so a host without
 a C compiler (or with ``REPRO_NATIVE=0``) builds none of them: it times
@@ -73,7 +78,7 @@ _STATS = (
     "cache_banks_saved",
     "pred_banks_built", "pred_banks_reused", "pred_banks_loaded",
     "pred_banks_saved",
-    "fallback_configs", "native_configs",
+    "fallback_configs", "native_configs", "lane_configs",
     "distinct_hierarchies", "distinct_predictors",
     "predictor_sweeps", "predictor_sweep_kinds",
     "power_models_built", "power_models_reused",
@@ -521,13 +526,45 @@ def simulate_predictor_sweep(trace, specs, store=None):
 # ----------------------------------------------------------------------
 # Per-config execution and the public sweep entry point
 # ----------------------------------------------------------------------
-def _run_config(digest, config, cache_bank, pred_bank, total,
-                class_counts):
-    """Time one config in C over the digest and its outcome banks."""
-    started = time.perf_counter()
-    scalars = native.run_range(total, digest, config, cache_bank, pred_bank)
-    _note("native_configs")
+def _shape_key(config):
+    """What the configs of one lane pass share: the ring and FU-pool
+    sizes the lane state is laid out by, and the I-line size the
+    I-access event positions follow."""
+    return (config.rob_size, config.lsq_size, config.fetch_queue,
+            config.n_int_alu, config.n_int_mul, config.n_fp_alu,
+            config.n_fp_mul, config.n_mem_ports, config.l1i.line_shift)
 
+
+#: Fewest live lanes worth a lane pass.  ``bench_sweep_kernel.py``
+#: measured one pass at 1.0-1.25 scalar configs' time at 8 lanes and
+#: 1.1-1.7 at 4, so a pass pays from two configs on; a lone config is
+#: timed by ``repro_run_range``, as a one-lane build of the lane kernel
+#: ran about 40% slower than it.
+_MIN_LANES = 2
+
+
+def _lane_passes(configs, width):
+    """``(passes, singles)``: index lists of same-shape configs to time
+    ``width`` at a time in lanes, and the indices left to time alone."""
+    if width < _MIN_LANES:
+        return [], list(range(len(configs)))
+    groups = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(_shape_key(config), []).append(index)
+    passes, singles = [], []
+    for members in groups.values():
+        for start in range(0, len(members), width):
+            chunk = members[start:start + width]
+            if len(chunk) >= _MIN_LANES:
+                passes.append(chunk)
+            else:
+                singles.extend(chunk)
+    return passes, singles
+
+
+def _result(digest, config, cache_bank, pred_bank, total, class_counts,
+            scalars):
+    """The PipelineResult of one config from its final scalars."""
     n_iacc = int(np.searchsorted(digest.iacc(cache_bank.shift)[0], total,
                                  side="left"))
     n_data = int(np.searchsorted(digest.m_pos, total, side="left"))
@@ -539,7 +576,7 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
     else:
         l2_accesses = 0
         l2_misses = 0
-    result = PipelineResult(
+    return PipelineResult(
         config=config,
         instructions=total,
         cycles=max(1, int(scalars[6])),
@@ -557,18 +594,13 @@ def _run_config(digest, config, cache_bank, pred_bank, total,
         fetch_queue_stalls=int(scalars[14]),
         redirect_cycles=int(scalars[15]),
     )
-    result.wall_seconds = time.perf_counter() - started
-    # Same accounting PipelineModel.run emits, so grids keep feeding
-    # the pipeline.* counters on either timing path.
-    REGISTRY.counter("pipeline.instructions").inc(total)
-    REGISTRY.counter("pipeline.runs").inc()
-    REGISTRY.gauge("pipeline.sim_mips").set(result.simulated_mips)
-    return result
 
 
-def _native_timer(trace, configs, total, store):
-    """Digest ``trace`` and build (or load) every outcome bank the grid
-    needs; returns the function that times one config natively."""
+def _native_times(trace, configs, total, store):
+    """Digest ``trace``, build (or load) every outcome bank the grid
+    needs, and time every config in C: same-shape configs in lane
+    passes, the rest one by one.  Each config's ``wall_seconds`` is its
+    share of the pass that timed it."""
     store = _resolve_store(trace, store)
     digest = trace_digest(trace, store)
     class_counts = digest.class_counts(total)
@@ -584,20 +616,54 @@ def _native_timer(trace, configs, total, store):
     if store is not None:
         _persist_digest(digest, store)
 
-    def time_config(config):
-        return _run_config(digest, config,
-                           cache_banks[_hierarchy_key(config)],
-                           pred_banks[_predictor_key(config)], total,
-                           class_counts)
-    return time_config
+    def banks(config):
+        return (cache_banks[_hierarchy_key(config)],
+                pred_banks[_predictor_key(config)])
+
+    width = native.lane_width()
+    passes, singles = _lane_passes(configs, width)
+    if passes and not native.lanes_available(width):
+        passes, singles = [], list(range(len(configs)))
+    results = [None] * len(configs)
+    for indices in passes:
+        started = time.perf_counter()
+        group = [configs[index] for index in indices]
+        lane_banks = [banks(config) for config in group]
+        scalars = native.run_lanes(
+            total, digest, group, [bank for bank, _ in lane_banks],
+            [bank for _, bank in lane_banks], width)
+        timed = [_result(digest, config, *bank_pair, total, class_counts,
+                         scalars[:, lane])
+                 for lane, (config, bank_pair)
+                 in enumerate(zip(group, lane_banks))]
+        share = (time.perf_counter() - started) / len(indices)
+        for index, result in zip(indices, timed):
+            result.wall_seconds = share
+            results[index] = result
+        _note("lane_configs", len(indices))
+    for index in singles:
+        started = time.perf_counter()
+        config = configs[index]
+        cache_bank, pred_bank = banks(config)
+        scalars = native.run_range(total, digest, config, cache_bank,
+                                   pred_bank)
+        results[index] = _result(digest, config, cache_bank, pred_bank,
+                                 total, class_counts, scalars)
+        results[index].wall_seconds = time.perf_counter() - started
+    # Same accounting PipelineModel.run emits, so grids keep feeding
+    # the pipeline.* counters on either timing path.
+    REGISTRY.counter("pipeline.instructions").inc(total * len(configs))
+    REGISTRY.counter("pipeline.runs").inc(len(configs))
+    REGISTRY.gauge("pipeline.sim_mips").set(results[-1].simulated_mips)
+    _note("native_configs", len(configs))
+    return results
 
 
-def _spec_timer(trace, max_instructions):
+def _spec_times(trace, configs, max_instructions):
     """Without the C loop every config is timed by the spec itself."""
-    def time_config(config):
-        _note("fallback_configs")
-        return PipelineModel(config).run(trace, max_instructions)
-    return time_config
+    _note("fallback_configs", len(configs))
+    return [PipelineModel(config).run(trace, max_instructions)
+            for config in configs]
 
 
 def simulate_pipeline_sweep(trace, configs, max_instructions=None,
@@ -618,12 +684,11 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
     if max_instructions is not None and total > max_instructions:
         total = max_instructions
     with span("uarch.sweep", configs=len(configs)):
-        if native.available():
-            time_config = _native_timer(trace, configs, total, store)
-        else:
-            time_config = _spec_timer(trace, max_instructions)
         # Nothing is journaled per config: the call is one span.
-        results = [time_config(config) for config in configs]
+        if native.available():
+            results = _native_times(trace, configs, total, store)
+        else:
+            results = _spec_times(trace, configs, max_instructions)
     _note("config_seconds", sum(result.wall_seconds for result in results))
     hierarchies = len({_hierarchy_key(config) for config in configs})
     predictors = len({_predictor_key(config) for config in configs})

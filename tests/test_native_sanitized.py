@@ -1,8 +1,8 @@
 """Both native engines under UndefinedBehaviorSanitizer.
 
-The functional engine (``simfunc``) and the sweep kernels
-(``sweeploop``) are each one fixed C source, so one sanitized build of
-each covers every program and every geometry.  In a subprocess with a
+The functional engine (``simfunc``), the sweep kernels (``sweeploop``)
+and the sweep's lane kernel are each one fixed C source, so one
+sanitized build of each covers every program and every geometry.  In a subprocess with a
 fresh cache dir, the shared compiler invocation gains
 ``-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all``
 and the corpus and clone differentials run against the sanitized
@@ -42,6 +42,8 @@ toolchain.CC = toolchain.CC + {SANITIZE!r}
 from repro.sim import native
 from repro.uarch import native as uarch_native
 assert native.available() and uarch_native.available(), "no engine"
+width = uarch_native.lane_width()
+assert width == 0 or uarch_native.lanes_available(width), "no lane kernel"
 import pytest
 sys.exit(pytest.main(["-x", "-p", "no:cacheprovider", "--capture=sys",
                       *sys.argv[1:]]))

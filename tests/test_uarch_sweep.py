@@ -15,6 +15,9 @@ config with the spec itself and builds no digest or bank:
   real and clone traces at their 100k-instruction cap;
 * identical results with and without `--quiet`, under a cap that lands
   mid basic-block, with no cap at all, and on a trace entering mid-block;
+* identical results when same-shape configs are timed together in SIMD
+  lanes, at each lane width the host runs, with ragged remainders and
+  in config order;
 * digest/bank persistence round-trips through the artifact store,
   including corrupt-entry tolerance;
 * the vectorized predictor outcome banks match the scalar predictor
@@ -26,6 +29,7 @@ It doubles as the tier-1 CI gate for sweep-engine regressions.
 import dataclasses
 import gc
 import os
+import time
 import weakref
 
 import pytest
@@ -51,8 +55,10 @@ from repro.uarch.branch_predictors import (
     simulate_predictor,
     simulate_predictor_reference,
 )
+from repro.uarch.cache import CacheConfig
 from repro.uarch import native
-from repro.uarch.sweep import sweep_stats_snapshot
+from repro.uarch.sweep import (_hierarchy_key, _predictor_key,
+                               sweep_stats_snapshot)
 from repro.workloads import build_workload, workload_names
 
 KERNELS = workload_names()
@@ -66,6 +72,32 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 #: Enough instructions to exercise every structure (ROB/LSQ wrap,
 #: fetch-queue stalls, L2 traffic) while keeping the corpus run fast.
 CAP = 20_000
+
+#: The lane widths the sweep's lane kernel is built for.
+LANE_WIDTHS = (8, 4)
+
+_LANE_L1DS = (CacheConfig(8192, 2, 32), CacheConfig(16384, 2, 32),
+              CacheConfig(32768, 4, 32))
+_LANE_PREDICTORS = ("gap", "nottaken", "bimodal", "gshare")
+
+
+def lane_grid(count, label="lane", **shape):
+    """``count`` configs that share one lane shape (``shape`` overrides
+    it) and differ in width, predictor, L1D, issue order, mispredict
+    penalty and FU latencies: everything a lane keeps for itself."""
+    return [BASE_CONFIG.renamed(
+        f"{label}-{k}", width=(1, 2, 4, 8)[k % 4],
+        predictor=_LANE_PREDICTORS[k // 2 % 4],
+        l1d=_LANE_L1DS[k % 3], in_order=k % 5 == 3,
+        mispredict_penalty=3 + k % 7, latency_imul=2 + k % 3,
+        latency_idiv=10 + k % 4, latency_falu=1 + k % 2,
+        latency_fmul=3 + k % 3, latency_fdiv=9 + k % 5, **shape)
+        for k in range(count)]
+
+
+#: A grid that fills two 8-lane passes and a padded third, so every
+#: differential that sweeps it runs the lane kernel.
+LANE_GRID = lane_grid(2 * 8 + 3)
 
 #: Ablation C times these kernels' real and clone traces on the base
 #: config at this cap through ``simulate_pipeline``.
@@ -189,6 +221,14 @@ class TestCorpusEquivalence:
                                    max_instructions=ABLATION_C_CAP)
         assert result_fields(result) == reference_fields(
             trace, BASE_CONFIG, ABLATION_C_CAP)
+
+    def test_lane_grid_bit_identical(self, engine):
+        REGISTRY.reset()
+        assert_sweep_equivalent(kernel_trace("fft"), LANE_GRID)
+        lanes = sweep_stats_snapshot()["lane_configs"]
+        timed_in_lanes = (engine == "native"
+                          and native.lane_width() >= min(LANE_WIDTHS))
+        assert lanes == (len(LANE_GRID) if timed_in_lanes else 0)
 
     def test_empty_grid(self, loop_nest_trace):
         assert simulate_pipeline_sweep(loop_nest_trace, []) == []
@@ -474,6 +514,126 @@ class TestNative:
     def test_library_cache_survives_reset(self):
         native.reset()
         assert native.available()
+
+
+# ----------------------------------------------------------------------
+# Lane passes: same-shape configs timed together by the lane kernel
+# ----------------------------------------------------------------------
+@pytest.fixture(params=LANE_WIDTHS)
+def lane_width(request, monkeypatch):
+    """Make the sweep time lane passes ``request.param`` configs wide."""
+    native.reset()
+    if not native.available():
+        pytest.skip("no native loop (no C compiler, or REPRO_NATIVE=0): "
+                    "the sweep times every config with the spec")
+    host = native.lane_width()
+    if request.param > host:
+        pytest.skip(f"host runs {host} lanes; {request.param} lanes need "
+                    f"{native.LANE_TARGETS[request.param]}")
+    monkeypatch.setattr(native, "lane_width", lambda: request.param)
+    yield request.param
+    native.reset()
+
+
+def mixed_shape_grid(width):
+    """Four lane shapes whose groups leave ragged remainders: one lone
+    config, a padded pass of two, one of three, and a single left over
+    after a full pass; interleaved so config order differs from pass
+    order."""
+    groups = [
+        lane_grid(width + 1, "rob16"),
+        lane_grid(width + 2, "rob32-alu3", rob_size=32, lsq_size=16,
+                  n_int_alu=3),
+        lane_grid(1, "iline64", l1i=CacheConfig(16384, 2, 64)),
+        lane_grid(3, "fq4-mem2", fetch_queue=4, n_mem_ports=2),
+    ]
+    configs = []
+    for row in range(max(len(group) for group in groups)):
+        configs.extend(group[row] for group in groups if row < len(group))
+    return configs
+
+
+class TestLanes:
+    @pytest.mark.parametrize("name", ["crc32", "qsort", "fft"])
+    def test_same_shape_grid(self, name, lane_width):
+        grid = LANE_GRID[:2 * lane_width + 3]
+        REGISTRY.reset()
+        assert_sweep_equivalent(kernel_trace(name), grid)
+        # Two full passes and a padded one of three.
+        assert sweep_stats_snapshot()["lane_configs"] == len(grid)
+
+    def test_clone_same_shape_grid(self, loop_nest_clone_trace,
+                                   lane_width):
+        assert_sweep_equivalent(loop_nest_clone_trace,
+                                LANE_GRID[:2 * lane_width + 3])
+
+    def test_mixed_shape_grid(self, lane_width):
+        grid = mixed_shape_grid(lane_width)
+        REGISTRY.reset()
+        assert_sweep_equivalent(kernel_trace("sha"), grid)
+        stats = sweep_stats_snapshot()
+        # Lone configs (the 64-byte I-line one and the rob16 one left
+        # after its full pass) are timed by repro_run_range.
+        assert stats["lane_configs"] == len(grid) - 2
+        assert stats["native_configs"] == len(grid)
+
+    def test_results_follow_config_order(self, loop_nest_trace,
+                                         lane_width):
+        grid = mixed_shape_grid(lane_width)
+        results = simulate_pipeline_sweep(loop_nest_trace, grid,
+                                          max_instructions=CAP)
+        assert [result.config.name for result in results] \
+            == [config.name for config in grid]
+
+    def test_wall_seconds_split_over_lanes(self, lane_width):
+        trace = kernel_trace("crc32")
+        grid = mixed_shape_grid(lane_width)
+        started = time.perf_counter()
+        results = simulate_pipeline_sweep(trace, grid, max_instructions=CAP)
+        grid_wall = time.perf_counter() - started
+        assert all(result.wall_seconds > 0 for result in results)
+        assert sum(result.wall_seconds for result in results) <= grid_wall
+
+    @needs_native
+    @pytest.mark.parametrize("host", ["no-simd", "failed-build"])
+    def test_without_lanes_configs_time_alone(self, host, loop_nest_trace,
+                                              monkeypatch):
+        if host == "no-simd":
+            monkeypatch.setattr(native, "lane_width", lambda: 0)
+        else:
+            monkeypatch.setattr(native, "LANE_TARGETS",
+                                dict.fromkeys(LANE_WIDTHS, "no-such-isa"))
+            monkeypatch.setattr(native, "lane_width", lambda: 8)
+        native.reset()
+        REGISTRY.reset()
+        try:
+            assert_sweep_equivalent(loop_nest_trace, LANE_GRID[:4])
+        finally:
+            native.reset()
+        stats = sweep_stats_snapshot()
+        assert (stats["native_configs"], stats["lane_configs"]) == (4, 0)
+
+    def test_pass_rejects_mixed_line_sizes(self, loop_nest_trace,
+                                           lane_width):
+        configs = [BASE_CONFIG, BASE_CONFIG.renamed(
+            "iline64", l1i=CacheConfig(16384, 2, 64))]
+        simulate_pipeline_sweep(loop_nest_trace, configs,
+                                max_instructions=CAP)
+        digest = loop_nest_trace._sweep_digest
+        with pytest.raises(ValueError):
+            native.run_lanes(
+                CAP, digest, configs,
+                [digest.cache_banks[_hierarchy_key(c)] for c in configs],
+                [digest.pred_banks[_predictor_key(c)] for c in configs],
+                lane_width)
+
+    def test_lone_configs_skip_lanes(self, loop_nest_trace, lane_width):
+        REGISTRY.reset()
+        simulate_pipeline_sweep(loop_nest_trace, [BASE_CONFIG],
+                                max_instructions=CAP)
+        stats = sweep_stats_snapshot()
+        assert stats["native_configs"] == 1
+        assert stats["lane_configs"] == 0
 
 
 # ----------------------------------------------------------------------
