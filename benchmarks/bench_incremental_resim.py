@@ -4,7 +4,7 @@ Measures the two workflows ROADMAP item 4 targets, against the seed
 baseline (per-config ``PipelineModel.run``):
 
 * **cold grid** — the fig6/fig8 nine-config study from nothing: digest
-  built, banks derived, results persisted to a fresh artifact store.
+  built and banks derived from the trace in memory.
   Target: ≥10x geomean over the corpus.
 * **incremental cell** — an :class:`IncrementalSession` warmed on the
   base config re-times one single-knob edit (ROB size, L1D geometry,
@@ -29,13 +29,10 @@ Runs two ways, like the other benches:
 
 import dataclasses
 import json
-import shutil
-import tempfile
 import time
 
 import numpy as np
 
-from repro.exec.store import ArtifactStore
 from repro.obs.journal import emit_event
 from repro.sim import FunctionalSimulator
 from repro.uarch import BASE_CONFIG, DESIGN_CHANGES, IncrementalSession, native
@@ -97,7 +94,7 @@ def _forget(trace):
         del trace._sweep_digest
 
 
-def _grid_row(name, trace, store):
+def _grid_row(name, trace):
     """[kernel, instructions, ref MIPS, sweep MIPS, cold x]."""
     start = time.perf_counter()
     reference = [PipelineModel(config).run(
@@ -107,8 +104,7 @@ def _grid_row(name, trace, store):
     _forget(trace)
     start = time.perf_counter()
     cold = simulate_pipeline_sweep(trace, GRID,
-                                   max_instructions=PIPELINE_CAP,
-                                   store=store)
+                                   max_instructions=PIPELINE_CAP)
     cold_s = time.perf_counter() - start
 
     assert [_result_fields(result) for result in cold] \
@@ -122,9 +118,7 @@ def _knob_rows(name, trace):
     """[kernel:knob, instructions, cold-cell ms, incr ms, incr x,
     reused, rebuilt]."""
     _forget(trace)
-    session = IncrementalSession(
-        trace, max_instructions=PIPELINE_CAP,
-        store=ArtifactStore(root=tempfile.gettempdir(), enabled=False))
+    session = IncrementalSession(trace, max_instructions=PIPELINE_CAP)
     session.run([BASE_CONFIG])  # warm the session on the design point
     rows = []
     for knob, config in KNOB_EDITS:
@@ -151,25 +145,21 @@ def _knob_rows(name, trace):
 
 
 def _measure(names):
-    # The native timing loop's .so is a per-machine install artifact
-    # (content-addressed in the cache dir) — compile it outside the
-    # timed regions, like Python's own bytecode cache.
-    native.available()
+    # The native timing loop's and lane kernel's .so files are
+    # per-machine install artifacts (content-addressed in the cache
+    # dir) — compile them outside the timed regions, like Python's own
+    # bytecode cache.
+    if native.lane_width():
+        native.lanes_available(native.lane_width())
     grid_rows = []
     knob_rows = []
-    staging = tempfile.mkdtemp(prefix="bench-incremental-")
-    try:
-        for index, name in enumerate(names):
-            trace = FunctionalSimulator(build_workload(name)).run(
-                max_instructions=FUNCTIONAL_CAP, trace=True)
-            store = ArtifactStore(
-                root=tempfile.mkdtemp(dir=staging), enabled=True)
-            grid_rows.append(_grid_row(name, trace, store))
-            knob_rows.extend(_knob_rows(name, trace))
-            emit_event("progress", done=index + 1, total=len(names),
-                       unit="kernels", label=name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    for index, name in enumerate(names):
+        trace = FunctionalSimulator(build_workload(name)).run(
+            max_instructions=FUNCTIONAL_CAP, trace=True)
+        grid_rows.append(_grid_row(name, trace))
+        knob_rows.extend(_knob_rows(name, trace))
+        emit_event("progress", done=index + 1, total=len(names),
+                   unit="kernels", label=name)
     return {
         "configs": [config.name for config in GRID],
         "knobs": [knob for knob, _ in KNOB_EDITS],

@@ -8,12 +8,13 @@ runs per config inside the timed region:
 * ``repro_run_lanes`` — up to L same-shape configs per pass (L = 8
   under AVX-512F/VL/DQ, 4 under AVX2), at each lane width the host runs.
 
-The inputs are stored clone digests and banks: the crc32, sha, qsort
-and dijkstra clones (synthesis seed 42) on the design-sweep grid
-(width × ROB × L1D × predictor, 108 configs) at its 60k-instruction
-cap.  Each kernel's grid is timed whole and cut into the fleet's
-affinity blocks (27 configs each), with the sweep's own pass plan
-(``sweep._lane_passes``) deciding which configs share a pass.  Reported
+The inputs are clone digests and banks, built before the clock starts:
+the crc32, sha, qsort and dijkstra clones (synthesis seed 42) on the
+design-sweep grid (width × ROB × L1D × predictor, 108 configs) at its
+60k-instruction cap.  Each kernel's grid is timed whole and cut into
+the fleet's affinity blocks (27 configs each), with the sweep's own
+pass plan (``sweep._lane_passes``) deciding which configs share a
+pass.  Reported
 per kernel: ns per instruction per config, one scalar config and one
 full lane pass in ms, the pass cost in scalar-config units (the number
 the sweep's remainder rule rests on), and grid and block totals.  Every
@@ -39,7 +40,7 @@ from repro.fleet.scheduler import recipe_blocks
 from repro.uarch import native
 from repro.uarch.sweep import (_cache_bank_for, _hierarchy_key,
                                _lane_passes, _pred_bank_for, _predictor_key,
-                               _resolve_store, trace_digest)
+                               trace_digest)
 from repro.workloads import get_workload
 
 from _shared import emit, maybe_journal
@@ -72,17 +73,17 @@ def _inputs(name):
     trace = pipeline_artifacts(
         name, get_workload(name).source(), SynthesisParameters(seed=SEED),
         max_instructions=recipe.functional_cap).clone_trace
-    store = _resolve_store(trace, None)
-    digest = trace_digest(trace, store)
+    digest = trace_digest(trace)
     configs = [cell.config for cell in cells]
     cache_banks, pred_banks = {}, {}
     for config in configs:
         key = _hierarchy_key(config)
         if key not in cache_banks:
-            cache_banks[key] = _cache_bank_for(digest, config, store)
+            cache_banks[key] = _cache_bank_for(digest, config)
         key = _predictor_key(config)
         if key not in pred_banks:
-            pred_banks[key] = _pred_bank_for(digest, config, store)
+            pred_banks[key] = _pred_bank_for(digest, config.predictor,
+                                             config.predictor_kwargs)
     banks = [(cache_banks[_hierarchy_key(config)],
               pred_banks[_predictor_key(config)]) for config in configs]
     blocks = [[cell.index for cell in block.cells]

@@ -6,14 +6,11 @@ Every timed pair is also an equality assertion — each swept config must
 reproduce the reference run field for field — so the recorded speedups
 are guaranteed to be numerics-preserving.
 
-Three sweep columns per kernel:
+Two sweep columns per kernel:
 
-* ``cold``  — nothing cached anywhere: digest + banks built and
-  persisted to a fresh artifact store.  What the first grid study over
-  a new trace pays.
-* ``store`` — in-memory state dropped, artifact store warm: digests and
-  banks load from disk.  What a re-run (or a parallel worker in another
-  process) pays.
+* ``cold``  — nothing cached: digest + banks built from the trace in
+  memory.  What the first grid study over a trace pays, in any process
+  (digests and banks are never stored).
 * ``warm``  — same-process re-sweep with memoization intact.  What the
   second study in one ``repro exec`` invocation pays.
 
@@ -34,7 +31,6 @@ import time
 
 import numpy as np
 
-from repro.exec.store import ArtifactStore
 from repro.obs.journal import (configure_journal, emit_event,
                                suspend_journal)
 from repro.sim import FunctionalSimulator
@@ -71,13 +67,13 @@ def _result_fields(result):
 
 
 def _forget(trace):
-    """Drop in-memory sweep state so only the artifact store is warm."""
+    """Drop in-memory sweep state, so the next sweep is cold."""
     if hasattr(trace, "_sweep_digest"):
         del trace._sweep_digest
 
 
-def _sweep_rows(names, store):
-    """Per-kernel reference vs cold/store-warm/warm sweep timings."""
+def _sweep_rows(names):
+    """Per-kernel reference vs cold/warm sweep timings."""
     rows = []
     for index, name in enumerate(names):
         trace = FunctionalSimulator(build_workload(name)).run(
@@ -91,23 +87,15 @@ def _sweep_rows(names, store):
         _forget(trace)
         start = time.perf_counter()
         cold = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP,
-                                       store=store)
+                                       max_instructions=PIPELINE_CAP)
         cold_s = time.perf_counter() - start
-
-        _forget(trace)
-        start = time.perf_counter()
-        store_warm = simulate_pipeline_sweep(
-            trace, GRID, max_instructions=PIPELINE_CAP, store=store)
-        store_s = time.perf_counter() - start
 
         start = time.perf_counter()
         warm = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP,
-                                       store=store)
+                                       max_instructions=PIPELINE_CAP)
         warm_s = time.perf_counter() - start
 
-        for swept in (cold, store_warm, warm):
+        for swept in (cold, warm):
             assert [_result_fields(result) for result in swept] \
                 == [_result_fields(result) for result in reference]
 
@@ -116,7 +104,6 @@ def _sweep_rows(names, store):
                      instructions / reference_s / 1e6,
                      instructions / cold_s / 1e6,
                      reference_s / cold_s,
-                     reference_s / store_s,
                      reference_s / warm_s])
         emit_event("progress", done=index + 1, total=len(names),
                    unit="kernels", label=name)
@@ -133,17 +120,11 @@ SWEEPS_PER_SAMPLE = 10
 
 
 def _overhead_sweep_once(trace):
-    """Seconds of one cold sweep in a throwaway store."""
-    staging = tempfile.mkdtemp(prefix="bench-uarch-ovh-")
-    try:
-        store = ArtifactStore(root=staging, enabled=True)
-        _forget(trace)
-        start = time.perf_counter()
-        simulate_pipeline_sweep(trace, GRID,
-                                max_instructions=PIPELINE_CAP, store=store)
-        return time.perf_counter() - start
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    """Seconds of one cold sweep."""
+    _forget(trace)
+    start = time.perf_counter()
+    simulate_pipeline_sweep(trace, GRID, max_instructions=PIPELINE_CAP)
+    return time.perf_counter() - start
 
 
 def _timed_sweep(trace, journaled):
@@ -199,23 +180,18 @@ def _journal_overhead(names, pairs=9):
 
 
 def _measure(names, overhead=True):
-    # Compile/load the native timing loop up front: the .so is a
-    # per-machine install artifact (content-addressed in the cache
-    # dir), not part of any kernel's cold-sweep cost.
-    native.available()
-    staging = tempfile.mkdtemp(prefix="bench-uarch-sweep-")
-    try:
-        store = ArtifactStore(root=staging, enabled=True)
-        rows = _sweep_rows(names, store)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    # Compile/load the native timing loop and its lane kernel up front:
+    # each .so is a per-machine install artifact (content-addressed in
+    # the cache dir), not part of the first kernel's cold-sweep cost.
+    if native.lane_width():
+        native.lanes_available(native.lane_width())
+    rows = _sweep_rows(names)
     return {
         "configs": [config.name for config in GRID],
         "pipeline_cap": PIPELINE_CAP,
         "rows": rows,
         "geomean_cold": _geomean([row[4] for row in rows]),
-        "geomean_store": _geomean([row[5] for row in rows]),
-        "geomean_warm": _geomean([row[6] for row in rows]),
+        "geomean_warm": _geomean([row[5] for row in rows]),
         "journal_overhead_cold":
             _journal_overhead(OVERHEAD_NAMES) if overhead else None,
     }
@@ -224,12 +200,11 @@ def _measure(names, overhead=True):
 def _render(data):
     from repro.evaluation import format_table
     header = ["kernel", "instructions", "run MIPS", "sweep MIPS",
-              "cold x", "store x", "warm x"]
+              "cold x", "warm x"]
     text = (f"grid sweep ({len(data['configs'])} configs x "
             f"{data['pipeline_cap']} instructions, run vs sweep):\n")
     text += format_table(header, data["rows"], float_format="{:.2f}")
     text += (f"\n  geomean speedup: {data['geomean_cold']:.2f}x cold"
-             f" / {data['geomean_store']:.2f}x store-warm"
              f" / {data['geomean_warm']:.2f}x warm")
     if data.get("journal_overhead_cold"):
         overhead = (data["journal_overhead_cold"] - 1.0) * 100.0

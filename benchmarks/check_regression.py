@@ -37,7 +37,7 @@ EXIT_REGRESSION = 5
 #: format is ``[kernel, instructions, ...columns...]``.
 SPECS = {
     "uarch_sweep": [
-        ("rows", {4: "cold", 5: "store", 6: "warm"}),
+        ("rows", {4: "cold", 5: "warm"}),
     ],
     "trace_acquisition": [
         ("acquisition_rows", {5: "vs_interp"}),

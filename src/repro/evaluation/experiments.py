@@ -300,7 +300,7 @@ def _baseline_comparison_row(name, configs, profiled_cache):
     measured_miss = real_stats[-1].miss_rate
     real_row = [stats.misses / real_n for stats in real_stats[:-1]]
     # The predictor-sweep path shares the per-trace mispredict outcome
-    # bank (in-process and via the store) with every pipeline sweep
+    # bank (in-process, on the trace) with every pipeline sweep
     # that uses the same predictor on this trace.
     [measured_predictor] = simulate_predictor_sweep(
         artifacts.trace, [BASE_CONFIG.predictor])

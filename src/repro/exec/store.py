@@ -19,6 +19,12 @@ Layout on disk (``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
         profile.json     WorkloadProfile
         clone.s          clone assembly source
 
+Trace-only entries (``trace_artifacts``) hold just ``trace.npz``.
+Nothing derived from a trace is stored: the sweep rebuilds its digests
+and outcome banks in memory, where a rebuild costs less than a load.
+Entries an older version wrote under ``sweep-*`` keys are never read
+again and age out under LRU eviction.
+
 Writes are atomic (temp directory + ``os.replace``-style rename), so
 concurrent processes — e.g. fleet workers — can
 share one store without locks: the first writer wins and later writers
@@ -140,7 +146,7 @@ class ArtifactStore:
         Entries declare their own payload files in ``meta["files"]``
         (validated by :meth:`load`), so presence of the meta manifest
         is the existence test — the store holds classic pipeline
-        entries and single-file sweep digest/bank/kernel entries alike.
+        entries and single-file trace entries alike.
         """
         return os.path.exists(
             os.path.join(self.entry_dir(key), META_FILENAME))

@@ -33,7 +33,9 @@ a leftover lease on it is swept, not reclaimed.
 Every claim / steal / reclaim emits a ``fleet`` journal event (the
 worker adds one ``complete`` event per finished block), giving
 ``repro tail`` and post-mortem ``repro trace`` the full scheduling
-history.
+history.  Each is followed at once by the process's metric deltas, so
+the ``fleet.claims``/``fleet.steals``/``fleet.reclaims`` increments are
+journaled with their events even if the process is killed next.
 """
 
 import errno
@@ -44,7 +46,7 @@ import tempfile
 import time
 from contextlib import suppress
 
-from repro.obs.journal import emit_event
+from repro.obs.journal import emit_event, emit_metric_deltas
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
 
@@ -159,6 +161,9 @@ class FleetQueue:
             REGISTRY.counter("fleet.steals").inc()
         emit_event("fleet", event="steal" if stolen else "claim",
                    lease=lease_id, worker=worker)
+        # Journal the increment with its event, before the block is
+        # timed, so a worker killed holding the block keeps its count.
+        emit_metric_deltas()
         return True
 
     def _lease_record(self, worker):
@@ -277,6 +282,7 @@ class FleetQueue:
             emit_event("fleet", event="reclaim", lease=lease_id,
                        worker=worker, previous=info.get("worker"),
                        reason="dead_pid" if dead else "expired")
+            emit_metric_deltas()
             _LOG.info("fleet.reclaim", lease=lease_id,
                       previous=info.get("worker"),
                       reason="dead_pid" if dead else "expired")

@@ -11,17 +11,18 @@ A run directory is the whole state of one matrix execution::
 
 :func:`run_fleet` expands the recipe, pins every pending cell's trace
 artifacts in the store, reclaims abandoned leases, and fans the shards
-out to worker processes; each worker additionally pins the digest/bank
-entries of its live sessions once it holds the trace content needed to
-key them.  Pinning is best-effort — it guards future prunes only, so
-an eviction racing the pin write just costs a re-derivation — but it
-keeps a long matrix from routinely LRU-evicting its own warm inputs
-mid-run.  Invoking it again on the same directory *is* the
-resume path: completed blocks are skipped byte-for-byte (their result
-files are never rewritten), only pending blocks execute.  When the last
-cell lands the canonical matrix — deterministic metrics only, sorted
-keys — is exported, so an interrupted-then-resumed run produces a
-``matrix.json`` byte-identical to an uninterrupted one.
+out to worker processes.  Those trace entries are all a run reads from
+the store: workers rebuild digests and outcome banks in memory, so
+they pin nothing themselves.  Pinning is best-effort — it guards
+future prunes only, so an eviction racing the pin write just costs a
+re-derivation — but it keeps a long matrix from routinely
+LRU-evicting its own warm inputs mid-run.  Invoking it again on the
+same directory *is* the resume path: completed blocks are skipped
+byte-for-byte (their result files are never rewritten), only pending
+blocks execute.  When the last cell lands the canonical matrix —
+deterministic metrics only, sorted keys — is exported, so an
+interrupted-then-resumed run produces a ``matrix.json`` byte-identical
+to an uninterrupted one.
 """
 
 import json
@@ -99,13 +100,8 @@ def load_run_recipe(run_dir):
 # Pin-while-leased: a live run's inputs are not LRU fodder
 # ----------------------------------------------------------------------
 def _pending_artifact_keys(recipe, cells, queue):
-    """Store keys the pending cells will read (trace entries only).
-
-    The derived digest/bank entries are keyed by trace *content*, which
-    the orchestrator does not have; each worker pins those itself via
-    :meth:`~repro.fleet.worker.FleetWorker._pin_sessions` as its
-    sessions go live.
-    """
+    """Store keys the pending cells will read: their trace entries,
+    the only store entries a fleet run reads."""
     from repro.core.synthesizer import SynthesisParameters
     from repro.sim.functional import resolve_backend
     from repro.isa.assembler import assemble

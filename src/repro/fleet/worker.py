@@ -45,11 +45,10 @@ import signal
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 from repro.core.synthesizer import SynthesisParameters
 from repro.exec.artifacts import pipeline_artifacts, trace_artifacts
-from repro.exec.store import default_store
 from repro.fleet.queue import FleetQueue, _pid_alive
 from repro.fleet.recipe import recipe_from_dict
 from repro.fleet.scheduler import (
@@ -62,7 +61,6 @@ from repro.obs.logging import get_logger
 from repro.obs.trace import span
 from repro.uarch.incremental import IncrementalSession
 from repro.uarch.power import shared_power_model
-from repro.uarch.sweep import bank_store_keys
 from repro.workloads import get_workload
 
 _LOG = get_logger("repro.fleet.worker")
@@ -192,10 +190,6 @@ class FleetWorker:
         self.cells = recipe.expand() if cells is None else cells
         self.blocks = recipe_blocks(recipe, self.cells)
         self.shards = build_shards(self.blocks, self.n_workers)
-        self._trace_configs = {}
-        for cell in self.cells:
-            self._trace_configs.setdefault(cell.trace_key,
-                                           []).append(cell.config)
         kwargs = {} if lease_ttl is None else {"lease_ttl": lease_ttl}
         self.queue = FleetQueue(run_dir, **kwargs)
         self.chaos = parse_chaos(chaos)
@@ -207,7 +201,6 @@ class FleetWorker:
         self.completed = set()
         self._heartbeat = _Heartbeat(self.queue, self.worker_id)
         self._sessions = OrderedDict()
-        self._pin_owner = f"fleet-{self.worker_id}"
 
     # ------------------------------------------------------------------
     def _trace_for(self, cell):
@@ -236,24 +229,7 @@ class FleetWorker:
         self._sessions[key] = session
         while len(self._sessions) > _MAX_SESSIONS:
             self._sessions.popitem(last=False)
-        self._pin_sessions()
         return session
-
-    def _pin_sessions(self):
-        """Pin the digest/bank store keys the live sessions read and
-        write (the orchestrator can pin only trace entries up front —
-        these keys need the trace content in hand).  Best-effort, like
-        all pinning: it guards future prunes only, and a stale pin from
-        a SIGKILL-ed worker is garbage-collected by its dead pid."""
-        store = default_store()
-        if not store.enabled:
-            return
-        keys = set()
-        for trace_key, session in self._sessions.items():
-            with suppress(Exception):
-                keys.update(bank_store_keys(
-                    session.trace, self._trace_configs[trace_key]))
-        store.pin(self._pin_owner, sorted(keys))
 
     def _time_block(self, cells):
         """``{cell_id: payload}`` of same-trace ``cells``, one sweep call."""
@@ -394,8 +370,6 @@ class FleetWorker:
                     time.sleep(_POLL_SECONDS)
                     continue
                 break  # nothing claimable, nothing reclaimable, owners gone
-        with suppress(Exception):
-            default_store().unpin(self._pin_owner)
         summary = {
             "worker": self.worker_id,
             "index": self.index,

@@ -23,8 +23,6 @@ they share the same build-once lifetime without this module importing
 simulator internals.
 """
 
-import hashlib
-
 import numpy as np
 
 from repro.isa.instructions import IClass
@@ -56,7 +54,7 @@ class ProgramColumns:
         "iclass_list", "dest_list", "srcs_list", "pool_list",
         "opcode_list", "imm_list", "target_list",
         "block_of", "is_block_start", "block_bounds", "block_size",
-        "derived", "_fingerprint",
+        "derived",
     )
 
     def __init__(self, program):
@@ -110,21 +108,6 @@ class ProgramColumns:
             self.is_block_start[start] = True
             self.block_of[start:end] = bid
         self.derived = {}
-        self._fingerprint = None
-
-    def fingerprint(self):
-        """Content hash over everything timing banks depend on."""
-        cached = self._fingerprint
-        if cached is None:
-            hasher = hashlib.sha256()
-            hasher.update(self.pc_addresses.tobytes())
-            hasher.update(self.iclass.astype(np.int64).tobytes())
-            hasher.update(np.asarray(self.dest_list,
-                                     dtype=np.int64).tobytes())
-            hasher.update(repr(self.srcs_list).encode())
-            hasher.update(repr(self.block_bounds).encode())
-            cached = self._fingerprint = hasher.hexdigest()
-        return cached
 
     def mix_matrix(self):
         """(n_blocks, IClass.COUNT) static per-block class histogram."""

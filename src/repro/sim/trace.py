@@ -14,33 +14,7 @@ the microarchitecture-independent profiler and the timing models — the
 same information SimpleScalar's functional simulator feeds its tools.
 """
 
-import hashlib
-
 import numpy as np
-
-
-def write_npz(path, arrays, compress=False):
-    """Write an ``.npz`` archive; the single choke point for all trace
-    and sweep-artifact persistence.
-
-    ``compress=True`` (deflate) is worth it for long-lived trace
-    archives — dynamic traces are highly repetitive and shrink 5-10x —
-    while the artifact store's bank/digest saves sit on the cold-sweep
-    critical path, where zlib costs more wall time than the disk it
-    saves (see EXPERIMENTS.md for the measured tradeoff).
-    """
-    if compress:
-        np.savez_compressed(path, **arrays)
-    else:
-        np.savez(path, **arrays)
-
-
-def _column_bytes(array):
-    # tobytes() on a contiguous array already serializes in C order;
-    # only non-contiguous views (sliced traces) need the defensive copy.
-    if not array.flags["C_CONTIGUOUS"]:
-        array = np.ascontiguousarray(array)
-    return array.tobytes()
 
 
 class DynamicTrace:
@@ -54,7 +28,6 @@ class DynamicTrace:
         self.addrs = np.asarray(addrs, dtype=np.int64)
         self.taken = np.asarray(taken, dtype=np.int8)
         self._memory_mask = None
-        self._content_digest = None
 
     def __len__(self):
         return len(self.pcs)
@@ -86,23 +59,6 @@ class DynamicTrace:
         """Dynamic positions of all conditional branches."""
         return np.nonzero(self.taken >= 0)[0]
 
-    def content_digest(self):
-        """Combined per-column sha256, computed once per trace.
-
-        Identifies the trace *content* independently of how it was
-        produced; the sweep engine keys persisted digests and outcome
-        banks on it (together with a program fingerprint).  Each column
-        is hashed on its own and the three hexdigests are hashed again.
-        """
-        digest = self._content_digest
-        if digest is None:
-            columns = "".join(
-                hashlib.sha256(_column_bytes(column)).hexdigest()
-                for column in (self.pcs, self.addrs, self.taken))
-            digest = self._content_digest = hashlib.sha256(
-                columns.encode()).hexdigest()
-        return digest
-
     def data_footprint(self, granularity=4):
         """Number of unique ``granularity``-byte data blocks touched."""
         addresses = self.memory_addresses()
@@ -122,15 +78,11 @@ class DynamicTrace:
             "taken_branches": taken,
         }
 
-    def save(self, path, compress=True):
-        """Persist to ``.npz`` (program is *not* saved; see ``load``).
-
-        Compressed by default — trace archives are long-lived and
-        shrink well; pass ``compress=False`` for throwaway staging
-        files where write speed matters more than size.
-        """
-        write_npz(path, {"pcs": self.pcs, "addrs": self.addrs,
-                         "taken": self.taken}, compress=compress)
+    def save(self, path):
+        """Persist to a compressed ``.npz`` (program is *not* saved; see
+        ``load``): traces are highly repetitive and shrink 5-10x."""
+        np.savez_compressed(path, pcs=self.pcs, addrs=self.addrs,
+                            taken=self.taken)
 
     @classmethod
     def load(cls, path, program):

@@ -7,15 +7,16 @@ All predictors share the ``predict(pc) -> bool`` / ``update(pc, taken)``
 protocol and track their own accuracy.
 
 :func:`predictor_outcome_bank` resolves a whole ``(pc, taken)`` branch
-stream at once in numpy: the PHT index sequence is derived from the
-already-known taken sequence (global history is just shifted outcome
-bits) and the 2-bit counter evolution inside each index group is solved
-with a segmented FSM transition-table scan — no per-branch Python loop.
-:func:`simulate_predictor` rides on the bank; the original scalar loop
-is kept as :func:`simulate_predictor_reference` and equality-tested.
+stream at once: the static predictors by one array expression, the
+table predictors by one C loop over their 2-bit counters and global
+history (``repro_predict_counters`` in :mod:`repro.uarch.native`).
+:func:`simulate_predictor` rides on the bank; the scalar loop is kept
+as :func:`simulate_predictor_reference` and equality-tested.
 """
 
 import numpy as np
+
+from repro.uarch import native
 
 
 class _PredictorStats:
@@ -173,76 +174,28 @@ def make_predictor(kind, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Vectorized outcome banks (the sweep engine's predictor side)
+# Outcome banks (the sweep engine's predictor side)
 # ----------------------------------------------------------------------
-#: 2-bit saturating counter transition table: ``next[state][taken]``.
-_COUNTER_NEXT = np.array([[0, 1], [0, 2], [1, 3], [2, 3]], dtype=np.uint8)
-
-
-def _global_history(taken, history_bits):
-    """Global-history register value *before* each branch.
-
-    ``history = ((history << 1) | taken) & mask`` means the register
-    seen by branch ``i`` holds outcome ``i-1`` in bit 0, ``i-2`` in
-    bit 1, ...: pure shifts of the known taken sequence.
-    """
-    n = len(taken)
-    history = np.zeros(n, dtype=np.int64)
-    bits = taken.astype(np.int64)
-    for age in range(1, history_bits + 1):
-        history[age:] |= bits[:-age] << (age - 1)
-    return history
-
-
-def _counter_predictions(indices, taken):
-    """Predicted-taken flag per access for a bank of 2-bit counters.
-
-    Every counter starts at 1 (weakly not-taken).  Accesses sharing a
-    PHT index form one sequential FSM; a stable sort groups them and a
-    segmented map-composition scan (Hillis-Steele doubling over the
-    4-state transition maps, with segment-start flags stopping
-    absorption at group boundaries) resolves the state each access
-    observes without a Python loop.
-    """
-    n = len(indices)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    order = np.argsort(indices, kind="stable")
-    grouped_taken = taken[order].astype(np.int64)
-    grouped_index = indices[order]
-    seg_start = np.empty(n, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = grouped_index[1:] != grouped_index[:-1]
-
-    # prefix[i] maps (state before its covered run) -> (state after i).
-    prefix = np.ascontiguousarray(_COUNTER_NEXT[:, grouped_taken].T)
-    reached = seg_start.copy()  # prefix[i] already reaches its seg start
-    span = 1
-    while span < n:
-        active = ~reached[span:]
-        if not active.any():
-            break
-        composed = np.take_along_axis(prefix[span:], prefix[:-span], axis=1)
-        absorbed = reached[:-span][active]
-        prefix[span:][active] = composed[active]
-        reached[span:][active] = absorbed
-        span *= 2
-
-    state_before = np.empty(n, dtype=np.uint8)
-    state_before[seg_start] = 1
-    later = np.nonzero(~seg_start)[0]
-    state_before[later] = prefix[later - 1, 1]
-    predictions = np.empty(n, dtype=bool)
-    predictions[order] = state_before >= 2
-    return predictions
+def _table_layout(model):
+    """``(pc_mask, pc_shift, history_bits, table_bits)`` of a table
+    predictor: its counter index is ``((pc & pc_mask) << pc_shift) ^
+    history`` over ``2**table_bits`` counters."""
+    if isinstance(model, Bimodal):
+        return model.entries - 1, 0, 0, model.entries.bit_length() - 1
+    if isinstance(model, TwoLevelGAp):
+        return ((1 << model.pc_bits) - 1, model.history_bits,
+                model.history_bits, model.history_bits + model.pc_bits)
+    return -1, 0, model.history_bits, model.history_bits  # GShare
 
 
 def predictor_outcome_bank(pcs, taken, kind="gap", **kwargs):
     """Per-branch mispredict flags for one ``(pc, outcome)`` stream.
 
-    Equivalent to replaying the stream through
-    ``make_predictor(kind, **kwargs)`` and recording each update's
-    mispredict outcome, but computed with numpy.  ``pcs`` and ``taken``
+    Equal to replaying the stream through ``make_predictor(kind,
+    **kwargs)`` and recording each update's mispredict outcome.  The
+    static predictors need no replay; the table predictors run in C
+    (:func:`repro.uarch.native.predict_counters`), or, without the
+    native library, through that replay itself.  ``pcs`` and ``taken``
     are parallel arrays (any int / bool dtypes).
     """
     pcs = np.asarray(pcs, dtype=np.int64)
@@ -252,33 +205,21 @@ def predictor_outcome_bank(pcs, taken, kind="gap", **kwargs):
         return taken.copy()
     if isinstance(model, AlwaysTaken):
         return ~taken
-    if isinstance(model, Bimodal):
-        indices = pcs & (model.entries - 1)
-    elif isinstance(model, TwoLevelGAp):
-        history = _global_history(taken, model.history_bits)
-        indices = (((pcs & ((1 << model.pc_bits) - 1))
-                    << model.history_bits) | history)
-    elif isinstance(model, GShare):
-        history = _global_history(taken, model.history_bits)
-        indices = (pcs ^ history) & ((1 << model.history_bits) - 1)
-    else:  # unknown registered predictor: fall back to the scalar spec
-        flags = np.empty(len(pcs), dtype=bool)
-        update = model.update
-        predict = model._predict
-        for position, (pc, was_taken) in enumerate(
-                zip(pcs.tolist(), taken.tolist())):
-            flags[position] = predict(pc) != was_taken
-            update(pc, was_taken)
-        return flags
-    predictions = _counter_predictions(indices, taken)
-    return predictions != taken
+    if native.available():
+        return native.predict_counters(pcs, taken, *_table_layout(model))
+    flags = np.empty(len(pcs), dtype=bool)
+    for position, (pc, outcome) in enumerate(zip(pcs.tolist(),
+                                                 taken.tolist())):
+        flags[position] = model.predict(pc) != outcome
+        model.update(pc, outcome)
+    return flags
 
 
 def simulate_predictor(trace, kind="gap", **kwargs):
     """Replay all conditional branches of a trace through a predictor.
 
     Returns the predictor (its ``stats`` hold the misprediction rate).
-    Outcomes come from the vectorized :func:`predictor_outcome_bank`;
+    Outcomes come from :func:`predictor_outcome_bank`;
     :func:`simulate_predictor_reference` is the scalar specification
     this is equality-tested against.  The returned predictor's *stats*
     are exact; its internal table state is not replayed.

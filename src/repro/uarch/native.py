@@ -1,4 +1,5 @@
-"""Native sweep kernels: the timing inner loop and the LRU cache replay.
+"""Native sweep kernels: the timing inner loop, the LRU cache replay and
+the table branch predictors.
 
 The per-config cost of a grid study is dominated by executing run()'s
 integer scheduling recurrence ~60k times per config.  Every input to
@@ -8,15 +9,20 @@ ports directly to a ~100-line C function over int64 arrays with *no*
 per-instruction Python anywhere.  The cache layer's hot loop, exact
 true-LRU replay of an address stream over one geometry, ports the same
 way; it serves every configuration of ``simulate_cache_sweep`` and
-every cache bank the sweep builds.
+every cache bank the sweep builds.  So does the replay of a branch
+stream through a table of 2-bit counters (bimodal, GAp, gshare), which
+builds every predictor bank.  Banks are rebuilt from the trace in
+memory rather than stored: with these loops a rebuild costs less than
+an artifact-store load.
 
-This module embeds both C functions in one source (ports of
-``PipelineModel.run``'s scheduling loop and ``cache.Cache``, asserted
-equivalent by the corpus differential suites), compiles it once per
-machine through the shared :mod:`repro.native` toolchain into a
-content-addressed shared library under the repro cache dir, and
-exposes it through ctypes.  No third-party packages, no CPython API:
-plain arrays in, final counters out.
+This module embeds the three C functions in one source (ports of
+``PipelineModel.run``'s scheduling loop, ``cache.Cache`` and the table
+predictors, asserted equivalent by the corpus differential suites and
+a property test), compiles it once per machine through the shared
+:mod:`repro.native` toolchain into a content-addressed shared library
+under the repro cache dir, and exposes it through ctypes.  No
+third-party packages, no CPython API: plain arrays in, final counters
+out.
 
 The scheduling loop also comes as a lane kernel, ``repro_run_lanes``,
 that times up to 8 same-shape configs in one pass over the digest, one
@@ -29,9 +35,9 @@ uses lanes, through a per-function target attribute, so the shared
 
 No C compiler, a failed compile, or ``REPRO_NATIVE=off`` simply means
 :func:`available` is False: the sweep then times every config with the
-spec, ``PipelineModel.run``, and ``simulate_cache_sweep`` replays with
-its Python dict LRU.  The semantics are identical either way; only the
-wall time differs.
+spec, ``PipelineModel.run``, ``simulate_cache_sweep`` replays with its
+Python dict LRU, and predictor banks replay the spec predictor.  The
+semantics are identical either way; only the wall time differs.
 """
 
 import ctypes
@@ -267,6 +273,35 @@ int64_t repro_lru_replay(
     free(fill);
     *evictions = evicted;
     return misses;
+}
+
+/* Exact port of the table predictors in repro.uarch.branch_predictors
+ * (Bimodal, TwoLevelGAp, GShare) over n resolved branches: each looks
+ * up the 2-bit counter at ((pc & pc_mask) << pc_shift ^ history) &
+ * table_mask, where history holds the last history_bits outcomes,
+ * newest in bit 0.  counters (table_mask + 1 of them, every one 1 on
+ * entry) are updated in place; miss[i] is 1 where branch i was
+ * mispredicted.  Unsigned arithmetic keeps any pc well defined. */
+void repro_predict_counters(
+    const int64_t *pcs, const uint8_t *taken, int64_t n, uint64_t pc_mask,
+    int64_t pc_shift, int64_t history_bits, uint64_t table_mask,
+    uint8_t *counters, uint8_t *miss)
+{
+    uint64_t history = 0;
+    uint64_t history_mask = (UINT64_C(1) << history_bits) - 1;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t index = ((((uint64_t)pcs[i] & pc_mask) << pc_shift)
+                          ^ history) & table_mask;
+        uint8_t counter = counters[index];
+        uint8_t outcome = taken[i] != 0;
+        miss[i] = (counter >= 2) != outcome;
+        if (outcome) {
+            if (counter < 3) counters[index] = counter + 1;
+        } else if (counter > 0) {
+            counters[index] = counter - 1;
+        }
+        history = ((history << 1) | outcome) & history_mask;
+    }
 }
 
 /* How many configs this host's lane kernel times per pass: 8 under
@@ -572,6 +607,13 @@ def _load():
         ctypes.c_int64, ctypes.c_int64,                    # sets, ways
         _U8, _I64,                                         # hits, evictions
     ]
+    library.repro_predict_counters.restype = None
+    library.repro_predict_counters.argtypes = [
+        _I64, _U8, ctypes.c_int64,                         # branches
+        ctypes.c_uint64, ctypes.c_int64,                   # pc mask, shift
+        ctypes.c_int64, ctypes.c_uint64,                   # history, table
+        _U8, _U8,                                          # counters, miss
+    ]
     library.repro_lane_width.restype = ctypes.c_int
     library.repro_lane_width.argtypes = []
     _LIBRARY = library
@@ -797,6 +839,23 @@ def lru_replay(addresses, line_shift, config, hits=None):
     if misses < 0:
         raise MemoryError(f"cannot allocate LRU state for {config}")
     return misses, evictions.value
+
+
+def predict_counters(pcs, taken, pc_mask, pc_shift, history_bits,
+                     table_bits):
+    """Per-branch mispredict flags of a table of ``2**table_bits`` 2-bit
+    counters (all starting at 1) indexed by ``((pc & pc_mask) <<
+    pc_shift) ^ history``, from ``repro_predict_counters``."""
+    pcs = np.ascontiguousarray(pcs, dtype=np.int64)
+    taken = np.ascontiguousarray(taken, dtype=bool).view(np.uint8)
+    counters = np.ones(1 << table_bits, dtype=np.uint8)
+    miss = np.empty(len(pcs), dtype=np.uint8)
+    _load().repro_predict_counters(
+        _ptr64(pcs), taken.ctypes.data_as(_U8), len(pcs),
+        pc_mask & 0xFFFF_FFFF_FFFF_FFFF, pc_shift, history_bits,
+        (1 << table_bits) - 1, counters.ctypes.data_as(_U8),
+        miss.ctypes.data_as(_U8))
+    return miss.view(bool)
 
 
 def _decode_depth():

@@ -6,9 +6,9 @@ while digesting the trace only once:
 
 * **Trace digest** (:func:`trace_digest`) — config-independent tables:
   the branch and memory event streams and per-line-size I-access event
-  positions.  Computed once per trace, cached on it, and (for
-  corpus-sized traces) persisted through the exec artifact store keyed
-  by trace content + program fingerprint.
+  positions.  Computed once per trace and cached on it
+  (``trace._sweep_digest``), never persisted: rebuilding it from the
+  trace in memory costs less than loading it from the artifact store.
 * **Cache outcome banks** — per-access L1I/L1D hit flags, the merged
   L2 miss-stream replay, and the per-event latency arrays the timing
   loop consumes, one bank per *distinct hierarchy* (configs sharing
@@ -17,7 +17,8 @@ while digesting the trace only once:
   ``max_instructions`` cut exact.
 * **Predictor outcome banks** — per-branch mispredict flags per
   distinct predictor, from
-  :func:`repro.uarch.branch_predictors.predictor_outcome_bank`.
+  :func:`repro.uarch.branch_predictors.predictor_outcome_bank`.  Both
+  kinds of bank live on the digest, so they last as long as the trace.
 * **Scheduling loop** — the remaining per-config work (the
   fetch/dispatch/issue/commit recurrence) consumes the banks' event
   arrays by cursor, in C (:mod:`repro.uarch.native`).  Configs that
@@ -38,8 +39,6 @@ stats, the ROB/LSQ/fetch-queue stall and redirect counters) matches
 asserts equality across the corpus and every design change.
 """
 
-import hashlib
-import os
 import time
 import weakref
 
@@ -47,7 +46,6 @@ import numpy as np
 
 from repro.isa.columns import columns_for
 from repro.isa.instructions import IClass
-from repro.sim.trace import write_npz
 from repro.obs.logging import get_logger
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import span
@@ -59,13 +57,6 @@ from repro.uarch.pipeline import PipelineModel, PipelineResult
 
 _LOG = get_logger("repro.uarch.sweep")
 
-#: Bump when digest/bank array layout or semantics change; combined
-#: with the store's ARTIFACT_SCHEMA_VERSION in every persisted key.
-BANK_SCHEMA_VERSION = 2
-
-#: Traces shorter than this are not worth a store round-trip.
-_PERSIST_MIN_INSTRUCTIONS = 10_000
-
 
 # ----------------------------------------------------------------------
 # Sweep statistics: the registry counters ``uarch.sweep.<key>``
@@ -73,11 +64,9 @@ _PERSIST_MIN_INSTRUCTIONS = 10_000
 #: Every key :func:`sweep_stats_snapshot` reports, zero until counted.
 _STATS = (
     "grids", "configs", "instructions",
-    "digests_built", "digests_reused", "digests_loaded", "digests_saved",
-    "cache_banks_built", "cache_banks_reused", "cache_banks_loaded",
-    "cache_banks_saved",
-    "pred_banks_built", "pred_banks_reused", "pred_banks_loaded",
-    "pred_banks_saved",
+    "digests_built", "digests_reused",
+    "cache_banks_built", "cache_banks_reused",
+    "pred_banks_built", "pred_banks_reused",
     "fallback_configs", "native_configs", "lane_configs",
     "distinct_hierarchies", "distinct_predictors",
     "predictor_sweeps", "predictor_sweep_kinds",
@@ -106,7 +95,7 @@ def sweep_stats_snapshot():
 # Trace digest
 # ----------------------------------------------------------------------
 class TraceDigest:
-    """Config-independent tables for one trace (built or restored once).
+    """Config-independent tables for one trace (built once).
 
     ``static`` is the program's shared :class:`ProgramColumns`.  The
     digest also acts as the per-trace home for outcome banks, so
@@ -118,29 +107,15 @@ class TraceDigest:
     every bank alive until a full garbage collection.
     """
 
-    def __init__(self, trace, _restored=None):
+    def __init__(self, trace):
         self._trace = weakref.ref(trace)
         self.static = columns_for(trace.program)
-        self.n = len(trace)
+        n = self.n = len(trace)
         self.pcs = np.asarray(trace.pcs, dtype=np.int64)
         self._iacc = {}        # shift -> (event positions, line indices)
         self.cache_banks = {}  # hierarchy key -> _CacheBank
         self.pred_banks = {}   # predictor key -> _PredictorBank
         self._class_counts = {}
-        self._persisted = False
-        if _restored is not None:
-            self._restore(*_restored)
-        else:
-            self._build(trace)
-
-    @property
-    def trace(self):
-        """The digested trace (None once it has been freed)."""
-        return self._trace()
-
-    # -- construction ---------------------------------------------------
-    def _build(self, trace):
-        n = self.n
         self.b_pos = np.nonzero(trace.taken >= 0)[0]
         self.b_pcs = self.pcs[self.b_pos]
         self.b_taken = trace.taken[self.b_pos] == 1
@@ -149,17 +124,10 @@ class TraceDigest:
         self.m_pos = np.nonzero(memory_mask)[0]
         self.m_addrs = trace.addrs[self.m_pos].astype(np.int64)
 
-    def _restore(self, meta, arrays):
-        self.b_pos = arrays["b_pos"]
-        self.b_pcs = arrays["b_pcs"]
-        self.b_taken = arrays["b_taken"].astype(bool)
-        self.m_pos = arrays["m_pos"]
-        self.m_addrs = arrays["m_addrs"]
-        for shift in meta.get("shifts", []):
-            shift = int(shift)
-            self._iacc[shift] = (arrays[f"iacc_pos_{shift}"],
-                                 arrays[f"iacc_lines_{shift}"])
-        self._persisted = True
+    @property
+    def trace(self):
+        """The digested trace (None once it has been freed)."""
+        return self._trace()
 
     # -- derived tables -------------------------------------------------
     def iacc(self, shift):
@@ -215,15 +183,8 @@ def _predictor_key(config):
             tuple(sorted(config.predictor_kwargs.items())))
 
 
-def _finalize_cache_bank(bank):
-    """Derive the prefix sums from the per-access arrays."""
-    bank.i_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.i_hit, dtype=np.int64)))
-    bank.d_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.d_hit, dtype=np.int64)))
-    bank.l2_hit_cum = np.concatenate(
-        ([0], np.cumsum(bank.l2_hit, dtype=np.int64)))
-    return bank
+def _prefix_sum(flags):
+    return np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
 
 
 def _build_cache_bank(digest, config):
@@ -270,7 +231,10 @@ def _build_cache_bank(digest, config):
     bank.dacc_lat = np.full(len(bank.d_hit), config.l1_latency,
                             dtype=np.int64)
     bank.dacc_lat[d_miss] = miss_latency[inverse[n_i_miss:]]
-    return _finalize_cache_bank(bank)
+    bank.i_hit_cum = _prefix_sum(bank.i_hit)
+    bank.d_hit_cum = _prefix_sum(bank.d_hit)
+    bank.l2_hit_cum = _prefix_sum(bank.l2_hit)
+    return bank
 
 
 class _PredictorBank:
@@ -279,218 +243,48 @@ class _PredictorBank:
     __slots__ = ("miss", "miss_cum")
 
 
-def _build_pred_bank(digest, config):
+def _build_pred_bank(digest, kind, kwargs):
     bank = _PredictorBank()
-    bank.miss = predictor_outcome_bank(digest.b_pcs, digest.b_taken,
-                                       config.predictor,
-                                       **config.predictor_kwargs)
-    bank.miss_cum = np.concatenate(
-        ([0], np.cumsum(bank.miss, dtype=np.int64)))
+    bank.miss = predictor_outcome_bank(digest.b_pcs, digest.b_taken, kind,
+                                       **kwargs)
+    bank.miss_cum = _prefix_sum(bank.miss)
     return bank
 
 
-# ----------------------------------------------------------------------
-# Artifact-store persistence for digests and banks
-# ----------------------------------------------------------------------
-def _store_key(kind, trace, component=""):
-    from repro.exec.store import ARTIFACT_SCHEMA_VERSION
-    material = "\x1f".join([
-        f"schema={ARTIFACT_SCHEMA_VERSION}",
-        f"bank_schema={BANK_SCHEMA_VERSION}",
-        f"kind={kind}",
-        f"trace={trace.content_digest()}",
-        f"program={columns_for(trace.program).fingerprint()}",
-        f"component={component}",
-    ])
-    content = hashlib.sha256(material.encode()).hexdigest()[:24]
-    return f"sweep-{kind}-{content}"
-
-
-def _npz_writer(arrays):
-    # Uncompressed on purpose: bank/digest saves sit on the cold-sweep
-    # critical path and zlib costs more than the disk it saves here.
-    def write(path):
-        write_npz(path, arrays, compress=False)
-    return write
-
-
-def _load_npz_entry(store, key, filename="bank.npz"):
-    """(meta, materialized arrays) from the store, or None."""
-    loaded = store.load(key)
-    if loaded is None:
-        return None
-    meta, entry_dir = loaded
-    if meta.get("bank_schema") != BANK_SCHEMA_VERSION:
-        return None
-    try:
-        with np.load(os.path.join(entry_dir, filename)) as blob:
-            arrays = {name: blob[name] for name in blob.files}
-    except (OSError, ValueError, KeyError) as exc:
-        _LOG.warning("sweep.bank_corrupt", key=key, error=str(exc))
-        return None
-    return meta, arrays
-
-
-def _resolve_store(trace, store):
-    """The store banks should persist through, or None to skip."""
-    if store is None:
-        if len(trace) < _PERSIST_MIN_INSTRUCTIONS:
-            return None
-        from repro.exec.store import default_store
-        store = default_store()
-    return store if store.enabled else None
-
-
-def bank_store_keys(trace, configs):
-    """Store keys the sweep reads or writes for ``trace`` under
-    ``configs``: the trace digest entry plus each distinct cache and
-    predictor outcome bank.
-
-    Computable without building any of the artifacts (the trace content
-    digest and program fingerprint are memoized), which is what lets
-    the fleet's pin-while-leased layer shield a live run's warm
-    digest/bank entries from LRU pruning.
-    """
-    keys = {_store_key("digest", trace)}
-    for config in configs:
-        keys.add(_store_key("cbank", trace, repr(_hierarchy_key(config))))
-        keys.add(_store_key("pbank", trace, repr(_predictor_key(config))))
-    return sorted(keys)
-
-
-def trace_digest(trace, store=None):
-    """The (cached) config-independent digest of one trace.
-
-    With a ``store``, a previously persisted digest for the same trace
-    content and program is restored instead of being re-derived, and
-    fresh digests are persisted by :func:`simulate_pipeline_sweep` once
-    their per-line-size tables have materialized.
-    """
+def trace_digest(trace):
+    """The (cached) config-independent digest of one trace."""
     digest = getattr(trace, "_sweep_digest", None)
     if digest is not None:
         _note("digests_reused")
         return digest
-    if store is not None:
-        restored = _load_npz_entry(store, _store_key("digest", trace),
-                                   "digest.npz")
-        if restored is not None:
-            digest = TraceDigest(trace, _restored=restored)
-            _note("digests_loaded")
-    if digest is None:
-        digest = TraceDigest(trace)
-        _note("digests_built")
-    trace._sweep_digest = digest
+    digest = trace._sweep_digest = TraceDigest(trace)
+    _note("digests_built")
     return digest
 
 
-def _persist_digest(digest, store):
-    if digest._persisted:
-        return
-    digest._persisted = True
-    key = _store_key("digest", digest.trace)
-    if store.has(key):
-        return
-    arrays = {
-        "b_pos": digest.b_pos, "b_pcs": digest.b_pcs,
-        "b_taken": digest.b_taken, "m_pos": digest.m_pos,
-        "m_addrs": digest.m_addrs,
-    }
-    for shift, (positions, lines) in digest._iacc.items():
-        arrays[f"iacc_pos_{shift}"] = positions
-        arrays[f"iacc_lines_{shift}"] = lines
-    meta = {
-        "kind": "sweep-digest",
-        "bank_schema": BANK_SCHEMA_VERSION,
-        "instructions": digest.n,
-        "shifts": sorted(digest._iacc),
-    }
-    store.save(key, meta, {"digest.npz": _npz_writer(arrays)})
-    _note("digests_saved")
-
-
-def _cache_bank_for(digest, config, store):
+def _cache_bank_for(digest, config):
     key = _hierarchy_key(config)
     bank = digest.cache_banks.get(key)
     if bank is not None:
         _note("cache_banks_reused")
         return bank
-    if store is not None:
-        restored = _load_npz_entry(
-            store, _store_key("cbank", digest.trace, repr(key)))
-        if restored is not None:
-            meta, arrays = restored
-            bank = _CacheBank()
-            bank.shift = int(meta["shift"])
-            bank.has_l2 = bool(meta["has_l2"])
-            bank.i_hit = arrays["i_hit"].astype(bool)
-            bank.d_hit = arrays["d_hit"].astype(bool)
-            bank.l2_pos = arrays["l2_pos"]
-            bank.l2_hit = arrays["l2_hit"].astype(bool)
-            bank.iacc_extra = arrays["iacc_extra"]
-            bank.dacc_lat = arrays["dacc_lat"]
-            digest.cache_banks[key] = _finalize_cache_bank(bank)
-            _note("cache_banks_loaded")
-            return bank
     bank = digest.cache_banks[key] = _build_cache_bank(digest, config)
     _note("cache_banks_built")
-    if store is not None:
-        arrays = {"i_hit": bank.i_hit, "d_hit": bank.d_hit,
-                  "l2_pos": bank.l2_pos, "l2_hit": bank.l2_hit,
-                  "iacc_extra": bank.iacc_extra,
-                  "dacc_lat": bank.dacc_lat}
-        meta = {"kind": "sweep-cache-bank",
-                "bank_schema": BANK_SCHEMA_VERSION,
-                "component": repr(key), "shift": bank.shift,
-                "has_l2": bank.has_l2, "instructions": digest.n}
-        store.save(key=_store_key("cbank", digest.trace, repr(key)),
-                   meta=meta, files={"bank.npz": _npz_writer(arrays)})
-        _note("cache_banks_saved")
     return bank
 
 
-def _pred_bank_for(digest, config, store):
-    key = _predictor_key(config)
+def _pred_bank_for(digest, kind, kwargs):
+    key = (kind, tuple(sorted(kwargs.items())))
     bank = digest.pred_banks.get(key)
     if bank is not None:
         _note("pred_banks_reused")
         return bank
-    if store is not None:
-        restored = _load_npz_entry(
-            store, _store_key("pbank", digest.trace, repr(key)))
-        if restored is not None:
-            _, arrays = restored
-            bank = _PredictorBank()
-            bank.miss = arrays["miss"].astype(bool)
-            bank.miss_cum = np.concatenate(
-                ([0], np.cumsum(bank.miss, dtype=np.int64)))
-            digest.pred_banks[key] = bank
-            _note("pred_banks_loaded")
-            return bank
-    bank = digest.pred_banks[key] = _build_pred_bank(digest, config)
+    bank = digest.pred_banks[key] = _build_pred_bank(digest, kind, kwargs)
     _note("pred_banks_built")
-    if store is not None:
-        meta = {"kind": "sweep-predictor-bank",
-                "bank_schema": BANK_SCHEMA_VERSION,
-                "component": repr(key), "instructions": digest.n}
-        store.save(key=_store_key("pbank", digest.trace, repr(key)),
-                   meta=meta,
-                   files={"bank.npz": _npz_writer({"miss": bank.miss})})
-        _note("pred_banks_saved")
     return bank
 
 
-class _PredictorSpec:
-    """Just enough config surface for ``_predictor_key`` /
-    ``_pred_bank_for`` when there is no full MachineConfig."""
-
-    __slots__ = ("predictor", "predictor_kwargs")
-
-    def __init__(self, predictor, predictor_kwargs):
-        self.predictor = predictor
-        self.predictor_kwargs = predictor_kwargs
-
-
-def simulate_predictor_sweep(trace, specs, store=None):
+def simulate_predictor_sweep(trace, specs):
     """Misprediction stats for many predictors from one branch stream.
 
     ``specs`` is an iterable of predictor kinds (``"gap"``) or
@@ -499,21 +293,18 @@ def simulate_predictor_sweep(trace, specs, store=None):
     :func:`repro.uarch.branch_predictors.simulate_predictor` would —
     but the per-branch outcome flags come from the sweep engine's
     predictor outcome banks, so they are derived once per (trace,
-    predictor) across the whole process *and* persisted through the
-    artifact store: every later sweep, fleet cell, or experiment that
-    touches the same pair reuses them instead of re-walking the
-    branch stream.
+    predictor) in the process: every later sweep or experiment that
+    touches the same trace object reuses them instead of re-walking
+    the branch stream.
     """
     specs = [(spec, {}) if isinstance(spec, str) else (spec[0],
                                                       dict(spec[1]))
              for spec in specs]
-    store = _resolve_store(trace, store)
-    digest = trace_digest(trace, store)
+    digest = trace_digest(trace)
     lookups = len(digest.b_pos)
     results = []
     for kind, kwargs in specs:
-        spec = _PredictorSpec(kind, kwargs)
-        bank = _pred_bank_for(digest, spec, store)
+        bank = _pred_bank_for(digest, kind, kwargs)
         predictor = make_predictor(kind, **kwargs)
         predictor.stats.lookups = lookups
         predictor.stats.mispredictions = int(bank.miss_cum[-1])
@@ -596,25 +387,23 @@ def _result(digest, config, cache_bank, pred_bank, total, class_counts,
     )
 
 
-def _native_times(trace, configs, total, store):
-    """Digest ``trace``, build (or load) every outcome bank the grid
-    needs, and time every config in C: same-shape configs in lane
-    passes, the rest one by one.  Each config's ``wall_seconds`` is its
-    share of the pass that timed it."""
-    store = _resolve_store(trace, store)
-    digest = trace_digest(trace, store)
+def _native_times(trace, configs, total):
+    """Digest ``trace``, build every outcome bank the grid needs, and
+    time every config in C: same-shape configs in lane passes, the rest
+    one by one.  Each config's ``wall_seconds`` is its share of the
+    pass that timed it."""
+    digest = trace_digest(trace)
     class_counts = digest.class_counts(total)
     cache_banks = {}
     pred_banks = {}
     for config in configs:
         key = _hierarchy_key(config)
         if key not in cache_banks:
-            cache_banks[key] = _cache_bank_for(digest, config, store)
+            cache_banks[key] = _cache_bank_for(digest, config)
         key = _predictor_key(config)
         if key not in pred_banks:
-            pred_banks[key] = _pred_bank_for(digest, config, store)
-    if store is not None:
-        _persist_digest(digest, store)
+            pred_banks[key] = _pred_bank_for(digest, config.predictor,
+                                             config.predictor_kwargs)
 
     def banks(config):
         return (cache_banks[_hierarchy_key(config)],
@@ -672,9 +461,9 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
 
     Returns one :class:`PipelineResult` per config, in config order,
     each field-for-field identical to
-    ``PipelineModel(config).run(trace, max_instructions)``.  ``store``
-    overrides the artifact store used for digest/bank persistence
-    (``None`` means the default store for corpus-sized traces).
+    ``PipelineModel(config).run(trace, max_instructions)``.  Digests
+    and banks stay in process, on the trace.  ``store`` is accepted and
+    ignored, kept only because ``perfbench/checks.py`` passes it.
     """
     configs = list(configs)
     if not configs:
@@ -686,7 +475,7 @@ def simulate_pipeline_sweep(trace, configs, max_instructions=None,
     with span("uarch.sweep", configs=len(configs)):
         # Nothing is journaled per config: the call is one span.
         if native.available():
-            results = _native_times(trace, configs, total, store)
+            results = _native_times(trace, configs, total)
         else:
             results = _spec_times(trace, configs, max_instructions)
     _note("config_seconds", sum(result.wall_seconds for result in results))

@@ -14,8 +14,8 @@ check_regression = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(check_regression)
 
 
-def _sweep_payload(cold, store=2.5, warm=2.6):
-    rows = [[name, 540000, 0.9, 1.9, cold, store, warm]
+def _sweep_payload(cold, warm=2.6):
+    rows = [[name, 540000, 0.9, 1.9, cold, warm]
             for name in ("crc32", "fft")]
     return {"name": "uarch_sweep", "data": {"rows": rows}}
 
@@ -37,12 +37,12 @@ class TestCompare:
         geomean, detail = check_regression.compare(
             "uarch_sweep", data, data, 0.2)
         assert geomean == pytest.approx(1.0)
-        assert len(detail) == 6  # 2 kernels x 3 ratio columns
+        assert len(detail) == 4  # 2 kernels x 2 ratio columns
 
     def test_only_common_keys_compared(self):
         fresh = _sweep_payload(2.0)["data"]
         committed = _sweep_payload(2.0)["data"]
-        committed["rows"].append(["extra", 1, 1, 1, 9.0, 9.0, 9.0])
+        committed["rows"].append(["extra", 1, 1, 1, 9.0, 9.0])
         geomean, detail = check_regression.compare(
             "uarch_sweep", fresh, committed, 0.2)
         assert geomean == pytest.approx(1.0)
@@ -67,7 +67,7 @@ class TestMain:
     def test_regression_distinct_exit_code(self, tmp_path, committed,
                                            capsys):
         fresh = _write(tmp_path / "fresh.json",
-                       _sweep_payload(1.0, store=1.2, warm=1.3))
+                       _sweep_payload(1.0, warm=1.3))
         code = check_regression.main(["--bench", "uarch_sweep",
                                       "--fresh", fresh,
                                       "--committed", committed])

@@ -1,7 +1,9 @@
 """Fleet orchestration: end-to-end runs, crash/resume byte-identity."""
 
 import json
+import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -19,6 +21,8 @@ from repro.fleet import (
     run_fleet,
     scheduler,
 )
+from repro.fleet.worker import worker_entry
+from repro.obs.journal import configure_journal
 from repro.uarch import IncrementalSession
 
 
@@ -329,6 +333,50 @@ class TestCrashResume:
         # claim included.
         claims = [event for event in events
                   if event.get("event") in ("claim", "steal")]
+        assert summed_deltas(events, "fleet.claims") == len(claims)
+        assert summed_deltas(events, "fleet.reclaims") == len(reclaims)
+
+    def test_external_sigkill_keeps_claim_counts(self, tmp_path,
+                                                 monkeypatch):
+        """A worker SIGKILLed from outside while it holds a block (no
+        flush first, unlike the chaos drill) keeps its claim count: the
+        increment is journaled with the claim event itself."""
+        run_dir = str(tmp_path / "run")
+        init_run(run_dir, GRID)
+        holding = str(tmp_path / "holding")
+
+        def hang(worker, cells):
+            with open(holding, "w"):
+                pass
+            time.sleep(600)
+
+        monkeypatch.setattr(FleetWorker, "_time_block", hang)
+        configure_journal(run_dir)
+        try:
+            victim = multiprocessing.Process(target=worker_entry,
+                                             args=(run_dir, 0, 1))
+            victim.start()
+            deadline = time.monotonic() + 120
+            while not os.path.exists(holding):
+                assert victim.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join()
+        finally:
+            configure_journal(None)
+        monkeypatch.undo()
+        assert victim.exitcode == -signal.SIGKILL
+        assert FleetQueue(run_dir).leased_ids()  # killed holding it
+
+        assert run_fleet(run_dir)["complete"] is True
+        events = journal_events(run_dir)
+        fleet = [event for event in events if event.get("kind") == "fleet"]
+        claims = [event for event in fleet
+                  if event.get("event") in ("claim", "steal")]
+        reclaims = [event for event in fleet
+                    if event.get("event") == "reclaim"]
+        assert any(event["pid"] == victim.pid for event in claims)
+        assert len(reclaims) == 1
         assert summed_deltas(events, "fleet.claims") == len(claims)
         assert summed_deltas(events, "fleet.reclaims") == len(reclaims)
 

@@ -4,16 +4,17 @@ Two contracts:
 
 * each config knob class rebuilds exactly the artifacts the sweep
   engine keys on it, read from the engine's own ``*_built`` /
-  ``*_reused`` / ``*_loaded`` counters (one test per knob class);
+  ``*_reused`` counters (one test per knob class);
 * an :class:`IncrementalSession` walking a *random* sequence of
   single-knob config edits stays field-for-field identical to
   ``PipelineModel.run`` (the timing spec) of every visited config — the
   property the ≥20x re-sweep speedup is only allowed to exist under.
 
-Plus the profile axis of clone refinement: a clone synthesized from an
-identical or relabeled profile loads every artifact from the store, a
-materially perturbed profile builds them all anew, and its re-simulation
-still matches the spec exactly.
+Plus the profile axis of clone refinement: every re-synthesized clone
+is a new trace, so its first run builds every artifact in memory (none
+is read from the artifact store); a clone of an identical or relabeled
+profile times exactly as the first did, and a materially perturbed
+profile's clone still matches the spec exactly.
 """
 
 import dataclasses
@@ -23,7 +24,6 @@ import pytest
 
 from repro.core import make_clone, profile_trace
 from repro.core.synthesizer import SynthesisParameters
-from repro.exec.store import ArtifactStore
 from repro.sim import FunctionalSimulator
 from repro.uarch import BASE_CONFIG, IncrementalSession, PipelineModel, native
 from repro.uarch.cache import CacheConfig
@@ -32,21 +32,18 @@ from repro.workloads import build_workload
 
 CAP = 20_000
 
-#: The sweep counters recording, per artifact, whether a run built it,
-#: reused it from the trace's in-memory digest, or loaded it from the
-#: store.
+#: The sweep counters recording, per artifact, whether a run built it
+#: or reused it from the trace's in-memory digest.
 REUSE_COUNTERS = tuple(f"{artifact}_{how}"
                        for artifact in ("digests", "cache_banks",
                                         "pred_banks")
-                       for how in ("built", "reused", "loaded"))
+                       for how in ("built", "reused"))
 
-#: A run that reuses, builds or loads all three artifacts.
+#: A run that reuses or builds all three artifacts.
 ALL_REUSED = {"digests_reused": 1, "cache_banks_reused": 1,
               "pred_banks_reused": 1}
 ALL_BUILT = {"digests_built": 1, "cache_banks_built": 1,
              "pred_banks_built": 1}
-ALL_LOADED = {"digests_loaded": 1, "cache_banks_loaded": 1,
-              "pred_banks_loaded": 1}
 
 #: Single-knob edit generators, one per artifact-dependence class.
 KNOBS = [
@@ -98,11 +95,10 @@ def crc32_trace():
 
 
 @pytest.fixture
-def warm_session(tmp_path):
-    """A session over a fresh crc32 trace (no digest yet) and an empty
-    store, warmed on ``BASE_CONFIG``."""
-    session = IncrementalSession(crc32_run(), max_instructions=CAP,
-                                 store=ArtifactStore(str(tmp_path)))
+def warm_session():
+    """A session over a fresh crc32 trace (no digest yet), warmed on
+    ``BASE_CONFIG``."""
+    session = IncrementalSession(crc32_run(), max_instructions=CAP)
     _, moved = run_counted(session, BASE_CONFIG)
     assert moved == expect(ALL_BUILT)
     return session
@@ -115,10 +111,10 @@ def clone_trace(profile):
         max_instructions=2_000_000, trace=True)
 
 
-def first_run_reuse(trace, store):
-    """The counters a brand-new session's first run moves."""
-    session = IncrementalSession(trace, max_instructions=CAP, store=store)
-    return run_counted(session, BASE_CONFIG)[1]
+def first_run(trace):
+    """A brand-new session's first result and the counters it moved."""
+    session = IncrementalSession(trace, max_instructions=CAP)
+    return run_counted(session, BASE_CONFIG)
 
 
 class TestPlanClassification:
@@ -190,7 +186,7 @@ class TestRandomKnobWalk:
 
 
 class TestBatchedRun:
-    def test_one_call_equals_one_call_per_config(self, tmp_path):
+    def test_one_call_equals_one_call_per_config(self):
         # A fleet block times all its configs in one call; each result
         # must equal the one a single-config call gives, field for field.
         rng = random.Random(20261018)
@@ -199,12 +195,10 @@ class TestBatchedRun:
             knob, generate = rng.choice(KNOBS)
             configs.append(configs[-1].renamed(f"step-{step}-{knob}",
                                                **generate(rng)))
-        unpersisted = ArtifactStore(str(tmp_path), enabled=False)
-        batched = IncrementalSession(crc32_run(), max_instructions=CAP,
-                                     store=unpersisted).run(configs)
+        batched = IncrementalSession(crc32_run(),
+                                     max_instructions=CAP).run(configs)
         assert len(batched) == len(configs)
-        single = IncrementalSession(crc32_run(), max_instructions=CAP,
-                                    store=unpersisted)
+        single = IncrementalSession(crc32_run(), max_instructions=CAP)
         for config, result in zip(configs, batched):
             [alone] = single.run([config])
             assert result_fields(result) == result_fields(alone), \
@@ -212,35 +206,25 @@ class TestBatchedRun:
 
 
 class TestProfileDelta:
-    def test_identical_profiles_reuse_everything(self, crc32_trace,
-                                                 tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        profile = profile_trace(crc32_trace)
-        assert first_run_reuse(clone_trace(profile), store) == \
-            expect(ALL_BUILT)
-        assert first_run_reuse(clone_trace(profile), store) == \
-            expect(ALL_LOADED)
-
-    def test_rename_is_not_a_rebuild(self, crc32_trace, tmp_path):
-        # The store keys on trace content and program structure, never
-        # on the name a clone is labeled with.
-        store = ArtifactStore(str(tmp_path))
+    def test_identical_profiles_time_identically(self, crc32_trace):
+        # Every re-synthesized clone is a new trace: its first run
+        # builds every artifact in memory, and a clone of the same
+        # profile, relabeled or not, times exactly as the first did.
         profile = profile_trace(crc32_trace)
         relabeled = dataclasses.replace(profile, name="crc32-copy")
-        assert first_run_reuse(clone_trace(profile), store) == \
-            expect(ALL_BUILT)
-        assert first_run_reuse(clone_trace(relabeled), store) == \
-            expect(ALL_LOADED)
+        first, moved = first_run(clone_trace(profile))
+        assert moved == expect(ALL_BUILT)
+        for again in (profile, relabeled):
+            result, moved = first_run(clone_trace(again))
+            assert moved == expect(ALL_BUILT)
+            assert result_fields(result) == result_fields(first)
 
-    def test_material_change_is_full_rebuild(self, crc32_trace, tmp_path):
-        store = ArtifactStore(str(tmp_path))
+    def test_material_change_is_full_rebuild(self, crc32_trace):
         profile = profile_trace(crc32_trace)
         perturbed = dataclasses.replace(
             profile, data_footprint_bytes=profile.data_footprint_bytes * 2)
-        assert first_run_reuse(clone_trace(profile), store) == \
-            expect(ALL_BUILT)
-        assert first_run_reuse(clone_trace(perturbed), store) == \
-            expect(ALL_BUILT)
+        assert first_run(clone_trace(profile))[1] == expect(ALL_BUILT)
+        assert first_run(clone_trace(perturbed))[1] == expect(ALL_BUILT)
 
     def test_crc32_clone_refinement_equivalence(self, crc32_trace):
         """A perturbed-profile clone re-times bit-identically.

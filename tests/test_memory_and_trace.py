@@ -106,36 +106,16 @@ class TestDynamicTrace:
         assert np.array_equal(loaded.taken, trace.taken)
 
 
-class TestWriteNpz:
-    """The single persistence choke point for traces and sweep banks."""
-
-    def _arrays(self):
-        return {"a": np.arange(4096, dtype=np.int64),
-                "b": np.zeros(4096, dtype=np.int8)}
-
-    def test_round_trip_both_modes(self, tmp_path):
-        from repro.sim.trace import write_npz
-        arrays = self._arrays()
-        for compress in (False, True):
-            path = tmp_path / f"blob-{compress}.npz"
-            write_npz(path, arrays, compress=compress)
-            with np.load(path) as blob:
-                for name, expected in arrays.items():
-                    assert np.array_equal(blob[name], expected)
-
-    def test_compression_actually_compresses(self, tmp_path):
-        from repro.sim.trace import write_npz
-        arrays = self._arrays()  # repetitive, like real traces
-        plain = tmp_path / "plain.npz"
-        packed = tmp_path / "packed.npz"
-        write_npz(plain, arrays, compress=False)
-        write_npz(packed, arrays, compress=True)
-        assert packed.stat().st_size < plain.stat().st_size
-
-    def test_content_digest_cached_and_stable(self, sum_program):
-        trace = run_program(sum_program)
-        first = trace.content_digest()
-        assert trace.content_digest() is first  # memoized, not recomputed
-        sliced = DynamicTrace(sum_program, trace.pcs[::1],
-                              trace.addrs[::1], trace.taken[::1])
-        assert sliced.content_digest() == first
+class TestTraceArchive:
+    def test_save_compresses(self, tmp_path):
+        # Trace archives are always compressed: a repetitive trace
+        # takes far less disk than its raw columns.
+        pcs = np.tile(np.arange(16, dtype=np.int32), 1024)
+        trace = DynamicTrace(None, pcs, np.full(len(pcs), -1),
+                             np.full(len(pcs), -1))
+        path = tmp_path / "trace.npz"
+        trace.save(path)
+        raw = trace.pcs.nbytes + trace.addrs.nbytes + trace.taken.nbytes
+        assert path.stat().st_size < raw / 10
+        loaded = DynamicTrace.load(path, None)
+        assert np.array_equal(loaded.pcs, trace.pcs)

@@ -1,9 +1,10 @@
 """Both native engines under UndefinedBehaviorSanitizer.
 
-The functional engine (``simfunc``), the sweep kernels (``sweeploop``)
-and the sweep's lane kernel are each one fixed C source, so one
-sanitized build of each covers every program and every geometry.  In a subprocess with a
-fresh cache dir, the shared compiler invocation gains
+The functional engine (``simfunc``), the sweep kernels (``sweeploop``:
+the scheduling loop, the LRU replay and the table predictors) and the
+sweep's lane kernel are each one fixed C source, so one sanitized build
+of each covers every program, geometry and predictor.  In a subprocess
+with a fresh cache dir, the shared compiler invocation gains
 ``-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all``
 and the corpus and clone differentials run against the sanitized
 libraries: any undefined behaviour (an out-of-range float cast, a
@@ -29,6 +30,7 @@ DIFFERENTIALS = (
     "tests/test_sim_native.py::TestFcvtws",
     "tests/test_sim_native.py::test_random_programs_native_matches_interp",
     "tests/test_uarch_sweep.py::TestCorpusEquivalence",
+    "tests/test_uarch_sweep.py::TestPredictorEquivalence",
     "tests/test_cache_sweep.py::test_corpus_sweep_matches_python_replay",
 )
 
