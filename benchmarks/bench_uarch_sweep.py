@@ -6,7 +6,9 @@ Every timed pair is also an equality assertion — each swept config must
 reproduce the reference run field for field — so the recorded speedups
 are guaranteed to be numerics-preserving.
 
-Two sweep columns per kernel:
+Two sweep columns per kernel, each the median of ``SWEEP_ROUNDS``
+sweeps (a cold grid sweep lasts a few milliseconds, too short for one
+reading to resolve); the per-config reference is run once:
 
 * ``cold``  — nothing cached: digest + banks built from the trace in
   memory.  What the first grid study over a trace pays, in any process
@@ -55,6 +57,9 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 
 SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
+#: Timed sweeps per kernel and column; the column reads their median.
+SWEEP_ROUNDS = 9
+
 
 def _geomean(values):
     return float(np.exp(np.mean(np.log(values))))
@@ -72,6 +77,26 @@ def _forget(trace):
         del trace._sweep_digest
 
 
+def _sweep_once(trace, cold):
+    """Seconds and results of one grid sweep of ``trace``; a cold sweep
+    first drops the trace's sweep state."""
+    if cold:
+        _forget(trace)
+    start = time.perf_counter()
+    results = simulate_pipeline_sweep(trace, GRID,
+                                      max_instructions=PIPELINE_CAP)
+    return time.perf_counter() - start, results
+
+
+def _median_sweep(trace, cold):
+    """Median seconds of ``SWEEP_ROUNDS`` sweeps, and the last results."""
+    seconds = []
+    for _ in range(SWEEP_ROUNDS):
+        elapsed, results = _sweep_once(trace, cold)
+        seconds.append(elapsed)
+    return float(np.median(seconds)), results
+
+
 def _sweep_rows(names):
     """Per-kernel reference vs cold/warm sweep timings."""
     rows = []
@@ -84,16 +109,8 @@ def _sweep_rows(names):
             trace, max_instructions=PIPELINE_CAP) for config in GRID]
         reference_s = time.perf_counter() - start
 
-        _forget(trace)
-        start = time.perf_counter()
-        cold = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP)
-        cold_s = time.perf_counter() - start
-
-        start = time.perf_counter()
-        warm = simulate_pipeline_sweep(trace, GRID,
-                                       max_instructions=PIPELINE_CAP)
-        warm_s = time.perf_counter() - start
+        cold_s, cold = _median_sweep(trace, cold=True)
+        warm_s, warm = _median_sweep(trace, cold=False)
 
         for swept in (cold, warm):
             assert [_result_fields(result) for result in swept] \
@@ -119,22 +136,14 @@ OVERHEAD_NAMES = ["crc32", "fft"]
 SWEEPS_PER_SAMPLE = 10
 
 
-def _overhead_sweep_once(trace):
-    """Seconds of one cold sweep."""
-    _forget(trace)
-    start = time.perf_counter()
-    simulate_pipeline_sweep(trace, GRID, max_instructions=PIPELINE_CAP)
-    return time.perf_counter() - start
-
-
 def _timed_sweep(trace, journaled):
     """One cold sweep into the open journal, or under
     :func:`suspend_journal`, which keeps it journal-free even when the
     bench itself is journaled (CI sets ``REPRO_BENCH_JOURNAL_DIR``)."""
     if journaled:
-        return _overhead_sweep_once(trace)
+        return _sweep_once(trace, cold=True)[0]
     with suspend_journal():
-        return _overhead_sweep_once(trace)
+        return _sweep_once(trace, cold=True)[0]
 
 
 def _overhead_pair(traces, on_first):

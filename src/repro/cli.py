@@ -311,9 +311,9 @@ def cmd_compare(args, ctx):
     artifacts = _pipeline_for(args)
     ctx.lint = artifacts.clone.stats.get("lint")
     ctx.certificate = artifacts.clone.stats.get("certificate")
-    # One-config grids: digests and outcome banks persist through the
-    # artifact store, so repeat compares skip straight to scheduling —
-    # and the run manifest picks up the sweep-reuse accounting.
+    # One-config grids through the sweep path: its digest and outcome
+    # banks live in memory on each trace, and the run manifest picks up
+    # the sweep's build/reuse accounting.
     [real] = simulate_pipeline_sweep(artifacts.trace, [BASE_CONFIG])
     [clone] = simulate_pipeline_sweep(artifacts.clone_trace, [BASE_CONFIG])
     ctx.config = BASE_CONFIG

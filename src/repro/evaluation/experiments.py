@@ -175,8 +175,9 @@ def cache_correlation_study(names=None, configs=None, jobs=None):
 def _base_config_row(name, config, max_instructions):
     artifacts = workload_artifacts(name)
     power_model = shared_power_model(config)
-    # A one-config "grid": the sweep path shares its digest and outcome
-    # banks with the wider studies through the artifact store.
+    # A one-config "grid": the sweep path keeps its digest and outcome
+    # banks in memory on the trace, which the wider studies share
+    # through the in-process ``workload_artifacts`` memo.
     [real] = simulate_pipeline_sweep(artifacts.trace, [config],
                                      max_instructions=max_instructions)
     [clone] = simulate_pipeline_sweep(artifacts.clone_trace, [config],

@@ -45,7 +45,7 @@ class Artifacts:
     #: Resolved functional-simulator backend that produced (or, on a
     #: cache hit, originally produced) the traces:
     #: ``native``/``interp``.
-    sim_backend: str = "interp"
+    sim_backend: str
 
 
 def _build_artifacts(program, name, parameters, max_instructions,
@@ -78,7 +78,7 @@ def _load_artifacts(meta, entry, program, name, parameters):
     return Artifacts(name=name, program=program, trace=trace,
                      profile=profile, clone=clone,
                      clone_trace=clone_trace,
-                     sim_backend=meta.get("sim_backend", "interp"))
+                     sim_backend=meta["sim_backend"])
 
 
 def pipeline_artifacts(name, source, parameters,
@@ -157,7 +157,7 @@ class TraceArtifacts:
     name: str
     program: object
     trace: object
-    sim_backend: str = "interp"
+    sim_backend: str
 
 
 def trace_artifact_key(name, source, max_instructions, sim_backend):
@@ -188,8 +188,7 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
                 trace = DynamicTrace.load(
                     os.path.join(entry, "trace.npz"), program)
             return TraceArtifacts(name=name, program=program, trace=trace,
-                                  sim_backend=meta.get("sim_backend",
-                                                       "interp"))
+                                  sim_backend=meta["sim_backend"])
         except (OSError, KeyError, ValueError) as exc:
             _LOG.warning("artifacts.trace_reload_failed", name=name,
                          key=key, error=str(exc))

@@ -34,7 +34,10 @@ automatically.
 
 Set ``REPRO_CACHE=off`` (or ``0``/``false``) to disable persistence
 entirely; ``REPRO_CACHE_MAX_BYTES`` bounds the store, evicting
-least-recently-used entries after each write.
+least-recently-used entries after each write.  Eviction may remove an
+entry another process is about to read, even mid fleet run; the reader
+then rebuilds it (:mod:`repro.exec.artifacts`), so an eviction costs a
+rebuild and never changes a result.
 """
 
 import contextlib
@@ -42,9 +45,7 @@ import hashlib
 import json
 import os
 import shutil
-import socket
 import tempfile
-import time
 
 from repro.obs.journal import emit_event
 from repro.obs.logging import get_logger
@@ -59,16 +60,8 @@ _LOG = get_logger("repro.exec.store")
 ARTIFACT_SCHEMA_VERSION = 6  # v6: per-column (streamable) trace digests
 
 META_FILENAME = "meta.json"
-#: File set of a classic pipeline entry; the default when an entry's
-#: meta predates per-entry manifests.
-_LEGACY_ENTRY_FILES = ("trace.npz", "clone_trace.npz",
-                       "profile.json", "clone.s")
 
 _FALSY = {"0", "off", "false", "no", "disabled"}
-
-#: Seconds after which a pin whose owner cannot be liveness-probed
-#: (another host) is considered stale and dropped.
-PIN_TTL_SECONDS = 24 * 3600.0
 
 
 def cache_enabled(environ=None):
@@ -126,16 +119,11 @@ class ArtifactStore:
         self.writes = 0
         self.evictions = 0
         self.evicted_bytes = 0
-        self.pin_skips = 0
 
     # ------------------------------------------------------------------
     @property
     def artifacts_dir(self):
         return os.path.join(self.root, "artifacts")
-
-    @property
-    def pins_dir(self):
-        return os.path.join(self.root, "pins")
 
     def entry_dir(self, key):
         return os.path.join(self.artifacts_dir, key)
@@ -172,7 +160,7 @@ class ArtifactStore:
                 raise ValueError(
                     f"schema {meta.get('schema_version')} != "
                     f"{ARTIFACT_SCHEMA_VERSION}")
-            for filename in meta.get("files", _LEGACY_ENTRY_FILES):
+            for filename in meta["files"]:
                 if not os.path.exists(os.path.join(entry, filename)):
                     raise ValueError(f"missing payload file {filename}")
         except (OSError, ValueError, KeyError) as exc:
@@ -248,108 +236,14 @@ class ArtifactStore:
     def total_bytes(self):
         return sum(size for _, _, size in self.entries())
 
-    # ------------------------------------------------------------------
-    # Pin-while-leased: live fleet runs mark the artifacts their pending
-    # cells will read, and prune refuses to evict them — a long matrix
-    # can no longer LRU-evict its own warm inputs mid-run.
-    # ------------------------------------------------------------------
-    def pin(self, owner, keys):
-        """Register ``keys`` as evict-protected on behalf of ``owner``.
-
-        One pin file per owner (atomic replace); re-pinning overwrites.
-        An empty key list simply unpins.
-        """
-        keys = sorted(set(keys))
-        if not keys:
-            self.unpin(owner)
-            return
-        if not self.enabled:
-            return
-        os.makedirs(self.pins_dir, exist_ok=True)
-        record = {"owner": owner, "pid": os.getpid(),
-                  "host": socket.gethostname(),
-                  "ts": round(time.time(), 6), "keys": keys}
-        fd, staging = tempfile.mkstemp(prefix=".pin-", dir=self.pins_dir)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-            os.rename(staging, self._pin_path(owner))
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(staging)
-
-    def unpin(self, owner):
-        """Drop ``owner``'s pin file (idempotent)."""
-        with contextlib.suppress(OSError):
-            os.remove(self._pin_path(owner))
-
-    def _pin_path(self, owner):
-        safe = "".join(ch if ch.isalnum() or ch in "._-" else "_"
-                       for ch in str(owner))[:120]
-        return os.path.join(self.pins_dir, f"{safe}.json")
-
-    def pinned_keys(self):
-        """Union of live pins; stale pin files are garbage-collected.
-
-        A pin is stale when its owner pid is provably dead on this host,
-        or (cross-host) when it is older than ``PIN_TTL_SECONDS``.
-        """
-        if not os.path.isdir(self.pins_dir):
-            return frozenset()
-        pinned = set()
-        host = socket.gethostname()
-        now = time.time()
-        for name in os.listdir(self.pins_dir):
-            path = os.path.join(self.pins_dir, name)
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(path) as handle:
-                    record = json.load(handle)
-                keys = record["keys"]
-            except (OSError, ValueError, KeyError, TypeError):
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-                continue
-            stale = False
-            if (record.get("host") == host
-                    and isinstance(record.get("pid"), int)):
-                try:
-                    os.kill(record["pid"], 0)
-                except ProcessLookupError:
-                    stale = True
-                except OSError:
-                    pass
-            elif now - float(record.get("ts") or 0.0) > PIN_TTL_SECONDS:
-                stale = True
-            if stale:
-                _LOG.info("store.stale_pin", owner=record.get("owner"))
-                with contextlib.suppress(OSError):
-                    os.remove(path)
-                continue
-            pinned.update(keys)
-        return frozenset(pinned)
-
     def prune(self, max_bytes):
-        """Evict LRU entries until the store fits; returns evicted keys.
-
-        Pinned entries are skipped (counted in ``pin_skips``), so a
-        store whose overage is entirely pinned stays over budget rather
-        than sabotaging the run that pinned it.
-        """
+        """Evict LRU entries until the store fits; returns evicted keys."""
         rows = self.entries()
         total = sum(size for _, _, size in rows)
-        pinned = self.pinned_keys() if total > max_bytes else frozenset()
         evicted = []
         for key, _, size in rows:
             if total <= max_bytes:
                 break
-            if key in pinned:
-                self.pin_skips += 1
-                REGISTRY.counter("exec.store.pin_skips").inc()
-                emit_event("store", event="pin_skip", key=key)
-                continue
             shutil.rmtree(self.entry_dir(key), ignore_errors=True)
             total -= size
             evicted.append(key)
@@ -383,15 +277,13 @@ class ArtifactStore:
         self.writes = 0
         self.evictions = 0
         self.evicted_bytes = 0
-        self.pin_skips = 0
 
     def stats(self):
         """Provenance block for manifests and benchmark envelopes."""
         return {"root": self.root, "enabled": self.enabled,
                 "hits": self.hits, "misses": self.misses,
                 "writes": self.writes, "evictions": self.evictions,
-                "evicted_bytes": self.evicted_bytes,
-                "pin_skips": self.pin_skips}
+                "evicted_bytes": self.evicted_bytes}
 
 
 _DEFAULT_STORE = None

@@ -9,14 +9,12 @@ A run directory is the whole state of one matrix execution::
     <run>/matrix.json    canonical matrix, written when complete
     <run>/journal-*.jsonl  run journal (claims, progress, spans)
 
-:func:`run_fleet` expands the recipe, pins every pending cell's trace
-artifacts in the store, reclaims abandoned leases, and fans the shards
-out to worker processes.  Those trace entries are all a run reads from
-the store: workers rebuild digests and outcome banks in memory, so
-they pin nothing themselves.  Pinning is best-effort — it guards
-future prunes only, so an eviction racing the pin write just costs a
-re-derivation — but it keeps a long matrix from routinely
-LRU-evicting its own warm inputs mid-run.  Invoking it again on the
+:func:`run_fleet` expands the recipe, reclaims abandoned leases, and
+fans the shards out to worker processes.  Workers read their cells'
+traces through the artifact store like any other run and rebuild
+digests and outcome banks in memory; an entry LRU-evicted mid-run
+(under ``REPRO_CACHE_MAX_BYTES``) is rebuilt, which costs time but
+never changes a result.  Invoking it again on the
 same directory *is* the resume path: completed blocks are skipped
 byte-for-byte (their result files are never rewritten), only pending
 blocks execute.  When the last cell lands the canonical matrix —
@@ -30,8 +28,6 @@ import multiprocessing
 import os
 import time
 
-from repro.exec.artifacts import trace_artifact_key
-from repro.exec.store import artifact_key, default_store
 from repro.fleet.queue import FleetQueue
 from repro.fleet.recipe import (
     Recipe,
@@ -97,47 +93,6 @@ def load_run_recipe(run_dir):
 
 
 # ----------------------------------------------------------------------
-# Pin-while-leased: a live run's inputs are not LRU fodder
-# ----------------------------------------------------------------------
-def _pending_artifact_keys(recipe, cells, queue):
-    """Store keys the pending cells will read: their trace entries,
-    the only store entries a fleet run reads."""
-    from repro.core.synthesizer import SynthesisParameters
-    from repro.sim.functional import resolve_backend
-    from repro.isa.assembler import assemble
-    from repro.workloads import get_workload
-
-    completed = queue.completed_ids()
-    pending_traces = {cell.trace_key for cell in cells
-                      if cell.cell_id not in completed}
-    keys = set()
-    for kernel, subject, seed in sorted(pending_traces):
-        try:
-            source = get_workload(kernel).source()
-            program = assemble(source, name=kernel)
-            backend = resolve_backend(None, program)
-        except Exception as exc:  # pin is best-effort, never fatal
-            _LOG.warning("fleet.pin_key_failed", kernel=kernel,
-                         error=str(exc))
-            continue
-        if subject == "clone":
-            keys.add(artifact_key(kernel, source,
-                                  SynthesisParameters(seed=seed),
-                                  recipe.functional_cap,
-                                  sim_backend=backend))
-        else:
-            keys.add(trace_artifact_key(kernel, source,
-                                        recipe.functional_cap, backend))
-    return sorted(keys)
-
-
-def _pin_owner(run_dir):
-    return "fleet-" + "".join(
-        ch if ch.isalnum() or ch in "._-" else "_"
-        for ch in os.path.abspath(run_dir))[-80:]
-
-
-# ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
 def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
@@ -156,8 +111,8 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
     elif not isinstance(recipe, Recipe):
         raise RecipeError(f"not a recipe: {recipe!r}")
     # The one expansion this process makes: everything below that needs
-    # the cell list (init, pinning, the in-process worker, the matrix
-    # export) takes it from here.
+    # the cell list (init, the in-process worker, the matrix export)
+    # takes it from here.
     cells = recipe.expand()
     init_run(run_dir, recipe)
     workers = max(1, int(workers))
@@ -172,10 +127,6 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
         # follows progress with no extra flags.
         configure_journal(run_dir)
     started = time.perf_counter()
-    store = default_store()
-    pin_owner = _pin_owner(run_dir)
-    pinned = _pending_artifact_keys(recipe, cells, queue)
-    store.pin(pin_owner, pinned)
     try:
         reclaimed = queue.reclaim(worker="orchestrator")
         completed_before = len(queue.completed_ids())
@@ -225,7 +176,6 @@ def run_fleet(run_dir, recipe=None, workers=1, lease_ttl=None,
             if key != "worker_summaries"})
         return summary
     finally:
-        store.unpin(pin_owner)
         if own_journal:
             configure_journal(None)
 

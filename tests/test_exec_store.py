@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.exec import (
     ArtifactStore,
     artifact_key,
     pipeline_artifacts,
+    trace_artifacts,
 )
 from repro.exec.store import META_FILENAME
 from repro.workloads import get_workload
@@ -29,6 +31,11 @@ def build(store, name="crc32", parameters=PARAMS, max_instructions=500_000):
     return pipeline_artifacts(name, source, parameters,
                               max_instructions=max_instructions,
                               store=store)
+
+
+def assert_same_traces(left, right):
+    for attr in ("pcs", "addrs", "taken"):
+        assert np.array_equal(getattr(left, attr), getattr(right, attr))
 
 
 class TestKeying:
@@ -66,11 +73,8 @@ class TestRoundTrip:
         assert cold.clone.asm_source == warm.clone.asm_source
         assert cold.clone.stats == warm.clone.stats
         assert cold.clone.program.name == warm.clone.program.name
-        for attr in ("pcs", "addrs", "taken"):
-            assert np.array_equal(getattr(cold.trace, attr),
-                                  getattr(warm.trace, attr))
-            assert np.array_equal(getattr(cold.clone_trace, attr),
-                                  getattr(warm.clone_trace, attr))
+        assert_same_traces(cold.trace, warm.trace)
+        assert_same_traces(cold.clone_trace, warm.clone_trace)
 
     def test_sim_backend_recorded_and_round_tripped(self, store):
         cold = build(store)
@@ -112,6 +116,16 @@ class TestValidation:
             handle.write("{not json")
         build(store)
         assert store.stats()["writes"] == 2
+        # ``save`` always records the payload manifest, so a meta
+        # without one is corrupt too.
+        with open(meta_path) as handle:
+            meta = json.load(handle)
+        del meta["files"]
+        with open(meta_path, "w") as handle:
+            json.dump(meta, handle)
+        assert store.load(key) is None
+        build(store)
+        assert store.stats()["writes"] == 3
 
     def test_schema_mismatch_is_miss(self, store):
         build(store)
@@ -130,6 +144,52 @@ class TestValidation:
         (key, _, _), = store.entries()
         os.remove(os.path.join(store.entry_dir(key), "trace.npz"))
         assert store.load(key) is None
+
+
+class TestReloadFailure:
+    """An entry evicted between ``load`` returning it and its payload
+    being read is rebuilt, and the rebuild equals a cold build."""
+
+    @pytest.fixture
+    def vanishing(self, store, monkeypatch):
+        load = store.load
+
+        def load_then_evict(key):
+            cached = load(key)
+            if cached is not None:
+                shutil.rmtree(cached[1])
+            return cached
+
+        monkeypatch.setattr(store, "load", load_then_evict)
+        return store
+
+    def test_pipeline_entry_rebuilt(self, store, vanishing, tmp_path):
+        cold = build(ArtifactStore(root=str(tmp_path / "cold"),
+                                   enabled=False))
+        build(store)
+        rebuilt = build(vanishing)
+        assert store.stats()["hits"] == 1
+        assert store.stats()["writes"] == 2
+        assert rebuilt.profile.to_dict() == cold.profile.to_dict()
+        assert rebuilt.clone.asm_source == cold.clone.asm_source
+        assert rebuilt.sim_backend == cold.sim_backend
+        assert_same_traces(rebuilt.trace, cold.trace)
+        assert_same_traces(rebuilt.clone_trace, cold.clone_trace)
+
+    def test_trace_entry_rebuilt(self, store, vanishing, tmp_path):
+        source = get_workload("crc32").source()
+        cold = trace_artifacts("crc32", source, max_instructions=500_000,
+                               store=ArtifactStore(
+                                   root=str(tmp_path / "cold"),
+                                   enabled=False))
+        trace_artifacts("crc32", source, max_instructions=500_000,
+                        store=store)
+        rebuilt = trace_artifacts("crc32", source, max_instructions=500_000,
+                                  store=vanishing)
+        assert store.stats()["hits"] == 1
+        assert store.stats()["writes"] == 2
+        assert rebuilt.sim_backend == cold.sim_backend
+        assert_same_traces(rebuilt.trace, cold.trace)
 
 
 class TestEviction:

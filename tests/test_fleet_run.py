@@ -230,6 +230,36 @@ class TestRun:
                    and event.get("unit") == "cells" for event in events)
 
 
+class TestStoreReads:
+    """A fleet run reads the artifact store like any other run: it
+    leaves nothing in the cache but its trace entries, and an entry
+    evicted mid-run costs a rebuild, never a different result."""
+
+    def test_run_leaves_no_pins_dir(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        run_fleet(str(tmp_path / "run"), PAIR)
+        assert not (cache / "pins").exists()
+        # PAIR's one trace entry is all the run wrote.
+        assert len(os.listdir(cache / "artifacts")) == 1
+
+    def test_budgeted_store_matrix_matches_unbudgeted(
+            self, tmp_path, monkeypatch):
+        reference = str(tmp_path / "reference")
+        run_fleet(reference, GRID)
+        # A fresh cache dir re-resolves the default store, with a budget
+        # under which every write evicts everything, itself included.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "budgeted"))
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "1")
+        run_dir = str(tmp_path / "run")
+        summary = run_fleet(run_dir, GRID, workers=2)
+        assert summary["complete"] is True
+        assert summary["dead_workers"] == 0
+        assert summed_deltas(journal_events(run_dir),
+                             "exec.store.eviction") >= 2
+        assert matrix_bytes(run_dir) == matrix_bytes(reference)
+
+
 class TestStatus:
     def test_fresh_dir_status(self, tmp_path):
         run_dir = str(tmp_path / "run")
