@@ -67,7 +67,7 @@ SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
 #: Analysis caches the static leg must drop between reps to stay cold.
 _DERIVED_KEYS = ("absint", "absint_plan", "absint_branch_facts",
-                 "absint_memop_facts", "staticprof_block_facts")
+                 "absint_memop_facts", "block_facts")
 
 
 def _best_of(func, reps):

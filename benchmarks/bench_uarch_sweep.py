@@ -8,7 +8,9 @@ are guaranteed to be numerics-preserving.
 
 Two sweep columns per kernel, each the median of ``SWEEP_ROUNDS``
 sweeps (a cold grid sweep lasts a few milliseconds, too short for one
-reading to resolve); the per-config reference is run once:
+reading to resolve), both divided into the median of
+``REFERENCE_ROUNDS`` runs of the per-config reference, so no one slow
+reading of it moves a kernel's ratios:
 
 * ``cold``  — nothing cached: digest + banks built from the trace in
   memory.  What the first grid study over a trace pays, in any process
@@ -60,6 +62,10 @@ SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 #: Timed sweeps per kernel and column; the column reads their median.
 SWEEP_ROUNDS = 9
 
+#: Timed rounds of the per-config reference loop per kernel (about
+#: 1.3 s each); the ratios divide into their median.
+REFERENCE_ROUNDS = 3
+
 
 def _geomean(values):
     return float(np.exp(np.mean(np.log(values))))
@@ -97,6 +103,18 @@ def _median_sweep(trace, cold):
     return float(np.median(seconds)), results
 
 
+def _median_reference(trace):
+    """Median seconds of ``REFERENCE_ROUNDS`` per-config
+    ``PipelineModel.run`` loops over the grid, and the last results."""
+    seconds = []
+    for _ in range(REFERENCE_ROUNDS):
+        start = time.perf_counter()
+        reference = [PipelineModel(config).run(
+            trace, max_instructions=PIPELINE_CAP) for config in GRID]
+        seconds.append(time.perf_counter() - start)
+    return float(np.median(seconds)), reference
+
+
 def _sweep_rows(names):
     """Per-kernel reference vs cold/warm sweep timings."""
     rows = []
@@ -104,10 +122,7 @@ def _sweep_rows(names):
         trace = FunctionalSimulator(build_workload(name)).run(
             max_instructions=FUNCTIONAL_CAP, trace=True)
 
-        start = time.perf_counter()
-        reference = [PipelineModel(config).run(
-            trace, max_instructions=PIPELINE_CAP) for config in GRID]
-        reference_s = time.perf_counter() - start
+        reference_s, reference = _median_reference(trace)
 
         cold_s, cold = _median_sweep(trace, cold=True)
         warm_s, warm = _median_sweep(trace, cold=False)

@@ -47,9 +47,10 @@ backed by the persistent ``repro.exec`` artifact cache
 skips the functional simulations entirely and the run manifest records
 the cache hits/misses that produced the result.
 
-``--sim-backend {auto,native,interp}`` (or ``REPRO_SIM_BACKEND``) picks
-the functional-simulator engine; the resolved backend is part of every
-artifact cache key and appears in manifests and ``repro report``.
+The host picks every simulation engine: the native C engines whenever
+a C compiler is present and ``REPRO_NATIVE`` is not off, the Python
+specs otherwise.  No flag selects one; the functional backend that
+produced a trace is part of its artifact cache key.
 
 Exit codes: 0 success, 1 runtime failure, 2 bad target, 3 load failure,
 4 lint findings (error severity, or any finding under ``lint --strict``),
@@ -104,7 +105,7 @@ from repro.obs import (
     span,
     timeline_text,
 )
-from repro.sim import BACKENDS, SimulationError, run_program
+from repro.sim import SimulationError, run_program
 from repro.uarch import (
     BASE_CONFIG,
     CACHE_SWEEP,
@@ -566,8 +567,6 @@ def cmd_report(args, ctx):
         f"  git rev:     {prov.get('git_rev')}" if prov.get("git_rev")
         else None,
         f"  python:      {prov.get('python')}",
-        f"  sim backend: {prov.get('sim_backend')}" if prov.get("sim_backend")
-        else None,
         f"  created:     {prov.get('created_at')}",
         f"  wall time:   {data['wall_seconds']:.3f} s",
     ])))
@@ -878,10 +877,6 @@ def _add_global_flags(parser, suppress):
     parser.add_argument("--run-dir",
                         default=argparse.SUPPRESS if suppress else None,
                         help="write manifest.json into this directory")
-    parser.add_argument("--sim-backend", choices=BACKENDS,
-                        default=argparse.SUPPRESS if suppress else None,
-                        help="functional-simulator backend (default: "
-                             "REPRO_SIM_BACKEND env var, else auto)")
     parser.add_argument("--profile", action="store_true", default=default,
                         help="sample the run and attribute hot code to "
                              "spans (manifest 'profile' block)")
@@ -1074,10 +1069,6 @@ def _dispatch(args, ctx):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "sim_backend", None):
-        # Exported (not just stored) so forked fleet workers and any
-        # library code resolving the backend see the same selection.
-        os.environ["REPRO_SIM_BACKEND"] = args.sim_backend
     if args.quiet:
         configure_logging(level=WARNING)
     elif args.verbose:

@@ -43,26 +43,6 @@ _LOG = get_logger("repro.profiler")
 STREAM_MIN_EXECUTIONS = 8
 
 
-def _block_facts(tables):
-    """Static per-block facts (class mix, memop pcs, conditional branch
-    pc) derived from the shared columns once per program: the mix rows
-    come from one bincount over the whole program, the pc lists from
-    nonzero masks."""
-    block_facts = tables.derived.get("profile_block_facts")
-    if block_facts is None:
-        mix_rows = tables.mix_matrix()
-        block_facts = []
-        for start, end in tables.block_bounds:
-            mem = (np.nonzero(tables.is_mem[start:end])[0]
-                   + start).tolist()
-            conds = np.nonzero(tables.is_cond[start:end])[0]
-            branch_pc = int(conds[-1]) + start if len(conds) else -1
-            bid = len(block_facts)
-            block_facts.append((mix_rows[bid].tolist(), mem, branch_pc))
-        tables.derived["profile_block_facts"] = block_facts
-    return block_facts
-
-
 class WorkloadProfiler:
     """Configurable profiler; ``profile`` is the main entry point."""
 
@@ -117,7 +97,7 @@ class WorkloadProfiler:
         n_blocks = len(program.basic_blocks())
 
         visit_counts = np.bincount(visit_blocks, minlength=n_blocks)
-        block_facts = _block_facts(tables)
+        block_facts = tables.block_facts()
         for block in program.basic_blocks():
             visits = int(visit_counts[block.bid])
             if visits == 0:
@@ -544,7 +524,7 @@ class ChunkedWorkloadProfiler:
             total_branches=self._branch_total,
         )
         profile.global_mix = self._mix.tolist()
-        block_facts = _block_facts(self.tables)
+        block_facts = self.tables.block_facts()
         for block in program.basic_blocks():
             visits = int(self._visit_counts[block.bid])
             if visits == 0:

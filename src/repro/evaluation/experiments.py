@@ -27,7 +27,7 @@ import functools
 
 from repro.core.baseline import MicroarchDependentSynthesizer
 from repro.core.synthesizer import SynthesisParameters
-from repro.exec import pipeline_artifacts
+from repro.exec import DEFAULT_MAX_FUNCTIONAL, pipeline_artifacts
 from repro.obs.trace import span
 from repro.sim.functional import run_program
 from repro.uarch.cache import simulate_cache_sweep
@@ -45,10 +45,6 @@ from repro.workloads import get_workload, workload_names
 
 #: Default clone run length: comparable to the real kernels' runs.
 DEFAULT_CLONE_INSTRUCTIONS = 120_000
-
-#: Safety cap for functional simulation of any program.
-_MAX_FUNCTIONAL = 20_000_000
-
 
 _ARTIFACT_CACHE = {}
 
@@ -68,8 +64,7 @@ def workload_artifacts(name, parameters=None):
     if cached is not None:
         return cached
     source = get_workload(name).source()
-    artifacts = pipeline_artifacts(name, source, parameters,
-                                   max_instructions=_MAX_FUNCTIONAL)
+    artifacts = pipeline_artifacts(name, source, parameters)
     _ARTIFACT_CACHE[key] = artifacts
     return artifacts
 
@@ -314,7 +309,7 @@ def _baseline_comparison_row(name, configs, profiled_cache):
             dynamic_instructions=DEFAULT_CLONE_INSTRUCTIONS),
     ).synthesize()
     baseline_trace = run_program(baseline.program,
-                                 max_instructions=_MAX_FUNCTIONAL)
+                                 max_instructions=DEFAULT_MAX_FUNCTIONAL)
     clone_n = len(artifacts.clone_trace)
     baseline_n = len(baseline_trace)
     clone_row = [

@@ -27,8 +27,8 @@ from repro.sim.trace import DynamicTrace
 
 _LOG = get_logger("repro.exec.artifacts")
 
-#: Safety cap for functional simulation used when callers don't pass one
-#: (mirrors the experiment harness's historical cap).
+#: Safety cap for functional simulation of any program, when callers
+#: don't pass one.
 DEFAULT_MAX_FUNCTIONAL = 20_000_000
 
 

@@ -70,6 +70,13 @@ def cache_enabled(environ=None):
     return environ.get("REPRO_CACHE", "").strip().lower() not in _FALSY
 
 
+def cache_max_bytes(environ=None):
+    """The store's byte budget (``REPRO_CACHE_MAX_BYTES``), else None."""
+    environ = os.environ if environ is None else environ
+    raw = environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
+    return int(raw) if raw else None
+
+
 def default_cache_dir(environ=None):
     """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
     environ = os.environ if environ is None else environ
@@ -110,10 +117,8 @@ class ArtifactStore:
     def __init__(self, root=None, enabled=None, max_bytes=None):
         self.root = root if root is not None else default_cache_dir()
         self.enabled = cache_enabled() if enabled is None else bool(enabled)
-        if max_bytes is None:
-            raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-            max_bytes = int(raw) if raw else None
-        self.max_bytes = max_bytes
+        self.max_bytes = (cache_max_bytes() if max_bytes is None
+                          else max_bytes)
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -250,7 +255,6 @@ class ArtifactStore:
             self._record("eviction", key=key, bytes=size)
             self.evicted_bytes += size
             REGISTRY.counter("exec.store.evicted_bytes").inc(size)
-            REGISTRY.counter("exec.store.evicted_entries").inc()
         if evicted:
             _LOG.info("store.pruned", evicted=len(evicted),
                       remaining_bytes=total)
@@ -294,9 +298,12 @@ def default_store():
     global _DEFAULT_STORE
     root = default_cache_dir()
     enabled = cache_enabled()
+    max_bytes = cache_max_bytes()
     if (_DEFAULT_STORE is None or _DEFAULT_STORE.root != root
-            or _DEFAULT_STORE.enabled != enabled):
-        _DEFAULT_STORE = ArtifactStore(root=root, enabled=enabled)
+            or _DEFAULT_STORE.enabled != enabled
+            or _DEFAULT_STORE.max_bytes != max_bytes):
+        _DEFAULT_STORE = ArtifactStore(root=root, enabled=enabled,
+                                       max_bytes=max_bytes)
     return _DEFAULT_STORE
 
 

@@ -51,7 +51,7 @@ class ProgramColumns:
     __slots__ = (
         "n", "iclass", "dest", "src1", "src2", "pc_addresses",
         "is_load", "is_store", "is_mem", "is_cond", "is_jump",
-        "iclass_list", "dest_list", "srcs_list", "pool_list",
+        "iclass_list", "dest_list", "pool_list",
         "opcode_list", "imm_list", "target_list",
         "block_of", "is_block_start", "block_bounds", "block_size",
         "derived",
@@ -66,7 +66,6 @@ class ProgramColumns:
         src1 = self.src1 = np.full(n, -1, dtype=np.int16)
         src2 = self.src2 = np.full(n, -1, dtype=np.int16)
         is_cond = self.is_cond = np.zeros(n, dtype=bool)
-        srcs_list = self.srcs_list = []
         opcode_list = self.opcode_list = []
         imm_list = self.imm_list = []
         target_list = self.target_list = []
@@ -76,7 +75,6 @@ class ProgramColumns:
             if instr.rd is not None:
                 dest[index] = instr.rd
             srcs = instr.srcs
-            srcs_list.append(srcs)
             opcode_list.append(instr.opcode)
             imm_list.append(instr.imm)
             target_list.append(instr.target)
@@ -119,6 +117,29 @@ class ProgramColumns:
                 minlength=n_blocks * IClass.COUNT)
             cached = flat.reshape(n_blocks, IClass.COUNT)
             self.derived["mix_matrix"] = cached
+        return cached
+
+    def block_facts(self):
+        """Per-block ``(mix list, memop pcs, last conditional-branch pc)``.
+
+        The static facts both profilers and the static profile
+        predictor attach to every visited block, in block order; the
+        branch pc is -1 for a block without a conditional branch.
+        Callers copy the lists before handing them out.
+        """
+        cached = self.derived.get("block_facts")
+        if cached is None:
+            n_blocks = len(self.block_bounds)
+            mem_pcs = [[] for _ in range(n_blocks)]
+            for index in np.nonzero(self.is_mem)[0].tolist():
+                mem_pcs[self.block_of[index]].append(index)
+            branch_pc = [-1] * n_blocks
+            # np.nonzero ascends, so the last conditional in a block wins.
+            for index in np.nonzero(self.is_cond)[0].tolist():
+                branch_pc[self.block_of[index]] = index
+            cached = list(zip(self.mix_matrix().tolist(), mem_pcs,
+                              branch_pc))
+            self.derived["block_facts"] = cached
         return cached
 
 

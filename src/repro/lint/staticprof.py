@@ -53,7 +53,6 @@ from repro.core.profile import (
     ContextStats,
     MemOpStats,
     WorkloadProfile,
-    dep_bucket,
 )
 from repro.core.profiler import (
     STREAM_MIN_EXECUTIONS,
@@ -440,28 +439,6 @@ def _branch_sequence(columns, loop, result, index, latch, countdowns,
 # ----------------------------------------------------------------------
 # The prediction
 # ----------------------------------------------------------------------
-def _block_facts(columns):
-    """Cached per-block (mix list, mem pcs, last cond-branch pc) tables.
-
-    One vectorized pass over the program replaces the per-block numpy
-    slicing the predictor used to do; cached on ``columns.derived`` so
-    repeated predictions of the same program pay it once.
-    """
-    cached = columns.derived.get("staticprof_block_facts")
-    if cached is None:
-        n_blocks = len(columns.block_bounds)
-        mem_pcs = [[] for _ in range(n_blocks)]
-        for index in np.nonzero(columns.is_mem)[0]:
-            mem_pcs[columns.block_of[index]].append(int(index))
-        branch_pc = [-1] * n_blocks
-        # np.nonzero ascends, so the last conditional in a block wins.
-        for index in np.nonzero(columns.is_cond)[0]:
-            branch_pc[columns.block_of[index]] = int(index)
-        cached = (columns.mix_matrix().tolist(), mem_pcs, branch_pc)
-        columns.derived["staticprof_block_facts"] = cached
-    return cached
-
-
 def predict_profile(program, result=None):
     """Predict the profiler's output for ``program`` without running it.
 
@@ -497,8 +474,7 @@ def predict_profile(program, result=None):
     profile = WorkloadProfile(name=program.name, total_instructions=0,
                               total_memory_ops=0, total_branches=0)
     mix_rows = columns.mix_matrix()
-    facts = _block_facts(columns)
-    mix_lists, mem_pcs_by_block, branch_pc_by_block = facts
+    block_facts = columns.block_facts()
     visit_vector = np.zeros(len(columns.block_bounds), dtype=np.int64)
     for bid, count in visits.items():
         visit_vector[bid] = count
@@ -509,10 +485,10 @@ def predict_profile(program, result=None):
         if count == 0:
             continue
         start, end = columns.block_bounds[bid]
+        mix, mem_pcs, branch_pc = block_facts[bid]
         profile.blocks[bid] = BlockStats(
-            bid=bid, size=end - start, visits=count,
-            mix=list(mix_lists[bid]), mem_pcs=list(mem_pcs_by_block[bid]),
-            branch_pc=branch_pc_by_block[bid])
+            bid=bid, size=end - start, visits=count, mix=list(mix),
+            mem_pcs=list(mem_pcs), branch_pc=branch_pc)
 
     # --- transitions: deterministic chain with reset diversions ---
     chain = init_chain + sorted(loop.body, key=lambda b:
@@ -723,11 +699,9 @@ def _steady_state_dep_hist(columns, loop, reset_blocks, iterations):
             if bid not in reset_blocks
             for index in range(*columns.block_bounds[bid])]
     length = len(body)
-    if any(len(columns.srcs_list[index]) > 2 for index in body):
-        return _dep_hist_walk(columns, body, iterations)
-    # Vectorized equivalent of the scalar walk: per register, the
-    # producer of a read at position p is the last write before p, or
-    # the wrapped-around final write (seeded one iteration back).
+    # Per register, the producer of a read at position p is the last
+    # write before p, or the wrapped-around final write (seeded one
+    # iteration back).  ``src1``/``src2`` hold every source register.
     seq = np.asarray(body, dtype=np.int64)
     positions = np.arange(length, dtype=np.int64)
     dest = columns.dest[seq]
@@ -751,30 +725,6 @@ def _steady_state_dep_hist(columns, loop, reset_blocks, iterations):
             np.searchsorted(buckets, distances, side="left"),
             minlength=NUM_DEP_BUCKETS)
     return [int(count) * iterations for count in hist]
-
-
-def _dep_hist_walk(columns, body, iterations):
-    """Scalar fallback walk for instructions with exotic source lists."""
-    hist = [0] * NUM_DEP_BUCKETS
-    dest_of = columns.dest_list
-    srcs_of = columns.srcs_list
-    length = len(body)
-    last_write = {}
-    for position, index in enumerate(body):
-        rd = dest_of[index]
-        if rd >= 0 and rd != ZERO_REG:
-            last_write[rd] = position - length
-    for position, index in enumerate(body):
-        for src in srcs_of[index]:
-            if src == ZERO_REG:
-                continue
-            writer = last_write.get(src)
-            if writer is not None:
-                hist[dep_bucket(position - writer)] += 1
-        rd = dest_of[index]
-        if rd >= 0 and rd != ZERO_REG:
-            last_write[rd] = position
-    return [count * iterations for count in hist]
 
 
 # ----------------------------------------------------------------------

@@ -15,8 +15,11 @@ times configs in lanes.
 
 Everything degrades gracefully: no C compiler, a failed compile, or
 ``REPRO_NATIVE=off`` means :func:`load_library` returns ``None`` and
-callers keep using their pure-Python paths.  Semantics are identical
-either way; only the wall time differs.
+callers run the Python specs instead: the interpreter,
+``PipelineModel.run``, ``simulate_cache`` and the scalar predictors.
+``REPRO_NATIVE`` is the one engine switch; nothing else selects an
+engine.  Semantics are identical either way; only the wall time
+differs.
 """
 
 import contextlib

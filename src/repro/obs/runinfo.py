@@ -56,10 +56,6 @@ def provenance():
         "python": platform.python_version(),
         "platform": platform.platform(),
         "argv": list(sys.argv),
-        # Functional-simulator backend selection (``auto`` resolves
-        # per-program; concrete trace provenance lives in the artifact
-        # store's per-entry ``sim_backend``).
-        "sim_backend": os.environ.get("REPRO_SIM_BACKEND", "auto"),
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
 

@@ -7,7 +7,6 @@ two's-complement for the integer file and IEEE double for the FP file.
 """
 
 import math
-import os
 import struct
 import time
 
@@ -27,9 +26,6 @@ _LOG = get_logger("repro.sim")
 
 #: Heartbeat-progress period, in retired instructions.
 HEARTBEAT_INTERVAL = 5_000_000
-
-#: Environment variable selecting the default backend.
-ENV_BACKEND = "REPRO_SIM_BACKEND"
 
 #: Recognized backend selectors.
 BACKENDS = ("auto", "native", "interp")
@@ -80,25 +76,23 @@ _OP_IDS = {name: i for i, name in enumerate([
 ])}
 
 
-def resolve_backend(backend, program=None, environ=None):
+def resolve_backend(backend, program=None):
     """Resolve a backend selector to a concrete backend name.
 
-    ``backend`` may be ``None`` (consult the ``REPRO_SIM_BACKEND``
-    environment variable, default ``auto``), ``auto``, ``native``, or
-    ``interp``.  ``auto`` picks ``native`` when the C engine can take
+    ``backend`` may be ``None`` or ``auto`` (the host picks), ``native``,
+    or ``interp``.  ``auto`` picks ``native`` when the C engine can take
     the program (``REPRO_NATIVE`` on, compiler present, translatable),
     whatever its size, and the interpreter otherwise.  An explicit
     ``native`` request on a host without the toolchain still resolves
     to ``native``; the run itself falls back to the interpreter,
     keeping semantics identical.
     """
-    environ = os.environ if environ is None else environ
     if backend is None:
-        backend = environ.get(ENV_BACKEND, "").strip().lower() or "auto"
+        backend = "auto"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown simulator backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)} (see {ENV_BACKEND})")
+            f"{', '.join(BACKENDS)}")
     if backend != "auto":
         return backend
     if program is not None:
@@ -113,10 +107,11 @@ class FunctionalSimulator:
 
     ``backend`` selects the execution engine: ``interp`` is this
     module's per-instruction reference loop, ``native`` the fixed C
-    engine in :mod:`repro.sim.native`, and ``auto`` (the default, also
-    settable via ``REPRO_SIM_BACKEND``) resolves through
-    :func:`resolve_backend`.  Both engines are bit-identical; the
-    choice only affects wall time.
+    engine in :mod:`repro.sim.native`, and ``auto`` (the default)
+    resolves through :func:`resolve_backend`: native whenever the
+    engine is usable.  An explicit backend is for differential tests;
+    both engines are bit-identical and the choice only affects wall
+    time.
     """
 
     def __init__(self, program, memory_size=None, backend=None):
@@ -158,7 +153,7 @@ class FunctionalSimulator:
         returns the number of instructions executed.  Exceeding
         ``max_instructions`` raises :class:`SimulationError` (runaway
         program — almost always an assembly bug).  ``backend`` overrides
-        the instance/environment backend selection for this run.
+        the instance's backend selection for this run.
         """
         resolved = resolve_backend(
             backend if backend is not None else self.backend, self.program)

@@ -10,8 +10,10 @@ protocol and track their own accuracy.
 stream at once: the static predictors by one array expression, the
 table predictors by one C loop over their 2-bit counters and global
 history (``repro_predict_counters`` in :mod:`repro.uarch.native`).
-:func:`simulate_predictor` rides on the bank; the scalar loop is kept
-as :func:`simulate_predictor_reference` and equality-tested.
+:func:`simulate_predictor` is a one-spec
+:func:`repro.uarch.sweep.simulate_predictor_sweep` over those banks;
+the scalar loop is kept as :func:`simulate_predictor_reference`, the
+spec, and equality-tested.
 """
 
 import numpy as np
@@ -218,20 +220,15 @@ def predictor_outcome_bank(pcs, taken, kind="gap", **kwargs):
 def simulate_predictor(trace, kind="gap", **kwargs):
     """Replay all conditional branches of a trace through a predictor.
 
-    Returns the predictor (its ``stats`` hold the misprediction rate).
-    Outcomes come from :func:`predictor_outcome_bank`;
-    :func:`simulate_predictor_reference` is the scalar specification
-    this is equality-tested against.  The returned predictor's *stats*
-    are exact; its internal table state is not replayed.
+    A one-spec predictor sweep: returns the predictor, whose ``stats``
+    hold the exact misprediction counts, from the sweep's cached
+    outcome bank for this trace.  Its internal table state is not
+    replayed.  :func:`simulate_predictor_reference` is the scalar
+    specification this is equality-tested against.
     """
-    predictor = make_predictor(kind, **kwargs)
-    branch_positions = trace.branch_indices()
-    pcs = trace.pcs[branch_positions]
-    outcomes = trace.taken[branch_positions] == 1
-    mispredicts = predictor_outcome_bank(pcs, outcomes, kind, **kwargs)
-    predictor.stats.lookups = len(pcs)
-    predictor.stats.mispredictions = int(np.count_nonzero(mispredicts))
-    return predictor
+    # Imported here: repro.uarch.sweep imports this module.
+    from repro.uarch.sweep import simulate_predictor_sweep
+    return simulate_predictor_sweep(trace, [(kind, kwargs)])[0]
 
 
 def simulate_predictor_reference(trace, kind="gap", **kwargs):

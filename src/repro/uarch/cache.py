@@ -5,10 +5,10 @@ insertion-ordered dicts give constant-time LRU) and, with
 ``simulate_cache``, the reference replay: the spec.  The batched
 replays run every geometry through one exact-LRU C kernel
 (:func:`repro.uarch.native.lru_replay`) when a C compiler is present.
-``simulate_cache_sweep`` (one stream, many configurations) falls back to
-the dict replay ``_replay_blocks`` without one; ``per_access_hits``
-(the sweep engine's per-access cache banks) is native only, because the
-sweep builds banks only for its native timing loop.  ``CacheHierarchy``
+Without one, ``simulate_cache_sweep`` (one stream, many configurations)
+runs the spec once per configuration; ``per_access_hits`` (the sweep
+engine's per-access cache banks) is native only, because the sweep
+builds banks only for its native timing loop.  ``CacheHierarchy``
 composes L1I/L1D/L2 for the pipeline timing model.
 """
 
@@ -178,44 +178,13 @@ def simulate_cache(addresses, config):
 # ----------------------------------------------------------------------
 # Batched sweep: one stream, many configurations
 # ----------------------------------------------------------------------
-def _replay_blocks(blocks, config):
-    """Exact port of the :class:`Cache` LRU loop over block indices.
-
-    ``blocks`` must be a list of plain ints (the caller converts the
-    numpy block array once and shares it across every config with the
-    same line size).
-    """
-    n_sets = config.sets
-    ways = config.ways
-    line_sets = [dict() for _ in range(n_sets)]
-    is_pow2 = (n_sets & (n_sets - 1)) == 0
-    mask = n_sets - 1
-    misses = 0
-    evictions = 0
-    for block in blocks:
-        line_set = (line_sets[block & mask] if is_pow2
-                    else line_sets[block % n_sets])
-        if block in line_set:
-            del line_set[block]  # refresh recency
-            line_set[block] = None
-            continue
-        misses += 1
-        if len(line_set) >= ways:
-            del line_set[next(iter(line_set))]
-            evictions += 1
-        line_set[block] = None
-    return CacheStats(accesses=len(blocks), misses=misses,
-                      evictions=evictions)
-
-
 def simulate_cache_sweep(addresses, configs):
     """Replay one address stream against many configurations.
 
     Returns a list of :class:`CacheStats`, one per config, in config
-    order — each bit-identical to ``simulate_cache(addresses, config)``.
+    order, each bit-identical to ``simulate_cache(addresses, config)``.
     With a C compiler every config is one native LRU replay of the
-    int64 stream; otherwise the stream is converted to a block list
-    once per distinct line size and replayed by :func:`_replay_blocks`.
+    int64 stream; without one every config is that spec replay itself.
     """
     configs = list(configs)
     address_array = np.asarray(addresses, dtype=np.int64)
@@ -227,23 +196,8 @@ def simulate_cache_sweep(addresses, configs):
             return [CacheStats(n, *native.lru_replay(
                         address_array, config.line_shift, config))
                     for config in configs]
-        block_lists_by_shift = {}
-        results = []
-        for config in configs:
-            block_list = block_lists_by_shift.get(config.line_shift)
-            if block_list is None:
-                # A block equal to its predecessor is MRU in its set and
-                # hits under *any* geometry, so the replay only needs the
-                # consecutive-deduplicated stream (converted once).
-                blocks = address_array >> config.line_shift
-                keep = np.ones(n, dtype=bool)
-                keep[1:] = blocks[1:] != blocks[:-1]
-                block_list = block_lists_by_shift[config.line_shift] = \
-                    blocks[keep].tolist()
-            stats = _replay_blocks(block_list, config)
-            stats.accesses = n
-            results.append(stats)
-        return results
+        stream = address_array.tolist()  # converted once, not per config
+        return [simulate_cache(stream, config) for config in configs]
 
 
 # ----------------------------------------------------------------------

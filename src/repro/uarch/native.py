@@ -35,9 +35,10 @@ uses lanes, through a per-function target attribute, so the shared
 
 No C compiler, a failed compile, or ``REPRO_NATIVE=off`` simply means
 :func:`available` is False: the sweep then times every config with the
-spec, ``PipelineModel.run``, ``simulate_cache_sweep`` replays with its
-Python dict LRU, and predictor banks replay the spec predictor.  The
-semantics are identical either way; only the wall time differs.
+spec, ``PipelineModel.run``, ``simulate_cache_sweep`` replays every
+config with the spec, ``simulate_cache``, and predictor banks replay
+the spec predictor.  The semantics are identical either way; only the
+wall time differs.
 """
 
 import ctypes

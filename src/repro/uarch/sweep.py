@@ -290,8 +290,8 @@ def simulate_predictor_sweep(trace, specs):
     ``specs`` is an iterable of predictor kinds (``"gap"``) or
     ``(kind, kwargs)`` pairs.  Returns one predictor object per spec,
     in order, with ``stats`` populated exactly as
-    :func:`repro.uarch.branch_predictors.simulate_predictor` would —
-    but the per-branch outcome flags come from the sweep engine's
+    :func:`repro.uarch.branch_predictors.simulate_predictor_reference`
+    would.  The per-branch outcome flags come from the sweep engine's
     predictor outcome banks, so they are derived once per (trace,
     predictor) in the process: every later sweep or experiment that
     touches the same trace object reuses them instead of re-walking

@@ -5,12 +5,12 @@
 banks) must agree flag for flag with ``Cache.access``, because every
 experiment's Pearson correlations and rankings are computed from these
 miss counts.  Every sweep check runs under both engines: the native
-exact-LRU kernel and the Python dict replay that a host without a C
-compiler (or ``REPRO_NATIVE=0``) uses.  ``per_access_hits`` is native
-only — the sweep builds cache banks only for its native timing loop —
+exact-LRU kernel and the spec replay that a host without a C compiler
+(or ``REPRO_NATIVE=0``) runs per config.  ``per_access_hits`` is native
+only (the sweep builds cache banks only for its native timing loop),
 so its checks run where the kernel is available.  A corpus test pins
-the two sweep engines to each other on all 23 real and 23 clone
-address streams.
+the native kernel to the spec on all 23 real and 23 clone address
+streams.
 """
 
 import contextlib
@@ -37,14 +37,14 @@ RNG = np.random.default_rng(0xC0FFEE)
 #: The native kernel quietly stands down where no C compiler is present
 #: (or ``REPRO_NATIVE=0`` is already set), so "native" only exercises C
 #: where the environment provides it.
-ENGINES = ("native", "python")
+ENGINES = ("native", "spec")
 
 
 @contextlib.contextmanager
 def engine(name):
-    """Run the block under the native kernel or the Python replay."""
+    """Run the block under the native kernel or the spec replay."""
     saved = os.environ.get("REPRO_NATIVE")
-    if name == "python":
+    if name == "spec":
         os.environ["REPRO_NATIVE"] = "0"
     native.reset()
     try:
@@ -134,7 +134,7 @@ class TestEquivalence:
         assert_equivalent(addresses, PATH_CONFIGS)
 
     def test_consecutive_duplicates(self):
-        # Exercises the Python replay's consecutive-dedup shortcut.
+        # Runs of one block: every repeat is an MRU hit.
         addresses = np.repeat(RNG.integers(0, 1 << 14, 1_000), 9)
         assert_equivalent(addresses, PATH_CONFIGS)
 
@@ -239,15 +239,19 @@ def test_random_streams_match_spec(addresses, configs):
         assert_hits_equivalent(addresses, config)
 
 
-def test_corpus_sweep_matches_python_replay():
+def test_corpus_sweep_matches_spec():
     """The paper's 28-config sweep over all 46 corpus streams (23 real,
-    23 clone): native kernel vs Python replay, field for field."""
+    23 clone): native kernel vs ``simulate_cache``, field for field."""
     with engine("native"):
         if not native.available():
             pytest.skip("no native kernel to compare")
-    for name in workload_names():
-        artifacts = workload_artifacts(name)
-        for subject, trace in (("real", artifacts.trace),
-                               ("clone", artifacts.clone_trace)):
-            rows = sweep(trace.memory_addresses(), CACHE_SWEEP)
-            assert rows["native"] == rows["python"], (name, subject)
+        for name in workload_names():
+            artifacts = workload_artifacts(name)
+            for subject, trace in (("real", artifacts.trace),
+                                   ("clone", artifacts.clone_trace)):
+                addresses = trace.memory_addresses()
+                swept = [stats_tuple(stats) for stats in
+                         simulate_cache_sweep(addresses, CACHE_SWEEP)]
+                spec = [stats_tuple(simulate_cache(addresses, config))
+                        for config in CACHE_SWEEP]
+                assert swept == spec, (name, subject)

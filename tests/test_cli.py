@@ -3,6 +3,8 @@
 import json
 import os
 
+import pytest
+
 from repro.cli import (EXIT_BAD_TARGET, EXIT_ERROR, EXIT_LINT_FAILED,
                        EXIT_LOAD_FAILED, main)
 
@@ -158,6 +160,16 @@ class TestObservability:
                      "--instructions", "20000"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "ipc_estimate" in data
+
+    @pytest.mark.parametrize("argv", [
+        ["--sim-backend", "interp", "list"],
+        ["list", "--sim-backend", "interp"],
+    ])
+    def test_sim_backend_flag_rejected(self, argv, capsys):
+        # The host picks the engine; no flag selects one.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 class TestExecIntegration:
     def test_json_carries_artifact_cache_provenance(self, capsys):

@@ -226,14 +226,13 @@ class TestEviction:
     def test_eviction_telemetry_counters_and_bytes(self, store):
         from repro.obs.metrics import REGISTRY
         build(store, name="crc32")
-        entries_before = REGISTRY.counter(
-            "exec.store.evicted_entries").value
+        entries_before = REGISTRY.counter("exec.store.eviction").value
         bytes_before = REGISTRY.counter("exec.store.evicted_bytes").value
         evicted = store.prune(max_bytes=0)
         assert evicted
         assert store.evicted_bytes > 0
         assert store.stats()["evicted_bytes"] == store.evicted_bytes
-        assert REGISTRY.counter("exec.store.evicted_entries").value \
+        assert REGISTRY.counter("exec.store.eviction").value \
             == entries_before + len(evicted)
         assert REGISTRY.counter("exec.store.evicted_bytes").value \
             == bytes_before + store.evicted_bytes
@@ -262,3 +261,24 @@ class TestCounters:
         store.reset_counters()
         assert store.stats()["hits"] == 0
         assert store.stats()["writes"] == 0
+
+
+class TestDefaultStore:
+    @pytest.fixture(autouse=True)
+    def _fresh_default_store(self, monkeypatch):
+        from repro.exec import reset_default_store
+        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES", raising=False)
+        reset_default_store()
+        yield
+        monkeypatch.undo()
+        reset_default_store()
+
+    def test_budget_set_after_first_call_takes_effect(self, monkeypatch):
+        from repro.exec.store import default_store
+        assert default_store().max_bytes is None
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", "4096")
+        budgeted = default_store()
+        assert budgeted.max_bytes == 4096
+        assert default_store() is budgeted  # unchanged env: same store
+        monkeypatch.delenv("REPRO_CACHE_MAX_BYTES")
+        assert default_store().max_bytes is None

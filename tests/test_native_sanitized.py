@@ -31,7 +31,7 @@ DIFFERENTIALS = (
     "tests/test_sim_native.py::test_random_programs_native_matches_interp",
     "tests/test_uarch_sweep.py::TestCorpusEquivalence",
     "tests/test_uarch_sweep.py::TestPredictorEquivalence",
-    "tests/test_cache_sweep.py::test_corpus_sweep_matches_python_replay",
+    "tests/test_cache_sweep.py::test_corpus_sweep_matches_spec",
 )
 
 #: Subprocess body: sanitize every compile, insist both engines load,

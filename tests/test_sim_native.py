@@ -246,15 +246,20 @@ class TestStreaming:
 
 
 def test_profile_program_honours_interp_backend(monkeypatch):
-    # REPRO_SIM_BACKEND=interp must keep profiling off the native
-    # engine, as it does for every other acquisition path.
+    # With REPRO_NATIVE=0 the backend resolves to interp, and profiling
+    # must stay off the native engine, as every other acquisition
+    # path does.
     def refuse(*args, **kwargs):
         raise AssertionError("profile_program streamed natively")
-    monkeypatch.setenv("REPRO_SIM_BACKEND", "interp")
+    monkeypatch.setenv("REPRO_NATIVE", "0")
     monkeypatch.setattr(native, "stream_trace", refuse)
-    program = build_workload("crc32")
-    profile = profile_program(program)
-    reference = profile_trace(run_program(program))
+    native.reset()
+    try:
+        program = build_workload("crc32")
+        profile = profile_program(program)
+        reference = profile_trace(run_program(program))
+    finally:
+        native.reset()
     assert profile.to_dict() == reference.to_dict()
 
 
@@ -285,18 +290,22 @@ class TestResolveBackend:
         assert resolve_backend("interp") == "interp"
         assert resolve_backend("native") == "native"
 
-    def test_env_var_consulted_when_unset(self):
-        assert resolve_backend(None, environ={"REPRO_SIM_BACKEND":
-                                              "interp"}) == "interp"
-        assert resolve_backend(None, environ={"REPRO_SIM_BACKEND":
-                                              " NATIVE "}) == "native"
+    def test_sim_backend_env_var_ignored(self, monkeypatch):
+        # REPRO_NATIVE is the one engine switch; the retired
+        # REPRO_SIM_BACKEND selects nothing.
+        program = build_workload("crc32")
+        expected = "native" if native.usable(program) else "interp"
+        for value in ("interp", "native", "bogus"):
+            monkeypatch.setenv("REPRO_SIM_BACKEND", value)
+            assert resolve_backend(None, program) == expected
+            assert resolve_backend(None) == "interp"
 
     def test_auto_resolution_order_for_real_programs(self):
         # Native when the engine can take the program, else interp.
         program = build_workload("crc32")
         expected = "native" if native.usable(program) else "interp"
         assert resolve_backend("auto", program) == expected
-        assert resolve_backend(None, program, environ={}) == expected
+        assert resolve_backend(None, program) == expected
 
     @needs_native
     def test_auto_picks_native_for_every_corpus_program(self):
