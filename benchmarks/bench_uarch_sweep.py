@@ -6,11 +6,14 @@ Every timed pair is also an equality assertion — each swept config must
 reproduce the reference run field for field — so the recorded speedups
 are guaranteed to be numerics-preserving.
 
-Two sweep columns per kernel, each the median of ``SWEEP_ROUNDS``
-sweeps (a cold grid sweep lasts a few milliseconds, too short for one
-reading to resolve), both divided into the median of
-``REFERENCE_ROUNDS`` runs of the per-config reference, so no one slow
-reading of it moves a kernel's ratios:
+Two sweep columns per kernel.  A kernel is timed in ``ROUNDS``
+rounds; each times one run of the per-config reference loop, then,
+right after it, a batch of cold sweeps and a batch of warm sweeps, each
+batch at least ``BATCH_SECONDS`` long (one cold grid sweep lasts a few
+milliseconds, too short to resolve alone).  A round's ratios divide its
+reference time by its own mean sweep times, so the two sides of each
+ratio share the host's load of that moment; a column reads the median
+of its rounds' ratios:
 
 * ``cold``  — nothing cached: digest + banks built from the trace in
   memory.  What the first grid study over a trace pays, in any process
@@ -59,12 +62,11 @@ GRID = ([BASE_CONFIG] + list(DESIGN_CHANGES)
 
 SMOKE_NAMES = ["crc32", "sha", "qsort", "fft"]
 
-#: Timed sweeps per kernel and column; the column reads their median.
-SWEEP_ROUNDS = 9
+#: Timing rounds per kernel; each column reads their median ratio.
+ROUNDS = 5
 
-#: Timed rounds of the per-config reference loop per kernel (about
-#: 1.3 s each); the ratios divide into their median.
-REFERENCE_ROUNDS = 3
+#: Least timed seconds of one batch of sweeps.
+BATCH_SECONDS = 0.2
 
 
 def _geomean(values):
@@ -94,25 +96,24 @@ def _sweep_once(trace, cold):
     return time.perf_counter() - start, results
 
 
-def _median_sweep(trace, cold):
-    """Median seconds of ``SWEEP_ROUNDS`` sweeps, and the last results."""
-    seconds = []
-    for _ in range(SWEEP_ROUNDS):
-        elapsed, results = _sweep_once(trace, cold)
-        seconds.append(elapsed)
-    return float(np.median(seconds)), results
+def _batch_sweep(trace, cold):
+    """Mean seconds of one sweep over a batch of at least
+    ``BATCH_SECONDS``, and the last results."""
+    elapsed, count = 0.0, 0
+    while elapsed < BATCH_SECONDS:
+        seconds, results = _sweep_once(trace, cold)
+        elapsed += seconds
+        count += 1
+    return elapsed / count, results
 
 
-def _median_reference(trace):
-    """Median seconds of ``REFERENCE_ROUNDS`` per-config
-    ``PipelineModel.run`` loops over the grid, and the last results."""
-    seconds = []
-    for _ in range(REFERENCE_ROUNDS):
-        start = time.perf_counter()
-        reference = [PipelineModel(config).run(
-            trace, max_instructions=PIPELINE_CAP) for config in GRID]
-        seconds.append(time.perf_counter() - start)
-    return float(np.median(seconds)), reference
+def _reference_once(trace):
+    """Seconds and results of one per-config ``PipelineModel.run`` loop
+    over the grid."""
+    start = time.perf_counter()
+    reference = [PipelineModel(config).run(
+        trace, max_instructions=PIPELINE_CAP) for config in GRID]
+    return time.perf_counter() - start, reference
 
 
 def _sweep_rows(names):
@@ -122,21 +123,26 @@ def _sweep_rows(names):
         trace = FunctionalSimulator(build_workload(name)).run(
             max_instructions=FUNCTIONAL_CAP, trace=True)
 
-        reference_s, reference = _median_reference(trace)
-
-        cold_s, cold = _median_sweep(trace, cold=True)
-        warm_s, warm = _median_sweep(trace, cold=False)
-
-        for swept in (cold, warm):
-            assert [_result_fields(result) for result in swept] \
-                == [_result_fields(result) for result in reference]
+        # Each round: (reference s, cold s, warm s), timed back to back.
+        rounds = []
+        for _ in range(ROUNDS):
+            reference_s, reference = _reference_once(trace)
+            cold_s, cold = _batch_sweep(trace, cold=True)
+            warm_s, warm = _batch_sweep(trace, cold=False)
+            for swept in (cold, warm):
+                assert [_result_fields(result) for result in swept] \
+                    == [_result_fields(result) for result in reference]
+            rounds.append((reference_s, cold_s, warm_s))
+        reference_s, cold_s, _ = np.median(rounds, axis=0)
 
         instructions = sum(result.instructions for result in reference)
         rows.append([name, instructions,
                      instructions / reference_s / 1e6,
                      instructions / cold_s / 1e6,
-                     reference_s / cold_s,
-                     reference_s / warm_s])
+                     float(np.median([ref / cold for ref, cold, _
+                                      in rounds])),
+                     float(np.median([ref / warm for ref, _, warm
+                                      in rounds]))])
         emit_event("progress", done=index + 1, total=len(names),
                    unit="kernels", label=name)
     return rows

@@ -11,9 +11,10 @@ Every study is a plain in-process loop over its workloads.  Each still
 accepts a ``jobs`` keyword and ignores it: ``perfbench/workloads.py``
 passes one.  Fanning a grid out over worker processes is the fleet's
 job (:mod:`repro.fleet`, ``repro fleet run --workers N``).  Cache
-sweeps replay each address stream against all configurations in one
-batched pass (:func:`simulate_cache_sweep`) instead of re-converting
-and re-walking the stream per configuration, and pipeline grids go
+sweeps (:func:`simulate_cache_sweep`) walk each address stream once per
+(line size, set count), not once per configuration: one LRU stack pass
+answers every associativity that shares them, so the 28-config
+Section 5.1 sweep is 10 passes.  Pipeline grids go
 through :func:`simulate_pipeline_sweep`, which digests each trace once
 and shares cache/predictor outcome banks across the whole
 configuration grid (bit-identical to per-config ``PipelineModel.run``

@@ -2,14 +2,15 @@
 
 ``Cache`` is a functional hit/miss model with O(1) accesses (per-set
 insertion-ordered dicts give constant-time LRU) and, with
-``simulate_cache``, the reference replay: the spec.  The batched
-replays run every geometry through one exact-LRU C kernel
-(:func:`repro.uarch.native.lru_replay`) when a C compiler is present.
-Without one, ``simulate_cache_sweep`` (one stream, many configurations)
-runs the spec once per configuration; ``per_access_hits`` (the sweep
-engine's per-access cache banks) is native only, because the sweep
-builds banks only for its native timing loop.  ``CacheHierarchy``
-composes L1I/L1D/L2 for the pipeline timing model.
+``simulate_cache``, the reference replay: the spec.  With a C compiler
+the batched replays run one exact-LRU kernel, a stack pass
+(:func:`repro.uarch.native.lru_stack`): ``simulate_cache_sweep`` (one
+stream, many configurations) makes one pass per (line size, set count)
+for every associativity of that pair, and ``per_access_hits`` (the
+sweep engine's cache banks) one pass ``ways`` deep.  Without one the
+sweep runs the spec per configuration; ``per_access_hits`` is native
+only, because only the native timing loop uses banks.
+``CacheHierarchy`` composes L1I/L1D/L2 for the pipeline timing model.
 """
 
 from dataclasses import dataclass
@@ -183,21 +184,41 @@ def simulate_cache_sweep(addresses, configs):
 
     Returns a list of :class:`CacheStats`, one per config, in config
     order, each bit-identical to ``simulate_cache(addresses, config)``.
-    With a C compiler every config is one native LRU replay of the
-    int64 stream; without one every config is that spec replay itself.
+    With a C compiler the configs sharing a line size and set count
+    share one LRU stack pass, as deep as their largest ``ways``: a
+    ``w``-way cache hits at stack depths below ``w`` and fills each set
+    ``min(blocks, w)`` times without evicting.  Without one every
+    config is that spec replay itself.
     """
     configs = list(configs)
     address_array = np.asarray(addresses, dtype=np.int64)
     n = len(address_array)
-    with span("uarch.cache", configs=len(configs), accesses=n):
-        if n == 0:
-            return [CacheStats() for _ in configs]
-        if native.available():
-            return [CacheStats(n, *native.lru_replay(
-                        address_array, config.line_shift, config))
-                    for config in configs]
-        stream = address_array.tolist()  # converted once, not per config
-        return [simulate_cache(stream, config) for config in configs]
+    depths = {}
+    for config in configs:
+        key = (config.line_shift, config.sets)
+        depths[key] = max(depths.get(key, 0), config.ways)
+    engine = native.available()
+    with span("uarch.cache", configs=len(configs), accesses=n,
+              passes=len(depths) if engine else len(configs)):
+        if not engine:
+            stream = address_array.tolist()  # converted once, not per config
+            return [simulate_cache(stream, config) for config in configs]
+        # Per pass, indexed by ways - 1: the hits, and the non-evicting
+        # fills sum(min(k, ways) * fills[k]), summed as the sets holding
+        # at least 1, 2, ..., ways blocks.
+        counts = {}
+        for (shift, sets), depth in depths.items():
+            hist, fills = native.lru_stack(address_array, shift, sets, depth)
+            at_least = np.cumsum(fills[::-1])[::-1]
+            counts[shift, sets] = (np.cumsum(hist).tolist(),
+                                   np.cumsum(at_least[1:]).tolist())
+        stats = []
+        for config in configs:
+            hits, filled = counts[config.line_shift, config.sets]
+            misses = n - hits[config.ways - 1]
+            stats.append(CacheStats(n, misses,
+                                    misses - filled[config.ways - 1]))
+        return stats
 
 
 # ----------------------------------------------------------------------
@@ -211,11 +232,11 @@ def per_access_hits(blocks, config):
     internally).  Returns a boolean array aligned with the stream whose
     ``False`` count equals ``simulate_cache``'s miss count; the sweep
     engine turns these flags into per-access latency banks.  Runs the
-    native LRU replay, so it needs :func:`repro.uarch.native.available`.
+    LRU stack kernel ``ways`` deep, so it needs :func:`native.available`.
     """
     blocks = np.asarray(blocks, dtype=np.int64)
     hits = np.empty(len(blocks), dtype=bool)
-    native.lru_replay(blocks, 0, config, hits)
+    native.lru_stack(blocks, 0, config.sets, config.ways, hits)
     return hits
 
 

@@ -1,4 +1,4 @@
-"""Native sweep kernels: the timing inner loop, the LRU cache replay and
+"""Native sweep kernels: the timing inner loop, the LRU stack pass and
 the table branch predictors.
 
 The per-config cost of a grid study is dominated by executing run()'s
@@ -6,10 +6,12 @@ integer scheduling recurrence ~60k times per config.  Every input to
 that recurrence is already columnar — the digest's event streams, the
 banks' per-access latencies, the program's decode columns — so the loop
 ports directly to a ~100-line C function over int64 arrays with *no*
-per-instruction Python anywhere.  The cache layer's hot loop, exact
-true-LRU replay of an address stream over one geometry, ports the same
-way; it serves every configuration of ``simulate_cache_sweep`` and
-every cache bank the sweep builds.  So does the replay of a branch
+per-instruction Python anywhere.  The cache layer's hot loop ports the
+same way, as one exact-LRU kernel: a stack pass (Mattson et al.) that
+records each access's depth in its set's LRU stack, so one pass per
+(line size, set count) answers every associativity of
+``simulate_cache_sweep``, and a pass ``ways`` deep flags each access
+of a cache bank the sweep builds.  So does the replay of a branch
 stream through a table of 2-bit counters (bimodal, GAp, gshare), which
 builds every predictor bank.  Banks are rebuilt from the trace in
 memory rather than stored: with these loops a rebuild costs less than
@@ -234,18 +236,21 @@ int64_t repro_run_range(
     return 0;
 }
 
-/* Exact port of repro.uarch.cache.Cache: true-LRU replay of n
- * addresses over sets x ways, each set an MRU-first way array.  The
- * set index follows Python: & for power-of-two set counts, else a
- * non-negative %.  Fills hits (when not NULL) with one flag per access
- * and *evictions; returns the miss count, or -1 if allocation fails. */
-int64_t repro_lru_replay(
+/* True-LRU stack pass (Mattson et al., 1970) of n addresses over sets
+ * sets, each an MRU-first array of up to depth blocks; the set index
+ * follows repro.uarch.cache.Cache: & for power-of-two set counts, else
+ * a non-negative %.  An access found at stack depth d hits in every LRU
+ * cache of this set count with more than d ways: it bumps hist[d] and
+ * sets hits[i], which is 0 for a block not within depth.  At the end
+ * fills[k] counts the sets holding k blocks.  Any of hist, fills and
+ * hits may be NULL.  Returns 0, or -1 if allocation fails. */
+int64_t repro_lru_stack(
     const int64_t *addresses, int64_t n, int64_t line_shift,
-    int64_t sets, int64_t ways, uint8_t *hits, int64_t *evictions)
+    int64_t sets, int64_t depth, int64_t *hist, int64_t *fills,
+    uint8_t *hits)
 {
-    int64_t *tags = malloc(sizeof(int64_t) * sets * ways);
+    int64_t *tags = malloc(sizeof(int64_t) * sets * depth);
     int64_t *fill = calloc(sets, sizeof(int64_t));
-    int64_t misses = 0, evicted = 0;
     int pow2 = (sets & (sets - 1)) == 0;
     if (!tags || !fill) {
         free(tags);
@@ -256,24 +261,22 @@ int64_t repro_lru_replay(
         int64_t block = addresses[i] >> line_shift;
         int64_t index = pow2 ? block & (sets - 1) : block % sets;
         if (index < 0) index += sets;
-        int64_t *way = tags + index * ways;
-        int64_t used = fill[index], hit = 0;
-        while (hit < used && way[hit] != block) hit++;
-        if (hit < used) {
-            if (hits) hits[i] = 1;
-        } else {
-            if (hits) hits[i] = 0;
-            misses++;
-            if (used < ways) fill[index] = used + 1;
-            else { hit = ways - 1; evicted++; }
-        }
-        for (; hit > 0; hit--) way[hit] = way[hit - 1];
+        int64_t *way = tags + index * depth;
+        int64_t used = fill[index], d = 0;
+        while (d < used && way[d] != block) d++;
+        if (hits) hits[i] = d < used;
+        if (d == used) {
+            if (used < depth) fill[index] = used + 1;
+            else d = depth - 1;
+        } else if (hist) hist[d]++;
+        for (; d > 0; d--) way[d] = way[d - 1];
         way[0] = block;
     }
+    if (fills)
+        for (int64_t s = 0; s < sets; s++) fills[fill[s]]++;
     free(tags);
     free(fill);
-    *evictions = evicted;
-    return misses;
+    return 0;
 }
 
 /* Exact port of the table predictors in repro.uarch.branch_predictors
@@ -602,11 +605,11 @@ def _load():
         _I64, _I64,                                        # pools
         _I64, _I64, _I64, _I64, _I64, _I64,                # state
     ]
-    library.repro_lru_replay.restype = ctypes.c_int64
-    library.repro_lru_replay.argtypes = [
+    library.repro_lru_stack.restype = ctypes.c_int64
+    library.repro_lru_stack.argtypes = [
         _I64, ctypes.c_int64, ctypes.c_int64,              # stream, shift
-        ctypes.c_int64, ctypes.c_int64,                    # sets, ways
-        _U8, _I64,                                         # hits, evictions
+        ctypes.c_int64, ctypes.c_int64,                    # sets, depth
+        _I64, _I64, _U8,                                   # hist, fills, hits
     ]
     library.repro_predict_counters.restype = None
     library.repro_predict_counters.argtypes = [
@@ -824,22 +827,25 @@ def _pools(config):
     return sizes, np.concatenate(([0], np.cumsum(sizes)[:-1]))
 
 
-def lru_replay(addresses, line_shift, config, hits=None):
-    """Exact LRU replay of an int64 address stream over ``config``'s
-    geometry in C; returns ``(misses, evictions)``.
+def lru_stack(addresses, line_shift, sets, depth, hits=None):
+    """One LRU stack pass of an int64 address stream over ``sets`` sets
+    of ``depth`` blocks in C, for every associativity up to ``depth``.
 
-    Blocks are ``address >> line_shift``; when ``hits`` (a bool array
-    as long as the stream) is given, it receives one flag per access.
+    Blocks are ``address >> line_shift``.  Returns ``(hist, fills)``:
+    ``hist[d]`` counts hits at stack depth ``d`` and ``fills[k]`` the
+    sets left holding ``k`` blocks.  When ``hits`` (a bool array as long
+    as the stream) is given, it receives one flag per access.
     """
     addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-    evictions = ctypes.c_int64(0)
-    misses = _load().repro_lru_replay(
-        _ptr64(addresses), len(addresses), line_shift, config.sets,
-        config.ways, None if hits is None else hits.ctypes.data_as(_U8),
-        ctypes.byref(evictions))
-    if misses < 0:
-        raise MemoryError(f"cannot allocate LRU state for {config}")
-    return misses, evictions.value
+    hist = np.zeros(depth, dtype=np.int64)
+    fills = np.zeros(depth + 1, dtype=np.int64)
+    if _load().repro_lru_stack(
+            _ptr64(addresses), len(addresses), line_shift, sets, depth,
+            _ptr64(hist), _ptr64(fills),
+            None if hits is None else hits.ctypes.data_as(_U8)) < 0:
+        raise MemoryError(f"cannot allocate LRU state for {sets} sets "
+                          f"of {depth} blocks")
+    return hist, fills
 
 
 def predict_counters(pcs, taken, pc_mask, pc_shift, history_bits,

@@ -8,9 +8,11 @@ miss counts.  Every sweep check runs under both engines: the native
 exact-LRU kernel and the spec replay that a host without a C compiler
 (or ``REPRO_NATIVE=0``) runs per config.  ``per_access_hits`` is native
 only (the sweep builds cache banks only for its native timing loop),
-so its checks run where the kernel is available.  A corpus test pins
-the native kernel to the spec on all 23 real and 23 clone address
-streams.
+so its checks run where the kernel is available.  The native sweep
+answers every config that shares a line size and set count from one
+LRU stack pass, so a property draws config lists that share them.  A
+corpus test pins the native kernel to the spec on all 23 real and 23
+clone address streams.
 """
 
 import contextlib
@@ -21,6 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evaluation import workload_artifacts
+from repro.obs.journal import configure_journal, read_journal
+from repro.obs.trace import build_span_tree
 from repro.uarch import (
     CACHE_SWEEP,
     Cache,
@@ -237,6 +241,47 @@ def test_random_streams_match_spec(addresses, configs):
     assert_equivalent(addresses, configs)
     for config in configs:
         assert_hits_equivalent(addresses, config)
+
+
+#: Config families whose members share a set count (and line size), so
+#: one stack pass answers several ``ways``: 3 sets of 1-3 ways, one set
+#: of 2-512 ways, and 4 sets of 1-4 ways at 32- and 64-byte lines.
+SHARED_SET_FAMILIES = [
+    [CacheConfig(96, 1, 32), CacheConfig(192, 2, 32),
+     CacheConfig(288, 3, 32)],
+    [CacheConfig(64, 2, 32), CacheConfig(96, 3, 32),
+     CacheConfig(512, "full", 32), CacheConfig(16384, "full", 32)],
+    [CacheConfig(128, 1, 32), CacheConfig(256, 2, 32),
+     CacheConfig(512, 4, 32), CacheConfig(256, 1, 64),
+     CacheConfig(512, 2, 64), CacheConfig(1024, 4, 64)],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(addresses=st.lists(address_values, min_size=0, max_size=400),
+       configs=st.sampled_from(SHARED_SET_FAMILIES).flatmap(
+           lambda family: st.lists(st.sampled_from(family), min_size=1,
+                                   max_size=2 * len(family))))
+def test_shared_set_counts_match_spec(addresses, configs):
+    assert_equivalent(addresses, configs)
+
+
+def test_paper_sweep_makes_one_pass_per_set_count(tmp_path):
+    """The 28 configs share 10 set counts (1, 2, 4, ..., 512): the
+    ``uarch.cache`` span counts one native pass for each."""
+    with engine("native"):
+        if not native.available():
+            pytest.skip("no native kernel to count passes of")
+        configure_journal(str(tmp_path))
+        try:
+            simulate_cache_sweep(RNG.integers(0, 1 << 16, 1_000),
+                                 CACHE_SWEEP)
+        finally:
+            configure_journal(None)
+    [node] = [node for root in build_span_tree(
+        read_journal(str(tmp_path)).events) for node in root.walk()
+        if node.name == "uarch.cache"]
+    assert node.attrs == {"configs": 28, "accesses": 1_000, "passes": 10}
 
 
 def test_corpus_sweep_matches_spec():

@@ -1,7 +1,7 @@
 """Both native engines under UndefinedBehaviorSanitizer.
 
 The functional engine (``simfunc``), the sweep kernels (``sweeploop``:
-the scheduling loop, the LRU replay and the table predictors) and the
+the scheduling loop, the LRU stack pass and the table predictors) and the
 sweep's lane kernel are each one fixed C source, so one sanitized build
 of each covers every program, geometry and predictor.  In a subprocess
 with a fresh cache dir, the shared compiler invocation gains
@@ -32,6 +32,8 @@ DIFFERENTIALS = (
     "tests/test_uarch_sweep.py::TestCorpusEquivalence",
     "tests/test_uarch_sweep.py::TestPredictorEquivalence",
     "tests/test_cache_sweep.py::test_corpus_sweep_matches_spec",
+    "tests/test_cache_sweep.py::test_random_streams_match_spec",
+    "tests/test_cache_sweep.py::TestPerAccessHits",
 )
 
 #: Subprocess body: sanitize every compile, insist both engines load,
