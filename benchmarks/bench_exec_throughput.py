@@ -12,6 +12,13 @@ the in-process wall time of one grid study:
   a hit skips both functional simulations);
 * ``cache_correlation_study`` over six workloads, in-process, from a
   warm store behind a cold in-process memo.
+
+Every row is timed in ``ROUNDS`` rounds.  A round times a comparison's
+reference right before its subject, so both sides of the round's ratio
+share the host's load of that moment; the batched sweep lasts a few
+milliseconds, so it is timed as the mean over a batch of at least
+``BATCH_SECONDS``.  A row reads the median of its rounds' seconds, and
+its speedup the median of the rounds' ratios.
 """
 
 import shutil
@@ -37,11 +44,28 @@ GRID_NAMES = ["adpcm", "bitcount", "crc32", "dijkstra", "qsort", "sha"]
 PARAMS = SynthesisParameters(dynamic_instructions=100_000)
 MAX_FUNCTIONAL = 5_000_000
 
+#: Timing rounds per row; each row reads their median.
+ROUNDS = 5
+
+#: Least timed seconds of one batch of batched sweeps.
+BATCH_SECONDS = 0.2
+
 
 def _timed(func):
     start = time.perf_counter()
     result = func()
     return result, time.perf_counter() - start
+
+
+def _batched(func):
+    """Mean seconds of ``func`` over a batch of at least
+    ``BATCH_SECONDS``, and its last result."""
+    elapsed, count = 0.0, 0
+    while elapsed < BATCH_SECONDS:
+        result, seconds = _timed(func)
+        elapsed += seconds
+        count += 1
+    return result, elapsed / count
 
 
 def _build_all(store):
@@ -50,27 +74,34 @@ def _build_all(store):
             for name in NAMES]
 
 
-def _measure():
-    rows = []
+def _paired_rows(rounds, labels):
+    """Reference and subject rows from ``(reference_s, subject_s)``."""
+    reference_s, subject_s = np.median(rounds, axis=0)
+    speedup = float(np.median([ref / sub for ref, sub in rounds]))
+    return [[labels[0], float(reference_s), 1.0],
+            [labels[1], float(subject_s), speedup]]
 
-    # -- batched sweep vs per-config loop (one shared address stream) --
+
+def _sweep_rounds(addresses):
+    rounds = []
+    for _ in range(ROUNDS):
+        serial_stats, serial_seconds = _timed(
+            lambda: [simulate_cache(addresses, config)
+                     for config in CACHE_SWEEP])
+        batched_stats, batched_seconds = _batched(
+            lambda: simulate_cache_sweep(addresses, CACHE_SWEEP))
+        assert ([stats.misses for stats in batched_stats]
+                == [stats.misses for stats in serial_stats])
+        rounds.append((serial_seconds, batched_seconds))
+    return rounds
+
+
+def _pipeline_round():
+    """One cold build into an empty store, then the warm hits."""
     root = tempfile.mkdtemp(prefix="repro-bench-cache-")
     try:
         store = ArtifactStore(root=root, enabled=True)
         cold, cold_seconds = _timed(lambda: _build_all(store))
-        addresses = cold[0].trace.memory_addresses()
-        serial_stats, serial_seconds = _timed(
-            lambda: [simulate_cache(addresses, config)
-                     for config in CACHE_SWEEP])
-        batched_stats, batched_seconds = _timed(
-            lambda: simulate_cache_sweep(addresses, CACHE_SWEEP))
-        assert ([stats.misses for stats in batched_stats]
-                == [stats.misses for stats in serial_stats])
-        rows.append(["sweep 28 configs, per-config loop", serial_seconds, 1.0])
-        rows.append(["sweep 28 configs, batched", batched_seconds,
-                     serial_seconds / batched_seconds])
-
-        # -- cold pipeline vs warm artifact-store hit -------------------
         warm, warm_seconds = _timed(lambda: _build_all(store))
         assert store.stats()["hits"] == len(NAMES)
         for before, after in zip(cold, warm):
@@ -78,21 +109,40 @@ def _measure():
             assert before.clone.asm_source == after.clone.asm_source
             assert np.array_equal(before.trace.addrs, after.trace.addrs)
         assert warm_seconds < cold_seconds
-        rows.append([f"pipeline x{len(NAMES)}, cold build", cold_seconds, 1.0])
-        rows.append([f"pipeline x{len(NAMES)}, warm cache", warm_seconds,
-                     cold_seconds / warm_seconds])
+        return cold, (cold_seconds, warm_seconds)
     finally:
         shutil.rmtree(root, ignore_errors=True)
+
+
+def _measure():
+    rows = []
+    pipeline_rounds = []
+    for _ in range(ROUNDS):
+        cold, seconds = _pipeline_round()
+        pipeline_rounds.append(seconds)
+
+    # -- batched sweep vs per-config loop (one shared address stream) --
+    rows += _paired_rows(_sweep_rounds(cold[0].trace.memory_addresses()),
+                         ["sweep 28 configs, per-config loop",
+                          "sweep 28 configs, batched"])
+
+    # -- cold pipeline vs warm artifact-store hit -------------------
+    rows += _paired_rows(pipeline_rounds,
+                         [f"pipeline x{len(NAMES)}, cold build",
+                          f"pipeline x{len(NAMES)}, warm cache"])
 
     # -- one experiment grid, in-process ------------------------------
     # Drop the in-process memo first so the study does the full
     # per-workload work (the persistent store may still serve artifacts,
     # and that IS the deployed shape: a warm disk cache behind a cold
     # process).
-    clear_artifact_cache()
-    _, grid_seconds = _timed(
-        lambda: cache_correlation_study(names=GRID_NAMES))
-    rows.append(["correlation study", grid_seconds, 1.0])
+    grid = []
+    for _ in range(ROUNDS):
+        clear_artifact_cache()
+        _, grid_seconds = _timed(
+            lambda: cache_correlation_study(names=GRID_NAMES))
+        grid.append(grid_seconds)
+    rows.append(["correlation study", float(np.median(grid)), 1.0])
     return rows
 
 
@@ -101,4 +151,5 @@ def test_exec_throughput(benchmark):
     emit("exec_throughput", format_table(
         ["stage", "seconds", "speedup"], rows, float_format="{:.3f}"),
         data={"rows": rows, "names": NAMES, "grid_names": GRID_NAMES,
-              "configs": len(CACHE_SWEEP)})
+              "configs": len(CACHE_SWEEP), "rounds": ROUNDS,
+              "batch_seconds": BATCH_SECONDS})

@@ -73,7 +73,8 @@ from repro.core import (
 )
 from repro.evaluation import format_table, pearson, rank_vector
 from repro.exec import default_store, pipeline_artifacts
-from repro.isa import AssemblerError, assemble
+from repro.isa import AssemblerError
+from repro.isa.assembler import assemble_shared
 from repro.lint import (
     CODES,
     LintGateError,
@@ -113,7 +114,7 @@ from repro.uarch import (
     simulate_cache_sweep,
     simulate_pipeline_sweep,
 )
-from repro.workloads import all_workloads, build_workload, get_workload, workload_names
+from repro.workloads import all_workloads, get_workload, workload_names
 
 _LOG = get_logger("repro.cli")
 
@@ -170,19 +171,12 @@ class RunContext:
 # ----------------------------------------------------------------------
 def _load_program(target):
     """A workload name, or a path to an SRISC assembly file."""
-    if target in workload_names():
-        return build_workload(target)
-    if os.path.exists(target):
-        try:
-            with open(target) as handle:
-                return assemble(handle.read(),
-                                name=os.path.basename(target))
-        except AssemblerError as exc:
-            raise CliError(EXIT_LOAD_FAILED,
-                           f"failed to assemble {target}: {exc}") from exc
-    raise CliError(EXIT_BAD_TARGET,
-                   f"{target!r} is neither a workload name nor "
-                   "an assembly file (see `repro list`)")
+    name, source = _target_source(target)
+    try:
+        return assemble_shared(source, name)
+    except AssemblerError as exc:
+        raise CliError(EXIT_LOAD_FAILED,
+                       f"failed to assemble {target}: {exc}") from exc
 
 
 def _load_profile(target):

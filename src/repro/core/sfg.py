@@ -57,25 +57,28 @@ class StatisticalFlowGraph:
         self.successors = {}
         for (pred, succ), count in profile.transitions.items():
             self.successors.setdefault(pred, []).append((succ, count))
-        self._succ_cdfs = {
+        self.successor_cdfs = {
             pred: _Cdf([succ for succ, _ in pairs],
                        [count for _, count in pairs])
             for pred, pairs in self.successors.items()
         }
 
     # ------------------------------------------------------------------
-    def sample_start(self, rng):
-        """Step 1: draw a node from remaining occurrence frequencies."""
+    def start_distribution(self):
+        """The :class:`_Cdf` over remaining occurrence frequencies."""
         alive = [(bid, count) for bid, count in self.occurrences.items()
                  if count > 0]
         if not alive:
             alive = list(self._initial.items())
-        cdf = _Cdf([bid for bid, _ in alive], [count for _, count in alive])
-        return cdf.sample(rng)
+        return _Cdf([bid for bid, _ in alive], [count for _, count in alive])
+
+    def sample_start(self, rng):
+        """Step 1: draw a node from remaining occurrence frequencies."""
+        return self.start_distribution().sample(rng)
 
     def sample_next(self, bid, rng):
         """Step 8: draw a successor by edge probability; None if terminal."""
-        cdf = self._succ_cdfs.get(bid)
+        cdf = self.successor_cdfs.get(bid)
         if cdf is None:
             return None
         return cdf.sample(rng)

@@ -133,6 +133,39 @@ def _emitted_ints(lines):
     return values
 
 
+#: Condition-setup ALU ops each branch mechanism adds to its block.
+_SETUP_COSTS = {"modulo": 2, "random": 3}
+
+
+def block_op_counts(profile, stats, pattern=None):
+    """Ops per class label a clone block realizes for one profiled block,
+    and its load and store pcs.  With the block's branch ``pattern``, its
+    setup ops are charged against the integer-ALU budget, keeping the
+    clone's mix faithful."""
+    counts = {}
+    for iclass, count in enumerate(stats.mix):
+        label = _CLASS_LABELS.get(iclass)
+        if label is not None and count:
+            counts[label] = counts.get(label, 0) + count
+    counts.pop("load", None)
+    counts.pop("store", None)
+    mem_ops = profile.mem_ops
+    loads = [pc for pc in stats.mem_pcs
+             if not mem_ops.get(pc) or not mem_ops[pc].is_store]
+    stores = [pc for pc in stats.mem_pcs
+              if mem_ops.get(pc) and mem_ops[pc].is_store]
+    if loads:
+        counts["load"] = len(loads)
+    if stores:
+        counts["store"] = len(stores)
+    setup_cost = _SETUP_COSTS.get(getattr(pattern, "kind", ""), 0)
+    if setup_cost and counts.get("ialu", 0) > 0:
+        counts["ialu"] = max(0, counts["ialu"] - setup_cost)
+        if counts["ialu"] == 0:
+            del counts["ialu"]
+    return counts, loads, stores
+
+
 def _sample_bucket(hist, rng):
     total = sum(hist)
     if total == 0:
@@ -345,34 +378,7 @@ class CloneSynthesizer:
             if stats.branch_pc >= 0:
                 pattern = self._branch_pattern(
                     profile.branches.get(stats.branch_pc), rng)
-            counts = {}
-            for iclass, count in enumerate(stats.mix):
-                label = _CLASS_LABELS.get(iclass)
-                if label is None or count == 0:
-                    continue
-                counts[label] = counts.get(label, 0) + count
-            counts.pop("load", None)
-            counts.pop("store", None)
-            loads = [pc for pc in stats.mem_pcs
-                     if not profile.mem_ops.get(pc)
-                     or not profile.mem_ops[pc].is_store]
-            stores = [pc for pc in stats.mem_pcs
-                      if profile.mem_ops.get(pc)
-                      and profile.mem_ops[pc].is_store]
-            if loads:
-                counts["load"] = len(loads)
-            if stores:
-                counts["store"] = len(stores)
-            # The modulo/random branch mechanisms add condition-setup ALU
-            # ops; charge them against the block's integer-ALU budget so
-            # the clone's instruction mix stays faithful.
-            setup_cost = {"modulo": 2, "random": 3}.get(
-                getattr(pattern, "kind", ""), 0)
-            if setup_cost and counts.get("ialu", 0) > 0:
-                counts["ialu"] = max(0, counts["ialu"] - setup_cost)
-                if counts["ialu"] == 0:
-                    del counts["ialu"]
-
+            counts, loads, stores = block_op_counts(profile, stats, pattern)
             entries = []
             load_iter, store_iter = iter(loads), iter(stores)
             for label in _interleave(counts) if counts else []:

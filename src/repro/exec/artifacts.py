@@ -8,7 +8,8 @@ Reconstitution is exact by construction — the trace arrays round-trip
 through ``.npz`` losslessly, the profile through its JSON schema, and
 the clone is re-assembled from the stored assembly text with the same
 deterministic assembler that produced it — so downstream simulations
-cannot tell a warm run from a cold one.
+cannot tell a warm run from a cold one.  The program comes from
+:func:`~repro.isa.assembler.assemble_shared`: one per source a process.
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.core.profile import WorkloadProfile
 from repro.core.profiler import profile_trace
 from repro.core.synthesizer import CloneResult
 from repro.exec.store import artifact_key, default_store
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble, assemble_shared
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
 from repro.sim.functional import resolve_backend, run_program
@@ -64,17 +65,22 @@ def _build_artifacts(program, name, parameters, max_instructions,
 
 
 def _load_artifacts(meta, entry, program, name, parameters):
-    """Reconstitute a cached entry into live pipeline objects."""
-    trace = DynamicTrace.load(os.path.join(entry, "trace.npz"), program)
-    profile = WorkloadProfile.load(os.path.join(entry, "profile.json"))
-    with open(os.path.join(entry, "clone.s")) as handle:
-        clone_asm = handle.read()
-    clone_program = assemble(clone_asm, name=meta["clone_name"])
+    """Reconstitute a cached entry into live pipeline objects (the
+    clone's re-assembly is timed apart from the entry's reads)."""
+    with span("exec.store.load"):
+        trace = DynamicTrace.load(os.path.join(entry, "trace.npz"), program)
+        profile = WorkloadProfile.load(os.path.join(entry, "profile.json"))
+        with open(os.path.join(entry, "clone.s")) as handle:
+            clone_asm = handle.read()
+        stored = DynamicTrace.load(os.path.join(entry, "clone_trace.npz"),
+                                   None)
+    with span("isa.assemble", lines=clone_asm.count("\n")):
+        clone_program = assemble(clone_asm, name=meta["clone_name"])
     clone = CloneResult(program=clone_program, asm_source=clone_asm,
                         profile=profile, parameters=parameters,
                         stats=dict(meta.get("clone_stats") or {}))
-    clone_trace = DynamicTrace.load(
-        os.path.join(entry, "clone_trace.npz"), clone_program)
+    clone_trace = DynamicTrace(clone_program, stored.pcs, stored.addrs,
+                               stored.taken)
     return Artifacts(name=name, program=program, trace=trace,
                      profile=profile, clone=clone,
                      clone_trace=clone_trace,
@@ -91,7 +97,7 @@ def pipeline_artifacts(name, source, parameters,
     disabled one to force the cold path.
     """
     store = default_store() if store is None else store
-    program = assemble(source, name=name)
+    program = assemble_shared(source, name)
     # Resolve auto/env selection down to a concrete engine *before*
     # keying, so mixed-backend runs can never alias in the cache.
     sim_backend = resolve_backend(None, program)
@@ -101,9 +107,8 @@ def pipeline_artifacts(name, source, parameters,
     if cached is not None:
         meta, entry = cached
         try:
-            with span("exec.store.load"):
-                artifacts = _load_artifacts(meta, entry, program, name,
-                                            parameters)
+            artifacts = _load_artifacts(meta, entry, program, name,
+                                        parameters)
             _LOG.debug("artifacts.hit", name=name, key=key,
                        sim_backend=artifacts.sim_backend)
             return artifacts
@@ -177,7 +182,7 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
     which never need the profile or the clone.
     """
     store = default_store() if store is None else store
-    program = assemble(source, name=name)
+    program = assemble_shared(source, name)
     sim_backend = resolve_backend(None, program)
     key = trace_artifact_key(name, source, max_instructions, sim_backend)
     cached = store.load(key)

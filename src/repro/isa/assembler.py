@@ -22,12 +22,21 @@ instruction or directive.  Pseudo-ops (``li``, ``la``, ``mv``, ``nop``,
 ``not``, ``neg``, ``bgt``, ``ble``, ``bgtu``, ``bleu``, ``beqz``, ``bnez``,
 ``bltz``, ``bgez``, ``bgtz``, ``blez``, ``b``) expand to real opcodes, so
 the profiled instruction mix reflects what the machine executes.
+
+Every consumer of a clone pays for parsing (a clone ships as this text),
+so it is table-driven: the mnemonic picks one handler per operand format
+or pseudo-op, registers resolve through a name table, and each opcode's
+class flags are precomputed on its ``OpcodeSpec``.  Every error names
+its source line.
 """
 
+import collections
+import functools
 import struct
 
 from repro.isa.instructions import Instruction, OPCODES
-from repro.isa.registers import REG_RA, ZERO_REG, parse_reg
+from repro.isa.registers import (NUM_REGS, REG_RA, ZERO_REG, parse_reg,
+                                 reg_name)
 
 
 class AssemblerError(Exception):
@@ -59,8 +68,15 @@ def _parse_float(token):
         raise AssemblerError(f"bad float literal: {token!r}") from None
 
 
-def _split_operands(rest):
-    return [tok.strip() for tok in rest.split(",")] if rest.strip() else []
+class _RegisterTable(dict):
+    """Register name -> flat index; other spellings (``R7``, ``r07``)
+    and non-registers fall through to :func:`parse_reg`."""
+
+    def __missing__(self, token):
+        return parse_reg(token)
+
+
+_REG = _RegisterTable((reg_name(index), index) for index in range(NUM_REGS))
 
 
 def _parse_mem_operand(token):
@@ -70,7 +86,7 @@ def _parse_mem_operand(token):
         raise AssemblerError(f"bad memory operand: {token!r}")
     imm_part, reg_part = token[:-1].split("(", 1)
     imm = _parse_int(imm_part) if imm_part.strip() else 0
-    return imm, parse_reg(reg_part)
+    return imm, _REG[reg_part]
 
 
 def _li_sequence(rd, value):
@@ -90,125 +106,118 @@ def _li_sequence(rd, value):
     return seq
 
 
-class _PendingLoadAddress:
-    """Placeholder for ``la``: patched once data symbols are known."""
-
-    __slots__ = ("rd", "symbol", "line")
-
-    def __init__(self, rd, symbol, line):
-        self.rd = rd
-        self.symbol = symbol
-        self.line = line
+#: Placeholder for ``la``: patched once data symbols are known.
+_PendingLoadAddress = collections.namedtuple("_PendingLoadAddress",
+                                             "rd symbol line")
 
 
 class _DataSection:
     """Accumulates the initial data image and symbol addresses."""
 
-    def __init__(self, base):
-        self.base = base
+    def __init__(self):
         self.image = bytearray()
         self.symbols = {}
-
-    @property
-    def cursor(self):
-        return self.base + len(self.image)
 
     def define(self, label):
         if label in self.symbols:
             raise AssemblerError(f"duplicate data label {label!r}")
-        self.symbols[label] = self.cursor
+        self.symbols[label] = DATA_BASE + len(self.image)
 
     def align(self, boundary):
         while len(self.image) % boundary:
             self.image.append(0)
 
-    def emit_words(self, values):
-        self.align(4)
-        for value in values:
-            self.image += struct.pack("<I", value & 0xFFFFFFFF)
-
-    def emit_bytes(self, values):
-        for value in values:
-            self.image.append(value & 0xFF)
-
-    def emit_doubles(self, values):
-        self.align(8)
-        for value in values:
-            self.image += struct.pack("<d", value)
-
-    def emit_space(self, count):
-        self.image += bytes(count)
+    def directive(self, directive, operands, word_fixups, lineno):
+        """Lay out one data directive (``operands`` unsplit)."""
+        if directive in (".align", ".space"):
+            count = _parse_int(operands.strip())
+            if directive == ".align":
+                self.align(count)
+            else:
+                self.image += bytes(count)
+            return
+        tokens = ([token.strip() for token in operands.split(",")]
+                  if operands else [])
+        if directive == ".word":
+            self.align(4)
+            values = []
+            for token in tokens:
+                if token and (token[0].isalpha() or token[0] == "_"):
+                    word_fixups.append(
+                        (len(self.image) + 4 * len(values), token, lineno))
+                    values.append(0)
+                else:
+                    values.append(_parse_int(token) & 0xFFFFFFFF)
+            self.image += struct.pack(f"<{len(values)}I", *values)
+        elif directive == ".byte":
+            self.image += bytes([_parse_int(token) & 0xFF
+                                 for token in tokens])
+        elif directive in (".double", ".float"):
+            values = [_parse_float(token) for token in tokens]
+            self.align(8)
+            self.image += struct.pack(f"<{len(values)}d", *values)
+        else:
+            raise AssemblerError(f"unknown directive {directive}")
 
 
 def assemble(source, name="<asm>"):
     """Assemble SRISC source text into a :class:`repro.isa.Program`."""
     from repro.isa.program import Program
 
-    data = _DataSection(DATA_BASE)
+    data = _DataSection()
     instructions = []
     labels = {}
     branch_fixups = []  # (instr_index, symbol, line)
     word_fixups = []  # (byte_offset, symbol, line)
-    section = ".text"
-
-    def define_label(label):
-        if section == ".data":
-            data.define(label)
-        else:
-            if label in labels:
-                raise AssemblerError(f"duplicate label {label!r}")
-            labels[label] = len(instructions)
-
-    def process_line(line, lineno):
-        nonlocal section
-        while line:
-            head, _, rest = line.partition(" ")
-            if head.endswith(":"):
-                define_label(head[:-1])
-                line = rest.strip()
+    in_text = True
+    handlers = _HANDLERS
+    lineno = 0
+    try:
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if "#" in line or ";" in line:
+                line = line.split("#", 1)[0].split(";", 1)[0]
+            line = line.strip()
+            if not line:
                 continue
-            break
-        if not line:
-            return
-
-        if line.startswith("."):
-            directive, _, rest = line.partition(" ")
-            if directive in (".text", ".data"):
-                section = directive
-            elif directive == ".align":
-                data.align(_parse_int(rest.strip()))
-            elif directive == ".space":
-                data.emit_space(_parse_int(rest.strip()))
-            elif directive == ".word":
-                tokens = _split_operands(rest)
-                data.align(4)
-                for token in tokens:
-                    if token and (token[0].isalpha() or token[0] == "_"):
-                        word_fixups.append((len(data.image), token, lineno))
-                        data.emit_words([0])
+            if ":" in line:
+                head, _, rest = line.partition(" ")
+                while head.endswith(":"):
+                    label = head[:-1]
+                    if not in_text:
+                        data.define(label)
+                    elif label in labels:
+                        raise AssemblerError(f"duplicate label {label!r}")
                     else:
-                        data.emit_words([_parse_int(token)])
-            elif directive == ".byte":
-                data.emit_bytes([_parse_int(t) for t in _split_operands(rest)])
-            elif directive in (".double", ".float"):
-                data.emit_doubles([_parse_float(t) for t in _split_operands(rest)])
-            else:
-                raise AssemblerError(f"unknown directive {directive}")
-            return
-
-        if section != ".text":
-            raise AssemblerError("instruction outside .text")
-        instructions.extend(
-            _parse_instruction(line, branch_fixups, len(instructions), lineno))
-
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-        try:
-            process_line(line, lineno)
-        except AssemblerError as exc:
-            raise AssemblerError(f"{name}:{lineno}: {exc}") from None
-        except ValueError as exc:
-            raise AssemblerError(f"{name}:{lineno}: {exc}") from None
+                        labels[label] = len(instructions)
+                    line = rest.strip()
+                    head, _, rest = line.partition(" ")
+                if not line:
+                    continue
+            if line[0] == ".":
+                directive, _, rest = line.partition(" ")
+                if directive == ".text":
+                    in_text = True
+                elif directive == ".data":
+                    in_text = False
+                else:
+                    data.directive(directive, rest, word_fixups, lineno)
+                continue
+            if not in_text:
+                raise AssemblerError("instruction outside .text")
+            mnemonic, _, rest = line.partition(" ")
+            mnemonic = mnemonic.lower()
+            entry = handlers.get(mnemonic)
+            if entry is None:
+                raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
+            count, handler = entry
+            # The line is stripped, so a non-empty rest holds an operand.
+            ops = [token.strip() for token in rest.split(",")] if rest else []
+            if len(ops) != count and count is not None:
+                raise AssemblerError(
+                    f"{mnemonic} expects {count} operands, got {len(ops)}")
+            handler(mnemonic, ops, lineno, instructions, branch_fixups)
+    except (AssemblerError, ValueError) as exc:
+        raise AssemblerError(f"{name}:{lineno}: {exc}") from None
 
     # Patch `la` placeholders now that data symbols are known.
     for index, instr in enumerate(instructions):
@@ -226,12 +235,9 @@ def assemble(source, name="<asm>"):
     for index, symbol, lineno in branch_fixups:
         target = labels.get(symbol)
         if target is None:
-            target_addr = data.symbols.get(symbol)
-            if target_addr is None:
-                raise AssemblerError(
-                    f"{name}:{lineno}: undefined label {symbol!r}")
-            raise AssemblerError(
-                f"{name}:{lineno}: branch to data symbol {symbol!r}")
+            problem = ("branch to data symbol" if symbol in data.symbols
+                       else "undefined label")
+            raise AssemblerError(f"{name}:{lineno}: {problem} {symbol!r}")
         instructions[index].target = target
 
     for offset, symbol, lineno in word_fixups:
@@ -247,6 +253,36 @@ def assemble(source, name="<asm>"):
                    name=name)
 
 
+@functools.lru_cache(maxsize=32)
+def assemble_shared(source, name):
+    """:func:`assemble`, memoized per process on ``(source, name)``, for
+    programs many entry points ask for (a corpus kernel): all share one
+    Program, so its blocks and columns are built once.  Nothing mutates
+    a Program after assembly; the bound covers the 23-kernel corpus."""
+    return assemble(source, name=name)
+
+
+# ----------------------------------------------------------------------
+# Statement handlers: mnemonic -> (operand count, handler).  A handler
+# ``(mnemonic, operands, lineno, out, fixups)`` appends the statement's
+# instructions to ``out`` and a symbolic target to ``fixups``; it reads
+# operands in the order the error messages have always named them.
+# ----------------------------------------------------------------------
+def _to_label(instr, symbol, lineno, out, fixups):
+    fixups.append((len(out), symbol, lineno))
+    out.append(instr)
+
+
+def _load(op, ops, lineno, out, fixups):
+    imm, base = _parse_mem_operand(ops[1])
+    out.append(Instruction(op, _REG[ops[0]], base, None, imm))
+
+
+def _store(op, ops, lineno, out, fixups):
+    imm, base = _parse_mem_operand(ops[1])
+    out.append(Instruction(op, None, base, _REG[ops[0]], imm))
+
+
 _BRANCH_SWAPS = {"bgt": "blt", "ble": "bge", "bgtu": "bltu", "bleu": "bgeu"}
 _ZERO_BRANCHES = {
     "beqz": ("beq", False), "bnez": ("bne", False),
@@ -255,128 +291,64 @@ _ZERO_BRANCHES = {
 }
 
 
-def _parse_instruction(line, branch_fixups, next_index, lineno=None):
-    """Parse one statement; returns the (possibly expanded) instructions.
+def _zero_branch(op, ops, lineno, out, fixups):
+    opcode, zero_first = _ZERO_BRANCHES[op]
+    reg = _REG[ops[0]]
+    rs1, rs2 = (ZERO_REG, reg) if zero_first else (reg, ZERO_REG)
+    _to_label(Instruction(opcode, None, rs1, rs2), ops[1], lineno, out,
+              fixups)
 
-    ``lineno`` is the source line, threaded into branch fixups and
-    ``la`` placeholders so late (fixup-time) errors still point at the
-    offending source line.
-    """
-    mnemonic, _, rest = line.partition(" ")
-    mnemonic = mnemonic.lower()
-    ops = _split_operands(rest)
 
-    def need(count):
-        if len(ops) != count:
-            raise AssemblerError(
-                f"{mnemonic} expects {count} operands, got {len(ops)}")
+_FORMATS = {
+    "r3": (3, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, _REG[ops[0]], _REG[ops[1]], _REG[ops[2]]))),
+    "f2": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, _REG[ops[0]], _REG[ops[1]]))),
+    "r2i": (3, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, _REG[ops[0]], _REG[ops[1]], None, _parse_int(ops[2])))),
+    "ri": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, _REG[ops[0]], None, None, _parse_int(ops[1])))),
+    "fli": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, _REG[ops[0]], None, None, _parse_float(ops[1])))),
+    "load": (2, _load),
+    "store": (2, _store),
+    "br": (3, lambda op, ops, ln, out, fx: _to_label(Instruction(
+        op, None, _REG[ops[0]], _REG[ops[1]]), ops[2], ln, out, fx)),
+    "j": (1, lambda op, ops, ln, out, fx: _to_label(
+        Instruction(op), ops[0], ln, out, fx)),
+    "jal": (1, lambda op, ops, ln, out, fx: _to_label(
+        Instruction(op, REG_RA), ops[0], ln, out, fx)),
+    "jr": (1, lambda op, ops, ln, out, fx: out.append(Instruction(
+        op, None, _REG[ops[0]]))),
+    "none": (0, lambda op, ops, ln, out, fx: out.append(Instruction(op))),
+}
+for _alias, _fmt in (("f3", "r3"), ("fcmp", "r3"), ("fcvt_wf", "f2"),
+                     ("fcvt_fw", "f2"), ("jalr", "f2"), ("fload", "load"),
+                     ("fstore", "store")):
+    _FORMATS[_alias] = _FORMATS[_fmt]
 
-    # --- pseudo-ops ---------------------------------------------------
-    if mnemonic == "nop":
-        return [Instruction("add", rd=ZERO_REG, rs1=ZERO_REG, rs2=ZERO_REG)]
-    if mnemonic == "li":
-        need(2)
-        return _li_sequence(parse_reg(ops[0]), _parse_int(ops[1]))
-    if mnemonic == "la":
-        need(2)
-        pending = _PendingLoadAddress(parse_reg(ops[0]), ops[1], lineno)
-        # Reserve two slots; both get patched once addresses are known.
-        return [pending, Instruction("add", rd=ZERO_REG, rs1=ZERO_REG,
-                                     rs2=ZERO_REG)]
-    if mnemonic == "mv":
-        need(2)
-        return [Instruction("add", rd=parse_reg(ops[0]), rs1=parse_reg(ops[1]),
-                            rs2=ZERO_REG)]
-    if mnemonic == "not":
-        need(2)
-        return [Instruction("nor", rd=parse_reg(ops[0]), rs1=parse_reg(ops[1]),
-                            rs2=ZERO_REG)]
-    if mnemonic == "neg":
-        need(2)
-        return [Instruction("sub", rd=parse_reg(ops[0]), rs1=ZERO_REG,
-                            rs2=parse_reg(ops[1]))]
-    if mnemonic == "b":
-        need(1)
-        instr = Instruction("j")
-        branch_fixups.append((next_index, ops[0], lineno))
-        return [instr]
-    if mnemonic in _BRANCH_SWAPS:
-        need(3)
-        instr = Instruction(_BRANCH_SWAPS[mnemonic], rs1=parse_reg(ops[1]),
-                            rs2=parse_reg(ops[0]))
-        branch_fixups.append((next_index, ops[2], lineno))
-        return [instr]
-    if mnemonic in _ZERO_BRANCHES:
-        need(2)
-        opcode, zero_first = _ZERO_BRANCHES[mnemonic]
-        reg = parse_reg(ops[0])
-        rs1, rs2 = (ZERO_REG, reg) if zero_first else (reg, ZERO_REG)
-        instr = Instruction(opcode, rs1=rs1, rs2=rs2)
-        branch_fixups.append((next_index, ops[1], lineno))
-        return [instr]
-
-    # --- real opcodes -------------------------------------------------
-    spec = OPCODES.get(mnemonic)
-    if spec is None:
-        raise AssemblerError(f"unknown mnemonic {mnemonic!r}")
-    fmt = spec.fmt
-
-    if fmt in ("r3", "f3"):
-        need(3)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            rs1=parse_reg(ops[1]), rs2=parse_reg(ops[2]))]
-    if fmt == "r2i":
-        need(3)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            rs1=parse_reg(ops[1]), imm=_parse_int(ops[2]))]
-    if fmt == "ri":
-        need(2)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            imm=_parse_int(ops[1]))]
-    if fmt in ("f2", "fcvt_wf", "fcvt_fw"):
-        need(2)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            rs1=parse_reg(ops[1]))]
-    if fmt == "fcmp":
-        need(3)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            rs1=parse_reg(ops[1]), rs2=parse_reg(ops[2]))]
-    if fmt == "fli":
-        need(2)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            imm=_parse_float(ops[1]))]
-    if fmt in ("load", "fload"):
-        need(2)
-        imm, base = _parse_mem_operand(ops[1])
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]), rs1=base, imm=imm)]
-    if fmt in ("store", "fstore"):
-        need(2)
-        imm, base = _parse_mem_operand(ops[1])
-        return [Instruction(mnemonic, rs2=parse_reg(ops[0]), rs1=base, imm=imm)]
-    if fmt == "br":
-        need(3)
-        instr = Instruction(mnemonic, rs1=parse_reg(ops[0]),
-                            rs2=parse_reg(ops[1]))
-        branch_fixups.append((next_index, ops[2], lineno))
-        return [instr]
-    if fmt == "j":
-        need(1)
-        instr = Instruction(mnemonic)
-        branch_fixups.append((next_index, ops[0], lineno))
-        return [instr]
-    if fmt == "jal":
-        need(1)
-        instr = Instruction(mnemonic, rd=REG_RA)
-        branch_fixups.append((next_index, ops[0], lineno))
-        return [instr]
-    if fmt == "jr":
-        need(1)
-        return [Instruction(mnemonic, rs1=parse_reg(ops[0]))]
-    if fmt == "jalr":
-        need(2)
-        return [Instruction(mnemonic, rd=parse_reg(ops[0]),
-                            rs1=parse_reg(ops[1]))]
-    if fmt == "none":
-        need(0)
-        return [Instruction(mnemonic)]
-    raise AssemblerError(f"unhandled format {fmt!r} for {mnemonic!r}")
+_HANDLERS = {name: _FORMATS[spec.fmt] for name, spec in OPCODES.items()}
+_HANDLERS.update({
+    # ``nop`` takes whatever follows it; ``la`` reserves two slots,
+    # patched once data addresses are known.
+    "nop": (None, lambda op, ops, ln, out, fx: out.append(Instruction(
+        "add", ZERO_REG, ZERO_REG, ZERO_REG))),
+    "li": (2, lambda op, ops, ln, out, fx: out.extend(_li_sequence(
+        _REG[ops[0]], _parse_int(ops[1])))),
+    "la": (2, lambda op, ops, ln, out, fx: out.extend((
+        _PendingLoadAddress(_REG[ops[0]], ops[1], ln),
+        Instruction("add", ZERO_REG, ZERO_REG, ZERO_REG)))),
+    "mv": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        "add", _REG[ops[0]], _REG[ops[1]], ZERO_REG))),
+    "not": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        "nor", _REG[ops[0]], _REG[ops[1]], ZERO_REG))),
+    "neg": (2, lambda op, ops, ln, out, fx: out.append(Instruction(
+        "sub", _REG[ops[0]], ZERO_REG, _REG[ops[1]]))),
+    "b": (1, lambda op, ops, ln, out, fx: _to_label(
+        Instruction("j"), ops[0], ln, out, fx)),
+})
+_HANDLERS.update(dict.fromkeys(_BRANCH_SWAPS, (
+    3, lambda op, ops, ln, out, fx: _to_label(Instruction(
+        _BRANCH_SWAPS[op], None, _REG[ops[1]], _REG[ops[0]]),
+        ops[2], ln, out, fx))))
+_HANDLERS.update(dict.fromkeys(_ZERO_BRANCHES, (2, _zero_branch)))

@@ -47,14 +47,18 @@ ICLASS_NAMES = (
 
 
 class OpcodeSpec:
-    """Static description of one opcode: its class and assembly format."""
+    """Static description of one opcode: class, format and class flags."""
 
-    __slots__ = ("name", "iclass", "fmt")
+    __slots__ = ("name", "iclass", "fmt", "is_mem", "is_cond_branch",
+                 "is_ctrl")
 
     def __init__(self, name, iclass, fmt):
         self.name = name
         self.iclass = iclass
         self.fmt = fmt
+        self.is_mem = iclass in IClass.MEMORY
+        self.is_cond_branch = iclass == IClass.BRANCH
+        self.is_ctrl = iclass in (IClass.BRANCH, IClass.JUMP)
 
     def __repr__(self):
         return f"OpcodeSpec({self.name!r}, {ICLASS_NAMES[self.iclass]}, {self.fmt!r})"
@@ -108,6 +112,19 @@ def _specs():
 OPCODES = _specs()
 
 
+#: Operand syntax per format (``none`` has no operands).
+_OPERAND_TEMPLATES = {
+    "r3": "{rd}, {rs1}, {rs2}", "f3": "{rd}, {rs1}, {rs2}",
+    "fcmp": "{rd}, {rs1}, {rs2}", "r2i": "{rd}, {rs1}, {imm}",
+    "ri": "{rd}, {imm}", "fli": "{rd}, {imm}", "f2": "{rd}, {rs1}",
+    "fcvt_wf": "{rd}, {rs1}", "fcvt_fw": "{rd}, {rs1}", "jalr": "{rd}, {rs1}",
+    "load": "{rd}, {imm}({rs1})", "fload": "{rd}, {imm}({rs1})",
+    "store": "{rs2}, {imm}({rs1})", "fstore": "{rs2}, {imm}({rs1})",
+    "br": "{rs1}, {rs2}, {target}", "j": "{target}", "jal": "{target}",
+    "jr": "{rs1}",
+}
+
+
 class Instruction:
     """One static SRISC instruction.
 
@@ -139,15 +156,13 @@ class Instruction:
         self.rs2 = rs2
         self.imm = imm
         self.target = target
-        srcs = []
-        if rs1 is not None:
-            srcs.append(rs1)
-        if rs2 is not None:
-            srcs.append(rs2)
-        self.srcs = tuple(srcs)
-        self.is_mem = self.iclass in IClass.MEMORY
-        self.is_cond_branch = self.iclass == IClass.BRANCH
-        self.is_ctrl = self.iclass in (IClass.BRANCH, IClass.JUMP)
+        if rs1 is None:
+            self.srcs = () if rs2 is None else (rs2,)
+        else:
+            self.srcs = (rs1,) if rs2 is None else (rs1, rs2)
+        self.is_mem = spec.is_mem
+        self.is_cond_branch = spec.is_cond_branch
+        self.is_ctrl = spec.is_ctrl
 
     def render(self, index_to_label=None):
         """Render as assembly text.
@@ -155,44 +170,20 @@ class Instruction:
         ``index_to_label`` maps instruction indices to label names for
         branch/jump targets; raw indices are printed when absent.
         """
-        op = self.opcode
-        spec = OPCODES[op]
-        fmt = spec.fmt
-
-        def tgt():
-            if self.target is None:
-                return "?"
-            if index_to_label and self.target in index_to_label:
-                return index_to_label[self.target]
-            return f"@{self.target}"
-
-        if fmt in ("r3", "f3"):
-            return f"{op} {reg_name(self.rd)}, {reg_name(self.rs1)}, {reg_name(self.rs2)}"
-        if fmt == "r2i":
-            return f"{op} {reg_name(self.rd)}, {reg_name(self.rs1)}, {self.imm}"
-        if fmt == "ri":
-            return f"{op} {reg_name(self.rd)}, {self.imm}"
-        if fmt in ("f2", "fcvt_wf", "fcvt_fw"):
-            return f"{op} {reg_name(self.rd)}, {reg_name(self.rs1)}"
-        if fmt == "fcmp":
-            return f"{op} {reg_name(self.rd)}, {reg_name(self.rs1)}, {reg_name(self.rs2)}"
-        if fmt == "fli":
-            return f"{op} {reg_name(self.rd)}, {self.imm}"
-        if fmt in ("load", "fload"):
-            return f"{op} {reg_name(self.rd)}, {self.imm}({reg_name(self.rs1)})"
-        if fmt in ("store", "fstore"):
-            return f"{op} {reg_name(self.rs2)}, {self.imm}({reg_name(self.rs1)})"
-        if fmt == "br":
-            return f"{op} {reg_name(self.rs1)}, {reg_name(self.rs2)}, {tgt()}"
-        if fmt == "j":
-            return f"{op} {tgt()}"
-        if fmt == "jal":
-            return f"{op} {tgt()}"
-        if fmt == "jr":
-            return f"{op} {reg_name(self.rs1)}"
-        if fmt == "jalr":
-            return f"{op} {reg_name(self.rd)}, {reg_name(self.rs1)}"
-        return op
+        template = _OPERAND_TEMPLATES.get(OPCODES[self.opcode].fmt)
+        if template is None:
+            return self.opcode
+        if self.target is None:
+            target = "?"
+        elif index_to_label and self.target in index_to_label:
+            target = index_to_label[self.target]
+        else:
+            target = f"@{self.target}"
+        regs = {field: reg_name(index) for field, index in (
+            ("rd", self.rd), ("rs1", self.rs1), ("rs2", self.rs2))
+            if index is not None}
+        return f"{self.opcode} " + template.format(imm=self.imm,
+                                                   target=target, **regs)
 
     def __repr__(self):
         return f"<Instruction {self.render()}>"

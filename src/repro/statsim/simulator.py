@@ -8,6 +8,11 @@ instead of executable code.  The trace feeds the ordinary
 estimates in milliseconds, the statistical-simulation use case of
 culling a large design space early (paper Section 2).
 
+Only the walk over blocks is sequential; numpy writes each visit per
+block: pcs are the block's range, a memop's k-th address is ``base +
+stride * (k mod length)``, and a branch follows from the block's visit
+count (``modulo``) or the visit's xorshift state (``random``).
+
 Approximations relative to the clone (documented, deliberate):
 
 * register dependences come from a static round-robin assignment inside
@@ -16,6 +21,7 @@ Approximations relative to the clone (documented, deliberate):
 * the trace is *not* executable — there is no architected state.
 """
 
+import bisect
 import random
 
 import numpy as np
@@ -23,7 +29,8 @@ import numpy as np
 from repro.core.branch_model import RNG_SEED, pattern_for, xorshift32
 from repro.core.profile import bucket_representative
 from repro.core.sfg import StatisticalFlowGraph
-from repro.core.synthesizer import _CLASS_LABELS, _interleave, _sample_bucket
+from repro.core.synthesizer import (_interleave, _sample_bucket,
+                                    block_op_counts)
 from repro.isa.instructions import Instruction
 from repro.isa.program import Program
 from repro.obs.trace import span
@@ -39,24 +46,29 @@ _OPCODE_OF_CLASS = {
 _INT_POOL = list(range(8, 24))
 _FP_POOL = [32 + n for n in range(8, 24)]
 
+#: The clone's xorshift register at visits 0, 1, 2, ...: one prefix
+#: serves every walk, grown to the longest asked for.
+_XORSHIFT_STATES = np.array([RNG_SEED], dtype=np.int64)
 
-class _StreamState:
-    """Per-static-memop stride walker for synthetic addresses."""
 
-    __slots__ = ("base", "stride", "length", "position")
+def _xorshift_states(count):
+    global _XORSHIFT_STATES
+    states = _XORSHIFT_STATES
+    if len(states) < count:
+        grown = [int(states[-1])]
+        for _ in range(max(count, 2 * len(states)) - len(states)):
+            grown.append(xorshift32(grown[-1]))
+        states = _XORSHIFT_STATES = np.append(states, grown[1:])
+    return states[:count]
 
-    def __init__(self, base, stride, length):
-        self.base = base
-        self.stride = stride
-        self.length = max(2, int(length))
-        self.position = 0
 
-    def next_address(self):
-        address = self.base + self.stride * self.position
-        self.position += 1
-        if self.position >= self.length:
-            self.position = 0
-        return address
+def _sampler(cdf, index_of):
+    """``(nodes, cumulative, total)`` drawing as ``cdf.sample`` does, or
+    None where it returns None; the last node repeats, as its clamp."""
+    if cdf is None or not cdf.items or cdf.total <= 0:
+        return None
+    nodes = [index_of[bid] for bid in cdf.items]
+    return nodes + nodes[-1:], cdf.cumulative, cdf.total
 
 
 class StatisticalSimulator:
@@ -65,21 +77,29 @@ class StatisticalSimulator:
     def __init__(self, profile, seed=42):
         self.profile = profile
         self.seed = seed
-        self._program = None
-        self._block_ranges = None
-        self._streams = None
-        self._patterns = None
         self._build_program()
+        sfg = StatisticalFlowGraph(profile)
+        index_of = {bid: node for node, bid in enumerate(sorted(
+            profile.blocks))}
+        self._start = _sampler(sfg.start_distribution(), index_of)
+        self._successors = [_sampler(sfg.successor_cdfs.get(bid), index_of)
+                            for bid in index_of]
 
     # ------------------------------------------------------------------
     def _build_program(self):
-        """Reconstruct a pseudo-program: one block per SFG node."""
+        """Reconstruct a pseudo-program: one block per SFG node.
+
+        Per node (the profile's blocks in id order): its instruction
+        range, and its branch as ``value < threshold``, value being the
+        visit count masked by ``mask`` or, if ``random``, the xorshift
+        state's 3-bit window at ``shift``.  Per static memop: its
+        stream's base, stride, length and next position.
+        """
         rng = random.Random(self.seed)
         profile = self.profile
         instructions = []
-        block_ranges = {}
-        streams = {}
-        patterns = {}
+        nodes = []  # (start, end, branch, random, mask, threshold, shift)
+        streams = []  # (index, base, stride, length)
         int_cursor = 0
         fp_cursor = 0
         next_base = 0x100000
@@ -88,24 +108,7 @@ class StatisticalSimulator:
             stats = profile.blocks[bid]
             hist = profile.global_dep_hist
             start = len(instructions)
-            counts = {}
-            for iclass, count in enumerate(stats.mix):
-                label = _CLASS_LABELS.get(iclass)
-                if label and count:
-                    counts[label] = counts.get(label, 0) + count
-            loads = [pc for pc in stats.mem_pcs
-                     if not profile.mem_ops.get(pc)
-                     or not profile.mem_ops[pc].is_store]
-            stores = [pc for pc in stats.mem_pcs
-                      if profile.mem_ops.get(pc)
-                      and profile.mem_ops[pc].is_store]
-            counts.pop("load", None)
-            counts.pop("store", None)
-            if loads:
-                counts["load"] = len(loads)
-            if stores:
-                counts["store"] = len(stores)
-
+            counts, loads, stores = block_op_counts(profile, stats)
             load_iter, store_iter = iter(loads), iter(stores)
             for label in _interleave(counts) if counts else []:
                 fp_class = label in ("falu", "fmul", "fdiv")
@@ -115,21 +118,16 @@ class StatisticalSimulator:
                 distance = bucket_representative(_sample_bucket(hist, rng))
                 src = pool[(cursor - distance) % len(pool)]
                 src2 = pool[(cursor - 1) % len(pool)]
-                if label == "load":
-                    pc = next(load_iter)
-                    instructions.append(Instruction(
-                        "lw", rd=dest, rs1=src, imm=0))
-                    streams[len(instructions) - 1] = self._stream_for(
-                        pc, next_base)
+                if label in ("load", "store"):
+                    instructions.append(
+                        Instruction("lw", rd=dest, rs1=src, imm=0)
+                        if label == "load" else
+                        Instruction("sw", rs2=src, rs1=src2, imm=0))
+                    pc = next(load_iter if label == "load" else store_iter)
+                    streams.append((len(instructions) - 1,
+                                    *self._stream_for(pc, next_base)))
                     # Skewed spacing: a power-of-two step would alias
                     # every stream onto one set of typical caches.
-                    next_base += 0x4000 + 0x68
-                elif label == "store":
-                    pc = next(store_iter)
-                    instructions.append(Instruction(
-                        "sw", rs2=src, rs1=src2, imm=0))
-                    streams[len(instructions) - 1] = self._stream_for(
-                        pc, next_base)
                     next_base += 0x4000 + 0x68
                 else:
                     opcode = _OPCODE_OF_CLASS[label]
@@ -139,80 +137,107 @@ class StatisticalSimulator:
                     fp_cursor += 1
                 else:
                     int_cursor += 1
-            if stats.branch_pc >= 0:
-                branch = profile.branches.get(stats.branch_pc)
-                target = start  # any stable target; direction is sampled
-                instructions.append(Instruction(
-                    "bne", rs1=_INT_POOL[int_cursor % len(_INT_POOL)],
-                    rs2=0, target=target))
-                if branch is not None:
-                    patterns[bid] = pattern_for(branch.taken_rate,
-                                                branch.transition_rate,
-                                                random_shift=bid)
-                else:
-                    patterns[bid] = pattern_for(1.0, 0.0)
-            block_ranges[bid] = (start, len(instructions))
+            if stats.branch_pc < 0:
+                nodes.append((start, len(instructions), 0, 0, 0, 0, 0))
+                continue
+            branch = profile.branches.get(stats.branch_pc)
+            # Any stable target: the direction is sampled.
+            instructions.append(Instruction(
+                "bne", rs1=_INT_POOL[int_cursor % len(_INT_POOL)],
+                rs2=0, target=start))
+            pattern = pattern_for(1.0, 0.0) if branch is None else \
+                pattern_for(branch.taken_rate, branch.transition_rate,
+                            random_shift=bid)
+            threshold = {"taken": 1, "not_taken": 0}.get(pattern.kind,
+                                                          pattern.threshold)
+            nodes.append((start, len(instructions), 1,
+                          pattern.kind == "random", max(pattern.period - 1, 0),
+                          threshold, pattern.shift))
 
         self._program = Program(instructions,
                                 name=f"{profile.name}.statsim")
-        self._block_ranges = block_ranges
-        self._streams = streams
-        self._patterns = patterns
+        (self._starts, ends, self._branch, self._random, self._mask,
+         self._threshold, self._shift) = np.array(
+             nodes, dtype=np.int64).reshape(-1, 7).T
+        self._sizes = ends - self._starts
+        self._node_of = np.repeat(np.arange(len(nodes)), self._sizes)
+        # Base, stride, length and position; length 1 marks a non-memop.
+        self._streams = np.zeros((4, len(instructions)), dtype=np.int64)
+        self._streams[2] = 1
+        index, *columns = np.array(streams, dtype=np.int64).reshape(-1, 4).T
+        self._streams[:3, index] = columns
 
     def _stream_for(self, pc, base):
+        """``(base, stride, length)`` of the stride stream for memop ``pc``."""
         stats = self.profile.mem_ops.get(pc)
         if stats is None:
-            return _StreamState(base, 4, 16)
+            return base, 4, 16
         stride = stats.dominant_stride
         if stride == 0:
-            return _StreamState(base, 0, 2)
+            return base, 0, 2
         length = max(2.0, min(stats.footprint_bytes / max(1, abs(stride)),
                               stats.mean_stream_length * 4))
-        return _StreamState(base if stride > 0
-                            else base + abs(stride) * int(length),
-                            stride, length)
+        base = base if stride > 0 else base + abs(stride) * int(length)
+        return base, stride, max(2, int(length))
 
     # ------------------------------------------------------------------
+    def _walk(self, n_instructions):
+        """The visited nodes of a ~``n_instructions`` trace, drawn as the
+        SFG draws (this walk spends no occurrence budget, so the start
+        distribution is fixed)."""
+        draw = random.Random(self.seed + 1).random
+        right = bisect.bisect_right
+        sizes = self._sizes.tolist()
+        successors = self._successors
+        start = sampler = self._start
+        visits = []
+        visit = visits.append
+        emitted = 0
+        while emitted < n_instructions and sampler is not None:
+            nodes, cumulative, total = sampler
+            node = nodes[right(cumulative, draw() * total)]
+            visit(node)
+            emitted += sizes[node]
+            sampler = successors[node] or start
+        return np.array(visits, dtype=np.int64)
+
     def synthesize_trace(self, n_instructions=100_000):
         """Sample a synthetic trace of ~``n_instructions``."""
-        rng = random.Random(self.seed + 1)
-        profile = self.profile
-        sfg = StatisticalFlowGraph(profile)
-        pcs, addrs, takens = [], [], []
-        program = self._program
-        rng_state = RNG_SEED
-        executions = {}
+        visits = self._walk(n_instructions)
+        sizes = self._sizes[visits]
+        ends = np.cumsum(sizes)
+        length = int(ends[-1]) if len(ends) else 0
+        pcs = (np.repeat(self._starts[visits] - (ends - sizes), sizes)
+               + np.arange(length))
+        # A visit's rank among its node's visits is the execution count
+        # of each instruction in it.
+        order = np.argsort(visits, kind="stable")
+        ranked = visits[order]
+        count = np.empty_like(visits)
+        count[order] = np.arange(len(visits)) - np.searchsorted(ranked,
+                                                                ranked)
 
-        current = sfg.sample_start(rng)
-        while len(pcs) < n_instructions and current is not None:
-            start, end = self._block_ranges[current]
-            for index in range(start, end):
-                instr = program.instructions[index]
-                pcs.append(index)
-                if instr.is_mem:
-                    addrs.append(self._streams[index].next_address())
-                else:
-                    addrs.append(-1)
-                if instr.is_cond_branch:
-                    pattern = self._patterns.get(current)
-                    count = executions.get(current, 0)
-                    executions[current] = count + 1
-                    if pattern is None:
-                        takens.append(1)
-                    elif pattern.kind == "random":
-                        takens.append(pattern.direction(
-                            count, rng_state=rng_state))
-                    else:
-                        takens.append(pattern.direction(count))
-                else:
-                    takens.append(-1)
-            rng_state = xorshift32(rng_state)
-            nxt = sfg.sample_next(current, rng)
-            current = nxt if nxt is not None else sfg.sample_start(rng)
-        return DynamicTrace(program,
-                            np.array(pcs, dtype=np.int32),
-                            np.array(addrs, dtype=np.int64),
-                            np.array(takens, dtype=np.int8))
+        addrs = np.full(length, -1, dtype=np.int64)
+        mem = self._streams[2, pcs] > 1
+        base, stride, period, position = self._streams[:, pcs[mem]]
+        addrs[mem] = base + stride * (
+            (position + np.repeat(count, sizes)[mem]) % period)
+        # Streams continue where this trace left them.
+        self._streams[3] = (self._streams[3] + np.bincount(
+            visits, minlength=len(self._sizes))[self._node_of]) \
+            % self._streams[2]
+
+        taken = np.full(length, -1, dtype=np.int8)
+        branchy = np.flatnonzero(self._branch[visits])
+        nodes = visits[branchy]
+        value = np.where(
+            self._random[nodes],
+            (_xorshift_states(len(visits))[branchy] >> self._shift[nodes])
+            & 7,
+            count[branchy] & self._mask[nodes])
+        taken[ends[branchy] - 1] = value < self._threshold[nodes]
+        return DynamicTrace(self._program, pcs.astype(np.int32), addrs,
+                            taken)
 
     def estimate(self, config, n_instructions=60_000):
         """IPC (and the full PipelineResult) for one configuration."""

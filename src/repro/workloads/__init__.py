@@ -10,7 +10,9 @@ Use :func:`get_workload` / :func:`build_workload` for one program and
 
 from dataclasses import dataclass
 
-from repro.isa.assembler import assemble
+from repro.isa.assembler import assemble_shared
+
+_SOURCES = {}  # spec -> source: deterministic, so generated once
 
 
 @dataclass(frozen=True)
@@ -25,11 +27,13 @@ class WorkloadSpec:
 
     def source(self):
         """Generate the workload's assembly source (deterministic)."""
-        return self.source_builder()
+        if self not in _SOURCES:
+            _SOURCES[self] = self.source_builder()
+        return _SOURCES[self]
 
     def build(self):
-        """Assemble the workload into an executable Program."""
-        return assemble(self.source(), name=self.name)
+        """Assemble the workload into an executable Program (shared)."""
+        return assemble_shared(self.source(), self.name)
 
 
 def _registry():

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core import profile_trace
-from repro.isa import IClass, POOL_OF_CLASS, columns_for
+from repro.isa import IClass, POOL_OF_CLASS, assemble, columns_for
 from repro.isa.columns import BUILD_COUNTS
 from repro.lint import lint_program
 from repro.sim import FunctionalSimulator
 from repro.uarch import BASE_CONFIG, simulate_pipeline, simulate_pipeline_sweep
-from repro.workloads import build_workload
+from repro.workloads import build_workload, get_workload
 
 
 @pytest.fixture(scope="module")
@@ -65,9 +65,10 @@ class TestBuildOnce:
         assert columns_for(program) is columns_for(program)
 
     def test_consumer_stack_builds_once(self):
-        # A fresh program (not the module fixture) so the count below
-        # covers the *whole* consumer stack from a cold start.
-        program = build_workload("sha")
+        # A fresh program (not the module fixture, nor the process-wide
+        # one ``build_workload`` shares) so the count below covers the
+        # *whole* consumer stack from a cold start.
+        program = assemble(get_workload("sha").source(), name="sha")
         before = BUILD_COUNTS.get(program.name, 0)
         trace = FunctionalSimulator(program).run(
             max_instructions=200_000, trace=True)
