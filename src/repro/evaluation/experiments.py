@@ -22,13 +22,18 @@ by construction and by differential test).  Studies call those sweeps
 and :func:`shared_power_model` through this module's globals, so
 wrapping the names here attributes their time to their own layers.
 Each study call is one ``evaluation.<study>`` span.
+
+Each result is computed once a process: a workload's real and clone
+MPI rows over a cache sweep are memoized beside its artifacts (Figs 4-5
+and Ablations A and B read them), and Ablation A's baseline clone is a
+store entry (:func:`repro.exec.baseline_program`).
 """
 
 import functools
 
-from repro.core.baseline import MicroarchDependentSynthesizer
 from repro.core.synthesizer import SynthesisParameters
-from repro.exec import DEFAULT_MAX_FUNCTIONAL, pipeline_artifacts
+from repro.exec import (DEFAULT_MAX_FUNCTIONAL, baseline_program,
+                        pipeline_artifacts)
 from repro.obs.trace import span
 from repro.sim.functional import run_program
 from repro.uarch.cache import simulate_cache_sweep
@@ -48,6 +53,9 @@ from repro.workloads import get_workload, workload_names
 DEFAULT_CLONE_INSTRUCTIONS = 120_000
 
 _ARTIFACT_CACHE = {}
+#: ``(name, configs) -> (real MPI row, clone MPI row)`` over the memoized
+#: artifacts: Figs 4-5 and Ablations A and B read the same rows.
+_MPI_ROWS = {}
 
 
 def workload_artifacts(name, parameters=None):
@@ -71,8 +79,9 @@ def workload_artifacts(name, parameters=None):
 
 
 def clear_artifact_cache():
-    """Drop the in-process memo (the persistent store is untouched)."""
+    """Drop the in-process memos (the persistent store is untouched)."""
     _ARTIFACT_CACHE.clear()
+    _MPI_ROWS.clear()
 
 
 def _names(names):
@@ -105,16 +114,18 @@ def stride_coverage_table(names=None, jobs=None):
 # Figures 4 & 5: miss-per-instruction tracking across 28 cache configs
 # ----------------------------------------------------------------------
 def _cache_mpi_rows(name, configs):
-    """One workload's real and clone MPI rows over the whole sweep."""
-    artifacts = workload_artifacts(name)
-    real_stats = simulate_cache_sweep(
-        artifacts.trace.memory_addresses(), configs)
-    clone_stats = simulate_cache_sweep(
-        artifacts.clone_trace.memory_addresses(), configs)
-    real_n = len(artifacts.trace)
-    clone_n = len(artifacts.clone_trace)
-    return ([stats.misses / real_n for stats in real_stats],
-            [stats.misses / clone_n for stats in clone_stats])
+    """One workload's real and clone MPI rows over the whole sweep,
+    swept once per process (each call returns fresh lists)."""
+    key = (name, tuple(configs))
+    rows = _MPI_ROWS.get(key)
+    if rows is None:
+        artifacts = workload_artifacts(name)
+        rows = _MPI_ROWS[key] = tuple(
+            tuple(stats.misses / len(trace)
+                  for stats in simulate_cache_sweep(
+                      trace.memory_addresses(), configs))
+            for trace in (artifacts.trace, artifacts.clone_trace))
+    return list(rows[0]), list(rows[1])
 
 
 @_study
@@ -289,33 +300,24 @@ def design_change_study(names=None, base=BASE_CONFIG, changes=None,
 # ----------------------------------------------------------------------
 def _baseline_comparison_row(name, configs, profiled_cache):
     artifacts = workload_artifacts(name)
-    real_addresses = artifacts.trace.memory_addresses()
-    real_n = len(artifacts.trace)
-    # One batched pass covers the sweep *and* the profiled cache.
-    real_stats = simulate_cache_sweep(real_addresses,
-                                      list(configs) + [profiled_cache])
-    measured_miss = real_stats[-1].miss_rate
-    real_row = [stats.misses / real_n for stats in real_stats[:-1]]
+    # The real and clone rows are Fig 4's when the configs are.
+    real_row, clone_row = _cache_mpi_rows(name, configs)
+    [profiled] = simulate_cache_sweep(artifacts.trace.memory_addresses(),
+                                      [profiled_cache])
+    measured_miss = profiled.miss_rate
     # The predictor-sweep path shares the per-trace mispredict outcome
     # bank (in-process, on the trace) with every pipeline sweep
     # that uses the same predictor on this trace.
     [measured_predictor] = simulate_predictor_sweep(
         artifacts.trace, [BASE_CONFIG.predictor])
     measured_mispredict = measured_predictor.stats.misprediction_rate
-    baseline = MicroarchDependentSynthesizer(
-        artifacts.profile, measured_miss, measured_mispredict,
-        profiled_cache_bytes=profiled_cache.size,
-        profiled_line_bytes=profiled_cache.line,
-        parameters=SynthesisParameters(
-            dynamic_instructions=DEFAULT_CLONE_INSTRUCTIONS),
-    ).synthesize()
-    baseline_trace = run_program(baseline.program,
+    baseline = baseline_program(
+        artifacts, get_workload(name).source(), profiled_cache,
+        BASE_CONFIG.predictor, measured_miss, measured_mispredict,
+        SynthesisParameters(dynamic_instructions=DEFAULT_CLONE_INSTRUCTIONS))
+    baseline_trace = run_program(baseline,
                                  max_instructions=DEFAULT_MAX_FUNCTIONAL)
-    clone_n = len(artifacts.clone_trace)
     baseline_n = len(baseline_trace)
-    clone_row = [
-        stats.misses / clone_n for stats in simulate_cache_sweep(
-            artifacts.clone_trace.memory_addresses(), configs)]
     baseline_row = [
         stats.misses / baseline_n for stats in simulate_cache_sweep(
             baseline_trace.memory_addresses(), configs)]

@@ -17,6 +17,8 @@ from repro.exec.artifacts import (
     DEFAULT_MAX_FUNCTIONAL,
     Artifacts,
     TraceArtifacts,
+    baseline_artifact_key,
+    baseline_program,
     pipeline_artifacts,
     trace_artifact_key,
     trace_artifacts,
@@ -38,6 +40,8 @@ __all__ = [
     "DEFAULT_MAX_FUNCTIONAL",
     "TraceArtifacts",
     "artifact_key",
+    "baseline_artifact_key",
+    "baseline_program",
     "cache_enabled",
     "default_cache_dir",
     "default_store",

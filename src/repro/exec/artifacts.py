@@ -13,14 +13,16 @@ cannot tell a warm run from a cold one.  The program comes from
 """
 
 import os
+import shutil
 from dataclasses import dataclass
 
+from repro.core.baseline import MicroarchDependentSynthesizer
 from repro.core.cloning import make_clone
 from repro.core.profile import WorkloadProfile
 from repro.core.profiler import profile_trace
 from repro.core.synthesizer import CloneResult
 from repro.exec.store import artifact_key, default_store
-from repro.isa.assembler import assemble, assemble_shared
+from repro.isa.assembler import AssemblerError, assemble, assemble_shared
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
 from repro.sim.functional import resolve_backend, run_program
@@ -112,10 +114,12 @@ def pipeline_artifacts(name, source, parameters,
             _LOG.debug("artifacts.hit", name=name, key=key,
                        sim_backend=artifacts.sim_backend)
             return artifacts
-        except (OSError, KeyError, ValueError) as exc:
-            # A concurrent eviction or partial entry: rebuild.
+        except (OSError, KeyError, ValueError, AssemblerError) as exc:
+            # A concurrent eviction, a partial entry or unparsable text:
+            # drop what is left, so the rebuild's save replaces it.
             _LOG.warning("artifacts.reload_failed", name=name,
                          key=key, error=str(exc))
+            shutil.rmtree(entry, ignore_errors=True)
     # The cold pipeline runs unwrapped: its layer spans (``sim.run``,
     # ``core.profiler``, ...) sit directly under the caller's span.
     artifacts = _build_artifacts(program, name, parameters,
@@ -210,3 +214,71 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
         store.save(key, meta, {"trace.npz": trace.save})
     return TraceArtifacts(name=name, program=program, trace=trace,
                           sim_backend=sim_backend)
+
+
+# ----------------------------------------------------------------------
+# Baseline entries (Ablation A's microarchitecture-dependent clone is
+# re-tuned to the same measured rates on every run, so its assembly
+# text is stored like a clone's)
+# ----------------------------------------------------------------------
+def baseline_artifact_key(name, source, max_instructions, sim_backend,
+                          profiled_cache, predictor, miss_rate,
+                          mispredict_rate, parameters):
+    """Store key for a baseline entry.  The key material of the real
+    trace it was profiled from (and so of its profile) plus everything
+    the baseline is tuned to, under a ``baseline|`` sentinel that no
+    ``SynthesisParameters`` repr and no trace-only key can take."""
+    tuning = (f"baseline|cache={profiled_cache!r}|predictor={predictor!r}"
+              f"|miss={miss_rate!r}|mispredict={mispredict_rate!r}"
+              f"|parameters={parameters!r}")
+    return artifact_key(name, source, tuning, max_instructions,
+                        sim_backend=sim_backend)
+
+
+def baseline_program(artifacts, source, profiled_cache, predictor,
+                     miss_rate, mispredict_rate, parameters,
+                     max_instructions=DEFAULT_MAX_FUNCTIONAL, store=None):
+    """Synthesize (or reload) the baseline tuned to ``miss_rate`` on
+    ``profiled_cache`` and ``mispredict_rate`` on ``predictor``, from
+    ``artifacts.profile``; returns its assembled program.
+
+    ``artifacts`` must come from ``source`` at ``max_instructions``.  A
+    hit re-assembles the stored text, as a clone hit does; a miss, a
+    failed reload or a disabled store synthesizes it (lint gate
+    included) and saves the entry.
+    """
+    store = default_store() if store is None else store
+    name = artifacts.name
+    key = baseline_artifact_key(
+        name, source, max_instructions, artifacts.sim_backend,
+        profiled_cache, predictor, miss_rate, mispredict_rate, parameters)
+    cached = store.load(key)
+    if cached is not None:
+        meta, entry = cached
+        try:
+            with span("exec.store.load"):
+                with open(os.path.join(entry, "baseline.s")) as handle:
+                    text = handle.read()
+            with span("isa.assemble", lines=text.count("\n")):
+                return assemble(text, name=meta["program_name"])
+        except (OSError, KeyError, ValueError, AssemblerError) as exc:
+            _LOG.warning("artifacts.baseline_reload_failed", name=name,
+                         key=key, error=str(exc))
+            shutil.rmtree(entry, ignore_errors=True)
+    baseline = MicroarchDependentSynthesizer(
+        artifacts.profile, miss_rate, mispredict_rate,
+        profiled_cache_bytes=profiled_cache.size,
+        profiled_line_bytes=profiled_cache.line,
+        parameters=parameters).synthesize()
+    meta = {
+        "name": name,
+        "kind": "baseline",
+        "program_name": baseline.program.name,
+        "parameters": repr(parameters),
+        "max_instructions": max_instructions,
+        "sim_backend": artifacts.sim_backend,
+    }
+    with span("exec.store.save"):
+        store.save(key, meta,
+                   {"baseline.s": _text_writer(baseline.asm_source)})
+    return baseline.program

@@ -19,7 +19,8 @@ Layout on disk (``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
         profile.json     WorkloadProfile
         clone.s          clone assembly source
 
-Trace-only entries (``trace_artifacts``) hold just ``trace.npz``.
+Trace-only entries (``trace_artifacts``) hold just ``trace.npz``;
+baseline entries (``baseline_program``) just ``baseline.s``.
 Nothing derived from a trace is stored: the sweep rebuilds its digests
 and outcome banks in memory, where a rebuild costs less than a load.
 Entries an older version wrote under ``sweep-*`` keys are never read

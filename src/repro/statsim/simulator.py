@@ -93,7 +93,7 @@ class StatisticalSimulator:
         range, and its branch as ``value < threshold``, value being the
         visit count masked by ``mask`` or, if ``random``, the xorshift
         state's 3-bit window at ``shift``.  Per static memop: its
-        stream's base, stride, length and next position.
+        stream's base, stride and length.
         """
         rng = random.Random(self.seed)
         profile = self.profile
@@ -160,12 +160,11 @@ class StatisticalSimulator:
          self._threshold, self._shift) = np.array(
              nodes, dtype=np.int64).reshape(-1, 7).T
         self._sizes = ends - self._starts
-        self._node_of = np.repeat(np.arange(len(nodes)), self._sizes)
-        # Base, stride, length and position; length 1 marks a non-memop.
-        self._streams = np.zeros((4, len(instructions)), dtype=np.int64)
+        # Base, stride and length; length 1 marks a non-memop.
+        self._streams = np.zeros((3, len(instructions)), dtype=np.int64)
         self._streams[2] = 1
         index, *columns = np.array(streams, dtype=np.int64).reshape(-1, 4).T
-        self._streams[:3, index] = columns
+        self._streams[:, index] = columns
 
     def _stream_for(self, pc, base):
         """``(base, stride, length)`` of the stride stream for memop ``pc``."""
@@ -202,7 +201,9 @@ class StatisticalSimulator:
         return np.array(visits, dtype=np.int64)
 
     def synthesize_trace(self, n_instructions=100_000):
-        """Sample a synthetic trace of ~``n_instructions``."""
+        """Sample a synthetic trace of ~``n_instructions``.  Every call
+        starts each stream at its base, so the trace depends only on
+        ``n_instructions``."""
         visits = self._walk(n_instructions)
         sizes = self._sizes[visits]
         ends = np.cumsum(sizes)
@@ -219,13 +220,8 @@ class StatisticalSimulator:
 
         addrs = np.full(length, -1, dtype=np.int64)
         mem = self._streams[2, pcs] > 1
-        base, stride, period, position = self._streams[:, pcs[mem]]
-        addrs[mem] = base + stride * (
-            (position + np.repeat(count, sizes)[mem]) % period)
-        # Streams continue where this trace left them.
-        self._streams[3] = (self._streams[3] + np.bincount(
-            visits, minlength=len(self._sizes))[self._node_of]) \
-            % self._streams[2]
+        base, stride, period = self._streams[:, pcs[mem]]
+        addrs[mem] = base + stride * (np.repeat(count, sizes)[mem] % period)
 
         taken = np.full(length, -1, dtype=np.int8)
         branchy = np.flatnonzero(self._branch[visits])

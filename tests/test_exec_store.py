@@ -12,13 +12,19 @@ from repro.exec import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactStore,
     artifact_key,
+    baseline_artifact_key,
+    baseline_program,
     pipeline_artifacts,
+    trace_artifact_key,
     trace_artifacts,
 )
 from repro.exec.store import META_FILENAME
+from repro.obs.metrics import REGISTRY
+from repro.uarch import CacheConfig
 from repro.workloads import get_workload
 
 PARAMS = SynthesisParameters(dynamic_instructions=30_000)
+PROFILED_CACHE = CacheConfig(16 * 1024, 2, 32)
 
 
 @pytest.fixture
@@ -36,6 +42,24 @@ def build(store, name="crc32", parameters=PARAMS, max_instructions=500_000):
 def assert_same_traces(left, right):
     for attr in ("pcs", "addrs", "taken"):
         assert np.array_equal(getattr(left, attr), getattr(right, attr))
+
+
+def baseline(store, artifacts, miss_rate=0.2, cache=PROFILED_CACHE):
+    return baseline_program(artifacts, get_workload("crc32").source(),
+                            cache, "gap", miss_rate, 0.05, PARAMS,
+                            max_instructions=500_000, store=store)
+
+
+def assert_same_programs(left, right):
+    assert left.name == right.name
+    assert [repr(i) for i in left.instructions] \
+        == [repr(i) for i in right.instructions]
+    assert left.data_image == right.data_image
+
+
+def synthesis_counts():
+    return (REGISTRY.counter("synthesize.runs").value,
+            REGISTRY.counter("lint.clones").value)
 
 
 class TestKeying:
@@ -139,6 +163,20 @@ class TestValidation:
         build(store)
         assert store.stats()["writes"] == 2
 
+    def test_unparsable_clone_text_is_rebuilt(self, store):
+        cold = build(store)
+        (key, _, _), = store.entries()
+        with open(os.path.join(store.entry_dir(key), "clone.s"),
+                  "w") as handle:
+            handle.write("    bogus r1\n")
+        rebuilt = build(store)
+        assert rebuilt.clone.asm_source == cold.clone.asm_source
+        assert store.stats()["writes"] == 2
+        # The rebuild replaced the entry: the next read is a clean hit.
+        build(store)
+        assert store.stats()["hits"] == 2
+        assert store.stats()["writes"] == 2
+
     def test_missing_file_is_miss(self, store):
         build(store)
         (key, _, _), = store.entries()
@@ -190,6 +228,100 @@ class TestReloadFailure:
         assert store.stats()["writes"] == 2
         assert rebuilt.sim_backend == cold.sim_backend
         assert_same_traces(rebuilt.trace, cold.trace)
+
+    def test_baseline_entry_rebuilt(self, store, vanishing, tmp_path):
+        disabled = ArtifactStore(root=str(tmp_path / "cold"), enabled=False)
+        cold = baseline(disabled, build(disabled))
+        artifacts = build(store)
+        baseline(store, artifacts)
+        rebuilt = baseline(vanishing, artifacts)
+        assert store.stats()["hits"] == 1
+        assert store.stats()["writes"] == 3
+        assert_same_programs(rebuilt, cold)
+
+
+class TestBaselineEntry:
+    """Ablation A's baseline is stored as assembly text: a hit
+    re-assembles it and synthesizes nothing."""
+
+    def test_hit_equals_cold_and_synthesizes_nothing(self, store):
+        artifacts = build(store)
+        before = synthesis_counts()
+        cold = baseline(store, artifacts)
+        assert synthesis_counts() == (before[0] + 1, before[1] + 1)
+        assert store.stats()["writes"] == 2
+        warm = baseline(store, artifacts)
+        assert store.stats()["hits"] == 1
+        assert synthesis_counts() == (before[0] + 1, before[1] + 1)
+        assert_same_programs(warm, cold)
+
+    def test_tuning_is_keyed(self, store):
+        artifacts = build(store)
+        baseline(store, artifacts)
+        baseline(store, artifacts, miss_rate=0.3)
+        baseline(store, artifacts, cache=CacheConfig(8 * 1024, 2, 32))
+        assert store.stats()["hits"] == 0
+        assert store.stats()["writes"] == 4
+
+    def test_key_disjoint_from_other_entry_kinds(self):
+        source = get_workload("crc32").source()
+        key = baseline_artifact_key("crc32", source, 10, "interp",
+                                    PROFILED_CACHE, "gap", 0.2, 0.05,
+                                    PARAMS)
+        assert key != artifact_key("crc32", source, PARAMS, 10,
+                                   sim_backend="interp")
+        assert key != trace_artifact_key("crc32", source, 10, "interp")
+        for other in (("bimodal", 0.2, 0.05, PARAMS),
+                      ("gap", 0.2, 0.06, PARAMS),
+                      ("gap", 0.2, 0.05, SynthesisParameters(seed=7))):
+            assert key != baseline_artifact_key(
+                "crc32", source, 10, "interp", PROFILED_CACHE, *other)
+        assert key != baseline_artifact_key("crc32", source, 10, "native",
+                                            PROFILED_CACHE, "gap", 0.2,
+                                            0.05, PARAMS)
+
+    def test_missing_text_is_miss(self, store):
+        artifacts = build(store)
+        cold = baseline(store, artifacts)
+        (key, _, _), = [entry for entry in store.entries()
+                        if os.path.exists(os.path.join(
+                            store.entry_dir(entry[0]), "baseline.s"))]
+        os.remove(os.path.join(store.entry_dir(key), "baseline.s"))
+        misses = store.stats()["misses"]
+        before = synthesis_counts()
+        rebuilt = baseline(store, artifacts)
+        assert store.stats()["misses"] == misses + 1
+        assert store.stats()["writes"] == 3
+        assert synthesis_counts()[0] == before[0] + 1
+        assert_same_programs(rebuilt, cold)
+
+    def test_unparsable_text_is_rebuilt(self, store):
+        artifacts = build(store)
+        cold = baseline(store, artifacts)
+        (key, _, _), = [entry for entry in store.entries()
+                        if os.path.exists(os.path.join(
+                            store.entry_dir(entry[0]), "baseline.s"))]
+        with open(os.path.join(store.entry_dir(key), "baseline.s"),
+                  "w") as handle:
+            handle.write("    bogus r1\n")
+        assert_same_programs(baseline(store, artifacts), cold)
+        assert store.stats()["writes"] == 3
+        # The rebuild replaced the entry: the next read is a clean hit.
+        hits = store.stats()["hits"]
+        assert_same_programs(baseline(store, artifacts), cold)
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["writes"] == 3
+
+    def test_disabled_store_synthesizes_every_time(self, store, tmp_path):
+        artifacts = build(store)
+        disabled = ArtifactStore(root=str(tmp_path / "off"), enabled=False)
+        before = synthesis_counts()
+        first = baseline(disabled, artifacts)
+        second = baseline(disabled, artifacts)
+        assert synthesis_counts()[0] == before[0] + 2
+        assert disabled.stats()["writes"] == 0
+        assert disabled.entries() == []
+        assert_same_programs(second, first)
 
 
 class TestEviction:

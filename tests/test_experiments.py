@@ -153,6 +153,76 @@ class TestAblations:
         assert streams == sorted(streams, reverse=True)
 
 
+class TestWarmPath:
+    """Each result is computed once a process: Ablation A reads its
+    baseline from the store and Fig 4's rows from the in-process memo,
+    and Ablation B reads Fig 4's rows."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        calls = []
+        sweep = experiments.simulate_cache_sweep
+
+        def counted(addresses, configs):
+            calls.append(len(configs))
+            return sweep(addresses, configs)
+        monkeypatch.setattr(experiments, "simulate_cache_sweep", counted)
+        return calls
+
+    def test_baseline_hit_rows_equal_cold(self, monkeypatch, tmp_path):
+        from repro.obs.metrics import REGISTRY
+
+        def synthesis_counts():
+            return (REGISTRY.counter("synthesize.runs").value,
+                    REGISTRY.counter("lint.clones").value)
+        workload_artifacts("crc32")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = baseline_cache_comparison(["crc32"], configs=SMALL_SWEEP)
+        before = synthesis_counts()
+        warm = baseline_cache_comparison(["crc32"], configs=SMALL_SWEEP)
+        assert synthesis_counts() == before
+        assert warm == cold
+        monkeypatch.setenv("REPRO_CACHE", "0")
+        assert baseline_cache_comparison(["crc32"],
+                                         configs=SMALL_SWEEP) == cold
+        assert synthesis_counts()[0] == before[0] + 1
+
+    def test_ablation_a_sweeps_profiled_cache_and_baseline_only(
+            self, monkeypatch):
+        cache_correlation_study(["crc32"], SMALL_SWEEP)
+        calls = self._count_sweeps(monkeypatch)
+        baseline_cache_comparison(["crc32"], configs=SMALL_SWEEP)
+        # The profiled cache on the real stream, then the baseline's.
+        assert calls == [1, len(SMALL_SWEEP)]
+
+    def test_stream_count_table_sweeps_nothing(self):
+        from repro.obs import phase_table, set_tracing_enabled
+        from repro.obs.trace import tracing_enabled
+
+        def cache_spans():
+            return sum(entry["count"] for path, entry
+                       in phase_table().items()
+                       if path.split("/")[-1] == "uarch.cache")
+        was_enabled = tracing_enabled()
+        set_tracing_enabled(True)
+        try:
+            cache_correlation_study(SUBSET)
+            before = cache_spans()
+            stream_count_table(SUBSET)
+            assert cache_spans() == before
+        finally:
+            set_tracing_enabled(was_enabled)
+
+    def test_clear_drops_the_rows_memo(self, monkeypatch):
+        cache_correlation_study(SUBSET, SMALL_SWEEP)
+        calls = self._count_sweeps(monkeypatch)
+        first = cache_correlation_study(SUBSET, SMALL_SWEEP)
+        assert calls == []
+        clear_artifact_cache()
+        assert cache_correlation_study(SUBSET, SMALL_SWEEP) == first
+        assert len(calls) == 2 * len(SUBSET)
+
+
 class TestJobsIgnored:
     """Studies run in-process; ``jobs=`` is accepted and ignored, so a
     caller passing a worker count (perfbench does) starts no process and
