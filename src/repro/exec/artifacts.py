@@ -14,6 +14,7 @@ cannot tell a warm run from a cold one.  The program comes from
 
 import os
 import shutil
+import zipfile
 from dataclasses import dataclass
 
 from repro.core.baseline import MicroarchDependentSynthesizer
@@ -89,6 +90,30 @@ def _load_artifacts(meta, entry, program, name, parameters):
                      sim_backend=meta["sim_backend"])
 
 
+#: What reading a stored entry's payload raises when the entry was
+#: evicted mid-read, is partial, or holds a torn ``.npz`` or
+#: unparsable text.
+_RELOAD_ERRORS = (OSError, KeyError, ValueError, AssemblerError,
+                  zipfile.BadZipFile)
+
+
+def _reload(store, key, name, read):
+    """``read(meta, entry)`` of the stored entry ``key``, or None on a
+    miss or a failed reload.  A failed reload removes the entry, so the
+    rebuild's save replaces it instead of losing the rename to it."""
+    cached = store.load(key)
+    if cached is None:
+        return None
+    meta, entry = cached
+    try:
+        return read(meta, entry)
+    except _RELOAD_ERRORS as exc:
+        _LOG.warning("artifacts.reload_failed", name=name, key=key,
+                     error=str(exc))
+        shutil.rmtree(entry, ignore_errors=True)
+        return None
+
+
 def pipeline_artifacts(name, source, parameters,
                        max_instructions=DEFAULT_MAX_FUNCTIONAL,
                        store=None):
@@ -105,21 +130,14 @@ def pipeline_artifacts(name, source, parameters,
     sim_backend = resolve_backend(None, program)
     key = artifact_key(name, source, parameters, max_instructions,
                        sim_backend=sim_backend)
-    cached = store.load(key)
-    if cached is not None:
-        meta, entry = cached
-        try:
-            artifacts = _load_artifacts(meta, entry, program, name,
-                                        parameters)
-            _LOG.debug("artifacts.hit", name=name, key=key,
-                       sim_backend=artifacts.sim_backend)
-            return artifacts
-        except (OSError, KeyError, ValueError, AssemblerError) as exc:
-            # A concurrent eviction, a partial entry or unparsable text:
-            # drop what is left, so the rebuild's save replaces it.
-            _LOG.warning("artifacts.reload_failed", name=name,
-                         key=key, error=str(exc))
-            shutil.rmtree(entry, ignore_errors=True)
+    artifacts = _reload(
+        store, key, name,
+        lambda meta, entry: _load_artifacts(meta, entry, program, name,
+                                            parameters))
+    if artifacts is not None:
+        _LOG.debug("artifacts.hit", name=name, key=key,
+                   sim_backend=artifacts.sim_backend)
+        return artifacts
     # The cold pipeline runs unwrapped: its layer spans (``sim.run``,
     # ``core.profiler``, ...) sit directly under the caller's span.
     artifacts = _build_artifacts(program, name, parameters,
@@ -189,18 +207,17 @@ def trace_artifacts(name, source, max_instructions=DEFAULT_MAX_FUNCTIONAL,
     program = assemble_shared(source, name)
     sim_backend = resolve_backend(None, program)
     key = trace_artifact_key(name, source, max_instructions, sim_backend)
-    cached = store.load(key)
-    if cached is not None:
-        meta, entry = cached
-        try:
-            with span("exec.store.load"):
-                trace = DynamicTrace.load(
-                    os.path.join(entry, "trace.npz"), program)
-            return TraceArtifacts(name=name, program=program, trace=trace,
-                                  sim_backend=meta["sim_backend"])
-        except (OSError, KeyError, ValueError) as exc:
-            _LOG.warning("artifacts.trace_reload_failed", name=name,
-                         key=key, error=str(exc))
+
+    def read(meta, entry):
+        with span("exec.store.load"):
+            trace = DynamicTrace.load(os.path.join(entry, "trace.npz"),
+                                      program)
+        return TraceArtifacts(name=name, program=program, trace=trace,
+                              sim_backend=meta["sim_backend"])
+
+    artifacts = _reload(store, key, name, read)
+    if artifacts is not None:
+        return artifacts
     trace = run_program(program, max_instructions=max_instructions,
                         backend=sim_backend)
     meta = {
@@ -252,19 +269,17 @@ def baseline_program(artifacts, source, profiled_cache, predictor,
     key = baseline_artifact_key(
         name, source, max_instructions, artifacts.sim_backend,
         profiled_cache, predictor, miss_rate, mispredict_rate, parameters)
-    cached = store.load(key)
-    if cached is not None:
-        meta, entry = cached
-        try:
-            with span("exec.store.load"):
-                with open(os.path.join(entry, "baseline.s")) as handle:
-                    text = handle.read()
-            with span("isa.assemble", lines=text.count("\n")):
-                return assemble(text, name=meta["program_name"])
-        except (OSError, KeyError, ValueError, AssemblerError) as exc:
-            _LOG.warning("artifacts.baseline_reload_failed", name=name,
-                         key=key, error=str(exc))
-            shutil.rmtree(entry, ignore_errors=True)
+
+    def read(meta, entry):
+        with span("exec.store.load"):
+            with open(os.path.join(entry, "baseline.s")) as handle:
+                text = handle.read()
+        with span("isa.assemble", lines=text.count("\n")):
+            return assemble(text, name=meta["program_name"])
+
+    program = _reload(store, key, name, read)
+    if program is not None:
+        return program
     baseline = MicroarchDependentSynthesizer(
         artifacts.profile, miss_rate, mispredict_rate,
         profiled_cache_bytes=profiled_cache.size,

@@ -250,12 +250,12 @@ class FleetQueue:
     def reclaim(self, lease_ids=None, worker=None):
         """Release abandoned leases; returns the reclaimed lease ids.
 
-        A lease is abandoned when its block has no result and either its
-        owner pid is dead on this host (immediate) or its last
-        heartbeat is older than the TTL (cross-host fallback).  A
-        same-host owner whose pid is alive keeps the lease regardless
-        of TTL — matching the workers' own wait logic — so a slow block
-        is never stolen from a live process.
+        A lease is reclaimed when its block has no result and
+        :meth:`abandoned` names a reason: its owner pid is dead on this
+        host (immediate) or its last heartbeat is older than the TTL
+        (cross-host fallback).  A same-host owner whose pid is alive
+        keeps the lease regardless of TTL — the workers wait on the same
+        rule — so a slow block is never stolen from a live process.
         """
         if lease_ids is None:
             lease_ids = self.leased_ids()
@@ -269,21 +269,31 @@ class FleetQueue:
             info = self.lease_info(lease_id)
             if info is None:
                 continue
-            same_host = (info.get("host") == self.host
-                         and isinstance(info.get("pid"), int))
-            alive_here = same_host and _pid_alive(info["pid"])
-            dead = same_host and not alive_here
-            expired = now - float(info.get("ts") or 0.0) > self.lease_ttl
-            if not dead and (alive_here or not expired):
+            reason = self.abandoned(info, now)
+            if reason is None:
                 continue
             self.release(lease_id)
             reclaimed.append(lease_id)
             REGISTRY.counter("fleet.reclaims").inc()
             emit_event("fleet", event="reclaim", lease=lease_id,
                        worker=worker, previous=info.get("worker"),
-                       reason="dead_pid" if dead else "expired")
+                       reason=reason)
             emit_metric_deltas()
             _LOG.info("fleet.reclaim", lease=lease_id,
-                      previous=info.get("worker"),
-                      reason="dead_pid" if dead else "expired")
+                      previous=info.get("worker"), reason=reason)
         return reclaimed
+
+    def abandoned(self, info, now):
+        """Why the lease record ``info`` is abandoned at time ``now``
+        (``"dead_pid"`` or ``"expired"``), or None while it is live.
+
+        A lease on this host with a pid is live exactly while that pid
+        is; any other lease is live while its last heartbeat is within
+        the TTL.
+        """
+        if info.get("host") == self.host and isinstance(info.get("pid"),
+                                                        int):
+            return None if _pid_alive(info["pid"]) else "dead_pid"
+        if now - float(info.get("ts") or 0.0) > self.lease_ttl:
+            return "expired"
+        return None

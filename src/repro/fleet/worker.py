@@ -49,7 +49,7 @@ from contextlib import contextmanager
 
 from repro.core.synthesizer import SynthesisParameters
 from repro.exec.artifacts import pipeline_artifacts, trace_artifacts
-from repro.fleet.queue import FleetQueue, _pid_alive
+from repro.fleet.queue import FleetQueue
 from repro.fleet.recipe import recipe_from_dict
 from repro.fleet.scheduler import (
     build_shards,
@@ -315,14 +315,8 @@ class FleetWorker:
         now = time.time()
         for block in pending:
             info = self.queue.lease_info(block.block_id)
-            if info is None:
-                return True  # released between scans: claimable next pass
-            if (info.get("host") == self.queue.host
-                    and isinstance(info.get("pid"), int)):
-                if _pid_alive(info["pid"]):
-                    return True
-                continue
-            if now - float(info.get("ts") or 0.0) <= self.queue.lease_ttl:
+            # No record: released between scans, claimable next pass.
+            if info is None or self.queue.abandoned(info, now) is None:
                 return True
         return False
 

@@ -56,7 +56,7 @@ from repro.core.profile import (
 )
 from repro.core.profiler import (
     STREAM_MIN_EXECUTIONS,
-    WorkloadProfiler,
+    _detect_store_aliases,
     _mean_run_length,
 )
 from repro.core.regassign import CloneRegisterFile
@@ -651,7 +651,7 @@ def predict_profile(program, result=None):
     profile.stride_coverage = (covered_refs / total_refs
                                if total_refs else 1.0)
     profile.unique_streams = streams
-    WorkloadProfiler._detect_store_aliases(profile, program)
+    _detect_store_aliases(profile)
 
     granularity = 4
     if address_arrays:

@@ -240,6 +240,56 @@ class TestReloadFailure:
         assert_same_programs(rebuilt, cold)
 
 
+class TestTornPayload:
+    """A truncated ``.npz`` payload (a torn write, a bad disk) is a
+    reload failure: the entry is rebuilt equal to a cold build and
+    replaced, so the next call is a store hit."""
+
+    @staticmethod
+    def truncate(store, filename):
+        (key, _, _), = store.entries()
+        path = os.path.join(store.entry_dir(key), filename)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+
+    @pytest.mark.parametrize("filename", ["trace.npz", "clone_trace.npz"])
+    def test_pipeline_entry_rebuilt(self, store, tmp_path, filename):
+        cold = build(ArtifactStore(root=str(tmp_path / "cold"),
+                                   enabled=False))
+        build(store)
+        self.truncate(store, filename)
+        rebuilt = build(store)
+        assert store.stats()["writes"] == 2
+        assert rebuilt.profile.to_dict() == cold.profile.to_dict()
+        assert rebuilt.clone.asm_source == cold.clone.asm_source
+        assert_same_traces(rebuilt.trace, cold.trace)
+        assert_same_traces(rebuilt.clone_trace, cold.clone_trace)
+        hits = store.stats()["hits"]
+        build(store)
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["writes"] == 2
+
+    def test_trace_entry_rebuilt(self, store, tmp_path):
+        source = get_workload("crc32").source()
+
+        def trace_of(target):
+            return trace_artifacts("crc32", source,
+                                   max_instructions=500_000, store=target)
+
+        cold = trace_of(ArtifactStore(root=str(tmp_path / "cold"),
+                                      enabled=False))
+        trace_of(store)
+        self.truncate(store, "trace.npz")
+        rebuilt = trace_of(store)
+        assert store.stats()["writes"] == 2
+        assert rebuilt.sim_backend == cold.sim_backend
+        assert_same_traces(rebuilt.trace, cold.trace)
+        hits = store.stats()["hits"]
+        trace_of(store)
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["writes"] == 2
+
+
 class TestBaselineEntry:
     """Ablation A's baseline is stored as assembly text: a hit
     re-assembles it and synthesizes nothing."""

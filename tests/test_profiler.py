@@ -1,11 +1,16 @@
 """Tests for the microarchitecture-independent profiler (paper Sec. 3.1)."""
 
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import profile_program, profile_trace
 from repro.core.profile import DEP_BUCKETS, NUM_DEP_BUCKETS, dep_bucket
+from repro.core.profiler import ChunkedWorkloadProfiler
 from repro.isa import assemble
 from repro.sim import run_program
+from repro.workloads import build_workload
 
 
 def profile_of(body, data=""):
@@ -272,3 +277,83 @@ class TestProfilerReentrancy:
         for _ in range(2):  # interleave: A, B, A, B
             for trace, fresh in zip(traces, expected):
                 assert shared.profile(trace).to_dict() == fresh
+
+
+# ----------------------------------------------------------------------
+# Chunk splits: any split of a trace (the first chunk starting at the
+# entry) profiles equal to one feed, field for field
+# ----------------------------------------------------------------------
+#: Corpus kernels whose traces the split property runs over: loops,
+#: calls, tables and data-dependent branches between them.
+SPLIT_KERNELS = ("typeset", "rsynth", "crc32", "qsort", "dijkstra")
+
+
+@functools.lru_cache(maxsize=None)
+def corpus_trace(name):
+    return run_program(build_workload(name))
+
+
+def profile_in_chunks(trace, cuts):
+    """Feed ``trace`` split at the positions ``cuts``."""
+    profiler = ChunkedWorkloadProfiler(trace.program)
+    bounds = [0, *sorted(set(cuts)), len(trace)]
+    for start, end in zip(bounds, bounds[1:]):
+        profiler.feed(trace.pcs[start:end], trace.addrs[start:end],
+                      trace.taken[start:end])
+    return profiler.finish()
+
+
+def assert_same_fields(split, whole):
+    split, whole = split.to_dict(), whole.to_dict()
+    assert split.keys() == whole.keys()
+    for field in whole:
+        assert split[field] == whole[field], field
+
+
+def split_points(length):
+    return st.lists(st.integers(1, max(1, length - 1)), max_size=40)
+
+
+@st.composite
+def straight_line_programs(draw):
+    """A countdown loop around a random straight-line body: ALU work on
+    r0-r8 and word loads/stores at random offsets from ``r20``, which
+    advances by a random stride each iteration."""
+    lines = ["    .data", "buf:    .word 0", "    .space 8192", "    .text",
+             "main:", "    la   r20, buf", "    addi r20, r20, 4096",
+             f"    li   r21, {draw(st.integers(1, 40))}", "loop:"]
+    registers = st.integers(0, 8)
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["r3", "r3", "r2i", "lw", "sw"]))
+        rd, rs1, rs2 = draw(registers), draw(registers), draw(registers)
+        offset = 4 * draw(st.integers(-64, 64))
+        if kind == "r3":
+            opcode = draw(st.sampled_from(["add", "sub", "xor", "mul"]))
+            lines.append(f"    {opcode} r{rd}, r{rs1}, r{rs2}")
+        elif kind == "r2i":
+            lines.append(f"    addi r{rd}, r{rs1}, {offset}")
+        else:
+            register = rd if kind == "lw" else rs2
+            lines.append(f"    {kind} r{register}, {offset}(r20)")
+    stride = draw(st.sampled_from([0, 4, 8, -4, 12, 64]))
+    lines += [f"    addi r20, r20, {stride}", "    addi r21, r21, -1",
+              "    bne  r21, r0, loop", "    halt"]
+    return assemble("\n".join(lines), name="straight_line")
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(SPLIT_KERNELS), data=st.data())
+def test_corpus_chunk_splits_equal_one_feed(name, data):
+    trace = corpus_trace(name)
+    cuts = data.draw(split_points(len(trace)))
+    assert_same_fields(profile_in_chunks(trace, cuts),
+                       profile_trace(trace))
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=straight_line_programs(), data=st.data())
+def test_generated_chunk_splits_equal_one_feed(program, data):
+    trace = run_program(program)
+    cuts = data.draw(split_points(len(trace)))
+    assert_same_fields(profile_in_chunks(trace, cuts),
+                       profile_trace(trace))

@@ -21,7 +21,7 @@ contract, native against interp:
 
 It also covers translation gating, the program table and its caching,
 the one-compile-per-machine engine, chunked emission, and
-chunked-vs-materialized profile parity.
+streamed-vs-one-feed profile parity.
 """
 
 import contextlib
@@ -38,7 +38,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.profiler import (
     ChunkedWorkloadProfiler,
-    WorkloadProfiler,
     profile_program,
     profile_trace,
 )
@@ -86,6 +85,14 @@ def assert_equivalent(program, backend, max_instructions=5_000_000):
     assert bytes(interp.memory.data) == bytes(fast.memory.data)
     assert interp.instructions_executed == fast.instructions_executed
     assert interp.halted and fast.halted
+
+
+def one_feed(trace):
+    """The profile of ``trace`` fed whole: the reference a stream and
+    every chunk split must match."""
+    profiler = ChunkedWorkloadProfiler(trace.program)
+    profiler.feed(trace.pcs, trace.addrs, trace.taken)
+    return profiler.finish()
 
 
 LOOP_SOURCE = """
@@ -239,9 +246,8 @@ class TestStreaming:
 
     def test_profile_program_streams_and_matches(self):
         program = build_workload("susan")
-        trace = run_program(program, backend="interp")
-        reference = WorkloadProfiler().profile(trace)
         streamed = profile_program(program)
+        reference = one_feed(run_program(program, backend="interp"))
         assert streamed.to_dict() == reference.to_dict()
 
 
@@ -273,7 +279,7 @@ class TestChunkedProfilerUnit:
 
     @pytest.mark.parametrize("step", [1, 7, 97, 10_000_000])
     def test_chunked_equals_one_pass(self, loop_nest_trace, step):
-        reference = WorkloadProfiler().profile(loop_nest_trace)
+        reference = one_feed(loop_nest_trace)
         profiler = ChunkedWorkloadProfiler(loop_nest_trace.program)
         for start in range(0, len(loop_nest_trace), step):
             profiler.feed(loop_nest_trace.pcs[start:start + step],
