@@ -149,8 +149,7 @@ def _measure(names):
     # per-machine install artifacts (content-addressed in the cache
     # dir) — compile them outside the timed regions, like Python's own
     # bytecode cache.
-    if native.lane_width():
-        native.lanes_available(native.lane_width())
+    native.lane_width()
     grid_rows = []
     knob_rows = []
     for index, name in enumerate(names):

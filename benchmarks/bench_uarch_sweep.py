@@ -213,8 +213,7 @@ def _measure(names, overhead=True):
     # Compile/load the native timing loop and its lane kernel up front:
     # each .so is a per-machine install artifact (content-addressed in
     # the cache dir), not part of the first kernel's cold-sweep cost.
-    if native.lane_width():
-        native.lanes_available(native.lane_width())
+    native.lane_width()
     rows = _sweep_rows(names)
     return {
         "configs": [config.name for config in GRID],

@@ -73,8 +73,7 @@ def _load_artifacts(meta, entry, program, name, parameters):
     with span("exec.store.load"):
         trace = DynamicTrace.load(os.path.join(entry, "trace.npz"), program)
         profile = WorkloadProfile.load(os.path.join(entry, "profile.json"))
-        with open(os.path.join(entry, "clone.s")) as handle:
-            clone_asm = handle.read()
+        clone_asm = _read_text(meta, entry, "clone.s")
         stored = DynamicTrace.load(os.path.join(entry, "clone_trace.npz"),
                                    None)
     with span("isa.assemble", lines=clone_asm.count("\n")):
@@ -91,8 +90,9 @@ def _load_artifacts(meta, entry, program, name, parameters):
 
 
 #: What reading a stored entry's payload raises when the entry was
-#: evicted mid-read, is partial, or holds a torn ``.npz`` or
-#: unparsable text.
+#: evicted mid-read, is partial, or holds a torn ``.npz``, a text
+#: payload of another length than its save recorded, or unparsable
+#: text.
 _RELOAD_ERRORS = (OSError, KeyError, ValueError, AssemblerError,
                   zipfile.BadZipFile)
 
@@ -159,18 +159,35 @@ def pipeline_artifacts(name, source, parameters,
         "trace.npz": artifacts.trace.save,
         "clone_trace.npz": artifacts.clone_trace.save,
         "profile.json": artifacts.profile.save,
-        "clone.s": _text_writer(artifacts.clone.asm_source),
+        "clone.s": _text_writer(meta, "clone.s", artifacts.clone.asm_source),
     }
     with span("exec.store.save"):
         store.save(key, meta, files)
     return artifacts
 
 
-def _text_writer(text):
+def _text_writer(meta, filename, text):
+    """The writer of a text payload; records its length in ``meta``
+    (``text_lengths``), which :func:`_read_text` checks at reload."""
+    meta.setdefault("text_lengths", {})[filename] = len(text)
+
     def write(path):
         with open(path, "w") as handle:
             handle.write(text)
     return write
+
+
+def _read_text(meta, entry, filename):
+    """A stored text payload.  One cut short (at a line boundary it
+    still parses) or saved without a recorded length raises, so it is a
+    reload failure like a torn ``.npz``."""
+    with open(os.path.join(entry, filename)) as handle:
+        text = handle.read()
+    expected = meta["text_lengths"][filename]
+    if len(text) != expected:
+        raise ValueError(f"{filename} holds {len(text)} characters, "
+                         f"{expected} were saved")
+    return text
 
 
 # ----------------------------------------------------------------------
@@ -272,8 +289,7 @@ def baseline_program(artifacts, source, profiled_cache, predictor,
 
     def read(meta, entry):
         with span("exec.store.load"):
-            with open(os.path.join(entry, "baseline.s")) as handle:
-                text = handle.read()
+            text = _read_text(meta, entry, "baseline.s")
         with span("isa.assemble", lines=text.count("\n")):
             return assemble(text, name=meta["program_name"])
 
@@ -294,6 +310,6 @@ def baseline_program(artifacts, source, profiled_cache, predictor,
         "sim_backend": artifacts.sim_backend,
     }
     with span("exec.store.save"):
-        store.save(key, meta,
-                   {"baseline.s": _text_writer(baseline.asm_source)})
+        store.save(key, meta, {"baseline.s": _text_writer(
+            meta, "baseline.s", baseline.asm_source)})
     return baseline.program

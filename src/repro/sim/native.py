@@ -1,8 +1,9 @@
 """Native functional-execution backend (``repro.sim.native``).
 
-One fixed C interpreter, compiled once per machine through the shared
-:mod:`repro.native` toolchain (the ``simfunc`` library), runs every
-program.  A program reaches it as data: :func:`_encode` turns the
+One fixed C interpreter, the ``simfunc`` library, runs every program.
+The shared :mod:`repro.native` toolchain compiles it once per machine
+and loads it once per process, with its signature bound from
+``_SIGNATURES``.  A program reaches it as data: :func:`_encode` turns the
 interpreter's decode rows into an ``int32`` table of ``(op, rd, rs1,
 rs2, u, target)`` rows plus a ``float64`` column of ``fli`` immediates,
 built in one pass and cached on the program's shared columns.  The
@@ -268,8 +269,11 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _I32P = ctypes.POINTER(ctypes.c_int32)
 _I8P = ctypes.POINTER(ctypes.c_int8)
 
-#: The loaded ``repro_sim_run`` (``False`` once loading failed).
-_ENGINE = None
+#: ``repro_sim_run``'s C signature, bound at load.
+_SIGNATURES = {"repro_sim_run": (ctypes.c_int64, [
+    _I32P, _F64P, ctypes.c_int64, _U32P, _F64P, _U8P,
+    ctypes.c_int64, _I64P, _I32P, _I64P, _I8P, ctypes.c_int64,
+])}
 
 
 # ----------------------------------------------------------------------
@@ -277,15 +281,7 @@ _ENGINE = None
 # ----------------------------------------------------------------------
 def available():
     """Whether this host can run native functional execution at all."""
-    return toolchain.enabled() and toolchain.probe()
-
-
-def reset():
-    """Forget the toolchain probe and the loaded engine (tests toggling
-    REPRO_NATIVE / cc)."""
-    global _ENGINE
-    _ENGINE = None
-    toolchain.reset()
+    return toolchain.enabled() and bool(toolchain.probe())
 
 
 def _operand_ok(kind, reg):
@@ -353,29 +349,13 @@ def usable(program):
 # ----------------------------------------------------------------------
 # Engine and program tables
 # ----------------------------------------------------------------------
-def _load():
-    """The ctypes ``repro_sim_run``, compiling the library on first use."""
-    global _ENGINE
-    if _ENGINE is None:
-        _ENGINE = False
-        library = toolchain.load_library(_C_SOURCE, "simfunc")
-        if library is not None:
-            run = library.repro_sim_run
-            run.restype = ctypes.c_int64
-            run.argtypes = [
-                _I32P, _F64P, ctypes.c_int64, _U32P, _F64P, _U8P,
-                ctypes.c_int64, _I64P, _I32P, _I64P, _I8P, ctypes.c_int64,
-            ]
-            run.library = library  # keep the dlopen handle alive
-            _ENGINE = run
-    return _ENGINE or None
-
-
 def engine_for(program):
-    """The engine entry point when it can run ``program``, else ``None``."""
+    """The engine entry point when it can run ``program``, else ``None``
+    (the ``simfunc`` library is compiled on first use)."""
     if not usable(program):
         return None
-    return _load()
+    library = toolchain.load_library(_C_SOURCE, "simfunc", _SIGNATURES)
+    return library.repro_sim_run if library else None
 
 
 def _encode(decoded):

@@ -20,20 +20,21 @@ an artifact-store load.
 This module embeds the three C functions in one source (ports of
 ``PipelineModel.run``'s scheduling loop, ``cache.Cache`` and the table
 predictors, asserted equivalent by the corpus differential suites and
-a property test), compiles it once per machine through the shared
-:mod:`repro.native` toolchain into a content-addressed shared library
-under the repro cache dir, and exposes it through ctypes.  No
-third-party packages, no CPython API: plain arrays in, final counters
-out.
+a property test) and exposes them through ctypes.  No third-party
+packages, no CPython API: plain arrays in, final counters out.
 
 The scheduling loop also comes as a lane kernel, ``repro_run_lanes``,
 that times up to 8 same-shape configs in one pass over the digest, one
 config per int64 vector lane (:func:`run_lanes`).  Its width is the
 host's (:func:`lane_width`: 8 under AVX-512F/VL/DQ, 4 under AVX2, 0
-otherwise, asked of the ``sweeploop`` library); it is compiled, for
-that width only, into its own cached library the first time a sweep
-uses lanes, through a per-function target attribute, so the shared
-``cc`` line stays as it is.
+otherwise, as the toolchain's probe reports it), and it is compiled
+into the same ``sweep`` library as the scalar kernels, for that width
+only, through a per-function target attribute, so the shared ``cc``
+line stays as it is.  The library is built once per machine and loaded
+once per process by the shared :mod:`repro.native` toolchain; a lane
+pass at another width (tests and the kernel bench ask for one) loads
+that width's library.  Where the lane kernel does not build, the
+scalar kernels are built alone and :func:`lane_width` is 0.
 
 No C compiler, a failed compile, or ``REPRO_NATIVE=off`` simply means
 :func:`available` is False: the sweep then times every config with the
@@ -44,6 +45,7 @@ wall time differs.
 """
 
 import ctypes
+import functools
 
 import numpy as np
 
@@ -307,21 +309,6 @@ void repro_predict_counters(
         history = ((history << 1) | outcome) & history_mask;
     }
 }
-
-/* How many configs this host's lane kernel times per pass: 8 under
- * AVX-512F/VL/DQ, 4 under AVX2, 0 where neither (or no x86-64). */
-int repro_lane_width(void)
-{
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl")
-        && __builtin_cpu_supports("avx512dq"))
-        return 8;
-    if (__builtin_cpu_supports("avx2"))
-        return 4;
-#endif
-    return 0;
-}
 """
 
 #: Per lane width, the instruction sets its lane kernel is compiled for
@@ -340,11 +327,9 @@ LANE_TARGETS = {8: "avx512f,avx512vl,avx512dq", 4: "avx2"}
 #: decode columns, event cursors, ring slots, the FU pool walk) is done
 #: once for all lanes.  Per-lane event outcomes are read through one
 #: pointer per lane.  out receives the 19 final scalars, lane-minor
-#: (out[k * LANES + lane]); returns -1 if allocation fails.  Prefixed
-#: with LANES and LANE_TARGET defines.
+#: (out[k * LANES + lane]); returns -1 if allocation fails.  Appended to
+#: the scalar source after LANES and LANE_TARGET defines.
 _LANE_SOURCE = r"""
-#include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 typedef int64_t vec __attribute__((vector_size(8 * LANES)));
@@ -573,25 +558,9 @@ _I64 = ctypes.POINTER(ctypes.c_int64)
 _I32 = ctypes.POINTER(ctypes.c_int32)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
 
-#: None = not yet probed, False = unavailable, else the ctypes library.
-_LIBRARY = None
-
-#: Lane width -> the lane kernel's ctypes function, or False when it
-#: did not build; filled on first lane use of that width.
-_LANE_KERNELS = {}
-
-
-def _load():
-    """The ctypes library, probing/compiling on first use."""
-    global _LIBRARY
-    if _LIBRARY is not None:
-        return _LIBRARY or None
-    library = toolchain.load_library(_C_SOURCE, "sweeploop")
-    if library is None:
-        _LIBRARY = False
-        return None
-    library.repro_run_range.restype = ctypes.c_int64
-    library.repro_run_range.argtypes = [
+#: The scalar kernels' C signatures, bound at load.
+_SIGNATURES = {
+    "repro_run_range": (ctypes.c_int64, [
         ctypes.c_int64,                                    # n
         _I64,                                              # pcs
         _I32, _I32, _I32, _I32, _I32,                      # static
@@ -604,79 +573,70 @@ def _load():
         ctypes.c_int64,                                    # config
         _I64, _I64,                                        # pools
         _I64, _I64, _I64, _I64, _I64, _I64,                # state
-    ]
-    library.repro_lru_stack.restype = ctypes.c_int64
-    library.repro_lru_stack.argtypes = [
+    ]),
+    "repro_lru_stack": (ctypes.c_int64, [
         _I64, ctypes.c_int64, ctypes.c_int64,              # stream, shift
         ctypes.c_int64, ctypes.c_int64,                    # sets, depth
         _I64, _I64, _U8,                                   # hist, fills, hits
-    ]
-    library.repro_predict_counters.restype = None
-    library.repro_predict_counters.argtypes = [
+    ]),
+    "repro_predict_counters": (None, [
         _I64, _U8, ctypes.c_int64,                         # branches
         ctypes.c_uint64, ctypes.c_int64,                   # pc mask, shift
         ctypes.c_int64, ctypes.c_uint64,                   # history, table
         _U8, _U8,                                          # counters, miss
-    ]
-    library.repro_lane_width.restype = ctypes.c_int
-    library.repro_lane_width.argtypes = []
-    _LIBRARY = library
-    return _LIBRARY
+    ]),
+}
+
+#: The signatures of a sweep library built with the lane kernel.
+_LANE_SIGNATURES = {**_SIGNATURES, "repro_run_lanes": (ctypes.c_int64, [
+    ctypes.c_int64, _I64,                                  # n, pcs
+    _I32, _I32, _I32, _I32, _I32,                          # static
+    _I64,                                                  # lane configs
+    _I64, ctypes.c_void_p, ctypes.c_int64,                 # iacc
+    _I64, ctypes.c_void_p, ctypes.c_int64,                 # dacc
+    _I64, _U8, ctypes.c_void_p, ctypes.c_int64,            # branches
+    ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int64,                                        # rings, depth
+    _I64, _I64, ctypes.c_int64,                            # pools
+    _I64,                                                  # out
+])}
+
+
+@functools.lru_cache(maxsize=None)
+def _source(width, target):
+    """The sweep library's source: the scalar kernels, plus the lane
+    kernel for ``width`` lanes of ``target`` unless ``width`` is 0."""
+    if not width:
+        return _C_SOURCE
+    return (f"{_C_SOURCE}\n#define LANES {width}\n"
+            f"#define LANE_TARGET \"{target}\"\n{_LANE_SOURCE}")
+
+
+def _library(width):
+    """The ``sweep`` library with the lane kernel at ``width`` lanes
+    (scalar kernels only at 0), or None where it does not build."""
+    return toolchain.load_library(
+        _source(width, LANE_TARGETS.get(width)), "sweep",
+        _LANE_SIGNATURES if width else _SIGNATURES)
+
+
+def _kernels():
+    """The host's sweep library: built at the probe's lane width, or
+    with the scalar kernels only where that does not build."""
+    return _library(toolchain.lane_width()) or _library(0)
 
 
 def available():
     """Whether the native loop can be used (compiles lazily)."""
-    return _load() is not None
-
-
-def reset():
-    """Forget the probe result (tests toggling REPRO_NATIVE)."""
-    global _LIBRARY
-    _LIBRARY = None
-    _LANE_KERNELS.clear()
-    toolchain.reset()
+    return _kernels() is not None
 
 
 def lane_width():
     """Configs one lane pass times on this host: 8 under AVX-512F/VL/DQ,
-    4 under AVX2, 0 without either or without the native loop."""
-    library = _load()
-    return library.repro_lane_width() if library else 0
-
-
-def lanes_available(width):
-    """Whether the ``width``-lane kernel builds and loads (compiling it
-    on first use); without it every config is timed alone."""
-    return _lane_kernel(width) is not None
-
-
-def _lane_kernel(width):
-    """``repro_run_lanes`` built for ``width`` lanes, compiling its own
-    cached library on first use; None if it does not build."""
-    kernel = _LANE_KERNELS.get(width)
-    if kernel is None:
-        source = (f"#define LANES {width}\n"
-                  f"#define LANE_TARGET \"{LANE_TARGETS[width]}\"\n"
-                  + _LANE_SOURCE)
-        library = toolchain.load_library(source, f"sweeplanes{width}")
-        kernel = False
-        if library is not None:
-            kernel = library.repro_run_lanes
-            kernel.restype = ctypes.c_int64
-            kernel.argtypes = [
-                ctypes.c_int64, _I64,                      # n, pcs
-                _I32, _I32, _I32, _I32, _I32,              # static
-                _I64,                                      # lane configs
-                _I64, ctypes.c_void_p, ctypes.c_int64,     # iacc
-                _I64, ctypes.c_void_p, ctypes.c_int64,     # dacc
-                _I64, _U8, ctypes.c_void_p, ctypes.c_int64,  # branches
-                ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                ctypes.c_int64,                            # rings, depth
-                _I64, _I64, ctypes.c_int64,                # pools
-                _I64,                                      # out
-            ]
-        _LANE_KERNELS[width] = kernel
-    return kernel or None
+    4 under AVX2, 0 without either, without the native loop, or where
+    the lane kernel does not build."""
+    width = toolchain.lane_width()
+    return width if width and _library(width) else 0
 
 
 def _static_columns(columns):
@@ -750,7 +710,7 @@ def range_call(total, digest, config, cache_bank, pred_bank):
         config.lsq_size, config.fetch_queue, config.mispredict_penalty,
         _decode_depth(), _ptr64(base), _ptr64(sizes),
         *(_ptr64(array) for array in state))
-    return _load().repro_run_range, args, state[0]
+    return _kernels().repro_run_range, args, state[0]
 
 
 def run_lanes(total, digest, configs, cache_banks, pred_banks, width):
@@ -808,7 +768,7 @@ def lanes_call(total, digest, configs, cache_banks, pred_banks, width):
         table([bank.miss for bank in pred_banks]), len(digest.b_pos),
         first.rob_size, first.lsq_size, first.fetch_queue, _decode_depth(),
         _ptr64(base), _ptr64(sizes), int(sizes.sum()), _ptr64(out))
-    return _lane_kernel(width), args, out
+    return _library(width).repro_run_lanes, args, out
 
 
 def _latencies(config):
@@ -839,7 +799,7 @@ def lru_stack(addresses, line_shift, sets, depth, hits=None):
     addresses = np.ascontiguousarray(addresses, dtype=np.int64)
     hist = np.zeros(depth, dtype=np.int64)
     fills = np.zeros(depth + 1, dtype=np.int64)
-    if _load().repro_lru_stack(
+    if _kernels().repro_lru_stack(
             _ptr64(addresses), len(addresses), line_shift, sets, depth,
             _ptr64(hist), _ptr64(fills),
             None if hits is None else hits.ctypes.data_as(_U8)) < 0:
@@ -857,7 +817,7 @@ def predict_counters(pcs, taken, pc_mask, pc_shift, history_bits,
     taken = np.ascontiguousarray(taken, dtype=bool).view(np.uint8)
     counters = np.ones(1 << table_bits, dtype=np.uint8)
     miss = np.empty(len(pcs), dtype=np.uint8)
-    _load().repro_predict_counters(
+    _kernels().repro_predict_counters(
         _ptr64(pcs), taken.ctypes.data_as(_U8), len(pcs),
         pc_mask & 0xFFFF_FFFF_FFFF_FFFF, pc_shift, history_bits,
         (1 << table_bits) - 1, counters.ctypes.data_as(_U8),

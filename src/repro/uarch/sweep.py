@@ -411,8 +411,6 @@ def _native_times(trace, configs, total):
 
     width = native.lane_width()
     passes, singles = _lane_passes(configs, width)
-    if passes and not native.lanes_available(width):
-        passes, singles = [], list(range(len(configs)))
     results = [None] * len(configs)
     for indices in passes:
         started = time.perf_counter()

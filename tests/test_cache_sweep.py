@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evaluation import workload_artifacts
+from repro.native import toolchain
 from repro.obs.journal import configure_journal, read_journal
 from repro.obs.trace import build_span_tree
 from repro.uarch import (
@@ -50,7 +51,7 @@ def engine(name):
     saved = os.environ.get("REPRO_NATIVE")
     if name == "spec":
         os.environ["REPRO_NATIVE"] = "0"
-    native.reset()
+    toolchain.reset()
     try:
         yield
     finally:
@@ -58,7 +59,7 @@ def engine(name):
             os.environ.pop("REPRO_NATIVE", None)
         else:
             os.environ["REPRO_NATIVE"] = saved
-        native.reset()
+        toolchain.reset()
 
 
 def stats_tuple(stats):

@@ -241,9 +241,10 @@ class TestReloadFailure:
 
 
 class TestTornPayload:
-    """A truncated ``.npz`` payload (a torn write, a bad disk) is a
-    reload failure: the entry is rebuilt equal to a cold build and
-    replaced, so the next call is a store hit."""
+    """A truncated payload (a torn write, a bad disk) is a reload
+    failure, even a text cut at a line boundary that still assembles:
+    the entry is rebuilt equal to a cold build and replaced, so the
+    next call is a store hit."""
 
     @staticmethod
     def truncate(store, filename):
@@ -251,6 +252,61 @@ class TestTornPayload:
         path = os.path.join(store.entry_dir(key), filename)
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
+
+    @staticmethod
+    def cut_lines(store, filename):
+        """Keep the first two thirds of the lines of the one stored
+        ``filename``."""
+        [path] = [path for path in (
+            os.path.join(store.entry_dir(key), filename)
+            for key, _, _ in store.entries()) if os.path.exists(path)]
+        with open(path) as handle:
+            lines = handle.readlines()
+        with open(path, "w") as handle:
+            handle.writelines(lines[:len(lines) * 2 // 3])
+
+    def test_cut_clone_text_rebuilt(self, store, tmp_path):
+        cold = build(ArtifactStore(root=str(tmp_path / "cold"),
+                                   enabled=False))
+        build(store)
+        self.cut_lines(store, "clone.s")
+        rebuilt = build(store)
+        assert store.stats()["writes"] == 2
+        assert rebuilt.clone.asm_source == cold.clone.asm_source
+        assert_same_programs(rebuilt.clone.program, cold.clone.program)
+        assert_same_traces(rebuilt.clone_trace, cold.clone_trace)
+        hits = store.stats()["hits"]
+        build(store)
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["writes"] == 2
+
+    def test_unrecorded_text_length_rebuilt(self, store):
+        # An entry saved without text lengths cannot prove its clone.s
+        # whole, so it is rebuilt as well.
+        build(store)
+        (key, _, _), = store.entries()
+        path = os.path.join(store.entry_dir(key), META_FILENAME)
+        with open(path) as handle:
+            meta = json.load(handle)
+        del meta["text_lengths"]
+        with open(path, "w") as handle:
+            json.dump(meta, handle)
+        build(store)
+        assert store.stats()["writes"] == 2
+
+    def test_cut_baseline_text_rebuilt(self, store, tmp_path):
+        disabled = ArtifactStore(root=str(tmp_path / "cold"), enabled=False)
+        cold = baseline(disabled, build(disabled))
+        artifacts = build(store)
+        baseline(store, artifacts)
+        self.cut_lines(store, "baseline.s")
+        rebuilt = baseline(store, artifacts)
+        assert store.stats()["writes"] == 3
+        assert_same_programs(rebuilt, cold)
+        hits = store.stats()["hits"]
+        baseline(store, artifacts)
+        assert store.stats()["hits"] == hits + 1
+        assert store.stats()["writes"] == 3
 
     @pytest.mark.parametrize("filename", ["trace.npz", "clone_trace.npz"])
     def test_pipeline_entry_rebuilt(self, store, tmp_path, filename):

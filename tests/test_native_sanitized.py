@@ -1,15 +1,17 @@
 """Both native engines under UndefinedBehaviorSanitizer.
 
-The functional engine (``simfunc``), the sweep kernels (``sweeploop``:
-the scheduling loop, the LRU stack pass and the table predictors) and the
-sweep's lane kernel are each one fixed C source, so one sanitized build
-of each covers every program, geometry and predictor.  In a subprocess
-with a fresh cache dir, the shared compiler invocation gains
-``-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all``
-and the corpus and clone differentials run against the sanitized
-libraries: any undefined behaviour (an out-of-range float cast, a
-signed overflow, a misaligned access) aborts the run and fails the
-test.  Skipped where the compiler cannot build a sanitized library.
+The functional engine (``simfunc``) and the sweep library (``sweep``:
+the scheduling loop, the LRU stack pass, the table predictors and the
+lane kernel) are each one fixed C source, so one sanitized build of
+each covers every program, geometry and predictor; the lane suite also
+builds the sweep library at every narrower lane width the host runs.
+In a subprocess with a fresh cache dir, the shared compiler invocation
+gains ``-fsanitize=undefined,float-cast-overflow
+-fno-sanitize-recover=all`` and the corpus, clone and lane
+differentials run against the sanitized libraries: any undefined
+behaviour (an out-of-range float cast, a signed overflow, a misaligned
+access) aborts the run and fails the test.  Skipped where the compiler
+cannot build a sanitized library.
 """
 
 import os
@@ -31,14 +33,16 @@ DIFFERENTIALS = (
     "tests/test_sim_native.py::test_random_programs_native_matches_interp",
     "tests/test_uarch_sweep.py::TestCorpusEquivalence",
     "tests/test_uarch_sweep.py::TestPredictorEquivalence",
+    "tests/test_uarch_sweep.py::TestLanes",
     "tests/test_cache_sweep.py::test_corpus_sweep_matches_spec",
     "tests/test_cache_sweep.py::test_random_streams_match_spec",
     "tests/test_cache_sweep.py::TestPerAccessHits",
 )
 
-#: Subprocess body: sanitize every compile, insist both engines load,
-#: then run the suites named on the command line (capturing Python
-#: output only, so a sanitizer report reaches the subprocess's stderr).
+#: Subprocess body: sanitize every compile, insist both engines load
+#: (the lane kernel at the host's width included), then run the suites
+#: named on the command line (capturing Python output only, so a
+#: sanitizer report reaches the subprocess's stderr).
 RUNNER = f"""
 import sys
 from repro.native import toolchain
@@ -46,8 +50,7 @@ toolchain.CC = toolchain.CC + {SANITIZE!r}
 from repro.sim import native
 from repro.uarch import native as uarch_native
 assert native.available() and uarch_native.available(), "no engine"
-width = uarch_native.lane_width()
-assert width == 0 or uarch_native.lanes_available(width), "no lane kernel"
+assert uarch_native.lane_width() == toolchain.lane_width(), "no lane kernel"
 import pytest
 sys.exit(pytest.main(["-x", "-p", "no:cacheprovider", "--capture=sys",
                       *sys.argv[1:]]))

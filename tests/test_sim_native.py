@@ -198,7 +198,7 @@ class TestEngineCache:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(toolchain, "compile_cached", counting)
-        native.reset()
+        toolchain.reset()
         try:
             for program in programs:
                 simulator, _ = _run(program, "native", trace=False)
@@ -208,16 +208,16 @@ class TestEngineCache:
             assert len([f for f in built if f.startswith("simfunc-")]) == 1
         finally:
             monkeypatch.undo()
-            native.reset()
+            toolchain.reset()
 
     def test_gated_off_means_no_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset()
+        toolchain.reset()
         try:
             assert not native.available()
             assert native.engine_for(loop_program()) is None
         finally:
-            native.reset()
+            toolchain.reset()
 
 
 @needs_native
@@ -259,13 +259,13 @@ def test_profile_program_honours_interp_backend(monkeypatch):
         raise AssertionError("profile_program streamed natively")
     monkeypatch.setenv("REPRO_NATIVE", "0")
     monkeypatch.setattr(native, "stream_trace", refuse)
-    native.reset()
+    toolchain.reset()
     try:
         program = build_workload("crc32")
         profile = profile_program(program)
         reference = profile_trace(run_program(program))
     finally:
-        native.reset()
+        toolchain.reset()
     assert profile.to_dict() == reference.to_dict()
 
 
@@ -323,12 +323,12 @@ class TestResolveBackend:
     def test_auto_falls_back_to_interp_when_native_gated_off(
             self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset()
+        toolchain.reset()
         try:
             program = build_workload("crc32")
             assert resolve_backend("auto", program) == "interp"
         finally:
-            native.reset()
+            toolchain.reset()
 
     def test_auto_runs_tiny_programs_natively(self):
         tiny = assemble("    .text\nmain:\n    halt\n", name="tiny")
@@ -364,14 +364,14 @@ loop:
 class TestNativeFallback:
     def test_explicit_native_runs_when_gated_off(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        native.reset()
+        toolchain.reset()
         try:
             program = assemble(FALLBACK_SOURCE, name="gated-off")
             assert not native.available()
             assert resolve_backend("auto", program) == "interp"
             assert_equivalent(program, "native")
         finally:
-            native.reset()
+            toolchain.reset()
 
     def test_explicit_native_runs_without_a_compiler(self, monkeypatch,
                                                      tmp_path):
@@ -380,14 +380,14 @@ class TestNativeFallback:
         # probe library.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setattr(toolchain, "CC", ("repro-no-such-cc",))
-        native.reset()
+        toolchain.reset()
         try:
             program = assemble(FALLBACK_SOURCE, name="no-cc")
             assert not native.available()
             assert resolve_backend("auto", program) == "interp"
             assert_equivalent(program, "native")
         finally:
-            native.reset()
+            toolchain.reset()
 
     def test_failed_compile_falls_back(self, monkeypatch):
         # The toolchain works but the engine library does not build (a
@@ -401,14 +401,14 @@ class TestNativeFallback:
             return compile_cached(source, stem)
 
         monkeypatch.setattr(toolchain, "compile_cached", failing)
-        native.reset()
+        toolchain.reset()
         try:
             program = assemble(FALLBACK_SOURCE, name="failed-compile")
             assert native.engine_for(program) is None
             assert_equivalent(program, "native")
         finally:
             monkeypatch.undo()
-            native.reset()
+            toolchain.reset()
 
     def test_untranslatable_program_falls_back(self):
         # A hand-built program the engine rejects (FP move reading an

@@ -41,6 +41,7 @@ from repro.evaluation import workload_artifacts
 from repro.cli import main
 from repro.exec import reset_default_store
 from repro.exec.store import ArtifactStore, default_store
+from repro.native import toolchain
 from repro.obs import logging as obslog
 from repro.obs.metrics import REGISTRY
 from repro.obs.runinfo import RunManifest, validate_manifest
@@ -122,18 +123,18 @@ def engine(request, monkeypatch):
     """
     if request.param == "python":
         monkeypatch.setenv("REPRO_NATIVE", "off")
-    native.reset()
+    toolchain.reset()
     yield request.param
-    native.reset()
+    toolchain.reset()
 
 
 @pytest.fixture()
 def python_engine(monkeypatch):
     """Force the spec fallback (no C loop)."""
     monkeypatch.setenv("REPRO_NATIVE", "off")
-    native.reset()
+    toolchain.reset()
     yield
-    native.reset()
+    toolchain.reset()
 
 
 def result_fields(result):
@@ -403,11 +404,11 @@ class TestSweepStats:
 class TestNative:
     def test_env_gate_disables(self, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE", "off")
-        native.reset()
+        toolchain.reset()
         try:
             assert not native.available()
         finally:
-            native.reset()
+            toolchain.reset()
 
     @needs_native
     def test_native_configs_counted(self, loop_nest_trace):
@@ -459,7 +460,7 @@ class TestNative:
 
     @needs_native
     def test_library_cache_survives_reset(self):
-        native.reset()
+        toolchain.reset()
         assert native.available()
 
 
@@ -469,7 +470,7 @@ class TestNative:
 @pytest.fixture(params=LANE_WIDTHS)
 def lane_width(request, monkeypatch):
     """Make the sweep time lane passes ``request.param`` configs wide."""
-    native.reset()
+    toolchain.reset()
     if not native.available():
         pytest.skip("no native loop (no C compiler, or REPRO_NATIVE=0): "
                     "the sweep times every config with the spec")
@@ -479,7 +480,7 @@ def lane_width(request, monkeypatch):
                     f"{native.LANE_TARGETS[request.param]}")
     monkeypatch.setattr(native, "lane_width", lambda: request.param)
     yield request.param
-    native.reset()
+    toolchain.reset()
 
 
 def mixed_shape_grid(width):
@@ -548,15 +549,17 @@ class TestLanes:
         if host == "no-simd":
             monkeypatch.setattr(native, "lane_width", lambda: 0)
         else:
+            # The probe reports 8 lanes, but the lane kernel does not
+            # build: the sweep library holds the scalar kernels alone.
             monkeypatch.setattr(native, "LANE_TARGETS",
                                 dict.fromkeys(LANE_WIDTHS, "no-such-isa"))
-            monkeypatch.setattr(native, "lane_width", lambda: 8)
-        native.reset()
+            monkeypatch.setattr(toolchain, "lane_width", lambda: 8)
+        toolchain.reset()
         REGISTRY.reset()
         try:
             assert_sweep_equivalent(loop_nest_trace, LANE_GRID[:4])
         finally:
-            native.reset()
+            toolchain.reset()
         stats = sweep_stats_snapshot()
         assert (stats["native_configs"], stats["lane_configs"]) == (4, 0)
 
